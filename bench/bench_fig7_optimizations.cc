@@ -1,55 +1,22 @@
-// Fig 7: the two optimizations.
-//  (a, b) lazy collection: response time and memory of DyOneSwap/DyTwoSwap
-//         eager vs lazy - memory drops sharply, time is comparable or
-//         better for small k;
-//  (c)    perturbation: small time overhead buying the gap* improvements;
-//  (d)    lazy-vs-eager time as a function of k (the trade-off flips as k
-//         grows), via the generic KSwap maintainer.
+// Fig 7(c): perturbation, a small time overhead buying the gap*
+// improvements. The paper's Fig 7(a, b, d) compare eager tightness lists
+// with lazy collection; the library keeps a single mode that scans like
+// lazy collection and names owners in O(1) from per-vertex sums, so there
+// is no pair left to compare (bench/EXPERIMENTS.md, "Lazy vs eager").
 
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "dynmis/registry.h"
 #include "src/graph/datasets.h"
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
 #include "src/util/table.h"
-#include "src/util/timer.h"
 
 namespace dynmis {
 namespace {
 
 const std::vector<std::string> kFigGraphs = {"web-BerkStan", "hollywood",
                                              "com-lj", "soc-LiveJournal"};
-
-void RunLazyAblation(int updates) {
-  std::printf("\n--- Fig 7(a,b): lazy collection (time / memory) ---\n");
-  TablePrinter table({"Graph", "DyOneSwap t", "lazy t", "DyTwoSwap t",
-                      "lazy t", "DyOneSwap mem", "lazy mem", "DyTwoSwap mem",
-                      "lazy mem"});
-  for (const std::string& name : kFigGraphs) {
-    const DatasetSpec* spec = FindDataset(name);
-    const EdgeListGraph base = GenerateDataset(*spec);
-    ExperimentConfig config;
-    config.initial = InitialSolution::kArw;
-    config.arw_iterations = 200;
-    config.num_updates = updates;
-    config.stream.seed = spec->seed * 3 + 1;
-    config.stream.bias = EndpointBias::kDegreeProportional;
-    const ExperimentResult result = RunExperiment(
-        base,
-        {"DyOneSwap", "DyOneSwap-lazy", "DyTwoSwap", "DyTwoSwap-lazy"},
-        config);
-    const AlgoRunResult& one = FindRun(result, "DyOneSwap");
-    const AlgoRunResult& one_l = FindRun(result, "DyOneSwap-lazy");
-    const AlgoRunResult& two = FindRun(result, "DyTwoSwap");
-    const AlgoRunResult& two_l = FindRun(result, "DyTwoSwap-lazy");
-    table.AddRow({name, TimeCell(one), TimeCell(one_l), TimeCell(two),
-                  TimeCell(two_l), MemoryCell(one), MemoryCell(one_l),
-                  MemoryCell(two), MemoryCell(two_l)});
-  }
-  table.Print(stdout);
-}
 
 void RunPerturbation(int updates) {
   std::printf("\n--- Fig 7(c): perturbation response-time overhead ---\n");
@@ -75,50 +42,14 @@ void RunPerturbation(int updates) {
   table.Print(stdout);
 }
 
-void RunLazyVsK(int updates) {
-  std::printf("\n--- Fig 7(d): lazy time improvement vs k ---\n");
-  const DatasetSpec* spec = FindDataset("com-lj");
-  const EdgeListGraph base = GenerateDataset(*spec);
-  const DynamicGraph initial = base.ToDynamic();
-  UpdateStreamOptions stream;
-  stream.seed = 4242;
-  const std::vector<GraphUpdate> updates_seq =
-      MakeUpdateSequence(initial, updates, stream);
-  const std::vector<VertexId> initial_solution = ComputeInitialSolution(
-      base, InitialSolution::kArw, /*arw_iterations=*/200,
-      /*exact_node_budget=*/0);
-  TablePrinter table({"k", "eager time", "lazy time", "lazy/eager"});
-  for (int k = 1; k <= 4; ++k) {
-    double seconds[2];
-    for (const bool lazy : {false, true}) {
-      DynamicGraph g = initial;
-      MaintainerConfig config("KSwap");
-      config.k = k;
-      config.lazy = lazy;
-      auto algo = MaintainerRegistry::Global().Create(config, &g);
-      algo->Initialize(initial_solution);
-      Timer timer;
-      for (const GraphUpdate& update : updates_seq) algo->Apply(update);
-      seconds[lazy ? 1 : 0] = timer.ElapsedSeconds();
-    }
-    table.AddRow({std::to_string(k), FormatDouble(seconds[0], 3) + "s",
-                  FormatDouble(seconds[1], 3) + "s",
-                  FormatDouble(seconds[1] / seconds[0], 2)});
-  }
-  table.Print(stdout);
-}
-
 void Run() {
   const int updates = bench::ScaledUpdates(20000);
-  std::printf("=== Fig 7: optimization ablations (%d updates) ===\n", updates);
+  std::printf("=== Fig 7(c): perturbation ablation (%d updates) ===\n",
+              updates);
   bench::PrintScaleNote();
-  RunLazyAblation(updates);
   RunPerturbation(updates);
-  RunLazyVsK(bench::ScaledUpdates(8000));
   std::printf(
-      "\nExpected shape (paper): lazy memory << eager; lazy time comparable "
-      "or better at k=1,\ndeteriorating as k grows (7(d) ratio rises); "
-      "perturbation costs a little extra time.\n");
+      "\nExpected shape (paper): perturbation costs a little extra time.\n");
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // maintainer in the library. One struct subsumes the old per-algorithm
 // knobs (the former MaintainerOptions plus the enum-encoded variants):
 // an algorithm is named by a registry string and parameterized here, so
-// "DyOneSwap with lazy collection" is {"DyOneSwap", lazy=true} and the
+// "DyOneSwap with perturbation" is {"DyOneSwap", perturb=true} and the
 // paper's k-swap ablation points are {"KSwap", k=1..4} instead of four
-// enum values.
+// enum values. The paper's optimization #1 is not a knob: the swap
+// maintainers always collect tightness sets by neighbourhood scans and name
+// a vertex's one or two solution neighbours from per-vertex sums
+// (src/core/solution.h).
 //
 // The registry (dynmis/registry.h) resolves aliases such as "DyTwoSwap*"
 // or "KSwap3" by patching the corresponding fields before construction,
@@ -31,12 +34,6 @@ struct MaintainerConfig {
   // [1, kMaxKSwapOrder] (ignored by the specialized algorithms, which fix
   // k = 1 or 2).
   int k = 2;
-
-  // Lazy collection (paper, Section III-B "Optimization Techniques" #1):
-  // keep only count(v) per vertex and rebuild tightness sets by scanning
-  // neighborhoods on demand. Cuts memory sharply; the time trade-off
-  // depends on k (Fig 7).
-  bool lazy = false;
 
   // Perturbation (paper, optimization #2): prefer swapping a solution
   // vertex with its smallest-degree eligible neighbour, since high-degree

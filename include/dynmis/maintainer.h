@@ -100,8 +100,9 @@ class DynamicMisMaintainer {
   // persisted membership (alive, independent) and re-initializes from it —
   // a recompute-on-load fallback costing one Initialize pass; the swap
   // maintainers (DyOneSwap, DyTwoSwap, KSwap) override both hooks to
-  // restore their tightness structures directly, making load O(state) with
-  // no rebuild.
+  // restore membership and tightness counts directly: one O(n + m)
+  // validation pass that also rebuilds the owner sums, and no
+  // MoveIn/MoveOut.
   virtual bool LoadState(SnapshotReader* r, const DynamicGraph& g) {
     if (!r->OpenSection("maintainer/solution")) return false;
     std::vector<VertexId> solution;

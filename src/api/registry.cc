@@ -72,14 +72,6 @@ void RegisterBuiltins(MaintainerRegistry* registry) {
       "DyTwoSwap*", "DyTwoSwap",
       [](MaintainerConfig* config) { config->perturb = true; },
       "DyTwoSwap with perturbation (gap* columns)");
-  registry->RegisterAlias(
-      "DyOneSwap-lazy", "DyOneSwap",
-      [](MaintainerConfig* config) { config->lazy = true; },
-      "DyOneSwap with lazy collection (Fig 7 ablation)");
-  registry->RegisterAlias(
-      "DyTwoSwap-lazy", "DyTwoSwap",
-      [](MaintainerConfig* config) { config->lazy = true; },
-      "DyTwoSwap with lazy collection (Fig 7 ablation)");
   for (int k = 1; k <= 4; ++k) {
     registry->RegisterAlias(
         "KSwap" + std::to_string(k), "KSwap",

@@ -9,7 +9,7 @@ namespace dynmis {
 
 KSwapMaintainer::KSwapMaintainer(DynamicGraph* g, int k,
                                  MaintainerConfig options)
-    : g_(g), k_(k), options_(options), state_(g, k, options.lazy) {
+    : g_(g), k_(k), options_(options), state_(g, k) {
   DYNMIS_CHECK_GE(k, 1);
   DYNMIS_CHECK_LE(k, kMaxKSwapOrder);
   EnsureCapacity();
@@ -236,8 +236,8 @@ void KSwapMaintainer::InsertEdge(VertexId u, VertexId v) {
   state_.OnEdgeAdded(e);
   if (u_in && v_in) {
     VertexId loser;
-    const bool bu = state_.Bar1Size(u) > 0;
-    const bool bv = state_.Bar1Size(v) > 0;
+    const bool bu = state_.HasBar1(u);
+    const bool bv = state_.HasBar1(v);
     if (bu != bv) {
       loser = bu ? u : v;
     } else {
@@ -342,7 +342,6 @@ size_t KSwapMaintainer::MemoryUsageBytes() const {
 
 std::string KSwapMaintainer::Name() const {
   std::string name = "KSwap(k=" + std::to_string(k_) + ")";
-  if (options_.lazy) name += "-lazy";
   if (options_.perturb) name += "*";
   return name;
 }

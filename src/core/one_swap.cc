@@ -7,7 +7,7 @@
 namespace dynmis {
 
 DyOneSwap::DyOneSwap(DynamicGraph* g, MaintainerConfig options)
-    : g_(g), options_(options), state_(g, /*k=*/1, options.lazy) {
+    : g_(g), options_(options), state_(g, /*k=*/1) {
   EnsureCapacity();
 }
 
@@ -183,8 +183,8 @@ void DyOneSwap::InsertEdge(VertexId u, VertexId v) {
     // One endpoint must leave. Prefer the one with 1-tight neighbours (a
     // replacement is then guaranteed); otherwise drop the higher degree.
     VertexId loser;
-    const bool bu = state_.Bar1Size(u) > 0;
-    const bool bv = state_.Bar1Size(v) > 0;
+    const bool bu = state_.HasBar1(u);
+    const bool bv = state_.HasBar1(v);
     if (bu != bv) {
       loser = bu ? u : v;
     } else {
@@ -286,7 +286,6 @@ size_t DyOneSwap::MemoryUsageBytes() const {
 
 std::string DyOneSwap::Name() const {
   std::string name = "DyOneSwap";
-  if (options_.lazy) name += "-lazy";
   if (options_.perturb) name += "*";
   return name;
 }

@@ -1,16 +1,27 @@
 #include "src/core/solution.h"
 
-#include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "src/util/memory.h"
 
 namespace dynmis {
 
-MisState::MisState(DynamicGraph* g, int k, bool lazy)
-    : g_(g), k_(k), lazy_(lazy) {
+namespace {
+
+// floor(sqrt(x)) for x < 2^62: the double estimate is off by at most one.
+uint64_t ISqrt(uint64_t x) {
+  uint64_t r = static_cast<uint64_t>(std::sqrt(static_cast<double>(x)));
+  while (r * r > x) --r;
+  while ((r + 1) * (r + 1) <= x) ++r;
+  return r;
+}
+
+}  // namespace
+
+MisState::MisState(DynamicGraph* g, int k) : g_(g), k_(k) {
   DYNMIS_CHECK_GE(k, 1);
   EnsureCapacity();
-  for (VertexId v = 0; v < g_->VertexCapacity(); ++v) OnVertexAdded(v);
 }
 
 void MisState::EnsureCapacity() {
@@ -18,25 +29,7 @@ void MisState::EnsureCapacity() {
   if (status_.size() < vcap) {
     status_.resize(vcap, 0);
     count_.resize(vcap, 0);
-    if (!lazy_) {
-      inb_head_.resize(vcap, kInvalidEdge);
-      bar1_head_.resize(vcap, kInvalidEdge);
-      bar1_size_.resize(vcap, 0);
-      bar1_edge_.resize(vcap, kInvalidEdge);
-      if (k_ >= 2) {
-        bar2_head_.resize(vcap, kInvalidEdge);
-        bar2_edge0_.resize(vcap, kInvalidEdge);
-        bar2_edge1_.resize(vcap, kInvalidEdge);
-      }
-    }
-  }
-  if (!lazy_) {
-    const size_t ecap = 2 * static_cast<size_t>(g_->EdgeCapacity());
-    if (inb_links_.size() < ecap) {
-      inb_links_.resize(ecap);
-      bar1_links_.resize(ecap);
-      if (k_ >= 2) bar2_links_.resize(ecap);
-    }
+    owners_.resize(vcap);
   }
 }
 
@@ -44,17 +37,7 @@ void MisState::OnVertexAdded(VertexId v) {
   EnsureCapacity();
   status_[v] = 0;
   count_[v] = 0;
-  if (!lazy_) {
-    inb_head_[v] = kInvalidEdge;
-    bar1_head_[v] = kInvalidEdge;
-    bar1_size_[v] = 0;
-    bar1_edge_[v] = kInvalidEdge;
-    if (k_ >= 2) {
-      bar2_head_[v] = kInvalidEdge;
-      bar2_edge0_[v] = kInvalidEdge;
-      bar2_edge1_[v] = kInvalidEdge;
-    }
-  }
+  owners_[v] = OwnerSums{};
 }
 
 std::vector<VertexId> MisState::Solution() const {
@@ -70,171 +53,57 @@ void MisState::AppendSolution(std::vector<VertexId>* out) const {
   }
 }
 
-VertexId MisState::OwnerOf(VertexId u) const {
-  DYNMIS_DCHECK(count_[u] >= 1);
-  if (!lazy_) {
-    DYNMIS_DCHECK(inb_head_[u] != kInvalidEdge);
-    return g_->Other(inb_head_[u], u);
-  }
-  VertexId owner = kInvalidVertex;
-  for (EdgeId e = g_->FirstIncident(u); e != kInvalidEdge;
-       e = g_->NextIncident(e, u)) {
-    const VertexId w = g_->Other(e, u);
-    if (status_[w]) {
-      owner = w;
-      break;
-    }
-  }
-  DYNMIS_DCHECK(owner != kInvalidVertex);
-  return owner;
-}
-
 void MisState::OwnersOf2(VertexId u, VertexId* a, VertexId* b) const {
   DYNMIS_DCHECK(count_[u] == 2);
-  VertexId first = kInvalidVertex;
-  VertexId second = kInvalidVertex;
-  ForEachSolutionNeighbor(u, [&](VertexId w) {
-    if (first == kInvalidVertex) {
-      first = w;
-    } else if (second == kInvalidVertex) {
-      second = w;
-    }
-  });
-  DYNMIS_DCHECK(first != kInvalidVertex && second != kInvalidVertex);
-  if (first > second) std::swap(first, second);
-  *a = first;
-  *b = second;
+  // With ids below 2^31 both sum < 2^32 and (b - a)^2 < 2^62 hold exactly,
+  // whatever the wrapped history of the mod-2^64 accumulators.
+  const uint64_t sum = owners_[u].sum;
+  const uint64_t diff = ISqrt(2 * owners_[u].sq - sum * sum);
+  *a = static_cast<VertexId>((sum - diff) / 2);
+  *b = static_cast<VertexId>((sum + diff) / 2);
+  DYNMIS_DCHECK(*a < *b && status_[*a] && status_[*b]);
 }
 
-int MisState::Bar1Size(VertexId v) const {
+// Solution vertices have count 0, so count(u) alone identifies the
+// tightness sets; the scans never touch status_.
+
+bool MisState::HasBar1(VertexId v) const {
   DYNMIS_DCHECK(InSolution(v));
-  if (!lazy_) return bar1_size_[v];
-  int size = 0;
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-    if (count_[u] == 1) ++size;
-  });
-  return size;
+  for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
+       e = g_->NextIncident(e, v)) {
+    if (count_[g_->Other(e, v)] == 1) return true;
+  }
+  return false;
 }
 
-void MisState::CollectBar1(VertexId v, std::vector<VertexId>* out) const {
+void MisState::CollectBar1(VertexId v, std::vector<VertexId>* bar1) const {
   DYNMIS_DCHECK(InSolution(v));
-  if (!lazy_) {
-    for (EdgeId e = bar1_head_[v]; e != kInvalidEdge;
-         e = bar1_links_[Slot(e, v)].next) {
-      out->push_back(g_->Other(e, v));
-    }
-    return;
-  }
-  // Lazy: u in N(v) with count(u) == 1 necessarily has v as its unique
-  // solution neighbour, so a single scan of N(v) suffices.
   g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-    if (!status_[u] && count_[u] == 1) out->push_back(u);
+    if (count_[u] == 1) bar1->push_back(u);
   });
 }
 
-void MisState::CollectBar2(VertexId v, std::vector<VertexId>* out) const {
+void MisState::CollectBar1And2(VertexId v, VertexId pair,
+                               std::vector<VertexId>* bar1,
+                               std::vector<VertexId>* bar2) const {
   DYNMIS_DCHECK(InSolution(v));
-  DYNMIS_CHECK_GE(k_, 2);
-  if (!lazy_) {
-    for (EdgeId e = bar2_head_[v]; e != kInvalidEdge;
-         e = bar2_links_[Slot(e, v)].next) {
-      out->push_back(g_->Other(e, v));
-    }
-    return;
-  }
+  // For u in bar2(v), sum(u) - v is u's other solution neighbour.
+  const uint64_t other_sum =
+      static_cast<uint64_t>(v) + static_cast<uint64_t>(pair);
   g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-    if (!status_[u] && count_[u] == 2) out->push_back(u);
-  });
-}
-
-void MisState::CollectBar2Pair(VertexId x, VertexId y,
-                               std::vector<VertexId>* out) const {
-  DYNMIS_CHECK_GE(k_, 2);
-  DYNMIS_DCHECK(InSolution(x) && InSolution(y));
-  // Enumerate one owner's bar2 list and keep members whose second solution
-  // neighbour is the other owner; in lazy mode scan the lower-degree owner.
-  if (lazy_ && g_->Degree(x) > g_->Degree(y)) std::swap(x, y);
-  std::vector<VertexId>& side = side_scratch_;
-  side.clear();
-  CollectBar2(x, &side);
-  for (VertexId u : side) {
-    VertexId a, b;
-    OwnersOf2(u, &a, &b);
-    const VertexId other = a == x ? b : a;
-    if (other == y) out->push_back(u);
-  }
-}
-
-void MisState::Link(std::vector<EdgeId>& head, std::vector<LinkPair>& links,
-                    EdgeId e, VertexId owner) {
-  const int slot = Slot(e, owner);
-  links[slot].next = head[owner];
-  links[slot].prev = kInvalidEdge;
-  if (head[owner] != kInvalidEdge) {
-    links[Slot(head[owner], owner)].prev = e;
-  }
-  head[owner] = e;
-}
-
-void MisState::Unlink(std::vector<EdgeId>& head, std::vector<LinkPair>& links,
-                      EdgeId e, VertexId owner) {
-  const int slot = Slot(e, owner);
-  const EdgeId p = links[slot].prev;
-  const EdgeId n = links[slot].next;
-  if (p != kInvalidEdge) {
-    links[Slot(p, owner)].next = n;
-  } else {
-    DYNMIS_DCHECK(head[owner] == e);
-    head[owner] = n;
-  }
-  if (n != kInvalidEdge) links[Slot(n, owner)].prev = p;
-  links[slot].next = kInvalidEdge;
-  links[slot].prev = kInvalidEdge;
-}
-
-void MisState::ClearTightness(VertexId u) {
-  if (lazy_) return;
-  if (bar1_edge_[u] != kInvalidEdge) {
-    const EdgeId e = bar1_edge_[u];
-    const VertexId owner = g_->Other(e, u);
-    Unlink(bar1_head_, bar1_links_, e, owner);
-    --bar1_size_[owner];
-    bar1_edge_[u] = kInvalidEdge;
-  }
-  if (k_ >= 2) {
-    for (EdgeId* slot : {&bar2_edge0_[u], &bar2_edge1_[u]}) {
-      if (*slot != kInvalidEdge) {
-        const EdgeId e = *slot;
-        const VertexId owner = g_->Other(e, u);
-        Unlink(bar2_head_, bar2_links_, e, owner);
-        *slot = kInvalidEdge;
-      }
-    }
-  }
-}
-
-void MisState::SetTightnessAndLog(VertexId u) {
-  if (status_[u]) return;
-  const int c = count_[u];
-  if (!lazy_) {
+    const int c = count_[u];
     if (c == 1) {
-      const EdgeId e = inb_head_[u];
-      DYNMIS_DCHECK(e != kInvalidEdge);
-      const VertexId owner = g_->Other(e, u);
-      Link(bar1_head_, bar1_links_, e, owner);
-      ++bar1_size_[owner];
-      bar1_edge_[u] = e;
-    } else if (c == 2 && k_ >= 2) {
-      const EdgeId e0 = inb_head_[u];
-      DYNMIS_DCHECK(e0 != kInvalidEdge);
-      const EdgeId e1 = inb_links_[Slot(e0, u)].next;
-      DYNMIS_DCHECK(e1 != kInvalidEdge);
-      Link(bar2_head_, bar2_links_, e0, g_->Other(e0, u));
-      Link(bar2_head_, bar2_links_, e1, g_->Other(e1, u));
-      bar2_edge0_[u] = e0;
-      bar2_edge1_[u] = e1;
+      bar1->push_back(u);
+    } else if (c == 2 &&
+               (pair == kInvalidVertex || owners_[u].sum == other_sum)) {
+      bar2->push_back(u);
     }
-  }
+  });
+}
+
+void MisState::LogTransition(VertexId u) {
+  DYNMIS_DCHECK(!status_[u]);
+  const int c = count_[u];
   if (c >= 1 && c <= k_) transitions_.push_back(u);
 }
 
@@ -242,7 +111,6 @@ void MisState::MoveIn(VertexId v) {
   DYNMIS_CHECK(g_->IsVertexAlive(v));
   DYNMIS_CHECK(!status_[v]);
   DYNMIS_CHECK_EQ(count_[v], 0);
-  ClearTightness(v);  // count == 0 implies no membership; cheap safety.
   status_[v] = 1;
   ++solution_size_;
   ++status_ops_;
@@ -253,153 +121,68 @@ void MisState::MoveIn(VertexId v) {
        e = g_->NextIncident(e, v)) {
     const VertexId u = g_->Other(e, v);
     DYNMIS_DCHECK(!status_[u]);
-    ClearTightness(u);
-    if (!lazy_) Link(inb_head_, inb_links_, e, u);
-    ++count_[u];
-    SetTightnessAndLog(u);
+    AddOwner(u, v);
+    LogTransition(u);
   }
 }
 
 void MisState::MoveOut(VertexId v) {
   DYNMIS_CHECK(status_[v] != 0);
+  DYNMIS_DCHECK(count_[v] == 0 && owners_[v] == OwnerSums{});
   status_[v] = 0;
   --solution_size_;
   ++status_ops_;
   if (status_observer_ != nullptr) {
     status_observer_(status_observer_ctx_, v, false);
   }
-  int own_count = 0;
   for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
        e = g_->NextIncident(e, v)) {
     const VertexId u = g_->Other(e, v);
     if (status_[u]) {
       // Transient both-in-I situation (edge-insert handling): v gains u as
       // a solution neighbour.
-      if (!lazy_) Link(inb_head_, inb_links_, e, v);
-      ++own_count;
+      AddOwner(v, u);
     } else {
-      ClearTightness(u);
-      if (!lazy_) Unlink(inb_head_, inb_links_, e, u);
-      --count_[u];
-      SetTightnessAndLog(u);
+      RemoveOwner(u, v);
+      LogTransition(u);
     }
   }
-  DYNMIS_DCHECK(lazy_ || bar1_head_[v] == kInvalidEdge);
-  DYNMIS_DCHECK(lazy_ || k_ < 2 || bar2_head_[v] == kInvalidEdge);
-  count_[v] = own_count;
-  SetTightnessAndLog(v);
+  LogTransition(v);
 }
 
 void MisState::OnEdgeAdded(EdgeId e) {
-  EnsureCapacity();
   const auto [a, b] = g_->Endpoints(e);
-  if (!lazy_) {
-    // Reset recycled link slots.
-    for (int s = 0; s < 2; ++s) {
-      inb_links_[2 * e + s] = LinkPair{};
-      bar1_links_[2 * e + s] = LinkPair{};
-      if (k_ >= 2) bar2_links_[2 * e + s] = LinkPair{};
-    }
-  }
-  if (status_[a] && status_[b]) return;  // Caller must MoveOut one endpoint.
-  VertexId in_i = kInvalidVertex;
-  VertexId other = kInvalidVertex;
-  if (status_[a]) {
-    in_i = a;
-    other = b;
-  } else if (status_[b]) {
-    in_i = b;
-    other = a;
-  } else {
-    return;
-  }
-  (void)in_i;
-  ClearTightness(other);
-  if (!lazy_) Link(inb_head_, inb_links_, e, other);
-  ++count_[other];
-  SetTightnessAndLog(other);
+  if (status_[a] == status_[b]) return;  // Both in I: caller must MoveOut.
+  const VertexId in_i = status_[a] ? a : b;
+  const VertexId other = status_[a] ? b : a;
+  AddOwner(other, in_i);
+  LogTransition(other);
 }
 
 void MisState::OnEdgeRemoving(EdgeId e) {
   const auto [a, b] = g_->Endpoints(e);
   DYNMIS_DCHECK(!(status_[a] && status_[b]));
-  VertexId other = kInvalidVertex;
-  if (status_[a]) {
-    other = b;
-  } else if (status_[b]) {
-    other = a;
-  } else {
-    return;
-  }
-  ClearTightness(other);
-  if (!lazy_) Unlink(inb_head_, inb_links_, e, other);
-  --count_[other];
-  SetTightnessAndLog(other);
+  if (status_[a] == status_[b]) return;
+  const VertexId in_i = status_[a] ? a : b;
+  const VertexId other = status_[a] ? b : a;
+  RemoveOwner(other, in_i);
+  LogTransition(other);
 }
 
 void MisState::OnVertexRemoving(VertexId v) {
   DYNMIS_CHECK(!status_[v]);
-  ClearTightness(v);
-  if (!lazy_) {
-    for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
-         e = g_->NextIncident(e, v)) {
-      const VertexId u = g_->Other(e, v);
-      if (status_[u]) {
-        Unlink(inb_head_, inb_links_, e, v);
-      }
-    }
-    DYNMIS_DCHECK(inb_head_[v] == kInvalidEdge);
-  }
   count_[v] = 0;
+  owners_[v] = OwnerSums{};
 }
-
-namespace {
-
-// LinkPair arrays travel as interleaved (next, prev) i32 arrays.
-void AppendLinks(std::vector<int32_t>* out, int32_t next, int32_t prev) {
-  out->push_back(next);
-  out->push_back(prev);
-}
-
-}  // namespace
 
 void MisState::SaveTo(SnapshotWriter* w) const {
   DYNMIS_CHECK(transitions_.empty());  // Quiescent-point contract.
   w->BeginSection("mis");
   w->PutI32(k_);
-  w->PutU8(lazy_ ? 1 : 0);
+  w->PutU8(1);  // No tightness lists follow (see LoadFrom).
   w->PutI64(solution_size_);
   w->PutU8Array(status_);
   w->PutI32Array(count_);
-  if (lazy_) {
-    w->EndSection();
-    return;
-  }
-  w->PutI32Array(inb_head_);
-  w->PutI32Array(bar1_head_);
-  w->PutI32Array(bar1_size_);
-  w->PutI32Array(bar1_edge_);
-  std::vector<int32_t> links;
-  links.reserve(2 * inb_links_.size());
-  for (const LinkPair& link : inb_links_) {
-    AppendLinks(&links, link.next, link.prev);
-  }
-  w->PutI32Array(links);
-  links.clear();
-  for (const LinkPair& link : bar1_links_) {
-    AppendLinks(&links, link.next, link.prev);
-  }
-  w->PutI32Array(links);
-  if (k_ >= 2) {
-    w->PutI32Array(bar2_head_);
-    w->PutI32Array(bar2_edge0_);
-    w->PutI32Array(bar2_edge1_);
-    links.clear();
-    for (const LinkPair& link : bar2_links_) {
-      AppendLinks(&links, link.next, link.prev);
-    }
-    w->PutI32Array(links);
-  }
   w->EndSection();
 }
 
@@ -411,14 +194,13 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   };
 
   const int32_t k = r->GetI32();
-  const bool lazy = r->GetU8() != 0;
+  const bool legacy_lists = r->GetU8() == 0;
   const int64_t solution_size = r->GetI64();
   if (!r->ok()) return false;
-  if (k != k_ || lazy != lazy_) {
-    return fail("maintainer parameters (k / lazy) do not match the snapshot");
+  if (k != k_) {
+    return fail("maintainer parameter k does not match the snapshot");
   }
   const size_t vcap = static_cast<size_t>(g_->VertexCapacity());
-  const size_t link_cap = 2 * static_cast<size_t>(g_->EdgeCapacity());
   std::vector<uint8_t> status;
   std::vector<int32_t> count;
   if (!r->GetU8Array(&status) || !r->GetI32Array(&count)) return false;
@@ -438,43 +220,20 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   }
   if (counted != solution_size) return fail("solution size mismatch");
 
-  auto load_heads = [&](std::vector<int32_t>* out, bool edge_ids) {
-    if (!r->GetI32Array(out)) return false;
-    if (out->size() != vcap) return fail("per-vertex array size mismatch");
-    const int32_t bound = edge_ids ? g_->EdgeCapacity() : 0;
-    for (int32_t value : *out) {
-      if (value < kInvalidEdge || (edge_ids && value >= bound)) {
-        return fail("edge id out of range");
-      }
-    }
-    return true;
-  };
-  auto load_links = [&](std::vector<LinkPair>* out) {
-    std::vector<int32_t> flat;
-    if (!r->GetI32Array(&flat)) return false;
-    if (flat.size() != 2 * link_cap) return fail("link array size mismatch");
-    out->resize(link_cap);
-    for (size_t i = 0; i < link_cap; ++i) {
-      const int32_t next = flat[2 * i];
-      const int32_t prev = flat[2 * i + 1];
-      if (next < kInvalidEdge || next >= g_->EdgeCapacity() ||
-          prev < kInvalidEdge || prev >= g_->EdgeCapacity()) {
-        return fail("link edge id out of range");
-      }
-      (*out)[i] = LinkPair{next, prev};
-    }
-    return true;
-  };
-
   // Independence and count correctness against the restored topology:
   // status/count are trusted by every update handler (MoveIn aborts on a
   // violated precondition), so a CRC-valid but semantically corrupt
-  // section must be rejected here, not discovered mid-update. O(n + m).
+  // section must be rejected here, not discovered mid-update. The same
+  // O(n + m) pass rebuilds the owner sums.
+  std::vector<OwnerSums> owners(vcap);
   for (size_t v = 0; v < vcap; ++v) {
     if (!g_->IsVertexAlive(static_cast<VertexId>(v))) continue;
     int solution_neighbors = 0;
     g_->ForEachIncident(static_cast<VertexId>(v), [&](VertexId u, EdgeId) {
-      if (status[u]) ++solution_neighbors;
+      if (status[u]) {
+        ++solution_neighbors;
+        owners[v].Add(u);
+      }
     });
     if (status[v] != 0) {
       if (solution_neighbors != 0) return fail("solution is not independent");
@@ -488,154 +247,30 @@ bool MisState::LoadFrom(SnapshotReader* r) {
       return fail("solution is not maximal");
     }
   }
-  if (lazy_ && !r->AtSectionEnd()) {
-    return fail("trailing bytes after the last field");
+  if (legacy_lists) {
+    // The former eager encoding: inb_head, bar1_head, bar1_size, bar1_edge,
+    // inb_links, bar1_links, then for k >= 2 bar2_head, bar2_edge0,
+    // bar2_edge1, bar2_links. Everything they held follows from status and
+    // count, validated above.
+    std::vector<int32_t> skipped;
+    const int arrays = k_ >= 2 ? 10 : 6;
+    for (int i = 0; i < arrays; ++i) {
+      if (!r->GetI32Array(&skipped)) return false;
+    }
   }
+  if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
 
-  if (!lazy_) {
-    std::vector<int32_t> inb_head, bar1_head, bar1_size, bar1_edge;
-    std::vector<LinkPair> inb_links, bar1_links;
-    if (!load_heads(&inb_head, true) || !load_heads(&bar1_head, true) ||
-        !load_heads(&bar1_size, false) || !load_heads(&bar1_edge, true) ||
-        !load_links(&inb_links) || !load_links(&bar1_links)) {
-      return false;
-    }
-    for (int32_t size : bar1_size) {
-      if (size < 0) return fail("negative bar1 size");
-    }
-    std::vector<int32_t> bar2_head, bar2_edge0, bar2_edge1;
-    std::vector<LinkPair> bar2_links;
-    if (k_ >= 2) {
-      if (!load_heads(&bar2_head, true) || !load_heads(&bar2_edge0, true) ||
-          !load_heads(&bar2_edge1, true) || !load_links(&bar2_links)) {
-        return false;
-      }
-    }
-
-    // Structural validation of the intrusive lists: every chain must be a
-    // terminating, non-cyclic walk over alive incident edges whose members
-    // carry matching tightness counts and membership records. Slot-visit
-    // maps bound every walk (a crafted cycle fails, it cannot loop), and
-    // the membership cross-check at the end guarantees ClearTightness will
-    // only ever unlink edges that really are linked. O(n + m).
-    // One shared slot map covers all three link arrays: a slot on a
-    // solution vertex's side carries at most one bar1/bar2 linkage, and a
-    // slot on a non-solution side at most one I(v) linkage.
-    std::vector<uint8_t> slot_seen(link_cap, 0);
-    std::vector<uint8_t> listed1(vcap, 0), listed20(vcap, 0),
-        listed21(vcap, 0);
-    auto walk = [&](EdgeId head, VertexId owner,
-                    const std::vector<LinkPair>& links, int max_steps,
-                    auto&& member_check) {
-      int steps = 0;
-      for (EdgeId e = head; e != kInvalidEdge;) {
-        if (!g_->IsEdgeAlive(e)) return -1;
-        const auto [a, b] = g_->Endpoints(e);
-        if (a != owner && b != owner) return -1;
-        const int slot = Slot(e, owner);
-        if (slot_seen[slot]) return -1;  // Cycle or cross-linked chain.
-        slot_seen[slot] = 1;
-        if (++steps > max_steps) return -1;
-        if (!member_check(g_->Other(e, owner), e)) return -1;
-        e = links[slot].next;
-      }
-      return steps;
-    };
-    const int32_t vcap_i = static_cast<int32_t>(vcap);
-    for (VertexId v = 0; v < vcap_i; ++v) {
-      if (!g_->IsVertexAlive(v)) continue;
-      if (status[v] != 0) {
-        if (inb_head[v] != kInvalidEdge) {
-          return fail("solution vertex with a nonempty I(v) list");
-        }
-        const int steps =
-            walk(bar1_head[v], v, bar1_links, g_->Degree(v),
-                 [&](VertexId u, EdgeId e) {
-                   if (status[u] != 0 || count[u] != 1) return false;
-                   if (bar1_edge[u] != e || listed1[u]) return false;
-                   listed1[u] = 1;
-                   return true;
-                 });
-        if (steps < 0 || steps != bar1_size[v]) {
-          return fail("bar1 list structure invalid");
-        }
-        if (k_ >= 2) {
-          const int steps2 =
-              walk(bar2_head[v], v, bar2_links, g_->Degree(v),
-                   [&](VertexId u, EdgeId e) {
-                     if (status[u] != 0 || count[u] != 2) return false;
-                     if (bar2_edge0[u] == e && !listed20[u]) {
-                       listed20[u] = 1;
-                     } else if (bar2_edge1[u] == e && !listed21[u]) {
-                       listed21[u] = 1;
-                     } else {
-                       return false;
-                     }
-                     return true;
-                   });
-          if (steps2 < 0) return fail("bar2 list structure invalid");
-        }
-      } else {
-        const int steps = walk(inb_head[v], v, inb_links, count[v],
-                               [&](VertexId u, EdgeId) {
-                                 return status[u] != 0;
-                               });
-        if (steps != count[v]) return fail("I(v) list structure invalid");
-      }
-    }
-    // Membership records must mirror the walked lists exactly, in both
-    // directions: no dangling record (unlink would corrupt a head), no
-    // unrecorded member (the member could be linked twice later).
-    for (VertexId v = 0; v < vcap_i; ++v) {
-      if (!g_->IsVertexAlive(v) || status[v] != 0) continue;
-      if ((bar1_edge[v] != kInvalidEdge) != (listed1[v] != 0)) {
-        return fail("bar1 membership record mismatch");
-      }
-      // Completeness: the tightness lists must cover every tracked-count
-      // vertex (bar1(v) = all count-1 neighbours, bar2 both-sided), or the
-      // restored maintainer would silently skip swap opportunities that
-      // CheckConsistency later flags as corruption.
-      if (count[v] == 1 && !listed1[v]) {
-        return fail("count-1 vertex missing from its owner's bar1 list");
-      }
-      if (k_ >= 2) {
-        if ((bar2_edge0[v] != kInvalidEdge) != (listed20[v] != 0) ||
-            (bar2_edge1[v] != kInvalidEdge) != (listed21[v] != 0)) {
-          return fail("bar2 membership record mismatch");
-        }
-        if (count[v] == 2 && (!listed20[v] || !listed21[v])) {
-          return fail("count-2 vertex missing from its bar2 lists");
-        }
-      }
-    }
-    if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
-
-    inb_head_ = std::move(inb_head);
-    bar1_head_ = std::move(bar1_head);
-    bar1_size_ = std::move(bar1_size);
-    bar1_edge_ = std::move(bar1_edge);
-    inb_links_ = std::move(inb_links);
-    bar1_links_ = std::move(bar1_links);
-    bar2_head_ = std::move(bar2_head);
-    bar2_edge0_ = std::move(bar2_edge0);
-    bar2_edge1_ = std::move(bar2_edge1);
-    bar2_links_ = std::move(bar2_links);
-  }
   status_ = std::move(status);
   count_ = std::move(count);
+  owners_ = std::move(owners);
   solution_size_ = solution_size;
   transitions_.clear();
   return true;
 }
 
 size_t MisState::MemoryUsageBytes() const {
-  return VectorBytes(status_) + VectorBytes(count_) + VectorBytes(inb_head_) +
-         VectorBytes(inb_links_) + VectorBytes(bar1_head_) +
-         VectorBytes(bar1_links_) + VectorBytes(bar2_head_) +
-         VectorBytes(bar2_links_) + VectorBytes(bar1_size_) +
-         VectorBytes(bar1_edge_) + VectorBytes(bar2_edge0_) +
-         VectorBytes(bar2_edge1_) + VectorBytes(transitions_) +
-         VectorBytes(side_scratch_);
+  return VectorBytes(status_) + VectorBytes(count_) + VectorBytes(owners_) +
+         VectorBytes(transitions_);
 }
 
 void MisState::CheckConsistency(bool expect_maximal) const {
@@ -643,9 +278,14 @@ void MisState::CheckConsistency(bool expect_maximal) const {
   for (VertexId v = 0; v < g_->VertexCapacity(); ++v) {
     if (!g_->IsVertexAlive(v)) continue;
     int solution_neighbors = 0;
+    OwnerSums sums;
     g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-      if (status_[u]) ++solution_neighbors;
+      if (status_[u]) {
+        ++solution_neighbors;
+        sums.Add(u);
+      }
     });
+    DYNMIS_CHECK(owners_[v] == sums);
     if (status_[v]) {
       ++in_solution;
       DYNMIS_CHECK_EQ(solution_neighbors, 0);  // Independence.
@@ -656,44 +296,6 @@ void MisState::CheckConsistency(bool expect_maximal) const {
     }
   }
   DYNMIS_CHECK_EQ(in_solution, solution_size_);
-  if (lazy_) return;
-  // List consistency: bar1(v) == {u in N(v) : count(u) == 1} and
-  // bar2(v) == {u in N(v) : count(u) == 2} for every solution vertex, and
-  // inb(u) == u's solution neighbours for every non-solution vertex.
-  for (VertexId v = 0; v < g_->VertexCapacity(); ++v) {
-    if (!g_->IsVertexAlive(v)) continue;
-    if (status_[v]) {
-      std::vector<VertexId> listed;
-      CollectBar1(v, &listed);
-      DYNMIS_CHECK_EQ(static_cast<int>(listed.size()), bar1_size_[v]);
-      std::vector<VertexId> expected;
-      g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-        if (!status_[u] && count_[u] == 1) expected.push_back(u);
-      });
-      std::sort(listed.begin(), listed.end());
-      std::sort(expected.begin(), expected.end());
-      DYNMIS_CHECK(listed == expected);
-      if (k_ >= 2) {
-        std::vector<VertexId> listed2;
-        CollectBar2(v, &listed2);
-        std::vector<VertexId> expected2;
-        g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
-          if (!status_[u] && count_[u] == 2) expected2.push_back(u);
-        });
-        std::sort(listed2.begin(), listed2.end());
-        std::sort(expected2.begin(), expected2.end());
-        DYNMIS_CHECK(listed2 == expected2);
-      }
-    } else {
-      std::vector<VertexId> owners;
-      ForEachSolutionNeighbor(v, [&](VertexId w) { owners.push_back(w); });
-      DYNMIS_CHECK_EQ(static_cast<int>(owners.size()), count_[v]);
-      for (VertexId w : owners) {
-        DYNMIS_CHECK(status_[w] != 0);
-        DYNMIS_CHECK(g_->HasEdge(v, w));
-      }
-    }
-  }
 }
 
 }  // namespace dynmis

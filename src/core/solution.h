@@ -1,31 +1,30 @@
 // MisState: the bookkeeping shared by the paper's maintenance framework
-// (Section III-B) and both instantiations (DyOneSwap, DyTwoSwap).
+// (Section III-B) and its instantiations (DyOneSwap, DyTwoSwap, KSwap).
 //
 // Maintained per vertex v:
 //   * status(v)  - whether v is in the current solution I.
 //   * count(v)   - |N(v) cap I| (0 for solution vertices).
-// In eager mode additionally, realized as intrusive doubly-linked lists
-// threaded through per-edge link slots (the paper's "I(v) can be updated in
-// constant time if it is implemented by a doubly-linked list and a pointer
-// to v in I(v) is recorded in edge (v, u)"):
-//   * I(v)       - v's solution neighbours ("inb" list, owner v).
-//   * bar1(v)    - for v in I: neighbours u with count(u) == 1 whose unique
-//                  solution neighbour is v (the paper's bar_I1(v)).
-//   * bar2(v)    - for v in I, only when k >= 2: neighbours u with
-//                  count(u) == 2 having v as one of their two solution
-//                  neighbours. The paper's hierarchical bucket bar_I2(S) for
-//                  S = {x, y} is recovered as a filter of the smaller of
-//                  bar2(x), bar2(y), preserving the complexity analysis
-//                  (tau = max_v |bar_I2(v)| bounds the filter cost).
+//   * sum(v), sq(v) - the sum and the sum of squares (mod 2^64) of the ids
+//                  in I(v) = N(v) cap I. They name I(v) exactly while it
+//                  is small: with count 1 the owner is sum(v); with count 2
+//                  the owners a < b satisfy a + b = sum(v) and
+//                  (b - a)^2 = 2 sq(v) - sum(v)^2, which is exact for ids
+//                  below 2^31 (every VertexId). This answers what the
+//                  paper's intrusive I(v) lists (one link slot per edge
+//                  side) answer, in O(1) and with no per-edge storage.
 //
-// In lazy mode (paper optimization 1) only status/count are kept; the
-// Collect* methods fall back to neighborhood scans.
+// The tightness sets of a solution vertex v come from one pass over N(v),
+// the paper's lazy collection (optimization 1):
+//   * bar1(v)        - neighbours u with count(u) == 1 (bar_I1(v)).
+//   * bar2(v)        - neighbours u with count(u) == 2.
+//   * bar_I2({v, y}) - the members of bar2(v) whose other solution
+//                      neighbour, sum(u) - v, is y.
 //
-// Every count transition into 1 (and into 2 when k >= 2) of a non-solution
-// vertex is appended to a transition log. The algorithms drain the log to
-// build their candidate queues C1/C2; entries are validated at drain time,
-// so stale entries are harmless. This realizes the framework's "collect
-// candidates around op" soundly (Theorem 5).
+// Every count transition into 1..k of a non-solution vertex is appended to
+// a transition log. The algorithms drain the log to build their candidate
+// queues; entries are validated at drain time, so stale entries are
+// harmless. This realizes the framework's "collect candidates around op"
+// soundly (Theorem 5).
 
 #ifndef DYNMIS_SRC_CORE_SOLUTION_H_
 #define DYNMIS_SRC_CORE_SOLUTION_H_
@@ -40,12 +39,11 @@ namespace dynmis {
 
 class MisState {
  public:
-  // `k` in {1, 2}: whether count-2 tightness (bar2 lists) is tracked.
-  // `lazy` selects the lazy-collection mode.
-  MisState(DynamicGraph* g, int k, bool lazy);
+  // `k`: count transitions into 1..k are logged for the candidate queues.
+  MisState(DynamicGraph* g, int k);
 
-  // Resizes the per-vertex / per-edge side arrays to the graph's current
-  // capacities. Call after any operation that may have grown them.
+  // Resizes the per-vertex arrays to the graph's current vertex capacity.
+  // Call after any operation that may have grown it.
   void EnsureCapacity();
 
   // Resets the state slots of a vertex id that was just (re)allocated.
@@ -60,59 +58,64 @@ class MisState {
   // form of Solution() that reuses the caller's buffer across calls.
   void AppendSolution(std::vector<VertexId>* out) const;
 
-  bool lazy() const { return lazy_; }
-  int k() const { return k_; }
-  DynamicGraph* graph() const { return g_; }
-
-  // The unique solution neighbour of `u`; requires count(u) >= 1. O(1) in
-  // eager mode, O(deg(u)) in lazy mode. When count(u) > 1 returns one of the
-  // solution neighbours (the list head in eager mode).
-  VertexId OwnerOf(VertexId u) const;
+  // The unique solution neighbour of `u`; requires count(u) == 1. O(1).
+  VertexId OwnerOf(VertexId u) const {
+    DYNMIS_DCHECK(count_[u] == 1);
+    return static_cast<VertexId>(owners_[u].sum);
+  }
 
   // The two solution neighbours of `u`; requires count(u) == 2. Results are
-  // ordered (first < second).
+  // ordered (first < second). O(1).
   void OwnersOf2(VertexId u, VertexId* a, VertexId* b) const;
 
-  // Calls fn(w) for each solution neighbour w of `u`.
+  // Calls fn(w) for each solution neighbour w of the non-solution vertex
+  // `u`: O(1) for count(u) <= 2, a scan of N(u) above.
   template <typename Fn>
   void ForEachSolutionNeighbor(VertexId u, Fn&& fn) const {
-    if (!lazy_) {
-      for (EdgeId e = inb_head_[u]; e != kInvalidEdge;
-           e = inb_links_[Slot(e, u)].next) {
-        fn(g_->Other(e, u));
+    switch (count_[u]) {
+      case 0:
+        return;
+      case 1:
+        fn(OwnerOf(u));
+        return;
+      case 2: {
+        VertexId a, b;
+        OwnersOf2(u, &a, &b);
+        fn(a);
+        fn(b);
+        return;
       }
-    } else {
-      g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
-        if (InSolution(w)) fn(w);
-      });
+      default:
+        g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
+          if (status_[w]) fn(w);
+        });
     }
   }
 
   // --- Tightness sets --------------------------------------------------------
+  // All take a solution vertex v and scan N(v); outputs are appended to, not
+  // cleared.
 
-  // |bar1(v)| for a solution vertex v. O(1) eager, O(deg(v)) lazy.
-  int Bar1Size(VertexId v) const;
+  // Whether bar1(v) is nonempty; stops at the first member.
+  bool HasBar1(VertexId v) const;
 
-  // Appends the members of bar1(v) to `out` (not cleared).
-  void CollectBar1(VertexId v, std::vector<VertexId>* out) const;
+  // Appends bar1(v) to `bar1`.
+  void CollectBar1(VertexId v, std::vector<VertexId>* bar1) const;
 
-  // Appends the members of bar2(v) (count-2 vertices with v as a solution
-  // neighbour) to `out`. Requires k == 2.
-  void CollectBar2(VertexId v, std::vector<VertexId>* out) const;
-
-  // Appends bar_I2({x, y}): count-2 vertices whose solution neighbours are
-  // exactly {x, y}. Requires k == 2; x and y must be solution vertices.
-  void CollectBar2Pair(VertexId x, VertexId y,
-                       std::vector<VertexId>* out) const;
+  // One pass that appends bar1(v) to `bar1` and count-2 neighbours to
+  // `bar2`: all of bar2(v) when `pair` is kInvalidVertex, otherwise only
+  // bar_I2({v, pair}), those whose other solution neighbour is `pair`.
+  void CollectBar1And2(VertexId v, VertexId pair, std::vector<VertexId>* bar1,
+                       std::vector<VertexId>* bar2) const;
 
   // --- Status transitions ----------------------------------------------------
 
   // Moves `v` into the solution. Requires: alive, not in I, count(v) == 0.
   void MoveIn(VertexId v);
 
-  // Moves `v` out of the solution. Recomputes count(v) and relinks v's own
-  // tightness membership. Tolerates neighbours currently in I (the
-  // transient state during the both-endpoints-in-I edge insertion case).
+  // Moves `v` out of the solution and recomputes count(v) and its sums.
+  // Tolerates neighbours currently in I (the transient state during the
+  // both-endpoints-in-I edge insertion case).
   void MoveOut(VertexId v);
 
   // --- Edge event hooks ------------------------------------------------------
@@ -126,8 +129,8 @@ class MisState {
   void OnEdgeRemoving(EdgeId e);
 
   // Call immediately before g->RemoveVertex(v) *after* the caller has moved
-  // v out of the solution (if it was in). Detaches v's incident edges from
-  // all state lists and updates neighbour counts.
+  // v out of the solution (if it was in). Clears v's count and sums; the
+  // neighbours' counts are unaffected since v is not in I.
   void OnVertexRemoving(VertexId v);
 
   // --- Status observer -------------------------------------------------------
@@ -146,11 +149,11 @@ class MisState {
   // --- Transition log --------------------------------------------------------
 
   // Drains the transition log in place: calls fn(u) for every vertex whose
-  // count transitioned into 1 (or 2 when k == 2) since the last drain, then
-  // clears the log keeping its capacity (the old TakeTransitions() moved the
-  // vector out, forcing a fresh allocation on every subsequent operation).
-  // Entries may be stale; consumers must re-validate. The callback must not
-  // call MoveIn/MoveOut or the edge hooks (they append to the log).
+  // count transitioned into 1..k since the last drain, then clears the log
+  // keeping its capacity (the old TakeTransitions() moved the vector out,
+  // forcing a fresh allocation on every subsequent operation). Entries may
+  // be stale; consumers must re-validate. The callback must not call
+  // MoveIn/MoveOut or the edge hooks (they append to the log).
   template <typename Fn>
   void DrainTransitions(Fn&& fn) {
     for (size_t i = 0; i < transitions_.size(); ++i) fn(transitions_[i]);
@@ -163,23 +166,24 @@ class MisState {
 
   // --- Snapshots -------------------------------------------------------------
 
-  // Writes status/count/solution-size and (in eager mode) the intrusive
-  // tightness lists verbatim as the snapshot section "mis". Edge/vertex ids
-  // in the arrays refer to the owning graph's id space, so the graph must be
-  // saved (and restored) alongside. Requires a quiescent state: the
-  // transition log must be drained.
+  // Writes k, status, count and the solution size as the snapshot section
+  // "mis". Vertex ids refer to the owning graph's id space, so the graph
+  // must be saved (and restored) alongside. Requires a quiescent state: the
+  // transition log must be drained. The section keeps the byte that once
+  // selected lazy collection, always 1 (no lists follow), so older readers
+  // still accept it.
   void SaveTo(SnapshotWriter* w) const;
 
   // Restores the state from the section "mis". The graph must already hold
   // the snapshot's topology. Runs a full O(n + m) validation before any
-  // data is adopted: parameter match (k, lazy), array sizes and id bounds,
-  // independence and count correctness against the graph, and — in eager
-  // mode — termination, exclusivity and membership-record consistency of
-  // every intrusive list, so a CRC-valid but semantically corrupt payload
-  // is rejected with a structured error instead of aborting (or looping) in
-  // a later update. Returns false (failing the reader) on any violation.
-  // Performs no MoveIn/MoveOut and no rebuild — load is O(state), which
-  // status_ops() lets callers verify.
+  // data is adopted — parameter match (k), array sizes, independence,
+  // count correctness and maximality against the graph — so a CRC-valid
+  // but semantically corrupt payload is rejected with a structured error
+  // instead of aborting in a later update; the same pass rebuilds the
+  // owner sums. A legacy section whose byte is 0 carries the former
+  // intrusive tightness lists after the counts; they are read past
+  // unexamined. Returns false (failing the reader) on any violation.
+  // Performs no MoveIn/MoveOut, which status_ops() lets callers verify.
   bool LoadFrom(SnapshotReader* r);
 
   // --- Introspection ---------------------------------------------------------
@@ -192,55 +196,49 @@ class MisState {
 
   size_t MemoryUsageBytes() const;
 
-  // Full O(n + m) invariant validation: independence, count correctness,
-  // list consistency, maximality. Aborts on violation. Test-only.
+  // Full O(n + m) invariant validation: independence, count and owner-sum
+  // correctness, maximality. Aborts on violation. Test-only.
   void CheckConsistency(bool expect_maximal) const;
 
  private:
-  // Forward/backward pointers of one intrusive-list slot, kept adjacent so
-  // link/unlink touch a single cache line per slot (they were previously
-  // split across parallel next/prev arrays).
-  struct LinkPair {
-    EdgeId next = kInvalidEdge;
-    EdgeId prev = kInvalidEdge;
+  // Sum and sum of squares (mod 2^64) of a vertex's solution neighbours.
+  struct OwnerSums {
+    uint64_t sum = 0;
+    uint64_t sq = 0;
+
+    void Add(VertexId w) {
+      sum += static_cast<uint64_t>(w);
+      sq += static_cast<uint64_t>(w) * static_cast<uint64_t>(w);
+    }
+    void Remove(VertexId w) {
+      sum -= static_cast<uint64_t>(w);
+      sq -= static_cast<uint64_t>(w) * static_cast<uint64_t>(w);
+    }
+    bool operator==(const OwnerSums&) const = default;
   };
 
-  // Flat index of edge e's link slot on the side of vertex v.
-  int Slot(EdgeId e, VertexId v) const { return 2 * e + g_->Side(e, v); }
+  // Adds / removes solution neighbour w of u: count and sums together.
+  void AddOwner(VertexId u, VertexId w) {
+    ++count_[u];
+    owners_[u].Add(w);
+  }
+  void RemoveOwner(VertexId u, VertexId w) {
+    --count_[u];
+    owners_[u].Remove(w);
+  }
 
-  // Intrusive list plumbing. `head` is indexed by the owner vertex; the
-  // link array by Slot(e, owner).
-  void Link(std::vector<EdgeId>& head, std::vector<LinkPair>& links, EdgeId e,
-            VertexId owner);
-  void Unlink(std::vector<EdgeId>& head, std::vector<LinkPair>& links,
-              EdgeId e, VertexId owner);
-
-  // Removes u from whatever bar1/bar2 lists it occupies.
-  void ClearTightness(VertexId u);
-  // (Re)inserts u into the bar list matching its current count, and appends
-  // it to the transition log when it lands on a tracked tightness level.
-  void SetTightnessAndLog(VertexId u);
+  // Appends u, which must not be in I, to the transition log when its count
+  // lies in 1..k.
+  void LogTransition(VertexId u);
 
   DynamicGraph* g_;
   int k_;
-  bool lazy_;
 
   std::vector<uint8_t> status_;
   std::vector<int32_t> count_;
+  std::vector<OwnerSums> owners_;
   int64_t solution_size_ = 0;
   int64_t status_ops_ = 0;
-
-  // Reusable scratch for CollectBar2Pair (hot on the deletion path).
-  mutable std::vector<VertexId> side_scratch_;
-
-  // Eager-mode intrusive lists (link arrays sized 2 * edge capacity; empty
-  // when lazy).
-  std::vector<EdgeId> inb_head_, bar1_head_, bar2_head_;
-  std::vector<LinkPair> inb_links_, bar1_links_, bar2_links_;
-  std::vector<int32_t> bar1_size_;
-  // Membership records: by which edge is u linked into an owner's list.
-  std::vector<EdgeId> bar1_edge_;
-  std::vector<EdgeId> bar2_edge0_, bar2_edge1_;
 
   std::vector<VertexId> transitions_;
 

@@ -7,7 +7,7 @@
 namespace dynmis {
 
 DyTwoSwap::DyTwoSwap(DynamicGraph* g, MaintainerConfig options)
-    : g_(g), options_(options), state_(g, /*k=*/2, options.lazy) {
+    : g_(g), options_(options), state_(g, /*k=*/2) {
   EnsureCapacity();
 }
 
@@ -206,9 +206,12 @@ void DyTwoSwap::FindOneSwapStep() {
   if (kept.empty()) return;
   stats_.candidates_processed += static_cast<int64_t>(kept.size());
 
+  // One scan of N(v) collects bar1(v) and, for the fallback below, bar2(v).
   std::vector<VertexId>& bar1 = bar1_scratch_;
+  std::vector<VertexId>& bar2 = bar2_scratch_;
   bar1.clear();
-  state_.CollectBar1(v, &bar1);
+  bar2.clear();
+  state_.CollectBar1And2(v, kInvalidVertex, &bar1, &bar2);
   const int bar1_size = static_cast<int>(bar1.size());
   NewEpoch();
   for (VertexId w : bar1) Mark(w);
@@ -254,9 +257,6 @@ void DyTwoSwap::FindOneSwapStep() {
   // useful pair witness only if it misses at least one member of C(v).
   NewEpoch();
   for (VertexId u : kept) Mark(u);
-  std::vector<VertexId>& bar2 = bar2_scratch_;
-  bar2.clear();
-  state_.CollectBar2(v, &bar2);
   const int kept_size = static_cast<int>(kept.size());
   for (VertexId x : bar2) {
     int inter = 0;
@@ -315,9 +315,8 @@ void DyTwoSwap::FindTwoSwapStep() {
   bar1x.clear();
   bar1y.clear();
   bar2s.clear();
-  state_.CollectBar1(x, &bar1x);
+  state_.CollectBar1And2(x, y, &bar1x, &bar2s);
   state_.CollectBar1(y, &bar1y);
-  state_.CollectBar2Pair(x, y, &bar2s);
 
   std::vector<VertexId>& cy = cy_;
   std::vector<VertexId>& cz = cz_;
@@ -406,8 +405,8 @@ void DyTwoSwap::InsertEdge(VertexId u, VertexId v) {
   state_.OnEdgeAdded(e);
   if (u_in && v_in) {
     VertexId loser;
-    const bool bu = state_.Bar1Size(u) > 0;
-    const bool bv = state_.Bar1Size(v) > 0;
+    const bool bu = state_.HasBar1(u);
+    const bool bv = state_.HasBar1(v);
     if (bu != bv) {
       loser = bu ? u : v;
     } else {
@@ -453,15 +452,19 @@ void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
       ExtendSolution(&bar1_scratch_);
     } else {
       // Deletion case ii.b: S = {wu, wv} with swap-in {u, v, w} for a
-      // 2-tight w of the pair that misses both u and v.
+      // 2-tight w of the pair that misses both u and v. The pair's members
+      // come from the lower-degree owner's scan, which also yields its bar1.
       NewEpoch();
       Mark(u);
       Mark(v);
       g_->ForEachIncident(u, [&](VertexId z, EdgeId) { Mark(z); });
       g_->ForEachIncident(v, [&](VertexId z, EdgeId) { Mark(z); });
+      const VertexId low = g_->Degree(wu) <= g_->Degree(wv) ? wu : wv;
+      const VertexId high = low == wu ? wv : wu;
       std::vector<VertexId>& pair_tight = bar2s_;
       pair_tight.clear();
-      state_.CollectBar2Pair(wu, wv, &pair_tight);
+      region_.clear();
+      state_.CollectBar1And2(low, high, &region_, &pair_tight);
       VertexId w = kInvalidVertex;
       for (VertexId z : pair_tight) {
         if (!Marked(z)) {
@@ -470,9 +473,7 @@ void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
         }
       }
       if (w != kInvalidVertex) {
-        region_.clear();
-        state_.CollectBar1(wu, &region_);
-        state_.CollectBar1(wv, &region_);
+        state_.CollectBar1(high, &region_);
         region_.insert(region_.end(), pair_tight.begin(), pair_tight.end());
         state_.MoveOut(wu);
         state_.MoveOut(wv);
@@ -565,7 +566,6 @@ size_t DyTwoSwap::MemoryUsageBytes() const {
 
 std::string DyTwoSwap::Name() const {
   std::string name = "DyTwoSwap";
-  if (options_.lazy) name += "-lazy";
   if (options_.perturb) name += "*";
   return name;
 }

@@ -12,7 +12,9 @@
 //
 // Every ingest produces an IngestReport with the memory-budget numbers the
 // bench matrix and the CI gate consume: wall-clock load time, bytes/edge of
-// the materialized DynamicGraph, and the process peak RSS.
+// the ingested EdgeListGraph payload (not of a DynamicGraph or engine built
+// from it, which cost several times more per edge), and the process peak
+// RSS.
 //
 // GeneratePowerLawEdgeFile is the deterministic no-network fallback: CI
 // synthesizes a multi-million-edge power-law file (Chung-Lu, fixed seed)

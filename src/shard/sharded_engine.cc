@@ -477,7 +477,7 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   writer->PutString(config_.algorithm);
   writer->PutString(shards_[0]->maintainer().Name());
   writer->PutI32(config_.k);
-  writer->PutU8(config_.lazy ? 1 : 0);
+  writer->PutU8(1);  // Former lazy-collection flag, kept for older readers.
   writer->PutU8(config_.perturb ? 1 : 0);
   writer->PutI32(config_.recompute_every);
   writer->PutI32(plan_.num_shards());
@@ -602,7 +602,7 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   config.algorithm = reader.GetString();
   reader.GetString();  // Display name: informational only.
   config.k = reader.GetI32();
-  config.lazy = reader.GetU8() != 0;
+  reader.GetU8();  // Former lazy-collection flag: ignored.
   config.perturb = reader.GetU8() != 0;
   config.recompute_every = reader.GetI32();
   const int num_shards = reader.GetI32();

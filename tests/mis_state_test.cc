@@ -1,5 +1,6 @@
-// Direct unit tests of MisState: count bookkeeping, intrusive tightness
-// lists, transition logging, edge hooks, and eager/lazy agreement.
+// Direct unit tests of MisState: count and owner-sum bookkeeping, tightness
+// sets, transition logging, edge hooks, and memory that does not follow the
+// edge capacity.
 
 #include "src/core/solution.h"
 
@@ -20,7 +21,7 @@ std::vector<VertexId> Sorted(std::vector<VertexId> v) {
 
 TEST(MisStateTest, MoveInUpdatesCounts) {
   DynamicGraph g = StarGraph(3).ToDynamic();  // Hub 0, leaves 1..3.
-  MisState state(&g, /*k=*/1, /*lazy=*/false);
+  MisState state(&g, /*k=*/1);
   state.MoveIn(0);
   EXPECT_TRUE(state.InSolution(0));
   EXPECT_EQ(state.SolutionSize(), 1);
@@ -28,7 +29,7 @@ TEST(MisStateTest, MoveInUpdatesCounts) {
     EXPECT_EQ(state.Count(leaf), 1);
     EXPECT_EQ(state.OwnerOf(leaf), 0);
   }
-  EXPECT_EQ(state.Bar1Size(0), 3);
+  EXPECT_TRUE(state.HasBar1(0));
   std::vector<VertexId> bar1;
   state.CollectBar1(0, &bar1);
   EXPECT_EQ(Sorted(bar1), (std::vector<VertexId>{1, 2, 3}));
@@ -36,7 +37,7 @@ TEST(MisStateTest, MoveInUpdatesCounts) {
 
 TEST(MisStateTest, MoveOutRestoresState) {
   DynamicGraph g = StarGraph(3).ToDynamic();
-  MisState state(&g, 1, false);
+  MisState state(&g, 1);
   state.MoveIn(0);
   state.MoveOut(0);
   EXPECT_FALSE(state.InSolution(0));
@@ -48,7 +49,7 @@ TEST(MisStateTest, MoveOutRestoresState) {
 
 TEST(MisStateTest, TransitionLogRecordsTightness) {
   DynamicGraph g = PathGraph(3).ToDynamic();  // 0-1-2.
-  MisState state(&g, 1, false);
+  MisState state(&g, 1);
   state.DiscardTransitions();
   state.MoveIn(1);
   std::vector<VertexId> transitions;
@@ -62,15 +63,20 @@ TEST(MisStateTest, TransitionLogRecordsTightness) {
 TEST(MisStateTest, Bar2TrackingWithKTwo) {
   // Square 0-1-2-3-0: solution {0, 2}; vertices 1 and 3 are 2-tight.
   DynamicGraph g = CycleGraph(4).ToDynamic();
-  MisState state(&g, /*k=*/2, /*lazy=*/false);
+  MisState state(&g, /*k=*/2);
   state.MoveIn(0);
   state.MoveIn(2);
-  std::vector<VertexId> bar2;
-  state.CollectBar2(0, &bar2);
+  std::vector<VertexId> bar1, bar2;
+  state.CollectBar1And2(0, kInvalidVertex, &bar1, &bar2);
+  EXPECT_TRUE(bar1.empty());
+  EXPECT_FALSE(state.HasBar1(0));
   EXPECT_EQ(Sorted(bar2), (std::vector<VertexId>{1, 3}));
   std::vector<VertexId> pair;
-  state.CollectBar2Pair(0, 2, &pair);
+  state.CollectBar1And2(0, 2, &bar1, &pair);
   EXPECT_EQ(Sorted(pair), (std::vector<VertexId>{1, 3}));
+  pair.clear();
+  state.CollectBar1And2(0, 1, &bar1, &pair);  // 1 is not a solution vertex.
+  EXPECT_TRUE(pair.empty());
   VertexId a, b;
   state.OwnersOf2(1, &a, &b);
   EXPECT_EQ(a, 0);
@@ -80,7 +86,7 @@ TEST(MisStateTest, Bar2TrackingWithKTwo) {
 
 TEST(MisStateTest, EdgeHooksMaintainCounts) {
   DynamicGraph g(4);
-  MisState state(&g, 2, false);
+  MisState state(&g, 2);
   state.MoveIn(0);
   state.MoveIn(1);
   // Connect 2 to both solution vertices.
@@ -103,7 +109,7 @@ TEST(MisStateTest, VertexRemovalHookDetaches) {
   DynamicGraph g(3);
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
-  MisState state(&g, 1, false);
+  MisState state(&g, 1);
   state.MoveIn(1);
   state.MoveIn(2);
   EXPECT_EQ(state.Count(0), 2);
@@ -115,7 +121,7 @@ TEST(MisStateTest, VertexRemovalHookDetaches) {
 
 TEST(MisStateTest, BothEndpointsInSolutionTransient) {
   DynamicGraph g(2);
-  MisState state(&g, 1, false);
+  MisState state(&g, 1);
   state.MoveIn(0);
   state.MoveIn(1);
   const EdgeId e = g.AddEdge(0, 1);
@@ -126,55 +132,105 @@ TEST(MisStateTest, BothEndpointsInSolutionTransient) {
   state.CheckConsistency(true);
 }
 
-TEST(MisStateTest, LazyModeAgreesWithEagerOnQueries) {
-  Rng rng(17);
-  const EdgeListGraph base = ErdosRenyiGnm(30, 70, &rng);
-  DynamicGraph g1 = base.ToDynamic();
-  DynamicGraph g2 = base.ToDynamic();
-  MisState eager(&g1, 2, false);
-  MisState lazy(&g2, 2, true);
-  // Insert the same greedy-ish solution into both.
-  for (VertexId v = 0; v < g1.VertexCapacity(); ++v) {
-    if (!eager.InSolution(v) && eager.Count(v) == 0) {
-      eager.MoveIn(v);
-      lazy.MoveIn(v);
+TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
+  // Random MoveIn/MoveOut and edge insert/delete churn over every id up to
+  // the top of the vertex capacity. After each step the O(1) owner queries
+  // must name exactly the solution neighbours a plain scan finds, and
+  // CheckConsistency recomputes and compares every vertex's sums.
+  Rng rng(29);
+  const int n = 300;
+  DynamicGraph g = ErdosRenyiGnm(n, 900, &rng).ToDynamic();
+  ASSERT_EQ(g.VertexCapacity(), n);
+  MisState state(&g, /*k=*/2);
+  auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.NextInRange(0, n - 1));
+  };
+  int high_id_owners = 0;  // Count-1/2 owners found in the top 10% of ids.
+  auto check_owners = [&](int step) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (state.InSolution(v)) continue;
+      std::vector<VertexId> scanned;
+      g.ForEachIncident(v, [&](VertexId w, EdgeId) {
+        if (state.InSolution(w)) scanned.push_back(w);
+      });
+      std::sort(scanned.begin(), scanned.end());
+      ASSERT_EQ(state.Count(v), static_cast<int>(scanned.size()))
+          << "step " << step << " vertex " << v;
+      std::vector<VertexId> listed;
+      state.ForEachSolutionNeighbor(v,
+                                    [&](VertexId w) { listed.push_back(w); });
+      ASSERT_EQ(Sorted(listed), scanned) << "step " << step << " vertex " << v;
+      if (scanned.size() == 1 || scanned.size() == 2) {
+        if (scanned.back() >= n - n / 10) ++high_id_owners;
+      }
+      if (scanned.size() == 1) {
+        ASSERT_EQ(state.OwnerOf(v), scanned[0]) << "step " << step;
+      } else if (scanned.size() == 2) {
+        VertexId a, b;
+        state.OwnersOf2(v, &a, &b);
+        ASSERT_EQ(a, scanned[0]) << "step " << step << " vertex " << v;
+        ASSERT_EQ(b, scanned[1]) << "step " << step << " vertex " << v;
+      }
     }
-  }
-  for (VertexId v = 0; v < g1.VertexCapacity(); ++v) {
-    ASSERT_EQ(eager.InSolution(v), lazy.InSolution(v));
-    ASSERT_EQ(eager.Count(v), lazy.Count(v));
-    if (eager.InSolution(v)) {
-      ASSERT_EQ(eager.Bar1Size(v), lazy.Bar1Size(v));
-      std::vector<VertexId> be, bl;
-      eager.CollectBar1(v, &be);
-      lazy.CollectBar1(v, &bl);
-      ASSERT_EQ(Sorted(be), Sorted(bl));
-      std::vector<VertexId> b2e, b2l;
-      eager.CollectBar2(v, &b2e);
-      lazy.CollectBar2(v, &b2l);
-      ASSERT_EQ(Sorted(b2e), Sorted(b2l));
-    } else if (eager.Count(v) == 1) {
-      // With a unique solution neighbour, both modes must return it. (For
-      // count >= 2 OwnerOf returns an arbitrary solution neighbour and the
-      // modes may legitimately differ.)
-      ASSERT_EQ(eager.OwnerOf(v), lazy.OwnerOf(v));
+    state.CheckConsistency(/*expect_maximal=*/false);
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const int op = static_cast<int>(rng.NextBounded(4));
+    const VertexId u = random_vertex();
+    const VertexId v = random_vertex();
+    if (op == 0) {
+      if (!state.InSolution(u) && state.Count(u) == 0) state.MoveIn(u);
+    } else if (op == 1) {
+      if (state.InSolution(u)) state.MoveOut(u);
+    } else if (op == 2) {
+      if (u != v && !g.HasEdge(u, v)) {
+        const bool both_in = state.InSolution(u) && state.InSolution(v);
+        state.OnEdgeAdded(g.AddEdge(u, v));
+        if (both_in) state.MoveOut(u);
+      }
+    } else {
+      const EdgeId e = g.FindEdge(u, v);
+      if (e != kInvalidEdge) {
+        state.OnEdgeRemoving(e);
+        g.RemoveEdge(e);
+      }
     }
+    state.DiscardTransitions();
+    check_owners(step);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(high_id_owners, 0);
 }
 
-TEST(MisStateTest, MemoryEagerExceedsLazy) {
+TEST(MisStateTest, MemoryIsFlatWhenEdgeCapacityDoubles) {
+  // The state is per-vertex only: doubling the graph's edge storage must
+  // not grow it (the former per-edge link arrays doubled with it).
   Rng rng(4);
-  const EdgeListGraph base = ErdosRenyiGnm(200, 800, &rng);
-  DynamicGraph g1 = base.ToDynamic();
-  DynamicGraph g2 = base.ToDynamic();
-  MisState eager(&g1, 2, false);
-  MisState lazy(&g2, 2, true);
-  EXPECT_GT(eager.MemoryUsageBytes(), 4 * lazy.MemoryUsageBytes());
+  const int n = 200;
+  DynamicGraph g = ErdosRenyiGnm(n, 800, &rng).ToDynamic();
+  MisState state(&g, /*k=*/2);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!state.InSolution(v) && state.Count(v) == 0) state.MoveIn(v);
+  }
+  state.DiscardTransitions();
+  const size_t before = state.MemoryUsageBytes();
+  const int edge_capacity = g.EdgeCapacity();
+  while (g.EdgeCapacity() < 2 * edge_capacity) {
+    const VertexId u = static_cast<VertexId>(rng.NextInRange(0, n - 1));
+    const VertexId v = static_cast<VertexId>(rng.NextInRange(0, n - 1));
+    if (u == v || g.HasEdge(u, v)) continue;
+    const bool both_in = state.InSolution(u) && state.InSolution(v);
+    state.OnEdgeAdded(g.AddEdge(u, v));
+    if (both_in) state.MoveOut(u);
+    state.DiscardTransitions();
+  }
+  state.CheckConsistency(/*expect_maximal=*/false);
+  EXPECT_EQ(state.MemoryUsageBytes(), before);
 }
 
 TEST(MisStateTest, SolutionListsMatchStatus) {
   DynamicGraph g = PathGraph(5).ToDynamic();
-  MisState state(&g, 1, false);
+  MisState state(&g, 1);
   state.MoveIn(0);
   state.MoveIn(2);
   state.MoveIn(4);

@@ -146,30 +146,26 @@ TEST_P(DyOneSwapPropertyTest, InvariantsHoldAfterEveryUpdate) {
   Rng rng(SplitMix64(param.seed));
   const EdgeListGraph base = ErdosRenyiGnm(
       param.n, static_cast<int64_t>(param.n * param.density), &rng);
-  for (const bool lazy : {false, true}) {
-    DynamicGraph g = base.ToDynamic();
-    MaintainerConfig options;
-    options.lazy = lazy;
-    DyOneSwap algo(&g, options);
-    algo.InitializeEmpty();
-    ASSERT_TRUE(IsMaximalIndependentSet(g, algo.Solution()));
-    ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 1));
+  DynamicGraph g = base.ToDynamic();
+  DyOneSwap algo(&g);
+  algo.InitializeEmpty();
+  ASSERT_TRUE(IsMaximalIndependentSet(g, algo.Solution()));
+  ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 1));
 
-    UpdateStreamOptions stream;
-    stream.seed = param.seed * 31 + 7;
-    stream.edge_op_fraction = param.edge_op_fraction;
-    UpdateStreamGenerator gen(stream);
-    for (int step = 0; step < 220; ++step) {
-      const GraphUpdate update = gen.Next(g);
-      algo.Apply(update);
-      algo.CheckConsistency();
-      const std::vector<VertexId> solution = algo.Solution();
-      ASSERT_TRUE(IsIndependentSet(g, solution)) << "step " << step;
-      ASSERT_TRUE(IsMaximalIndependentSet(g, solution)) << "step " << step;
-      ASSERT_FALSE(HasSwapUpTo(g, solution, 1))
-          << "1-swap exists after step " << step << " ("
-          << update.DebugString() << "), lazy=" << lazy;
-    }
+  UpdateStreamOptions stream;
+  stream.seed = param.seed * 31 + 7;
+  stream.edge_op_fraction = param.edge_op_fraction;
+  UpdateStreamGenerator gen(stream);
+  for (int step = 0; step < 220; ++step) {
+    const GraphUpdate update = gen.Next(g);
+    algo.Apply(update);
+    algo.CheckConsistency();
+    const std::vector<VertexId> solution = algo.Solution();
+    ASSERT_TRUE(IsIndependentSet(g, solution)) << "step " << step;
+    ASSERT_TRUE(IsMaximalIndependentSet(g, solution)) << "step " << step;
+    ASSERT_FALSE(HasSwapUpTo(g, solution, 1))
+        << "1-swap exists after step " << step << " ("
+        << update.DebugString() << ")";
   }
 }
 

@@ -44,7 +44,7 @@ const std::vector<VertexId> kPaperSolution = {V(3), V(4), V(6), V(9)};
 
 TEST(PaperExampleTest, Fig4bInformationMatches) {
   DynamicGraph g = Fig4Graph();
-  MisState state(&g, /*k=*/2, /*lazy=*/false);
+  MisState state(&g, /*k=*/2);
   for (VertexId v : kPaperSolution) state.MoveIn(v);
 
   // Counts as implied by Fig 4(b).
@@ -64,13 +64,16 @@ TEST(PaperExampleTest, Fig4bInformationMatches) {
 
   // "bar_I<=2(v3, v4) will be collected by merging bar_I2(v3, v4) and
   // bar_I1(v3)" = {v2} u {v1}.
-  std::vector<VertexId> pair34;
-  state.CollectBar2Pair(V(3), V(4), &pair34);
+  std::vector<VertexId> bar1, pair34;
+  state.CollectBar1And2(V(3), V(4), &bar1, &pair34);
+  EXPECT_EQ(bar1, std::vector<VertexId>{V(1)});
   EXPECT_EQ(pair34, std::vector<VertexId>{V(2)});
   // "bar_I<=2(v4, v6) is returned as bar_I2(v4, v6) u bar_I1(v6)" =
   // {v5} u {v8}.
   std::vector<VertexId> pair46;
-  state.CollectBar2Pair(V(4), V(6), &pair46);
+  bar1.clear();
+  state.CollectBar1And2(V(6), V(4), &bar1, &pair46);
+  EXPECT_EQ(bar1, std::vector<VertexId>{V(8)});
   EXPECT_EQ(pair46, std::vector<VertexId>{V(5)});
   state.CheckConsistency(/*expect_maximal=*/true);
 }

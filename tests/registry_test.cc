@@ -66,9 +66,9 @@ TEST(RegistryTest, AliasesPatchTheConfig) {
   ASSERT_NE(perturbed, nullptr);
   EXPECT_EQ(perturbed->Name(), "DyOneSwap*");
   DynamicGraph g2 = base.ToDynamic();
-  auto lazy = MaintainerRegistry::Global().Create("DyTwoSwap-lazy", &g2);
-  ASSERT_NE(lazy, nullptr);
-  EXPECT_EQ(lazy->Name(), "DyTwoSwap-lazy");
+  auto pinned = MaintainerRegistry::Global().Create("KSwap3", &g2);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->Name(), "KSwap(k=3)");
 }
 
 TEST(RegistryTest, UnknownNameFailsCleanly) {

@@ -173,24 +173,29 @@ TEST(SnapshotTest, CoreMaintainersResumeIdenticallyAfterRestore) {
   }
 }
 
-TEST(SnapshotTest, LazyModeRoundTripsThroughTheFallbackSections) {
-  // Lazy collection keeps no intrusive lists; the "mis" section then carries
-  // only status/count. Exercise it through a config (not an alias string)
-  // to cover the parameter-match validation on load.
-  Rng rng(11);
-  const EdgeListGraph base = ErdosRenyiGnm(50, 120, &rng);
-  MaintainerConfig config("DyTwoSwap-lazy");
-  auto engine = MisEngine::Create(base, config);
+TEST(SnapshotTest, FormerLazyFlagIsWrittenAsOne) {
+  // The engine and mis sections keep the byte that once selected lazy
+  // collection, always 1 with no tightness lists after the counts: the
+  // encoding a reader from before the single-mode MisState accepts.
+  auto engine = MakeChurnedEngine("DyTwoSwap", /*seed=*/31, /*updates=*/300);
   ASSERT_NE(engine, nullptr);
-  engine->Initialize();
-  UpdateStreamGenerator gen(ChurnOptions(31));
-  for (int i = 0; i < 300; ++i) engine->Apply(gen.Next(engine->graph()));
-
-  SnapshotStatus status;
-  auto loaded = LoadFromString(SaveToString(*engine), &status);
-  ASSERT_NE(loaded, nullptr) << status.message;
-  EXPECT_EQ(SortedSolution(*loaded), SortedSolution(*engine));
-  EXPECT_EQ(StateTransitionOps(loaded->maintainer()), 0);
+  std::istringstream in(SaveToString(*engine));
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.ReadFrom(in).ok);
+  ASSERT_TRUE(reader.OpenSection("engine"));
+  reader.GetString();  // algorithm
+  reader.GetString();  // display name
+  reader.GetI32();     // k
+  EXPECT_EQ(reader.GetU8(), 1);
+  ASSERT_TRUE(reader.OpenSection("mis"));
+  EXPECT_EQ(reader.GetI32(), 2);  // k
+  EXPECT_EQ(reader.GetU8(), 1);
+  reader.GetI64();  // |I|
+  std::vector<uint8_t> status;
+  std::vector<int32_t> count;
+  ASSERT_TRUE(reader.GetU8Array(&status));
+  ASSERT_TRUE(reader.GetI32Array(&count));
+  EXPECT_TRUE(reader.AtSectionEnd());
 }
 
 TEST(SnapshotTest, EmptyEngineRoundTrips) {
@@ -298,14 +303,18 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   }
 }
 
-TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
-  // A CRC-valid snapshot whose graph is fine but whose "mis" section marks
-  // both endpoints of an edge as solution members: LoadSnapshot must reject
-  // it during MisState validation, not abort (or loop) in a later update.
+// A hand-built snapshot of the graph 0 - 1 whose "mis" section uses the
+// former eager encoding (lazy byte 0): status/count followed by the
+// intrusive I(v)/bar1 (and, for k = 2, bar2) list arrays, filled in as the
+// eager maintainer laid them out for this graph.
+std::string EagerMisSnapshot(const std::vector<uint8_t>& status,
+                             const std::vector<int32_t>& count,
+                             const std::string& algorithm = "DyTwoSwap") {
+  const int k = algorithm == "DyOneSwap" ? 1 : 2;
   SnapshotWriter w;
   w.BeginSection("engine");
-  w.PutString("DyTwoSwap");
-  w.PutString("DyTwoSwap");
+  w.PutString(algorithm);
+  w.PutString(algorithm);
   w.PutI32(2);
   w.PutU8(0);
   w.PutU8(0);
@@ -325,27 +334,68 @@ TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
   w.PutI32Array({});              // free vertices
   w.PutI32Array({});              // free edges
   w.EndSection();
+  // Edge 0 sits in I(v) of a 1-tight v and in bar1 of its owner.
+  std::vector<int32_t> inb_head(2, -1), bar1_head(2, -1), bar1_size(2, 0),
+      bar1_edge(2, -1);
+  for (int v = 0; v < 2; ++v) {
+    if (status[v] == 0 && count[v] == 1) {
+      inb_head[v] = 0;
+      bar1_edge[v] = 0;
+      bar1_head[1 - v] = 0;
+      bar1_size[1 - v] = 1;
+    }
+  }
+  int64_t size = 0;
+  for (uint8_t s : status) size += s;
   w.BeginSection("mis");
-  w.PutI32(2);                         // k
-  w.PutU8(0);                          // eager
-  w.PutI64(2);                         // |I| = 2 — adjacent pair!
-  w.PutU8Array({1, 1});                // status
-  w.PutI32Array({0, 0});               // count
-  w.PutI32Array({-1, -1});             // inb_head
-  w.PutI32Array({-1, -1});             // bar1_head
-  w.PutI32Array({0, 0});               // bar1_size
-  w.PutI32Array({-1, -1});             // bar1_edge
-  w.PutI32Array({-1, -1, -1, -1});     // inb_links
-  w.PutI32Array({-1, -1, -1, -1});     // bar1_links
-  w.PutI32Array({-1, -1});             // bar2_head
-  w.PutI32Array({-1, -1});             // bar2_edge0
-  w.PutI32Array({-1, -1});             // bar2_edge1
-  w.PutI32Array({-1, -1, -1, -1});     // bar2_links
+  w.PutI32(k);
+  w.PutU8(0);      // eager
+  w.PutI64(size);  // |I|
+  w.PutU8Array(status);
+  w.PutI32Array(count);
+  w.PutI32Array(inb_head);
+  w.PutI32Array(bar1_head);
+  w.PutI32Array(bar1_size);
+  w.PutI32Array(bar1_edge);
+  w.PutI32Array({-1, -1, -1, -1});  // inb_links
+  w.PutI32Array({-1, -1, -1, -1});  // bar1_links
+  if (k == 2) {
+    w.PutI32Array({-1, -1});          // bar2_head
+    w.PutI32Array({-1, -1});          // bar2_edge0
+    w.PutI32Array({-1, -1});          // bar2_edge1
+    w.PutI32Array({-1, -1, -1, -1});  // bar2_links
+  }
   w.EndSection();
   std::ostringstream out;
-  ASSERT_TRUE(w.WriteTo(out).ok);
+  EXPECT_TRUE(w.WriteTo(out).ok);
+  return std::move(out).str();
+}
+
+TEST(SnapshotTest, LoadsLegacyEagerMaintainerState) {
+  // The list arrays are read past; status/count validation accepts the
+  // state and the load rebuilds the owner sums without a MoveIn/MoveOut.
+  for (const std::string algorithm : {"DyOneSwap", "DyTwoSwap"}) {
+    const std::string blob = EagerMisSnapshot({1, 0}, {0, 1}, algorithm);
+    SnapshotStatus status;
+    auto loaded = LoadFromString(blob, &status);
+    ASSERT_NE(loaded, nullptr) << algorithm << ": " << status.message;
+    EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0}));
+    EXPECT_EQ(StateTransitionOps(loaded->maintainer()), 0) << algorithm;
+    CheckCoreConsistency(loaded->maintainer());
+    // The rebuilt sums drive the next update: deleting the edge frees 1.
+    loaded->DeleteEdge(0, 1);
+    EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0, 1}));
+    CheckCoreConsistency(loaded->maintainer());
+  }
+}
+
+TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
+  // A CRC-valid snapshot whose graph is fine but whose "mis" section marks
+  // both endpoints of an edge as solution members: LoadSnapshot must reject
+  // it during MisState validation, not abort (or loop) in a later update.
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
+  EXPECT_EQ(LoadFromString(EagerMisSnapshot({1, 1}, {0, 0}), &status),
+            nullptr);
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("independent"), std::string::npos)
       << status.message;
@@ -355,50 +405,9 @@ TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
   // Same valid 2-vertex graph, but an all-empty solution: no maintainer
   // ever saves a non-maximal state, and a restored engine would never
   // repair it (updates only react to changes), so load must reject it.
-  SnapshotWriter w;
-  w.BeginSection("engine");
-  w.PutString("DyTwoSwap");
-  w.PutString("DyTwoSwap");
-  w.PutI32(2);
-  w.PutU8(0);
-  w.PutU8(0);
-  w.PutI32(1);
-  w.PutI64(0);
-  w.PutDouble(0);
-  w.EndSection();
-  w.BeginSection("graph");
-  w.PutI64(2);
-  w.PutI64(1);
-  w.PutI32(2);
-  w.PutI32(1);
-  w.PutI32Array({0, 0});
-  w.PutI32Array({1, 1});
-  w.PutI32Array({0, 1, -1, -1});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({});
-  w.PutI32Array({});
-  w.EndSection();
-  w.BeginSection("mis");
-  w.PutI32(2);
-  w.PutU8(0);
-  w.PutI64(0);                      // Empty solution on a nonempty graph.
-  w.PutU8Array({0, 0});
-  w.PutI32Array({0, 0});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({0, 0});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({-1, -1, -1, -1});
-  w.PutI32Array({-1, -1, -1, -1});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({-1, -1});
-  w.PutI32Array({-1, -1, -1, -1});
-  w.EndSection();
-  std::ostringstream out;
-  ASSERT_TRUE(w.WriteTo(out).ok);
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
+  EXPECT_EQ(LoadFromString(EagerMisSnapshot({0, 0}, {0, 0}), &status),
+            nullptr);
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("maximal"), std::string::npos)
       << status.message;

@@ -1,6 +1,6 @@
 // DyTwoSwap correctness: unit tests for Algorithm 3's update cases and
 // property sweeps asserting 2-maximality (no 1-swap and no 2-swap, brute
-// forced) after every update, in eager and lazy modes.
+// forced) and MisState consistency after every update.
 
 #include "src/core/two_swap.h"
 
@@ -106,29 +106,25 @@ TEST_P(DyTwoSwapPropertyTest, TwoMaximalAfterEveryUpdate) {
   Rng rng(SplitMix64(param.seed ^ 0xabcdef));
   const EdgeListGraph base = ErdosRenyiGnm(
       param.n, static_cast<int64_t>(param.n * param.density), &rng);
-  for (const bool lazy : {false, true}) {
-    DynamicGraph g = base.ToDynamic();
-    MaintainerConfig options;
-    options.lazy = lazy;
-    DyTwoSwap algo(&g, options);
-    algo.InitializeEmpty();
-    ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 2)) << "after init";
+  DynamicGraph g = base.ToDynamic();
+  DyTwoSwap algo(&g);
+  algo.InitializeEmpty();
+  ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 2)) << "after init";
 
-    UpdateStreamOptions stream;
-    stream.seed = param.seed * 131 + 13;
-    stream.edge_op_fraction = param.edge_op_fraction;
-    UpdateStreamGenerator gen(stream);
-    for (int step = 0; step < 160; ++step) {
-      const GraphUpdate update = gen.Next(g);
-      algo.Apply(update);
-      algo.CheckConsistency();
-      const std::vector<VertexId> solution = algo.Solution();
-      ASSERT_TRUE(IsIndependentSet(g, solution)) << "step " << step;
-      ASSERT_TRUE(IsMaximalIndependentSet(g, solution)) << "step " << step;
-      ASSERT_FALSE(HasSwapUpTo(g, solution, 2))
-          << "j-swap (j<=2) exists after step " << step << " ("
-          << update.DebugString() << "), lazy=" << lazy;
-    }
+  UpdateStreamOptions stream;
+  stream.seed = param.seed * 131 + 13;
+  stream.edge_op_fraction = param.edge_op_fraction;
+  UpdateStreamGenerator gen(stream);
+  for (int step = 0; step < 160; ++step) {
+    const GraphUpdate update = gen.Next(g);
+    algo.Apply(update);
+    algo.CheckConsistency();
+    const std::vector<VertexId> solution = algo.Solution();
+    ASSERT_TRUE(IsIndependentSet(g, solution)) << "step " << step;
+    ASSERT_TRUE(IsMaximalIndependentSet(g, solution)) << "step " << step;
+    ASSERT_FALSE(HasSwapUpTo(g, solution, 2))
+        << "j-swap (j<=2) exists after step " << step << " ("
+        << update.DebugString() << ")";
   }
 }
 

@@ -3,7 +3,7 @@
 // The workhorse for ad-hoc experiments on real SNAP files.
 //
 //   dynmis_cli --graph FILE [--algo NAME] [--initial MODE]
-//              [--k K] [--lazy] [--perturb] [--recompute-every N]
+//              [--k K] [--perturb] [--recompute-every N]
 //              [--updates FILE | --random N] [--seed S]
 //              [--edge-fraction F] [--insert-fraction F] [--degree-bias]
 //              [--report-every K] [--save-trace FILE] [--csv]
@@ -12,7 +12,6 @@
 //   --algo NAME        a MaintainerRegistry name (default DyTwoSwap);
 //                      `--algo help` lists everything the registry accepts.
 //   --k K              swap order for the generic KSwap maintainer.
-//   --lazy             lazy collection (paper optimization 1).
 //   --perturb          perturbation (paper optimization 2).
 //   --recompute-every N  amortization interval for Recompute.
 //   --initial MODE     greedy | arw | exact (default greedy).
@@ -117,7 +116,7 @@ struct CliOptions {
   // Which flag families were given, for per-mode validation: a flag the
   // selected mode cannot honor is an error, not silently ignored (e.g.
   // `snapshot load --algo X` — the snapshot fixes the algorithm).
-  bool saw_engine_flags = false;  // --algo/--k/--lazy/--perturb/...
+  bool saw_engine_flags = false;  // --algo/--k/--perturb/...
   bool saw_run_inputs = false;    // --graph/--updates/--save-trace
   bool saw_stream_flags = false;  // --random/--seed/--*-fraction/...
 };
@@ -164,7 +163,7 @@ int PrintAlgorithms() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --graph FILE [--algo NAME] [--initial MODE]\n"
-               "          [--k K] [--lazy] [--perturb] [--recompute-every N]\n"
+               "          [--k K] [--perturb] [--recompute-every N]\n"
                "          [--updates FILE | --random N] [--seed S]\n"
                "          [--edge-fraction F] [--insert-fraction F]\n"
                "          [--degree-bias] [--report-every K]\n"
@@ -186,9 +185,8 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options,
     };
     if (arg == "--graph" || arg == "--updates" || arg == "--save-trace") {
       options->saw_run_inputs = true;
-    } else if (arg == "--algo" || arg == "--k" || arg == "--lazy" ||
-               arg == "--perturb" || arg == "--recompute-every" ||
-               arg == "--initial") {
+    } else if (arg == "--algo" || arg == "--k" || arg == "--perturb" ||
+               arg == "--recompute-every" || arg == "--initial") {
       options->saw_engine_flags = true;
     } else if (arg == "--random" || arg == "--seed" ||
                arg == "--edge-fraction" || arg == "--insert-fraction" ||
@@ -213,8 +211,6 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options,
       const char* v = next();
       if (!v) return false;
       options->algo.k = std::atoi(v);
-    } else if (arg == "--lazy") {
-      options->algo.lazy = true;
     } else if (arg == "--perturb") {
       options->algo.perturb = true;
     } else if (arg == "--recompute-every") {
@@ -488,10 +484,9 @@ int RunSnapshotInfo(const CliOptions& options) {
     return 1;
   }
   std::printf(
-      "engine: algorithm=%s (%s) k=%d lazy=%d perturb=%d "
-      "recompute_every=%d\n",
+      "engine: algorithm=%s (%s) k=%d perturb=%d recompute_every=%d\n",
       meta.config.algorithm.c_str(), meta.display_name.c_str(),
-      meta.config.k, meta.config.lazy ? 1 : 0, meta.config.perturb ? 1 : 0,
+      meta.config.k, meta.config.perturb ? 1 : 0,
       meta.config.recompute_every);
   std::printf("history: %lld updates, %.3fs inside the maintainer\n",
               static_cast<long long>(meta.updates_applied),
