@@ -1,6 +1,7 @@
 // DynamicMisMaintainer: the common interface of all dynamic independent-set
-// algorithms in the library (DyOneSwap, DyTwoSwap, the generic k-maximal
-// maintainer, and the baselines DyARW / DGOneDIS / DGTwoDIS / recompute).
+// algorithms in the library (the swap maintainers DySwap — registered as
+// DyOneSwap and DyTwoSwap — and KSwapMaintainer, and the baselines DyARW /
+// DGOneDIS / DGTwoDIS / recompute).
 // This is the library's public algorithm contract: implementations are
 // constructed through MaintainerRegistry (dynmis/registry.h) or owned by a
 // MisEngine (dynmis/engine.h).
@@ -99,9 +100,9 @@ class DynamicMisMaintainer {
   // missing sections or malformed contents. The default validates the
   // persisted membership (alive, independent) and re-initializes from it —
   // a recompute-on-load fallback costing one Initialize pass; the swap
-  // maintainers (DyOneSwap, DyTwoSwap, KSwap) override both hooks to
-  // restore membership and tightness counts directly: one O(n + m)
-  // validation pass that also rebuilds the owner sums, and no
+  // maintainers (SwapMaintainer: DySwap and KSwapMaintainer) override both
+  // hooks to restore membership and tightness counts directly: one
+  // O(n + m) validation pass that also rebuilds the owner sums, and no
   // MoveIn/MoveOut.
   virtual bool LoadState(SnapshotReader* r, const DynamicGraph& g) {
     if (!r->OpenSection("maintainer/solution")) return false;
@@ -136,9 +137,10 @@ class DynamicMisMaintainer {
   // Applies a block of updates as one transaction and returns the vertex ids
   // assigned to the block's kInsertVertex ops, in op order. The default
   // processes updates one at a time; maintainers that support deferred swap
-  // restoration (DyOneSwap, DyTwoSwap) override this to run the graph
-  // mutations and maximality fixes for the whole block first and a single
-  // swap-restoration pass at the end, which amortizes overlapping cascades.
+  // restoration (DySwap, i.e. DyOneSwap and DyTwoSwap) override this to run
+  // the graph mutations and maximality fixes for the whole block first and a
+  // single swap-restoration pass at the end, which amortizes overlapping
+  // cascades.
   // The k-maximality guarantee holds at the *end* of the batch (intermediate
   // states are only maximal).
   virtual std::vector<VertexId> ApplyBatch(

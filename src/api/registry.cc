@@ -6,9 +6,8 @@
 #include "src/baselines/dgdis.h"
 #include "src/baselines/dyarw.h"
 #include "src/baselines/recompute.h"
+#include "src/core/dy_swap.h"
 #include "src/core/k_swap.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
 
 namespace dynmis {
 namespace {
@@ -22,13 +21,13 @@ void RegisterBuiltins(MaintainerRegistry* registry) {
   registry->Register(
       "DyOneSwap",
       [](DynamicGraph* g, const MaintainerConfig& config) {
-        return std::make_unique<DyOneSwap>(g, config);
+        return std::make_unique<DySwap>(g, /*k=*/1, config);
       },
       "paper Algorithm 2: 1-maximal set, O(m) worst-case per cascade");
   registry->Register(
       "DyTwoSwap",
       [](DynamicGraph* g, const MaintainerConfig& config) {
-        return std::make_unique<DyTwoSwap>(g, config);
+        return std::make_unique<DySwap>(g, /*k=*/2, config);
       },
       "paper Algorithm 3: 2-maximal set, the paper's best quality/speed");
   registry->Register(

@@ -5,7 +5,9 @@
 // *sorted* adjacency array and the clique tests are double-pointer scans
 // over sorted lists. Maintaining the ordered structure under updates
 // (binary-search insert/erase) is what makes DyARW measurably slower than
-// DyOneSwap's intrusive-list design - the effect the paper reports.
+// DyOneSwap, which keeps no ordered structure: its clique test marks
+// bar1(v) and scans each candidate's unsorted adjacency once - the effect
+// the paper reports.
 
 #ifndef DYNMIS_SRC_BASELINES_DYARW_H_
 #define DYNMIS_SRC_BASELINES_DYARW_H_

@@ -1,10 +1,8 @@
 // CandidateList: per-owner candidate lists, intrusive doubly-linked through
 // flat per-vertex link slots. A vertex is a candidate under at most one
 // owner at a time, so enqueueing is an O(1) relink with no heap traffic —
-// this is the shared C1 machinery of DyOneSwap and DyTwoSwap (each formerly
-// kept its own copy of the pointer surgery; the per-pair C2 buckets of
-// DyTwoSwap stay separate because their membership is keyed by pair, not by
-// a single owner).
+// this is DySwap's C1 queue (its per-pair C2 buckets stay separate because
+// their membership is keyed by pair, not by a single owner).
 //
 // Entries are not unlinked when they go stale; consumers re-validate on
 // Consume(), mirroring the transition-log contract.

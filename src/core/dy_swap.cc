@@ -1,4 +1,4 @@
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 
 #include <algorithm>
 
@@ -6,33 +6,36 @@
 
 namespace dynmis {
 
-DyTwoSwap::DyTwoSwap(DynamicGraph* g, MaintainerConfig options)
-    : g_(g), options_(options), state_(g, /*k=*/2) {
+DySwap::DySwap(DynamicGraph* g, int k, MaintainerConfig options)
+    : SwapMaintainer(g, k, options) {
+  DYNMIS_CHECK(k == 1 || k == 2);
   EnsureCapacity();
 }
 
-uint64_t DyTwoSwap::PairKey(VertexId x, VertexId y) {
+uint64_t DySwap::PairKey(VertexId x, VertexId y) {
   if (x > y) std::swap(x, y);
   // +1 keeps 0 free as the "not enqueued" sentinel.
   return (static_cast<uint64_t>(static_cast<uint32_t>(x + 1)) << 32) |
          static_cast<uint32_t>(y + 1);
 }
 
-void DyTwoSwap::EnsureCapacity() {
-  state_.EnsureCapacity();
-  const size_t vcap = g_->VertexCapacity();
-  if (in_c1_.size() < vcap) {
-    in_c1_.resize(vcap, 0);
-    cands_.EnsureCapacity(vcap);
-    cand2_key_.resize(vcap, 0);
-    cand2_next_.resize(vcap, kInvalidVertex);
-    cand2_prev_.resize(vcap, kInvalidVertex);
-    c2_head_.resize(vcap, -1);
-    mark_.resize(vcap, 0);
-  }
+void DySwap::GrowSlots(size_t vcap) {
+  in_c1_.resize(vcap, 0);
+  cands_.EnsureCapacity(vcap);
+  if (k_ == 1) return;
+  cand2_key_.resize(vcap, 0);
+  cand2_next_.resize(vcap, kInvalidVertex);
+  cand2_prev_.resize(vcap, kInvalidVertex);
+  c2_head_.resize(vcap, -1);
 }
 
-int32_t* DyTwoSwap::FindBucketLink(VertexId a, VertexId b) {
+void DySwap::ResetSlots(VertexId v) {
+  in_c1_[v] = 0;
+  cands_.OnVertexReset(v);
+  if (k_ == 2 && cand2_key_[v] != 0) UnlinkC2(v);
+}
+
+int32_t* DySwap::FindBucketLink(VertexId a, VertexId b) {
   int32_t* link = &c2_head_[a];
   while (*link != -1 && c2_pool_[*link].y != b) {
     link = &c2_pool_[*link].next;
@@ -40,7 +43,7 @@ int32_t* DyTwoSwap::FindBucketLink(VertexId a, VertexId b) {
   return link;
 }
 
-void DyTwoSwap::UnlinkC2(VertexId x) {
+void DySwap::UnlinkC2(VertexId x) {
   const uint64_t key = cand2_key_[x];
   DYNMIS_DCHECK(key != 0);
   const VertexId prev = cand2_prev_[x];
@@ -61,61 +64,17 @@ void DyTwoSwap::UnlinkC2(VertexId x) {
   cand2_key_[x] = 0;
 }
 
-void DyTwoSwap::ResetVertexSlots(VertexId v) {
-  EnsureCapacity();
-  state_.OnVertexAdded(v);
-  in_c1_[v] = 0;
-  cands_.OnVertexReset(v);
-  if (cand2_key_[v] != 0) UnlinkC2(v);
-  mark_[v] = 0;
-}
-
-void DyTwoSwap::Initialize(const std::vector<VertexId>& initial) {
-  for (VertexId v : initial) {
-    DYNMIS_CHECK(g_->IsVertexAlive(v));
-    state_.MoveIn(v);
-  }
-  std::vector<VertexId> free;
-  for (VertexId v = 0; v < g_->VertexCapacity(); ++v) {
-    if (g_->IsVertexAlive(v) && !state_.InSolution(v) && state_.Count(v) == 0) {
-      free.push_back(v);
-    }
-  }
-  ExtendSolution(&free);
-  // Establish 2-maximality: every 1-tight vertex seeds C1 and every 2-tight
-  // vertex seeds C2 (a 2-swap's triple must contain a 2-tight vertex once
-  // the solution is 1-maximal, so this is complete).
-  state_.DiscardTransitions();
-  for (VertexId u = 0; u < g_->VertexCapacity(); ++u) {
-    if (!g_->IsVertexAlive(u) || state_.InSolution(u)) continue;
-    if (state_.Count(u) == 1) {
-      EnqueueC1(state_.OwnerOf(u), u);
-    } else if (state_.Count(u) == 2) {
-      VertexId a, b;
-      state_.OwnersOf2(u, &a, &b);
-      EnqueueC2(a, b, u);
-    }
-  }
-  ProcessQueues();
-}
-
-void DyTwoSwap::ExtendSolution(std::vector<VertexId>* candidates) {
-  if (options_.perturb) {
-    std::sort(candidates->begin(), candidates->end(),
-              [&](VertexId a, VertexId b) {
-                return g_->Degree(a) != g_->Degree(b)
-                           ? g_->Degree(a) < g_->Degree(b)
-                           : a < b;
-              });
-  }
-  for (VertexId w : *candidates) {
-    if (g_->IsVertexAlive(w) && !state_.InSolution(w) && state_.Count(w) == 0) {
-      state_.MoveIn(w);
-    }
+void DySwap::OnTight(VertexId u) {
+  if (state_.Count(u) == 1) {
+    EnqueueC1(state_.OwnerOf(u), u);
+  } else {
+    VertexId a, b;
+    state_.OwnersOf2(u, &a, &b);
+    EnqueueC2(a, b, u);
   }
 }
 
-void DyTwoSwap::EnqueueC1(VertexId owner, VertexId u) {
+void DySwap::EnqueueC1(VertexId owner, VertexId u) {
   if (!cands_.Enqueue(owner, u)) return;
   if (!in_c1_[owner]) {
     in_c1_[owner] = 1;
@@ -123,7 +82,7 @@ void DyTwoSwap::EnqueueC1(VertexId owner, VertexId u) {
   }
 }
 
-void DyTwoSwap::EnqueueC2(VertexId a, VertexId b, VertexId x) {
+void DySwap::EnqueueC2(VertexId a, VertexId b, VertexId x) {
   if (a > b) std::swap(a, b);
   const uint64_t pair_key = PairKey(a, b);
   if (cand2_key_[x] == pair_key) return;
@@ -154,20 +113,18 @@ void DyTwoSwap::EnqueueC2(VertexId a, VertexId b, VertexId x) {
   rec.head = x;
 }
 
-void DyTwoSwap::DrainTransitions() {
+void DySwap::DrainTransitions() {
   state_.DrainTransitions([&](VertexId u) {
-    if (!g_->IsVertexAlive(u) || state_.InSolution(u)) return;
-    if (state_.Count(u) == 1) {
-      EnqueueC1(state_.OwnerOf(u), u);
-    } else if (state_.Count(u) == 2) {
-      VertexId a, b;
-      state_.OwnersOf2(u, &a, &b);
-      EnqueueC2(a, b, u);
-    }
+    if (IsTight(u)) OnTight(u);
   });
 }
 
-std::vector<VertexId> DyTwoSwap::ApplyBatch(
+void DySwap::Restore() {
+  DrainTransitions();
+  if (!deferred_) ProcessQueues();
+}
+
+std::vector<VertexId> DySwap::ApplyBatch(
     const std::vector<GraphUpdate>& updates) {
   deferred_ = true;
   std::vector<VertexId> new_vertices =
@@ -177,8 +134,7 @@ std::vector<VertexId> DyTwoSwap::ApplyBatch(
   return new_vertices;
 }
 
-void DyTwoSwap::ProcessQueues() {
-  if (deferred_) return;
+void DySwap::ProcessQueues() {
   while (!c1_queue_.empty() || !c2_queue_.empty()) {
     if (!c1_queue_.empty()) {
       FindOneSwapStep();
@@ -188,7 +144,7 @@ void DyTwoSwap::ProcessQueues() {
   }
 }
 
-void DyTwoSwap::FindOneSwapStep() {
+void DySwap::FindOneSwapStep() {
   const VertexId v = c1_queue_.back();
   c1_queue_.pop_back();
   in_c1_[v] = 0;
@@ -206,18 +162,24 @@ void DyTwoSwap::FindOneSwapStep() {
   if (kept.empty()) return;
   stats_.candidates_processed += static_cast<int64_t>(kept.size());
 
-  // One scan of N(v) collects bar1(v) and, for the fallback below, bar2(v).
+  // bar1(v); at k = 2 the same scan of N(v) also collects bar2(v) for the
+  // fallback below.
   std::vector<VertexId>& bar1 = bar1_scratch_;
   std::vector<VertexId>& bar2 = bar2_scratch_;
   bar1.clear();
-  bar2.clear();
-  state_.CollectBar1And2(v, kInvalidVertex, &bar1, &bar2);
+  if (k_ == 1) {
+    state_.CollectBar1(v, &bar1);
+  } else {
+    bar2.clear();
+    state_.CollectBar1And2(v, kInvalidVertex, &bar1, &bar2);
+  }
   const int bar1_size = static_cast<int>(bar1.size());
   NewEpoch();
   for (VertexId w : bar1) Mark(w);
 
   VertexId chosen = kInvalidVertex;
   for (VertexId u : kept) {
+    // |N[u] cap bar1(v)| = 1 (u itself) + marked open neighbours.
     int inter = 1;
     g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
       if (Marked(w)) ++inter;
@@ -237,9 +199,11 @@ void DyTwoSwap::FindOneSwapStep() {
     return;
   }
   if (options_.perturb && !bar1.empty()) {
-    // Plateau rotation toward the smallest-degree 1-tight neighbour (see
-    // DyOneSwap); size-neutral because G[bar1(v)] is a clique, and the
-    // strictly decreasing solution degree guarantees termination.
+    // Perturbation (paper optimization 2): G[bar1(v)] is a clique, so v
+    // can rotate with any member without changing the solution size.
+    // Rotating toward the smallest-degree member strictly decreases the
+    // total solution degree (ensuring termination) and tends to free up
+    // future swaps, since high-degree vertices rarely belong to a MaxIS.
     VertexId best = bar1.front();
     for (VertexId w : bar1) {
       if (g_->Degree(w) < g_->Degree(best)) best = w;
@@ -252,6 +216,7 @@ void DyTwoSwap::FindOneSwapStep() {
       return;
     }
   }
+  if (k_ == 1) return;
   // No 1-swap for v (Alg 3, lines 14-17): the new bar1(v) members may still
   // enable a 2-swap for a pair {v, z}. A 2-tight neighbour x of v is a
   // useful pair witness only if it misses at least one member of C(v).
@@ -271,7 +236,7 @@ void DyTwoSwap::FindOneSwapStep() {
   }
 }
 
-void DyTwoSwap::FindTwoSwapStep() {
+void DySwap::FindTwoSwapStep() {
   const int32_t bucket = c2_queue_.back();
   c2_queue_.pop_back();
   PairBucket& rec = c2_pool_[bucket];
@@ -373,8 +338,8 @@ void DyTwoSwap::FindTwoSwapStep() {
   }
 }
 
-void DyTwoSwap::PerformOneSwap(VertexId v, VertexId u,
-                               std::vector<VertexId>* bar1_snapshot) {
+void DySwap::PerformOneSwap(VertexId v, VertexId u,
+                            std::vector<VertexId>* bar1_snapshot) {
   ++stats_.one_swaps;
   state_.MoveOut(v);
   state_.MoveIn(u);
@@ -382,9 +347,9 @@ void DyTwoSwap::PerformOneSwap(VertexId v, VertexId u,
   DrainTransitions();
 }
 
-void DyTwoSwap::PerformTwoSwap(VertexId x, VertexId y, VertexId in_a,
-                               VertexId in_b, VertexId in_c,
-                               std::vector<VertexId>* region_snapshot) {
+void DySwap::PerformTwoSwap(VertexId x, VertexId y, VertexId in_a,
+                            VertexId in_b, VertexId in_c,
+                            std::vector<VertexId>* region_snapshot) {
   ++stats_.two_swaps;
   state_.MoveOut(x);
   state_.MoveOut(y);
@@ -397,51 +362,13 @@ void DyTwoSwap::PerformTwoSwap(VertexId x, VertexId y, VertexId in_a,
   DrainTransitions();
 }
 
-void DyTwoSwap::InsertEdge(VertexId u, VertexId v) {
-  const bool u_in = state_.InSolution(u);
-  const bool v_in = state_.InSolution(v);
-  const EdgeId e = g_->AddEdge(u, v);
-  EnsureCapacity();
-  state_.OnEdgeAdded(e);
-  if (u_in && v_in) {
-    VertexId loser;
-    const bool bu = state_.HasBar1(u);
-    const bool bv = state_.HasBar1(v);
-    if (bu != bv) {
-      loser = bu ? u : v;
-    } else {
-      loser = g_->Degree(u) >= g_->Degree(v) ? u : v;
-    }
-    state_.MoveOut(loser);
-    extend_scratch_.clear();
-    g_->ForEachIncident(loser, [&](VertexId w, EdgeId) {
-      if (!state_.InSolution(w) && state_.Count(w) == 0) {
-        extend_scratch_.push_back(w);
-      }
-    });
-    ExtendSolution(&extend_scratch_);
-  }
-  DrainTransitions();
-  ProcessQueues();
-}
-
-void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
-  const EdgeId e = g_->FindEdge(u, v);
-  DYNMIS_CHECK(e != kInvalidEdge);
-  state_.OnEdgeRemoving(e);
-  g_->RemoveEdge(e);
-  const bool u_in = state_.InSolution(u);
-  const bool v_in = state_.InSolution(v);
-  if (u_in || v_in) {
-    const VertexId other = u_in ? v : u;
-    if (!state_.InSolution(other) && state_.Count(other) == 0) {
-      state_.MoveIn(other);
-    }
-  } else if (state_.Count(u) == 1 && state_.Count(v) == 1) {
+void DySwap::OnFreedEdge(VertexId u, VertexId v) {
+  if (state_.Count(u) == 1 && state_.Count(v) == 1) {
     const VertexId wu = state_.OwnerOf(u);
     const VertexId wv = state_.OwnerOf(v);
     if (wu == wv) {
-      // Deletion case ii.a: swap the shared owner with {u, v}.
+      // Deletion case ii.a: u and v are now non-adjacent and both covered
+      // only by w, so the swap {w} -> {u, v} strictly grows the solution.
       ++stats_.one_swaps;
       bar1_scratch_.clear();
       state_.CollectBar1(wu, &bar1_scratch_);
@@ -450,7 +377,7 @@ void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
       state_.MoveIn(u);
       if (state_.Count(v) == 0) state_.MoveIn(v);
       ExtendSolution(&bar1_scratch_);
-    } else {
+    } else if (k_ == 2) {
       // Deletion case ii.b: S = {wu, wv} with swap-in {u, v, w} for a
       // 2-tight w of the pair that misses both u and v. The pair's members
       // come from the lower-degree owner's scan, which also yields its bar1.
@@ -486,7 +413,7 @@ void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
         ExtendSolution(&region_);
       }
     }
-  } else {
+  } else if (k_ == 2) {
     // Deletion case ii.c: when one endpoint is 2-tight and the other's
     // owners are a subset of its pair, the pair gains a usable candidate.
     for (const auto& [p, q] : {std::pair{u, v}, std::pair{v, u}}) {
@@ -502,70 +429,22 @@ void DyTwoSwap::DeleteEdge(VertexId u, VertexId v) {
       if (subset) EnqueueC2(a, b, q);
     }
   }
-  DrainTransitions();
-  ProcessQueues();
 }
 
-VertexId DyTwoSwap::InsertVertex(const std::vector<VertexId>& neighbors) {
-  const VertexId v = g_->AddVertex();
-  EnsureCapacity();
-  ResetVertexSlots(v);
-  for (VertexId u : neighbors) {
-    DYNMIS_CHECK_NE(u, v);
-    const EdgeId e = g_->AddEdge(u, v);
-    EnsureCapacity();
-    state_.OnEdgeAdded(e);
-  }
-  if (state_.Count(v) == 0) state_.MoveIn(v);
-  DrainTransitions();
-  ProcessQueues();
-  return v;
-}
-
-void DyTwoSwap::DeleteVertex(VertexId v) {
-  DYNMIS_CHECK(g_->IsVertexAlive(v));
-  extend_scratch_.clear();
-  g_->ForEachIncident(v, [&](VertexId w, EdgeId) {
-    extend_scratch_.push_back(w);
-  });
-  if (state_.InSolution(v)) state_.MoveOut(v);
-  state_.OnVertexRemoving(v);
-  g_->RemoveVertex(v);
-  ResetVertexSlots(v);
-  ExtendSolution(&extend_scratch_);
-  DrainTransitions();
-  ProcessQueues();
-}
-
-void DyTwoSwap::SaveState(SnapshotWriter* w) const {
-  // Quiescent point: no pending candidates in either queue and an all-free
-  // C2 pool, so the MisState arrays are the entire algorithm state.
-  DYNMIS_CHECK(c1_queue_.empty());
-  DYNMIS_CHECK(c2_queue_.empty());
-  state_.SaveTo(w);
-}
-
-bool DyTwoSwap::LoadState(SnapshotReader* r, const DynamicGraph&) {
-  if (!state_.LoadFrom(r)) return false;
-  EnsureCapacity();
-  return true;
-}
-
-size_t DyTwoSwap::MemoryUsageBytes() const {
-  return state_.MemoryUsageBytes() + VectorBytes(c1_queue_) +
+size_t DySwap::MemoryUsageBytes() const {
+  return SwapMaintainer::MemoryUsageBytes() + VectorBytes(c1_queue_) +
          VectorBytes(in_c1_) + cands_.MemoryUsageBytes() +
          VectorBytes(c2_pool_) + VectorBytes(c2_free_) +
          VectorBytes(c2_queue_) + VectorBytes(c2_head_) +
          VectorBytes(cand2_key_) + VectorBytes(cand2_next_) +
-         VectorBytes(cand2_prev_) + VectorBytes(mark_) + VectorBytes(kept_) +
+         VectorBytes(cand2_prev_) + VectorBytes(kept_) +
          VectorBytes(bar1_scratch_) + VectorBytes(bar2_scratch_) +
          VectorBytes(bar1x_) + VectorBytes(bar1y_) + VectorBytes(bar2s_) +
-         VectorBytes(cy_) + VectorBytes(cz_) + VectorBytes(region_) +
-         VectorBytes(extend_scratch_);
+         VectorBytes(cy_) + VectorBytes(cz_) + VectorBytes(region_);
 }
 
-std::string DyTwoSwap::Name() const {
-  std::string name = "DyTwoSwap";
+std::string DySwap::Name() const {
+  std::string name = k_ == 1 ? "DyOneSwap" : "DyTwoSwap";
   if (options_.perturb) name += "*";
   return name;
 }

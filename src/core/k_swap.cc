@@ -9,64 +9,10 @@ namespace dynmis {
 
 KSwapMaintainer::KSwapMaintainer(DynamicGraph* g, int k,
                                  MaintainerConfig options)
-    : g_(g), k_(k), options_(options), state_(g, k) {
+    : SwapMaintainer(g, k, options) {
   DYNMIS_CHECK_GE(k, 1);
   DYNMIS_CHECK_LE(k, kMaxKSwapOrder);
   EnsureCapacity();
-}
-
-void KSwapMaintainer::EnsureCapacity() {
-  state_.EnsureCapacity();
-  const size_t vcap = g_->VertexCapacity();
-  if (in_worklist_.size() < vcap) {
-    in_worklist_.resize(vcap, 0);
-    mark_.resize(vcap, 0);
-  }
-}
-
-void KSwapMaintainer::ResetVertexSlots(VertexId v) {
-  EnsureCapacity();
-  state_.OnVertexAdded(v);
-  in_worklist_[v] = 0;
-  mark_[v] = 0;
-}
-
-void KSwapMaintainer::Initialize(const std::vector<VertexId>& initial) {
-  for (VertexId v : initial) {
-    DYNMIS_CHECK(g_->IsVertexAlive(v));
-    state_.MoveIn(v);
-  }
-  std::vector<VertexId> free;
-  for (VertexId v = 0; v < g_->VertexCapacity(); ++v) {
-    if (g_->IsVertexAlive(v) && !state_.InSolution(v) && state_.Count(v) == 0) {
-      free.push_back(v);
-    }
-  }
-  ExtendSolution(&free);
-  state_.DiscardTransitions();
-  for (VertexId u = 0; u < g_->VertexCapacity(); ++u) {
-    if (g_->IsVertexAlive(u) && !state_.InSolution(u) &&
-        state_.Count(u) >= 1 && state_.Count(u) <= k_) {
-      PushWitness(u);
-    }
-  }
-  ProcessWorklist();
-}
-
-void KSwapMaintainer::ExtendSolution(std::vector<VertexId>* candidates) {
-  if (options_.perturb) {
-    std::sort(candidates->begin(), candidates->end(),
-              [&](VertexId a, VertexId b) {
-                return g_->Degree(a) != g_->Degree(b)
-                           ? g_->Degree(a) < g_->Degree(b)
-                           : a < b;
-              });
-  }
-  for (VertexId w : *candidates) {
-    if (g_->IsVertexAlive(w) && !state_.InSolution(w) && state_.Count(w) == 0) {
-      state_.MoveIn(w);
-    }
-  }
 }
 
 void KSwapMaintainer::PushWitness(VertexId u) {
@@ -77,11 +23,13 @@ void KSwapMaintainer::PushWitness(VertexId u) {
 
 void KSwapMaintainer::DrainTransitions() {
   state_.DrainTransitions([&](VertexId u) {
-    if (g_->IsVertexAlive(u) && !state_.InSolution(u) && state_.Count(u) >= 1 &&
-        state_.Count(u) <= k_) {
-      PushWitness(u);
-    }
+    if (IsTight(u)) OnTight(u);
   });
+}
+
+void KSwapMaintainer::Restore() {
+  DrainTransitions();
+  ProcessWorklist();
 }
 
 void KSwapMaintainer::ProcessWorklist() {
@@ -228,116 +176,28 @@ bool KSwapMaintainer::TrySwapOrExpand(std::vector<VertexId> s) {
   return false;
 }
 
-void KSwapMaintainer::InsertEdge(VertexId u, VertexId v) {
-  const bool u_in = state_.InSolution(u);
-  const bool v_in = state_.InSolution(v);
-  const EdgeId e = g_->AddEdge(u, v);
-  EnsureCapacity();
-  state_.OnEdgeAdded(e);
-  if (u_in && v_in) {
-    VertexId loser;
-    const bool bu = state_.HasBar1(u);
-    const bool bv = state_.HasBar1(v);
-    if (bu != bv) {
-      loser = bu ? u : v;
-    } else {
-      loser = g_->Degree(u) >= g_->Degree(v) ? u : v;
-    }
-    state_.MoveOut(loser);
-    extend_scratch_.clear();
-    g_->ForEachIncident(loser, [&](VertexId w, EdgeId) {
-      if (!state_.InSolution(w) && state_.Count(w) == 0) {
-        extend_scratch_.push_back(w);
-      }
-    });
-    ExtendSolution(&extend_scratch_);
-  }
-  DrainTransitions();
-  ProcessWorklist();
-}
-
-void KSwapMaintainer::DeleteEdge(VertexId u, VertexId v) {
-  const EdgeId e = g_->FindEdge(u, v);
-  DYNMIS_CHECK(e != kInvalidEdge);
-  state_.OnEdgeRemoving(e);
-  g_->RemoveEdge(e);
-  const bool u_in = state_.InSolution(u);
-  const bool v_in = state_.InSolution(v);
-  if (u_in || v_in) {
-    const VertexId other = u_in ? v : u;
-    if (!state_.InSolution(other) && state_.Count(other) == 0) {
-      state_.MoveIn(other);
-    }
-  } else {
-    // The deleted edge may enable a swap for the union of the endpoints'
-    // owner sets (generalization of Algorithm 2/3's deletion case ii).
-    PushWitness(u);
-    PushWitness(v);
-    if (state_.Count(u) >= 1 && state_.Count(v) >= 1) {
-      std::vector<VertexId> joint;
-      state_.ForEachSolutionNeighbor(u,
-                                     [&](VertexId w) { joint.push_back(w); });
-      state_.ForEachSolutionNeighbor(v,
-                                     [&](VertexId w) { joint.push_back(w); });
-      std::sort(joint.begin(), joint.end());
-      joint.erase(std::unique(joint.begin(), joint.end()), joint.end());
-      if (static_cast<int>(joint.size()) <= k_) {
-        visited_.Clear();
-        TrySwapOrExpand(std::move(joint));
-      }
+void KSwapMaintainer::OnFreedEdge(VertexId u, VertexId v) {
+  // The deleted edge may enable a swap for the union of the endpoints'
+  // owner sets (generalization of Algorithm 2/3's deletion case ii).
+  PushWitness(u);
+  PushWitness(v);
+  if (state_.Count(u) >= 1 && state_.Count(v) >= 1) {
+    std::vector<VertexId> joint;
+    state_.ForEachSolutionNeighbor(u, [&](VertexId w) { joint.push_back(w); });
+    state_.ForEachSolutionNeighbor(v, [&](VertexId w) { joint.push_back(w); });
+    std::sort(joint.begin(), joint.end());
+    joint.erase(std::unique(joint.begin(), joint.end()), joint.end());
+    if (static_cast<int>(joint.size()) <= k_) {
+      visited_.Clear();
+      TrySwapOrExpand(std::move(joint));
     }
   }
-  DrainTransitions();
-  ProcessWorklist();
-}
-
-VertexId KSwapMaintainer::InsertVertex(const std::vector<VertexId>& neighbors) {
-  const VertexId v = g_->AddVertex();
-  EnsureCapacity();
-  ResetVertexSlots(v);
-  for (VertexId u : neighbors) {
-    DYNMIS_CHECK_NE(u, v);
-    const EdgeId e = g_->AddEdge(u, v);
-    EnsureCapacity();
-    state_.OnEdgeAdded(e);
-  }
-  if (state_.Count(v) == 0) state_.MoveIn(v);
-  DrainTransitions();
-  ProcessWorklist();
-  return v;
-}
-
-void KSwapMaintainer::DeleteVertex(VertexId v) {
-  DYNMIS_CHECK(g_->IsVertexAlive(v));
-  extend_scratch_.clear();
-  g_->ForEachIncident(v, [&](VertexId w, EdgeId) {
-    extend_scratch_.push_back(w);
-  });
-  if (state_.InSolution(v)) state_.MoveOut(v);
-  state_.OnVertexRemoving(v);
-  g_->RemoveVertex(v);
-  ResetVertexSlots(v);
-  ExtendSolution(&extend_scratch_);
-  DrainTransitions();
-  ProcessWorklist();
-}
-
-void KSwapMaintainer::SaveState(SnapshotWriter* w) const {
-  DYNMIS_CHECK(worklist_.empty());  // Quiescent point: no pending witnesses.
-  state_.SaveTo(w);
-}
-
-bool KSwapMaintainer::LoadState(SnapshotReader* r, const DynamicGraph&) {
-  if (!state_.LoadFrom(r)) return false;
-  EnsureCapacity();
-  return true;
 }
 
 size_t KSwapMaintainer::MemoryUsageBytes() const {
-  return state_.MemoryUsageBytes() + VectorBytes(worklist_) +
-         VectorBytes(in_worklist_) + VectorBytes(mark_) +
-         VectorBytes(position_) + visited_.MemoryUsageBytes() +
-         VectorBytes(extend_scratch_);
+  return SwapMaintainer::MemoryUsageBytes() + VectorBytes(worklist_) +
+         VectorBytes(in_worklist_) + VectorBytes(position_) +
+         visited_.MemoryUsageBytes();
 }
 
 std::string KSwapMaintainer::Name() const {

@@ -1,10 +1,10 @@
 // KSwapMaintainer: the paper's general maintenance framework (Algorithm 1)
 // for a user-specified k, used by the Fig 9 "effect of k" experiment with
-// k in {1, 2, 3, 4} and by cross-checking tests against DyOneSwap/DyTwoSwap.
+// k in {1, 2, 3, 4} and by cross-checking tests against DySwap.
 //
-// The specialized DyOneSwap/DyTwoSwap classes are the production
-// implementations for k = 1, 2; this class trades their tight per-case
-// handling for generality:
+// It shares the SwapMaintainer update skeleton with DySwap, the production
+// instance for k = 1, 2, and trades DySwap's tight per-case search for
+// generality:
 //
 //  * Candidates are vertex witnesses u with count(u) in [1..k]; a witness
 //    seeds the set S = I(u) (its solution neighbours).
@@ -15,10 +15,11 @@
 //    (|S|+1)-tight vertices y around S are explored (the framework's
 //    bottom-up candidate expansion, lines 11-12 of Algorithm 1).
 //
-// For k <= 2 this coverage matches the specialized algorithms (and tests
-// cross-check exact j-swap-freeness). For k >= 3 the exhaustive search is
-// capped (kSearchNodeCap) so a pathological dense neighbourhood cannot
-// stall an update; within the cap the maintained set is k-maximal.
+// For k <= 2 this coverage matches DySwap (and tests cross-check exact
+// j-swap-freeness). For k >= 3 the exhaustive search is capped
+// (kSearchNodeCap) so a pathological dense neighbourhood cannot stall an
+// update; within the cap the maintained set is k-maximal. Updates are
+// restored one at a time: ApplyBatch keeps the default per-op path.
 
 #ifndef DYNMIS_SRC_CORE_K_SWAP_H_
 #define DYNMIS_SRC_CORE_K_SWAP_H_
@@ -27,53 +28,17 @@
 #include <string>
 #include <vector>
 
-#include "dynmis/config.h"
-#include "dynmis/maintainer.h"
-#include "src/core/solution.h"
+#include "src/core/swap_maintainer.h"
 #include "src/util/stamped_hash_set.h"
 
 namespace dynmis {
 
-class KSwapMaintainer : public DynamicMisMaintainer {
+class KSwapMaintainer final : public SwapMaintainer {
  public:
   KSwapMaintainer(DynamicGraph* g, int k, MaintainerConfig options = {});
 
-  void Initialize(const std::vector<VertexId>& initial) override;
-  void InitializeEmpty() { Initialize({}); }
-
-  void InsertEdge(VertexId u, VertexId v) override;
-  void DeleteEdge(VertexId u, VertexId v) override;
-  VertexId InsertVertex(const std::vector<VertexId>& neighbors) override;
-  void DeleteVertex(VertexId v) override;
-
-  bool InSolution(VertexId v) const override { return state_.InSolution(v); }
-  int64_t SolutionSize() const override { return state_.SolutionSize(); }
-  std::vector<VertexId> Solution() const override { return state_.Solution(); }
-  void CollectSolution(std::vector<VertexId>* out) const override {
-    state_.AppendSolution(out);
-  }
   size_t MemoryUsageBytes() const override;
   std::string Name() const override;
-
-  // Persists the MisState arrays verbatim (section "mis"); the witness
-  // worklist is empty at every quiescent point, so no queue state travels.
-  // Load restores the arrays directly — no recompute.
-  void SaveState(SnapshotWriter* w) const override;
-  bool LoadState(SnapshotReader* r, const DynamicGraph& g) override;
-
-  // Lifetime MoveIn/MoveOut count of the underlying state (see DyOneSwap).
-  int64_t StateTransitionOps() const { return state_.status_ops(); }
-
-  bool SetStatusObserver(StatusObserverFn fn, void* ctx) override {
-    state_.SetStatusObserver(fn, ctx);
-    return true;
-  }
-
-  int k() const { return k_; }
-
-  void CheckConsistency() const {
-    state_.CheckConsistency(/*expect_maximal=*/true);
-  }
 
   struct Stats {
     int64_t swaps = 0;          // All j-swaps performed, any j.
@@ -86,11 +51,13 @@ class KSwapMaintainer : public DynamicMisMaintainer {
   // Upper bound on search-tree nodes per TrySwap call.
   static constexpr int64_t kSearchNodeCap = 100000;
 
-  void EnsureCapacity();
-  void ResetVertexSlots(VertexId v);
-  // Moves every count-0 vertex in `*candidates` into the solution (in degree
-  // order under perturbation). Borrows the caller's buffer — may reorder it.
-  void ExtendSolution(std::vector<VertexId>* candidates);
+  void OnTight(VertexId u) override { PushWitness(u); }
+  void OnFreedEdge(VertexId u, VertexId v) override;
+  void Restore() override;
+  void GrowSlots(size_t vcap) override { in_worklist_.resize(vcap, 0); }
+  void ResetSlots(VertexId v) override { in_worklist_[v] = 0; }
+  bool QueuesEmpty() const override { return worklist_.empty(); }
+
   void PushWitness(VertexId u);
   void DrainTransitions();
   void ProcessWorklist();
@@ -107,28 +74,14 @@ class KSwapMaintainer : public DynamicMisMaintainer {
   bool FindIndependentSubset(const std::vector<VertexId>& t, int target,
                              std::vector<VertexId>* result);
   static uint64_t HashSet(const std::vector<VertexId>& s);
-  void NewEpoch() { ++epoch_; }
-  void Mark(VertexId v) { mark_[v] = epoch_; }
-  bool Marked(VertexId v) const { return mark_[v] == epoch_; }
-
-  DynamicGraph* g_;
-  int k_;
-  MaintainerConfig options_;
-  MisState state_;
 
   std::vector<VertexId> worklist_;
   std::vector<uint8_t> in_worklist_;
-  std::vector<uint32_t> mark_;
-  uint32_t epoch_ = 0;
   // Scratch for FindIndependentSubset: position of a vertex in the current
   // search order, -1 outside a search.
   std::vector<VertexId> position_;
-  // Swap-set dedup within one restoration cascade, reused across updates
-  // (formerly a per-update std::unordered_set).
+  // Swap-set dedup within one restoration cascade, reused across updates.
   StampedHashSet visited_;
-  // Reusable scratch for the update handlers (freed vertices and
-  // deleted-vertex neighborhoods).
-  std::vector<VertexId> extend_scratch_;
 
   Stats stats_;
 };

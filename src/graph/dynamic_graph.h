@@ -142,11 +142,6 @@ class DynamicGraph {
     return rec.endpoint[0] == v ? rec.endpoint[1] : rec.endpoint[0];
   }
 
-  // Which endpoint slot (0 or 1) of edge `e` vertex `v` occupies. Algorithm
-  // layers use this to index per-edge, per-direction side arrays (e.g. the
-  // intrusive tightness lists of the MIS state).
-  int Side(EdgeId e, VertexId v) const { return SideOf(e, v); }
-
   // --- Incidence iteration ---------------------------------------------------
 
   // First incident edge of `v`, or kInvalidEdge.

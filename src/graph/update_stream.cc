@@ -29,33 +29,13 @@ std::string GraphUpdate::DebugString() const {
 UpdateStreamGenerator::UpdateStreamGenerator(UpdateStreamOptions options)
     : options_(options), rng_(SplitMix64(options.seed)) {}
 
-VertexId UpdateStreamGenerator::RandomAliveVertex(const DynamicGraph& g) {
-  DYNMIS_CHECK_GT(g.NumVertices(), 0);
-  while (true) {
-    const auto v = static_cast<VertexId>(rng_.NextBounded(g.VertexCapacity()));
-    if (g.IsVertexAlive(v)) return v;
-  }
-}
+namespace {
 
-VertexId UpdateStreamGenerator::RandomBiasedVertex(const DynamicGraph& g) {
-  if (options_.bias == EndpointBias::kDegreeProportional && g.NumEdges() > 0) {
-    // A uniform edge endpoint is a degree-proportional vertex.
-    while (true) {
-      const auto e = static_cast<EdgeId>(rng_.NextBounded(g.EdgeCapacity()));
-      if (g.IsEdgeAlive(e)) {
-        const auto [a, b] = g.Endpoints(e);
-        return rng_.NextBool(0.5) ? a : b;
-      }
-    }
-  }
-  return RandomAliveVertex(g);
-}
-
-bool UpdateStreamGenerator::RandomAliveEdge(const DynamicGraph& g, VertexId* u,
-                                            VertexId* v) {
+bool RandomAliveEdge(const DynamicGraph& g, Rng* rng, VertexId* u,
+                     VertexId* v) {
   if (g.NumEdges() == 0) return false;
   while (true) {
-    const auto e = static_cast<EdgeId>(rng_.NextBounded(g.EdgeCapacity()));
+    const auto e = static_cast<EdgeId>(rng->NextBounded(g.EdgeCapacity()));
     if (g.IsEdgeAlive(e)) {
       std::tie(*u, *v) = g.Endpoints(e);
       return true;
@@ -63,12 +43,37 @@ bool UpdateStreamGenerator::RandomAliveEdge(const DynamicGraph& g, VertexId* u,
   }
 }
 
-bool UpdateStreamGenerator::RandomNonEdge(const DynamicGraph& g, VertexId* u,
-                                          VertexId* v) {
+}  // namespace
+
+VertexId RandomAliveVertex(const DynamicGraph& g, Rng* rng) {
+  DYNMIS_CHECK_GT(g.NumVertices(), 0);
+  while (true) {
+    const auto v = static_cast<VertexId>(rng->NextBounded(g.VertexCapacity()));
+    if (g.IsVertexAlive(v)) return v;
+  }
+}
+
+VertexId RandomBiasedVertex(const DynamicGraph& g, EndpointBias bias,
+                            Rng* rng) {
+  if (bias == EndpointBias::kDegreeProportional && g.NumEdges() > 0) {
+    // A uniform edge endpoint is a degree-proportional vertex.
+    while (true) {
+      const auto e = static_cast<EdgeId>(rng->NextBounded(g.EdgeCapacity()));
+      if (g.IsEdgeAlive(e)) {
+        const auto [a, b] = g.Endpoints(e);
+        return rng->NextBool(0.5) ? a : b;
+      }
+    }
+  }
+  return RandomAliveVertex(g, rng);
+}
+
+bool RandomNonEdge(const DynamicGraph& g, EndpointBias bias, Rng* rng,
+                   VertexId* u, VertexId* v) {
   if (g.NumVertices() < 2) return false;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    const VertexId a = RandomBiasedVertex(g);
-    const VertexId b = RandomBiasedVertex(g);
+    const VertexId a = RandomBiasedVertex(g, bias, rng);
+    const VertexId b = RandomBiasedVertex(g, bias, rng);
     if (a == b || g.HasEdge(a, b)) continue;
     *u = a;
     *v = b;
@@ -82,14 +87,14 @@ GraphUpdate UpdateStreamGenerator::Next(const DynamicGraph& g) {
   const bool edge_op = rng_.NextBool(options_.edge_op_fraction);
   const bool insert = rng_.NextBool(options_.insert_fraction);
   if (edge_op && insert) {
-    if (RandomNonEdge(g, &update.u, &update.v)) {
+    if (RandomNonEdge(g, options_.bias, &rng_, &update.u, &update.v)) {
       update.kind = UpdateKind::kInsertEdge;
       return update;
     }
     // Dense graph: fall through to edge deletion.
   }
   if (edge_op) {
-    if (RandomAliveEdge(g, &update.u, &update.v)) {
+    if (RandomAliveEdge(g, &rng_, &update.u, &update.v)) {
       update.kind = UpdateKind::kDeleteEdge;
       return update;
     }
@@ -106,14 +111,14 @@ GraphUpdate UpdateStreamGenerator::Next(const DynamicGraph& g) {
     degree = std::min<int>(degree, g.NumVertices());
     std::unordered_set<VertexId> chosen;
     while (static_cast<int>(chosen.size()) < degree) {
-      chosen.insert(RandomBiasedVertex(g));
+      chosen.insert(RandomBiasedVertex(g, options_.bias, &rng_));
     }
     update.neighbors.assign(chosen.begin(), chosen.end());
     std::sort(update.neighbors.begin(), update.neighbors.end());
     return update;
   }
   update.kind = UpdateKind::kDeleteVertex;
-  update.u = RandomAliveVertex(g);
+  update.u = RandomAliveVertex(g, &rng_);
   return update;
 }
 

@@ -67,6 +67,25 @@ struct UpdateStreamOptions {
   uint64_t seed = 1;
 };
 
+// --- Samplers ----------------------------------------------------------------
+// Shared by UpdateStreamGenerator and the temporal stream (src/ingest), so
+// both draw from `rng` in the same order.
+
+// A uniformly random alive vertex; requires g.NumVertices() > 0.
+VertexId RandomAliveVertex(const DynamicGraph& g, Rng* rng);
+
+// A vertex sampled according to `bias` (degree-proportional sampling picks
+// a random endpoint of a random edge; it never returns isolated vertices,
+// so it falls back to uniform when there are no edges).
+VertexId RandomBiasedVertex(const DynamicGraph& g, EndpointBias bias,
+                            Rng* rng);
+
+// A non-adjacent pair of distinct vertices, both drawn with `bias`. Returns
+// false when 64 draws find none (the graph is nearly complete) or when the
+// graph has fewer than two vertices.
+bool RandomNonEdge(const DynamicGraph& g, EndpointBias bias, Rng* rng,
+                   VertexId* u, VertexId* v);
+
 // Draws valid updates against an evolving graph. The caller applies each
 // update to the graph(s) before drawing the next one.
 class UpdateStreamGenerator {
@@ -78,14 +97,6 @@ class UpdateStreamGenerator {
   GraphUpdate Next(const DynamicGraph& g);
 
  private:
-  VertexId RandomAliveVertex(const DynamicGraph& g);
-  // A vertex sampled according to options_.bias (degree-proportional
-  // sampling picks a random endpoint of a random edge; it never returns
-  // isolated vertices, so it falls back to uniform when there are no edges).
-  VertexId RandomBiasedVertex(const DynamicGraph& g);
-  bool RandomAliveEdge(const DynamicGraph& g, VertexId* u, VertexId* v);
-  bool RandomNonEdge(const DynamicGraph& g, VertexId* u, VertexId* v);
-
   UpdateStreamOptions options_;
   Rng rng_;
 };

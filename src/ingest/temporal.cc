@@ -2,50 +2,10 @@
 
 #include <algorithm>
 
-#include "src/util/check.h"
 #include "src/util/random.h"
 
 namespace dynmis {
 namespace ingest {
-namespace {
-
-VertexId RandomAliveVertex(const DynamicGraph& g, Rng* rng) {
-  DYNMIS_CHECK_GT(g.NumVertices(), 0);
-  while (true) {
-    const auto v = static_cast<VertexId>(rng->NextBounded(g.VertexCapacity()));
-    if (g.IsVertexAlive(v)) return v;
-  }
-}
-
-VertexId RandomBiasedVertex(const DynamicGraph& g, EndpointBias bias,
-                            Rng* rng) {
-  if (bias == EndpointBias::kDegreeProportional && g.NumEdges() > 0) {
-    while (true) {
-      const auto e = static_cast<EdgeId>(rng->NextBounded(g.EdgeCapacity()));
-      if (g.IsEdgeAlive(e)) {
-        const auto [a, b] = g.Endpoints(e);
-        return rng->NextBool(0.5) ? a : b;
-      }
-    }
-  }
-  return RandomAliveVertex(g, rng);
-}
-
-bool RandomNonEdge(const DynamicGraph& g, EndpointBias bias, Rng* rng,
-                   VertexId* u, VertexId* v) {
-  if (g.NumVertices() < 2) return false;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const VertexId a = RandomBiasedVertex(g, bias, rng);
-    const VertexId b = RandomBiasedVertex(g, bias, rng);
-    if (a == b || g.HasEdge(a, b)) continue;
-    *u = a;
-    *v = b;
-    return true;
-  }
-  return false;  // Graph is (nearly) complete.
-}
-
-}  // namespace
 
 TimingWheel::TimingWheel(uint32_t ttl_ticks)
     : slots_(std::max<uint32_t>(1, ttl_ticks)) {}

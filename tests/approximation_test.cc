@@ -7,8 +7,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/degree_stats.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
@@ -30,7 +29,7 @@ TEST(ApproximationTest, Theorem2BoundHoldsOnRandomSweep) {
         ErdosRenyiGnm(n, static_cast<int64_t>(n * (0.5 + rng.NextDouble() * 2)),
                       &rng);
     DynamicGraph g = base.ToDynamic();
-    DyOneSwap algo(&g);
+    DySwap algo(&g, 1);
     algo.InitializeEmpty();
     const int alpha = BruteForceAlpha(base.ToStatic());
     const double delta = g.MaxDegree();
@@ -45,7 +44,7 @@ TEST(ApproximationTest, Theorem6BoundHoldsUnderUpdates) {
   Rng rng(99);
   const EdgeListGraph base = ErdosRenyiGnm(16, 24, &rng);
   DynamicGraph g = base.ToDynamic();
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 2024;
@@ -102,7 +101,7 @@ TEST(ApproximationTest, Lemma1CliqueProperty) {
   Rng rng(5);
   const EdgeListGraph base = ErdosRenyiGnm(40, 90, &rng);
   DynamicGraph g = base.ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   std::vector<int> count(g.VertexCapacity(), 0);
   for (VertexId v : algo.Solution()) {
@@ -145,7 +144,7 @@ TEST(ApproximationTest, ConstantFactorOnPowerLawGraphs) {
   Rng rng(21);
   const EdgeListGraph base = ChungLuPowerLaw(2000, 2.5, 6.0, &rng);
   DynamicGraph g = base.ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   const ExactMisResult exact = SolveExactMis(base.ToStatic());
   ASSERT_TRUE(exact.solved);

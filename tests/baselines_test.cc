@@ -8,7 +8,7 @@
 #include "src/baselines/dgdis.h"
 #include "src/baselines/dyarw.h"
 #include "src/baselines/recompute.h"
-#include "src/core/one_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/util/random.h"
@@ -80,7 +80,7 @@ TEST(DyArwTest, SizeTracksDyOneSwap) {
     DynamicGraph ga = base.ToDynamic();
     DynamicGraph gb = base.ToDynamic();
     DyArw arw(&ga);
-    DyOneSwap one(&gb);
+    DySwap one(&gb, 1);
     arw.Initialize({});
     one.InitializeEmpty();
     UpdateStreamOptions stream;

@@ -99,12 +99,34 @@ struct PinnedInput {
   std::vector<GraphUpdate> stream;
 };
 
+// A random geometric graph: n points in the unit square, adjacent within
+// distance r. Its triangles put adjacent 1-tight vertices under one owner,
+// so edge deletions reach the swap maintainers' deletion cases ii.a and
+// ii.c, which random graphs almost never do.
+EdgeListGraph RandomGeometric(int n, double r, Rng* rng) {
+  std::vector<double> x(n), y(n);
+  for (int i = 0; i < n; ++i) {
+    x[i] = rng->NextDouble();
+    y[i] = rng->NextDouble();
+  }
+  EdgeListGraph g;
+  g.n = n;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double dx = x[i] - x[j];
+      const double dy = y[i] - y[j];
+      if (dx * dx + dy * dy < r * r) g.edges.emplace_back(i, j);
+    }
+  }
+  return g;
+}
+
 // Two seeded graphs, each with a uniform stream that includes vertex ops
 // and a degree-biased one.
 std::vector<PinnedInput> PinnedInputs() {
-  Rng er_rng(31);
+  Rng geo_rng(31);
   Rng pl_rng(37);
-  const EdgeListGraph graphs[] = {ErdosRenyiGnm(300, 1000, &er_rng),
+  const EdgeListGraph graphs[] = {RandomGeometric(400, 0.07, &geo_rng),
                                   ChungLuPowerLaw(400, 2.3, 6.0, &pl_rng)};
   std::vector<PinnedInput> inputs;
   uint64_t seed = 41;
@@ -158,14 +180,14 @@ TEST(DeterminismTest, PinnedSwapMaintainerSolutions) {
     uint64_t batched;
   };
   const Pin pins[] = {
-      {"DyOneSwap", 0x5f928ade40f402baULL, 0x4cd6c114bc2989f7ULL},
-      {"DyOneSwap*", 0x02aee65981563cb8ULL, 0x4638a0a067005284ULL},
-      {"DyTwoSwap", 0xcf88a85e071b6c96ULL, 0xa4dab8f147866cb3ULL},
-      {"DyTwoSwap*", 0x21bd1c5e971d13f7ULL, 0xe795a1268c0eb6c9ULL},
-      {"KSwap1", 0xe72a394acd713b02ULL, 0x4577682accba108eULL},
-      {"KSwap2", 0x2299a35a0002dc39ULL, 0xb614877cd80444e2ULL},
-      {"KSwap3", 0xc9bf40cf55f3aa06ULL, 0x455b3b18a5d62fa5ULL},
-      {"KSwap4", 0x751e0ec24d96ad2eULL, 0x194973588961954fULL},
+      {"DyOneSwap", 0x8faeb9e2c05eebe0ULL, 0xa0097a1b4dd2323aULL},
+      {"DyOneSwap*", 0xfae3c7806591e76aULL, 0x81b116ba94f4ed81ULL},
+      {"DyTwoSwap", 0x9465d9c67ccd00ecULL, 0x6c1ce6b640cf304eULL},
+      {"DyTwoSwap*", 0x9d65afa413c325edULL, 0x4f43df163093b010ULL},
+      {"KSwap1", 0x31ce0c68f6b8d5d6ULL, 0xd84ecfd6bd00694cULL},
+      {"KSwap2", 0xe4b880998e71b5edULL, 0x641bfb5639d36352ULL},
+      {"KSwap3", 0xc740cc781272a360ULL, 0x795049cf2784f0ebULL},
+      {"KSwap4", 0xe2888a149690beb6ULL, 0x994caf8e5e36c2ddULL},
   };
   const std::vector<PinnedInput> inputs = PinnedInputs();
   for (const Pin& pin : pins) {
@@ -207,7 +229,7 @@ TEST(DeterminismTest, PinnedStreamGenerators) {
   const std::vector<PinnedInput> inputs = PinnedInputs();
   uint64_t h = kFnvOffset;
   for (const PinnedInput& input : inputs) h = FoldStream(h, input.stream);
-  EXPECT_EQ(h, 0xe0b62f9fa7536ac7ULL) << "update streams: 0x" << std::hex << h;
+  EXPECT_EQ(h, 0x68f0fefea97e1709ULL) << "update streams: 0x" << std::hex << h;
 
   Rng rng(53);
   const EdgeListGraph base = ChungLuPowerLaw(300, 2.3, 6.0, &rng);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/util/random.h"
@@ -64,7 +64,7 @@ TEST(EngineTest, ReplayTraceAndCrossCheckStats) {
   // The maintained set is a maximal independent set of the engine's graph,
   // and the maintainer's full internal invariant check passes.
   EXPECT_TRUE(IsMaximalIndependentSet(engine->graph(), engine->Solution()));
-  auto* two_swap = dynamic_cast<DyTwoSwap*>(&engine->maintainer());
+  auto* two_swap = dynamic_cast<DySwap*>(&engine->maintainer());
   ASSERT_NE(two_swap, nullptr);
   two_swap->CheckConsistency();
 }

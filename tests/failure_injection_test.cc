@@ -3,8 +3,7 @@
 // pin down the checked preconditions.
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/graph/generators.h"
 
@@ -17,7 +16,7 @@ TEST(FailureInjectionTest, RemoveMissingEdgeAborts) {
   DynamicGraph g(3);
   g.AddEdge(0, 1);
   EXPECT_FALSE(g.RemoveEdgeBetween(1, 2));  // Graceful form returns false.
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   EXPECT_DEATH(algo.DeleteEdge(1, 2), "DYNMIS_CHECK");
 }
@@ -42,20 +41,20 @@ TEST(FailureInjectionTest, EdgeToDeadVertexAborts) {
 TEST(FailureInjectionTest, NonIndependentInitialSolutionAborts) {
   DynamicGraph g(2);
   g.AddEdge(0, 1);
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   EXPECT_DEATH(algo.Initialize({0, 1}), "DYNMIS_CHECK");
 }
 
 TEST(FailureInjectionTest, InitialSolutionWithDeadVertexAborts) {
   DynamicGraph g(3);
   g.RemoveVertex(1);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   EXPECT_DEATH(algo.Initialize({1}), "DYNMIS_CHECK");
 }
 
 TEST(FailureInjectionTest, DeleteVertexTwiceThroughMaintainerAborts) {
   DynamicGraph g = PathGraph(4).ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   algo.DeleteVertex(2);
   EXPECT_DEATH(algo.DeleteVertex(2), "DYNMIS_CHECK");
@@ -63,7 +62,7 @@ TEST(FailureInjectionTest, DeleteVertexTwiceThroughMaintainerAborts) {
 
 TEST(FailureInjectionTest, InsertVertexSelfNeighborAborts) {
   DynamicGraph g(2);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   // The new vertex's id will be 2; listing it as its own neighbour is a
   // caller bug caught by the edge checks.

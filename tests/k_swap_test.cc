@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/util/random.h"
@@ -141,7 +140,7 @@ TEST(KSwapTest, AgreesWithSpecializedImplementations) {
   DynamicGraph ga = base.ToDynamic();
   DynamicGraph gb = base.ToDynamic();
   KSwapMaintainer generic(&ga, 2);
-  DyTwoSwap specialized(&gb);
+  DySwap specialized(&gb, 2);
   generic.InitializeEmpty();
   specialized.InitializeEmpty();
   for (const GraphUpdate& update : updates) {

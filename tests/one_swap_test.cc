@@ -3,7 +3,7 @@
 // independence, maximality, internal structure consistency and the absence
 // of any 1-swap (verified by brute force).
 
-#include "src/core/one_swap.h"
+#include "src/core/dy_swap.h"
 
 #include <memory>
 #include <vector>
@@ -24,14 +24,14 @@ using testing_util::IsMaximalIndependentSet;
 
 TEST(DyOneSwapTest, EmptyGraph) {
   DynamicGraph g(0);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   EXPECT_EQ(algo.SolutionSize(), 0);
 }
 
 TEST(DyOneSwapTest, IsolatedVerticesAllEnter) {
   DynamicGraph g(4);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   EXPECT_EQ(algo.SolutionSize(), 4);
   algo.CheckConsistency();
@@ -39,7 +39,7 @@ TEST(DyOneSwapTest, IsolatedVerticesAllEnter) {
 
 TEST(DyOneSwapTest, TriangleKeepsOneVertex) {
   DynamicGraph g = CompleteGraph(3).ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   EXPECT_EQ(algo.SolutionSize(), 1);
   algo.CheckConsistency();
@@ -48,7 +48,7 @@ TEST(DyOneSwapTest, TriangleKeepsOneVertex) {
 TEST(DyOneSwapTest, InitialSolutionIsRespectedAndExtended) {
   // Path 0-1-2-3: initializing with {1} must still produce a maximal set.
   DynamicGraph g = PathGraph(4).ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.Initialize({1});
   EXPECT_TRUE(algo.InSolution(1));
   EXPECT_TRUE(IsMaximalIndependentSet(g, algo.Solution()));
@@ -59,7 +59,7 @@ TEST(DyOneSwapTest, InitializeFixesOneSwapsInStar) {
   // Star: the hub alone is maximal but not 1-maximal; initialization must
   // swap the hub for the leaves.
   DynamicGraph g = StarGraph(5).ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.Initialize({0});
   EXPECT_EQ(algo.SolutionSize(), 5);
   EXPECT_FALSE(algo.InSolution(0));
@@ -68,7 +68,7 @@ TEST(DyOneSwapTest, InitializeFixesOneSwapsInStar) {
 
 TEST(DyOneSwapTest, EdgeInsertBetweenSolutionVertices) {
   DynamicGraph g(2);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   EXPECT_EQ(algo.SolutionSize(), 2);
   algo.InsertEdge(0, 1);
@@ -82,7 +82,7 @@ TEST(DyOneSwapTest, EdgeDeleteTriggersOneSwap) {
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   g.AddEdge(1, 2);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   ASSERT_EQ(algo.SolutionSize(), 1);
   // Deleting 1-2 creates the 1-swap {hub} -> {1, 2} when hub was selected;
@@ -95,7 +95,7 @@ TEST(DyOneSwapTest, EdgeDeleteTriggersOneSwap) {
 
 TEST(DyOneSwapTest, VertexInsertWithNeighbors) {
   DynamicGraph g(3);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   const VertexId v = algo.InsertVertex({0, 1, 2});
   EXPECT_FALSE(algo.InSolution(v));
@@ -105,7 +105,7 @@ TEST(DyOneSwapTest, VertexInsertWithNeighbors) {
 
 TEST(DyOneSwapTest, VertexDeleteFreesNeighbors) {
   DynamicGraph g = StarGraph(4).ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   ASSERT_EQ(algo.SolutionSize(), 4);  // Leaves win.
   // Delete a leaf; hub still covered by other leaves.
@@ -123,7 +123,7 @@ TEST(DyOneSwapTest, VertexDeleteFreesNeighbors) {
 TEST(DyOneSwapTest, VertexIdRecyclingIsClean) {
   DynamicGraph g(4);
   g.AddEdge(0, 1);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   algo.DeleteVertex(0);
   const VertexId v = algo.InsertVertex({2, 3});
@@ -147,7 +147,7 @@ TEST_P(DyOneSwapPropertyTest, InvariantsHoldAfterEveryUpdate) {
   const EdgeListGraph base = ErdosRenyiGnm(
       param.n, static_cast<int64_t>(param.n * param.density), &rng);
   DynamicGraph g = base.ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   ASSERT_TRUE(IsMaximalIndependentSet(g, algo.Solution()));
   ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 1));
@@ -184,7 +184,7 @@ TEST(DyOneSwapTest, PerturbationKeepsInvariants) {
   DynamicGraph g = base.ToDynamic();
   MaintainerConfig options;
   options.perturb = true;
-  DyOneSwap algo(&g, options);
+  DySwap algo(&g, 1, options);
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 1234;
@@ -202,7 +202,7 @@ TEST(DyOneSwapTest, StatsCountSwaps) {
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   g.AddEdge(1, 2);
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   algo.DeleteEdge(1, 2);
   EXPECT_GE(algo.stats().one_swaps, 1);

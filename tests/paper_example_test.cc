@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/core/solution.h"
-#include "src/core/two_swap.h"
 #include "src/static_mis/brute_force.h"
 #include "tests/verifiers.h"
 
@@ -90,7 +89,7 @@ TEST(PaperExampleTest, PaperSolutionIsMaximalButAdmitsTwoSwap) {
 TEST(PaperExampleTest, DyTwoSwapReachesTheOptimum) {
   DynamicGraph g = Fig4Graph();
   const int alpha = BruteForceAlpha(StaticGraph::FromDynamic(g));
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.Initialize(kPaperSolution);
   // Initialization already applies Example 3's 2-swap: v1, v7 in, v10 in.
   EXPECT_EQ(algo.SolutionSize(), alpha);
@@ -101,23 +100,20 @@ TEST(PaperExampleTest, EdgeInsertionCascade) {
   // The paper's update: insert (v3, v4) while both are in I.
   for (const bool use_two_swap : {false, true}) {
     DynamicGraph g = Fig4Graph();
-    std::unique_ptr<DynamicMisMaintainer> algo;
-    if (use_two_swap) {
-      algo = std::make_unique<DyTwoSwap>(&g);
-    } else {
-      algo = std::make_unique<DyOneSwap>(&g);
-    }
-    algo->Initialize(kPaperSolution);
-    const int64_t before = algo->SolutionSize();
-    algo->InsertEdge(V(3), V(4));
+    DySwap algo(&g, use_two_swap ? 2 : 1);
+    algo.Initialize(kPaperSolution);
+    const int64_t before = algo.SolutionSize();
+    algo.InsertEdge(V(3), V(4));
     // The cascade must keep the solution k-maximal, and the size can drop
     // by at most... in fact the swaps recover everything here.
-    EXPECT_FALSE(testing_util::HasSwapUpTo(g, algo->Solution(),
-                                           use_two_swap ? 2 : 1));
-    EXPECT_GE(algo->SolutionSize(), before - 1);
+    EXPECT_FALSE(
+        testing_util::HasSwapUpTo(g, algo.Solution(), use_two_swap ? 2 : 1));
+    EXPECT_GE(algo.SolutionSize(), before - 1);
     // Fig 4(d): with k = 2 the final solution still has 5 vertices.
     const int alpha = BruteForceAlpha(StaticGraph::FromDynamic(g));
-    if (use_two_swap) EXPECT_EQ(algo->SolutionSize(), alpha);
+    if (use_two_swap) {
+      EXPECT_EQ(algo.SolutionSize(), alpha);
+    }
   }
 }
 

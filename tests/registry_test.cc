@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/generators.h"
 #include "src/util/random.h"
 
@@ -97,7 +97,7 @@ TEST(RegistryTest, ListAlgorithmsCoversTheBuiltins) {
 TEST(RegistryTest, DuplicateAndDanglingRegistrationsAreRejected) {
   MaintainerRegistry& registry = MaintainerRegistry::Global();
   auto factory = [](DynamicGraph* g, const MaintainerConfig& config) {
-    return std::make_unique<DyOneSwap>(g, config);
+    return std::make_unique<DySwap>(g, 1, config);
   };
   EXPECT_FALSE(registry.Register("DyOneSwap", factory));   // Name taken.
   EXPECT_FALSE(registry.Register("DyOneSwap*", factory));  // Alias taken.
@@ -110,7 +110,7 @@ TEST(RegistryTest, DuplicateAndDanglingRegistrationsAreRejected) {
 DYNMIS_REGISTER_MAINTAINER(
     "RegistryTestAlgo", "test-only registration",
     [](DynamicGraph* g, const MaintainerConfig& config) {
-      return std::make_unique<DyOneSwap>(g, config);
+      return std::make_unique<DySwap>(g, 1, config);
     });
 
 TEST(RegistryTest, MacroRegistrationIsVisible) {

@@ -13,9 +13,8 @@
 
 #include "dynmis/registry.h"
 #include "gtest/gtest.h"
+#include "src/core/dy_swap.h"
 #include "src/core/k_swap.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/util/random.h"
@@ -122,10 +121,10 @@ TEST(ScratchReuseTest, ChurnWithIdRecyclingPassesCheckConsistency) {
   };
   for (uint64_t variant = 0; variant < 3; ++variant) {
     DynamicGraph g1 = base.ToDynamic();
-    DyOneSwap algo1(&g1);
+    DySwap algo1(&g1, 1);
     run(algo1, g1, 100 + variant);
     DynamicGraph g2 = base.ToDynamic();
-    DyTwoSwap algo2(&g2);
+    DySwap algo2(&g2, 2);
     run(algo2, g2, 200 + variant);
     DynamicGraph g3 = base.ToDynamic();
     KSwapMaintainer algo3(&g3, /*k=*/3);
@@ -191,7 +190,7 @@ TEST(ScratchReuseTest, SteadyStateUpdatesDoNotGrowMemory) {
   SteadyStateRig rig(2000, 12000);
   {
     DynamicGraph g = rig.MakeGraph();
-    DyTwoSwap algo(&g);
+    DySwap algo(&g, 2);
     algo.Initialize({});
     for (int i = 0; i < 6000; ++i) algo.Apply(rig.updates[i]);
     const size_t structures_before = algo.MemoryUsageBytes();
@@ -202,7 +201,7 @@ TEST(ScratchReuseTest, SteadyStateUpdatesDoNotGrowMemory) {
   }
   {
     DynamicGraph g = rig.MakeGraph();
-    DyOneSwap algo(&g);
+    DySwap algo(&g, 1);
     algo.Initialize({});
     for (int i = 0; i < 6000; ++i) algo.Apply(rig.updates[i]);
     const size_t structures_before = algo.MemoryUsageBytes();
@@ -228,7 +227,7 @@ int64_t CountSteadyStateAllocations(const SteadyStateRig& rig, Algo* algo,
 TEST(ScratchReuseTest, DyTwoSwapSteadyStateUpdatesAreAllocationFree) {
   SteadyStateRig rig(2000, 15000);
   DynamicGraph g = rig.MakeGraph();
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   EXPECT_EQ(CountSteadyStateAllocations(rig, &algo, /*warmup=*/10000,
                                         /*window=*/5000),
             0);
@@ -237,7 +236,7 @@ TEST(ScratchReuseTest, DyTwoSwapSteadyStateUpdatesAreAllocationFree) {
 TEST(ScratchReuseTest, DyOneSwapSteadyStateUpdatesAreAllocationFree) {
   SteadyStateRig rig(2000, 15000);
   DynamicGraph g = rig.MakeGraph();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   EXPECT_EQ(CountSteadyStateAllocations(rig, &algo, /*warmup=*/10000,
                                         /*window=*/5000),
             0);

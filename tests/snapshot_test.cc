@@ -18,9 +18,7 @@
 
 #include "dynmis/dynmis.h"
 #include "gtest/gtest.h"
-#include "src/core/k_swap.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
+#include "src/core/swap_maintainer.h"
 #include "src/io/atomic_file.h"
 #include "src/util/faultfs.h"
 #include "tests/verifiers.h"
@@ -71,28 +69,16 @@ std::vector<VertexId> SortedSolution(const MisEngine& engine) {
   return solution;
 }
 
-// The state-transition op counter and consistency hook of the core
-// maintainers, reached through the facade. Returns -1 for non-core types.
+// The state-transition op counter and consistency hook of the swap
+// maintainers, reached through the facade. Returns -1 for other types.
 int64_t StateTransitionOps(const DynamicMisMaintainer& maintainer) {
-  if (auto* one = dynamic_cast<const DyOneSwap*>(&maintainer)) {
-    return one->StateTransitionOps();
-  }
-  if (auto* two = dynamic_cast<const DyTwoSwap*>(&maintainer)) {
-    return two->StateTransitionOps();
-  }
-  if (auto* k = dynamic_cast<const KSwapMaintainer*>(&maintainer)) {
-    return k->StateTransitionOps();
-  }
-  return -1;
+  auto* swap = dynamic_cast<const SwapMaintainer*>(&maintainer);
+  return swap != nullptr ? swap->StateTransitionOps() : -1;
 }
 
 void CheckCoreConsistency(const DynamicMisMaintainer& maintainer) {
-  if (auto* one = dynamic_cast<const DyOneSwap*>(&maintainer)) {
-    one->CheckConsistency();
-  } else if (auto* two = dynamic_cast<const DyTwoSwap*>(&maintainer)) {
-    two->CheckConsistency();
-  } else if (auto* k = dynamic_cast<const KSwapMaintainer*>(&maintainer)) {
-    k->CheckConsistency();
+  if (auto* swap = dynamic_cast<const SwapMaintainer*>(&maintainer)) {
+    swap->CheckConsistency();
   }
 }
 

@@ -6,8 +6,7 @@
 #include <filesystem>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_trace_io.h"
 #include "src/util/random.h"
@@ -87,9 +86,9 @@ TEST(BatchModeTest, BatchEndsKMaximal) {
     DynamicGraph g = base.ToDynamic();
     std::unique_ptr<DynamicMisMaintainer> algo;
     if (two_swap) {
-      algo = std::make_unique<DyTwoSwap>(&g);
+      algo = std::make_unique<DySwap>(&g, 2);
     } else {
-      algo = std::make_unique<DyOneSwap>(&g);
+      algo = std::make_unique<DySwap>(&g, 1);
     }
     algo->Initialize({});
     // Apply in blocks of 50.
@@ -115,8 +114,8 @@ TEST(BatchModeTest, BatchMatchesPerUpdateQualityClosely) {
 
   DynamicGraph g1 = base.ToDynamic();
   DynamicGraph g2 = base.ToDynamic();
-  DyTwoSwap per_update(&g1);
-  DyTwoSwap batched(&g2);
+  DySwap per_update(&g1, 2);
+  DySwap batched(&g2, 2);
   per_update.InitializeEmpty();
   batched.InitializeEmpty();
   for (const GraphUpdate& u : updates) per_update.Apply(u);
@@ -133,7 +132,7 @@ TEST(BatchModeTest, DefaultImplementationStillWorks) {
   Rng rng(13);
   const EdgeListGraph base = ErdosRenyiGnm(30, 60, &rng);
   DynamicGraph g = base.ToDynamic();
-  DyOneSwap algo(&g);
+  DySwap algo(&g, 1);
   algo.InitializeEmpty();
   std::vector<GraphUpdate> empty_batch;
   algo.ApplyBatch(empty_batch);  // No-op must be safe.

@@ -2,12 +2,11 @@
 // property sweeps asserting 2-maximality (no 1-swap and no 2-swap, brute
 // forced) and MisState consistency after every update.
 
-#include "src/core/two_swap.h"
+#include "src/core/dy_swap.h"
 
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/core/one_swap.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/util/random.h"
@@ -22,7 +21,7 @@ using testing_util::IsMaximalIndependentSet;
 
 TEST(DyTwoSwapTest, EmptyGraph) {
   DynamicGraph g(0);
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.InitializeEmpty();
   EXPECT_EQ(algo.SolutionSize(), 0);
 }
@@ -33,7 +32,7 @@ TEST(DyTwoSwapTest, InitializeFindsTwoSwap) {
   // original triangle vertices {0,1,2} are 1-maximal (subdivision vertices
   // 3,4,5 are 2-tight, each pair shares one), but {3,4,5} is the optimum.
   DynamicGraph g = SubdivideEdges(CompleteGraph(3)).ToDynamic();
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.Initialize({0, 1, 2});
   // A 2-maximal solution of K'_3 has size 3 and no 2-swap.
   EXPECT_FALSE(HasSwapUpTo(g, algo.Solution(), 2));
@@ -49,7 +48,7 @@ TEST(DyTwoSwapTest, OneMaximalButNotTwoMaximalGetsFixed) {
   g.AddEdge(1, 3);
   g.AddEdge(0, 4);
   g.AddEdge(1, 4);
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.Initialize({0, 1});
   EXPECT_EQ(algo.SolutionSize(), 3);
   EXPECT_TRUE(algo.InSolution(4));
@@ -67,7 +66,7 @@ TEST(DyTwoSwapTest, EdgeDeletionCaseB) {
   g.AddEdge(1, 4);
   g.AddEdge(2, 3);  // The edge to delete.
   // Make u and v not form a 1-swap with w: w adjacent to both owners only.
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.Initialize({0, 1});
   ASSERT_EQ(algo.SolutionSize(), 2);
   algo.DeleteEdge(2, 3);
@@ -84,8 +83,8 @@ TEST(DyTwoSwapTest, MatchesOneSwapQualityFloor) {
     const EdgeListGraph base = ErdosRenyiGnm(40, 80, &rng);
     DynamicGraph g1 = base.ToDynamic();
     DynamicGraph g2 = base.ToDynamic();
-    DyOneSwap one(&g1);
-    DyTwoSwap two(&g2);
+    DySwap one(&g1, 1);
+    DySwap two(&g2, 2);
     one.InitializeEmpty();
     two.InitializeEmpty();
     EXPECT_FALSE(HasSwapUpTo(g2, two.Solution(), 2)) << "seed " << seed;
@@ -107,7 +106,7 @@ TEST_P(DyTwoSwapPropertyTest, TwoMaximalAfterEveryUpdate) {
   const EdgeListGraph base = ErdosRenyiGnm(
       param.n, static_cast<int64_t>(param.n * param.density), &rng);
   DynamicGraph g = base.ToDynamic();
-  DyTwoSwap algo(&g);
+  DySwap algo(&g, 2);
   algo.InitializeEmpty();
   ASSERT_FALSE(HasSwapUpTo(g, algo.Solution(), 2)) << "after init";
 
@@ -142,7 +141,7 @@ TEST(DyTwoSwapTest, PerturbationKeepsInvariants) {
   DynamicGraph g = base.ToDynamic();
   MaintainerConfig options;
   options.perturb = true;
-  DyTwoSwap algo(&g, options);
+  DySwap algo(&g, 2, options);
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 4321;
@@ -166,8 +165,8 @@ TEST(DyTwoSwapTest, TracksOrBeatsOneSwapOnAverage) {
     const EdgeListGraph base = ErdosRenyiGnm(60, 150, &rng);
     DynamicGraph g1 = base.ToDynamic();
     DynamicGraph g2 = base.ToDynamic();
-    DyOneSwap one(&g1);
-    DyTwoSwap two(&g2);
+    DySwap one(&g1, 1);
+    DySwap two(&g2, 2);
     one.InitializeEmpty();
     two.InitializeEmpty();
     UpdateStreamOptions stream;

@@ -2,8 +2,14 @@
 """Benchmark regression gate for CI.
 
 Compares a freshly produced BENCH_<scenario>.json against the committed
-baseline and fails when any (algorithm, batch_size) run's ops_per_sec drops
-below --min-ratio of the baseline (default 0.75, i.e. a >25% regression).
+baseline and fails when any (algorithm, batch_size) run
+  * drops its ops_per_sec below --min-ratio of the baseline (default 0.75,
+    i.e. a >25% regression, shape-normalized as described below);
+  * grows its peak_memory_bytes above 1.25x the baseline's; or
+  * drops its quality_vs_greedy below the baseline's minus 0.01.
+Memory and quality are machine-independent (byte counts of the library's
+own structures, and a solution-size ratio on a seeded workload), so those
+two gates compare raw per-run values with no normalization.
 
 Throughput ratios are hardware-sensitive; the committed baselines were
 measured on a developer machine while CI runs on shared runners, so the
@@ -32,7 +38,8 @@ as do the "ingest" and "temporal" blocks the workload scenarios emit
 
 Pass --candidate several times to gate on the best of N repeated runs
 (per (algorithm, batch_size) the maximum ops_per_sec is used), which keeps
-short reduced-scale CI runs from tripping the gate on scheduler noise.
+short reduced-scale CI runs from tripping the gate on scheduler noise. The
+memory and quality gates take the worst value any repeat reports.
 
 Usage:
   check_bench_regression.py --baseline BENCH_hard.json \
@@ -53,7 +60,13 @@ REQUIRED_RUN_FIELDS = (
     "latency_p99_us",
     "peak_memory_bytes",
     "final_solution_size",
+    "quality_vs_greedy",
 )
+
+# Machine-independent gates: peak memory may grow by at most this factor,
+# and quality_vs_greedy may drop by at most this much, per run.
+MAX_MEMORY_RATIO = 1.25
+QUALITY_SLACK = 0.01
 
 
 def load(path):
@@ -75,7 +88,8 @@ def load(path):
             if field not in run:
                 sys.exit(f"{path}: run is missing '{field}': {run}")
         for field in ("ops_per_sec", "latency_p50_us", "latency_p99_us",
-                      "peak_memory_bytes", "final_solution_size"):
+                      "peak_memory_bytes", "final_solution_size",
+                      "quality_vs_greedy"):
             if not run[field] > 0:
                 sys.exit(f"{path}: run has non-positive {field}: {run}")
     return doc
@@ -111,17 +125,20 @@ def main():
             sys.exit(
                 f"scenario mismatch: baseline={baseline.get('scenario')} "
                 f"{path}={doc.get('scenario')}")
-    # Merge repeated runs: per key, keep the fastest observation.
-    candidate = candidates[0]
-    merged = keyed(candidate)
-    for doc in candidates[1:]:
+    # Merge repeated runs: per key, keep the fastest throughput and the
+    # worst memory and quality any repeat observed.
+    cand_runs = {}
+    for doc in candidates:
         for key, run in keyed(doc).items():
-            if key not in merged or run["ops_per_sec"] > merged[key]["ops_per_sec"]:
-                merged[key] = run
-    candidate = {**candidate, "runs": list(merged.values())}
+            merged = cand_runs.setdefault(key, dict(run))
+            merged["ops_per_sec"] = max(merged["ops_per_sec"],
+                                        run["ops_per_sec"])
+            merged["peak_memory_bytes"] = max(merged["peak_memory_bytes"],
+                                              run["peak_memory_bytes"])
+            merged["quality_vs_greedy"] = min(merged["quality_vs_greedy"],
+                                              run["quality_vs_greedy"])
 
     base_runs = keyed(baseline)
-    cand_runs = keyed(candidate)
     shared = sorted(set(base_runs) & set(cand_runs))
     raw = {key: cand_runs[key]["ops_per_sec"] / base_runs[key]["ops_per_sec"]
            for key in shared}
@@ -133,7 +150,7 @@ def main():
 
     failures = []
     print(f"{'algorithm':<16} {'batch':>6} {'baseline':>12} {'candidate':>12} "
-          f"{'ratio':>7}")
+          f"{'ratio':>7} {'memory':>7} {'quality':>8}")
     for key, cand in sorted(cand_runs.items()):
         base = base_runs.get(key)
         if base is None:
@@ -141,25 +158,34 @@ def main():
                   f"{cand['ops_per_sec']:>12.0f}      -")
             continue
         ratio = raw[key] / norm
-        flag = "" if ratio >= args.min_ratio else "  << REGRESSION"
-        print(f"{key[0]:<16} {key[1]:>6} {base['ops_per_sec']:>12.0f} "
-              f"{cand['ops_per_sec']:>12.0f} {ratio:>7.2f}{flag}")
+        memory = cand["peak_memory_bytes"] / base["peak_memory_bytes"]
+        quality = cand["quality_vs_greedy"] - base["quality_vs_greedy"]
+        problems = []
         if ratio < args.min_ratio:
-            failures.append((key, ratio))
+            problems.append(f"ops/s at {ratio:.2f}x")
+        if memory > MAX_MEMORY_RATIO:
+            problems.append(f"peak memory at {memory:.2f}x")
+        if quality < -QUALITY_SLACK:
+            problems.append(f"quality_vs_greedy {quality:+.4f}")
+        flag = "  << REGRESSION" if problems else ""
+        print(f"{key[0]:<16} {key[1]:>6} {base['ops_per_sec']:>12.0f} "
+              f"{cand['ops_per_sec']:>12.0f} {ratio:>7.2f} {memory:>7.2f} "
+              f"{quality:>+8.4f}{flag}")
+        failures += [f"{key[0]} batch={key[1]}: {p}" for p in problems]
 
-    missing = sorted(set(base_runs) - set(keyed(candidate)))
+    missing = sorted(set(base_runs) - set(cand_runs))
     for key in missing:
         print(f"{key[0]:<16} {key[1]:>6} present in baseline only")
     if missing:
         sys.exit(f"FAIL: {len(missing)} baseline run(s) missing from candidate")
     if failures:
-        worst = min(failures, key=lambda f: f[1])
-        sys.exit(
-            f"FAIL: {len(failures)} run(s) regressed below "
-            f"{args.min_ratio:.2f}x of baseline "
-            f"(worst: {worst[0][0]} batch={worst[0][1]} at {worst[1]:.2f}x)")
-    print(f"OK: all {len(keyed(candidate))} runs within "
-          f"{args.min_ratio:.2f}x of baseline")
+        sys.exit(f"FAIL: {len(failures)} regression(s) against the baseline "
+                 f"(ops/s floor {args.min_ratio:.2f}x, memory ceiling "
+                 f"{MAX_MEMORY_RATIO:.2f}x, quality slack {QUALITY_SLACK}):"
+                 "\n  " + "\n  ".join(failures))
+    print(f"OK: all {len(cand_runs)} runs within {args.min_ratio:.2f}x "
+          f"ops/s, {MAX_MEMORY_RATIO:.2f}x memory and -{QUALITY_SLACK} "
+          f"quality of baseline")
 
 
 if __name__ == "__main__":
