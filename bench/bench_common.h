@@ -1,4 +1,5 @@
-// Helpers shared by the per-table / per-figure benchmark binaries.
+// Helpers shared by bench_driver and dynmis_loadgen: update-count scaling
+// and the nearest-rank percentile.
 
 #ifndef DYNMIS_BENCH_BENCH_COMMON_H_
 #define DYNMIS_BENCH_BENCH_COMMON_H_
@@ -53,13 +54,6 @@ inline double Percentile(const std::vector<double>& sorted, double p) {
   const size_t rank =
       static_cast<size_t>(std::ceil(p * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-inline void PrintScaleNote() {
-  std::printf(
-      "note: synthetic stand-ins at laptop scale; absolute numbers differ "
-      "from the paper,\n      the comparison *shape* is the reproduction "
-      "target (see bench/EXPERIMENTS.md).\n");
 }
 
 }  // namespace bench

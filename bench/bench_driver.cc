@@ -1,7 +1,9 @@
-// Unified benchmark driver: runs named scenarios (easy / hard / powerlaw
-// update workloads x maintainer x batch regime) and emits one machine-
-// readable BENCH_<scenario>.json per scenario, so every PR can compare its
-// perf numbers against the committed baseline of the previous one.
+// The one measurement runner: runs named scenarios (update workloads x
+// maintainer x batch regime) and emits one machine-readable
+// BENCH_<scenario>.json per scenario. The regression scenarios (smoke ...
+// storm) produce the committed baselines every PR compares against; the
+// paper presets (table1 ... table4, fig7 ... fig10, batch-ablation)
+// reproduce the paper's tables and figures.
 //
 // Per (algorithm, batch regime) the driver reports:
 //   * ops/sec over the whole update sequence,
@@ -17,10 +19,21 @@
 //   bench_driver --scenario hard --snapshot-every 10000
 //   bench_driver --scenario hard --shards 4
 //   DYNMIS_BENCH_SCALE=0.1 bench_driver --scenario hard
+//   DYNMIS_BENCH_SCALE=0.05 bench_driver --scenario table2
 //
 // Update counts scale with DYNMIS_BENCH_SCALE (see bench_common.h); the
 // committed BENCH_*.json files are measured at scale 1. The scenario-to-
 // paper mapping lives in bench/EXPERIMENTS.md.
+//
+// A paper preset is a list of cases (a graph, an update count and a stream
+// seed each), all run against the preset's algorithms and batch sizes under
+// the paper's protocol (Section V-A): every run starts from the preset's
+// start solution (exact on easy graphs, ARW on hard ones), and each case
+// records the quality reference of its final graph (alpha, or the ARW
+// best). A one-case scenario writes its case's fields at the top level of
+// the JSON; a preset with several cases nests them under "cases". After the
+// last case the driver prints the paper's tables from the records it wrote:
+// gap and accuracy against the reference, response time and peak memory.
 //
 // --shards N appends a "sharded" block to the JSON: the same update
 // sequence replayed through a ShardedMisEngine (DyTwoSwap per shard, batch
@@ -53,6 +66,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,6 +76,7 @@
 #include "bench/json_writer.h"
 #include "dynmis/dynmis.h"
 #include "dynmis/workload.h"
+#include "src/graph/degree_stats.h"
 #include "src/serve/workload.h"
 #include "src/util/timer.h"
 
@@ -69,16 +84,31 @@ namespace dynmis {
 namespace bench {
 namespace {
 
+// Where gap and accuracy are measured from (paper Tables II-IV): the exact
+// independence number of the final graph, which falls back to the ARW best
+// when the exact solver runs out of budget, or the ARW best outright.
+enum class Reference { kNone, kAlpha, kBest };
+
+// The exact solver's budgets, for start solutions and alpha references.
+constexpr int64_t kExactNodeBudget = 2'000'000;
+constexpr double kExactSecondsBudget = 20.0;
+
+// One graph of a scenario, run against the scenario's algorithms and batch
+// sizes.
+struct Case {
+  std::string graph_name;
+  std::function<EdgeListGraph()> make_graph;
+  // Update count for a graph with m edges, DYNMIS_BENCH_SCALE applied.
+  std::function<int(int64_t m)> updates;
+  UpdateStreamOptions stream;
+};
+
 struct Scenario {
   std::string name;
   std::string description;
-  std::string graph_name;
-  std::function<EdgeListGraph()> make_graph;
+  std::vector<Case> cases;
+  // Empty for a statistics-only preset (Table I): no update runs.
   std::vector<MaintainerConfig> algos;
-  // Update count before DYNMIS_BENCH_SCALE; <= 0 means "derive from m".
-  int base_updates = 0;
-  std::function<int(int64_t m)> updates_from_m;
-  UpdateStreamOptions stream;
   // Batch regimes to run; 1 = single-op (per-op latency percentiles).
   std::vector<int> batch_sizes = {1, 1024};
   // Ingested scenario: the graph comes through the streaming ingester
@@ -90,18 +120,34 @@ struct Scenario {
   // block with the window shape.
   bool temporal = false;
   ingest::TemporalStreamOptions window;
+  // The paper's protocol (Section V-A): how every run starts, the ARW
+  // effort for that start and for the best-known reference, and the
+  // reference itself.
+  InitialSolution start = InitialSolution::kEmpty;
+  int arw_iterations = 800;
+  Reference reference = Reference::kNone;
 };
+
+// A fixed update count, whatever the graph's size.
+std::function<int(int64_t)> Fixed(int base_updates) {
+  return [base_updates](int64_t) { return ScaledUpdates(base_updates); };
+}
 
 // Graphs and stream seeds come from the shared scenario definitions in
 // src/serve/workload.{h,cc}, so the serving layer's load generator and
 // this driver measure the identical base graphs by construction; the
 // bench-specific shape (algorithm list, batch regimes, update sizing)
 // lives here.
-Scenario FromWorkload(const std::string& name) {
+Scenario FromWorkload(const std::string& name, const std::string& graph_name,
+                      std::function<int(int64_t)> updates) {
+  Case c;
+  c.graph_name = graph_name;
+  c.make_graph = [name] { return serve::BuildServeWorkloadGraph(name); };
+  c.updates = std::move(updates);
+  c.stream = serve::ServeWorkloadStream(name);
   Scenario s;
   s.name = name;
-  s.make_graph = [name] { return serve::BuildServeWorkloadGraph(name); };
-  s.stream = serve::ServeWorkloadStream(name);
+  s.cases.push_back(std::move(c));
   return s;
 }
 
@@ -122,89 +168,221 @@ ingest::TemporalStreamOptions ServeWindowScaled(const std::string& name) {
   return window;
 }
 
+// A paper preset: single-op runs, as the paper times one update at a time.
+Scenario Preset(const std::string& name, const std::string& description,
+                std::vector<MaintainerConfig> algos, InitialSolution start,
+                int arw_iterations, Reference reference) {
+  Scenario s;
+  s.name = name;
+  s.description = description;
+  s.algos = std::move(algos);
+  s.batch_sizes = {1};
+  s.start = start;
+  s.arw_iterations = arw_iterations;
+  s.reference = reference;
+  return s;
+}
+
+// A preset case on a dataset stand-in, under the degree-biased churn every
+// paper experiment uses.
+Case DatasetCase(const std::string& name, std::function<int(int64_t)> updates,
+                 uint64_t seed) {
+  const DatasetSpec spec = *FindDataset(name);
+  Case c;
+  c.graph_name = name;
+  c.make_graph = [spec] { return GenerateDataset(spec); };
+  c.updates = std::move(updates);
+  c.stream.seed = seed;
+  c.stream.bias = EndpointBias::kDegreeProportional;
+  return c;
+}
+
 std::vector<Scenario> BuildScenarios() {
   std::vector<Scenario> scenarios;
   {
     // Tiny and fast: the CI regression hook. Exercises both regimes and the
     // full JSON schema in a couple of seconds even at scale 1.
-    Scenario s = FromWorkload("smoke");
+    Scenario s = FromWorkload("smoke", "chung-lu-1500", Fixed(2000));
     s.description = "tiny power-law graph, uniform churn (CI hook)";
-    s.graph_name = "chung-lu-1500";
     s.algos = {"DyOneSwap", "DyTwoSwap"};
-    s.base_updates = 2000;
     s.batch_sizes = {1, 256};
     scenarios.push_back(std::move(s));
   }
   {
     // Easy-instance regime (paper Tables II/III): light churn relative to m.
-    Scenario s = FromWorkload("easy");
+    Scenario s = FromWorkload("easy", "web-Google", SmallBatch);
     s.description = "easy dataset stand-in, light batch (~m/10 updates)";
-    s.graph_name = "web-Google";
     s.algos = {"DyOneSwap", "DyTwoSwap", "DyARW"};
-    s.updates_from_m = [](int64_t m) { return SmallBatch(m); };
     scenarios.push_back(std::move(s));
   }
   {
     // Hard-instance regime (paper Table IV / Fig 6): heavy degree-biased
     // churn. The per-PR DyTwoSwap throughput acceptance numbers come from
     // this scenario's single-op regime.
-    Scenario s = FromWorkload("hard");
+    Scenario s = FromWorkload("hard", "soc-pokec", LargeBatch);
     s.description =
         "hard dataset stand-in, heavy batch (~m/2 updates), degree-biased";
-    s.graph_name = "soc-pokec";
     s.algos = {"DyOneSwap", "DyTwoSwap", "DyTwoSwap*"};
-    s.updates_from_m = [](int64_t m) { return LargeBatch(m); };
     scenarios.push_back(std::move(s));
   }
   {
     // Power-law random graph (paper Fig 10), including the generic k-swap
     // maintainer at k=3.
-    Scenario s = FromWorkload("powerlaw");
+    Scenario s = FromWorkload("powerlaw", "plrg-12000", Fixed(20000));
     s.description = "configuration-model power-law graph, uniform churn";
-    s.graph_name = "plrg-12000";
     s.algos = {"DyOneSwap", "DyTwoSwap", "KSwap3"};
-    s.base_updates = 20000;
     scenarios.push_back(std::move(s));
   }
   {
     // SNAP-scale ingested graph (>= 2M edges through the streaming
     // ingester): the scenario the paper's real-dataset tables run at, with
     // the ingest memory budget reported alongside the update numbers.
-    Scenario s = FromWorkload("massive");
+    Scenario s =
+        FromWorkload("massive", "ingested-powerlaw-200k", [](int64_t m) {
+          return ScaledUpdates(static_cast<int>(m / 20));
+        });
     s.ingested = true;
     s.description =
         "ingested ~2.2M-edge power-law edge file (streaming ingester)";
-    s.graph_name = "ingested-powerlaw-200k";
     s.algos = {"DyTwoSwap"};
-    s.updates_from_m = [](int64_t m) {
-      return ScaledUpdates(static_cast<int>(m / 20));
-    };
     s.batch_sizes = {1, 4096};
     scenarios.push_back(std::move(s));
   }
   {
     // Sliding-window stream: inserts expire after a TTL, so the workload
     // turns deletion-heavy in the steady state.
-    Scenario s = FromWorkload("temporal");
+    Scenario s = FromWorkload("temporal", "chung-lu-20000", Fixed(40000));
     s.temporal = true;
     s.window = ServeWindowScaled("temporal");
     s.description = "sliding-window stream: every insert expires after a TTL";
-    s.graph_name = "chung-lu-20000";
     s.algos = {"DyOneSwap", "DyTwoSwap"};
-    s.base_updates = 40000;
     scenarios.push_back(std::move(s));
   }
   {
     // Adversarial variant: aligned insert bursts make whole batches expire
     // on a single tick, the worst case for the expiry backlog.
-    Scenario s = FromWorkload("storm");
+    Scenario s = FromWorkload("storm", "chung-lu-20000", Fixed(40000));
     s.temporal = true;
     s.window = ServeWindowScaled("storm");
     s.description =
         "deletion storm: aligned insert bursts expire as one batch";
-    s.graph_name = "chung-lu-20000";
     s.algos = {"DyTwoSwap"};
-    s.base_updates = 40000;
+    scenarios.push_back(std::move(s));
+  }
+
+  // The paper presets (bench/EXPERIMENTS.md, "What reproduces what"). Each
+  // keeps the graphs, stream seeds, update counts, algorithms, start and
+  // ARW effort of the experiment it reproduces.
+  const std::vector<MaintainerConfig> five = {"DGOneDIS", "DGTwoDIS", "DyARW",
+                                              "DyOneSwap", "DyTwoSwap"};
+  std::vector<MaintainerConfig> seven = five;
+  seven.insert(seven.end(), {"DyOneSwap*", "DyTwoSwap*"});
+  const std::vector<DatasetSpec>& easy = EasyDatasets();
+  {
+    Scenario s;
+    s.name = "table1";
+    s.description = "Table I: statistics of the 22 dataset stand-ins";
+    for (const auto* specs : {&easy, &HardDatasets()}) {
+      for (const DatasetSpec& spec : *specs) {
+        s.cases.push_back(DatasetCase(spec.name, Fixed(0), 0));
+      }
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("table2",
+                        "Table II, Fig 5(a, b): easy graphs, ~m/10 updates, "
+                        "exact start, gap to alpha",
+                        seven, InitialSolution::kExact, 800, Reference::kAlpha);
+    for (const DatasetSpec& spec : easy) {
+      s.cases.push_back(
+          DatasetCase(spec.name, SmallBatch, spec.seed * 1009 + 1));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("table3",
+                        "Table III, Fig 5(c): last seven easy graphs, ~m/2 "
+                        "updates, exact start, gap to alpha",
+                        seven, InitialSolution::kExact, 1500,
+                        Reference::kAlpha);
+    for (size_t i = 6; i < easy.size(); ++i) {
+      s.cases.push_back(
+          DatasetCase(easy[i].name, LargeBatch, easy[i].seed * 2027 + 3));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("table4",
+                        "Table IV, Fig 6: hard graphs, ~m/2 updates, ARW "
+                        "start, gap to the ARW best",
+                        seven, InitialSolution::kArw, 600, Reference::kBest);
+    for (const DatasetSpec& spec : HardDatasets()) {
+      s.cases.push_back(
+          DatasetCase(spec.name, LargeBatch, spec.seed * 31 + 17));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset(
+        "fig7", "Fig 7(c): perturbation's response-time overhead",
+        {"DyOneSwap", "DyOneSwap*", "DyTwoSwap", "DyTwoSwap*"},
+        InitialSolution::kArw, 200, Reference::kNone);
+    for (const char* name :
+         {"web-BerkStan", "hollywood", "com-lj", "soc-LiveJournal"}) {
+      s.cases.push_back(
+          DatasetCase(name, Fixed(20000), FindDataset(name)->seed * 5 + 9));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("fig8",
+                        "Fig 8: scalability in the number of updates, gap to "
+                        "alpha",
+                        five, InitialSolution::kArw, 1000, Reference::kAlpha);
+    for (const char* name : {"hollywood", "soc-LiveJournal"}) {
+      for (const int updates : {5000, 10000, 20000, 35000, 50000}) {
+        s.cases.push_back(DatasetCase(name, Fixed(updates),
+                                      FindDataset(name)->seed * 11 + updates));
+      }
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("fig9", "Fig 9: effect of the swap order k",
+                        {"KSwap1", "KSwap2", "KSwap3", "KSwap4"},
+                        InitialSolution::kArw, 200, Reference::kAlpha);
+    s.cases.push_back(DatasetCase("com-lj", Fixed(10000), 987654));
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s = Preset("fig10",
+                        "Fig 10: power-law random graphs, beta 1.9..2.7, "
+                        "exact start, gap to alpha",
+                        five, InitialSolution::kExact, 800, Reference::kAlpha);
+    for (const double beta : {1.9, 2.1, 2.3, 2.5, 2.7}) {
+      Case c;
+      c.graph_name = "plrg-beta-" + FormatDouble(beta, 1);
+      c.make_graph = [beta] {
+        Rng rng(SplitMix64(static_cast<uint64_t>(beta * 1000)));
+        return PowerLawRandomGraph(20000, beta, 1, 20000 / 50, &rng);
+      };
+      c.updates = Fixed(20000);
+      c.stream.seed = static_cast<uint64_t>(beta * 7919);
+      c.stream.bias = EndpointBias::kDegreeProportional;
+      s.cases.push_back(std::move(c));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    // This library's batch extension: the heavy batch applied per op and
+    // in blocks, from the maintainers' own start.
+    Scenario s = Preset("batch-ablation",
+                        "deferred-restoration batch processing, ~m/2 updates",
+                        {"DyOneSwap", "DyTwoSwap"}, InitialSolution::kEmpty,
+                        0, Reference::kNone);
+    s.batch_sizes = {1, 16, 256, 4096};
+    s.cases.push_back(DatasetCase("soc-LiveJournal", LargeBatch, 31415));
     scenarios.push_back(std::move(s));
   }
   return scenarios;
@@ -362,6 +540,7 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
 
 RunResult RunOne(const EdgeListGraph& base,
                  const std::vector<GraphUpdate>& updates,
+                 const std::vector<VertexId>& initial,
                  const MaintainerConfig& config, int batch_size,
                  int64_t greedy_reference, int snapshot_every) {
   RunResult result;
@@ -371,7 +550,7 @@ RunResult RunOne(const EdgeListGraph& base,
 
   auto engine = MisEngine::Create(base, config);
   DYNMIS_CHECK(engine != nullptr);
-  engine->Initialize();
+  engine->Initialize(initial);
 
   std::vector<double> latencies;
   latencies.reserve(updates.size() / std::max(batch_size, 1) + 1);
@@ -476,15 +655,52 @@ RunResult RunOne(const EdgeListGraph& base,
   return result;
 }
 
-int RunScenario(const Scenario& scenario, const std::string& out_path,
-                int snapshot_every, int sharded_shards,
-                PartitionStrategy partition) {
-  std::printf("scenario %s: %s\n", scenario.name.c_str(),
-              scenario.description.c_str());
+// What a case wrote to the JSON, kept for the tables printed after the
+// last case.
+struct CaseRecord {
+  std::string graph_name;
+  int n = 0;
+  int64_t m = 0;
+  double beta_fit = 0;  // Statistics-only presets.
+  int updates = 0;
+  int64_t reference = 0;
+  std::string reference_kind;  // "alpha" or "best"; empty without one.
+  std::vector<RunResult> runs;
+};
+
+// Runs one case of `scenario` and writes its fields into the open JSON
+// object.
+CaseRecord RunCase(const Scenario& scenario, const Case& c,
+                   int snapshot_every, int sharded_shards,
+                   PartitionStrategy partition, JsonWriter* json) {
+  JsonWriter& w = *json;
+  CaseRecord record;
+  record.graph_name = c.graph_name;
   ingest::IngestReport ingest_report;
   const EdgeListGraph base =
       scenario.ingested ? serve::BuildMassiveWorkloadGraph(&ingest_report)
-                        : scenario.make_graph();
+                        : c.make_graph();
+  record.n = base.n;
+  record.m = base.NumEdges();
+  w.Key("graph");
+  w.BeginObject();
+  w.Key("name");
+  w.String(c.graph_name);
+  w.Key("n");
+  w.Int(base.n);
+  w.Key("m");
+  w.Int(base.NumEdges());
+  if (scenario.algos.empty()) {
+    record.beta_fit =
+        EstimatePowerLawExponent(ComputeDegreeStats(base.ToStatic()));
+    w.Key("beta_fit");
+    w.Double(record.beta_fit);
+    w.EndObject();
+    std::printf("  graph %s: n=%d m=%lld\n", c.graph_name.c_str(), base.n,
+                static_cast<long long>(base.NumEdges()));
+    return record;
+  }
+  w.EndObject();
   if (scenario.ingested) {
     std::printf(
         "  ingest: %lld edges in %.2fs, %.1f bytes/edge, peak RSS %zu MB%s\n",
@@ -493,13 +709,10 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
         ingest_report.peak_rss_bytes >> 20,
         ingest_report.header_reserved ? " (header reserved)" : "");
   }
-  const int num_updates =
-      scenario.updates_from_m
-          ? scenario.updates_from_m(base.NumEdges())
-          : ScaledUpdates(scenario.base_updates);
-  std::printf("  graph %s: n=%d m=%lld, %d updates\n",
-              scenario.graph_name.c_str(), base.n,
-              static_cast<long long>(base.NumEdges()), num_updates);
+  const int num_updates = c.updates(base.NumEdges());
+  record.updates = num_updates;
+  std::printf("  graph %s: n=%d m=%lld, %d updates\n", c.graph_name.c_str(),
+              base.n, static_cast<long long>(base.NumEdges()), num_updates);
 
   // One shared update sequence: every (algorithm, regime) run replays the
   // identical ops, so numbers are comparable within and across scenarios.
@@ -509,7 +722,7 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
       scenario.temporal
           ? ingest::MakeTemporalSequence(scratch, num_updates,
                                          scenario.window, &temporal_stats)
-          : MakeUpdateSequence(scratch, num_updates, scenario.stream);
+          : MakeUpdateSequence(scratch, num_updates, c.stream);
   if (scenario.temporal) {
     std::printf(
         "  temporal: ttl=%u, %lld inserts / %lld expiries (%.0f%% "
@@ -521,16 +734,40 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
         temporal_stats.expiry_backlog_peak);
   }
 
-  // Greedy quality reference on the final graph (the sequence is
-  // deterministic, so every run ends on the same graph).
+  // Quality references on the final graph (the sequence is deterministic,
+  // so every run ends on the same graph): min-degree greedy always, and
+  // the preset's alpha or ARW best.
   for (const GraphUpdate& update : updates) ApplyUpdate(&scratch, update);
+  const StaticGraph final_graph = StaticGraph::FromDynamic(scratch);
   const int64_t greedy_reference =
-      static_cast<int64_t>(GreedyMis(StaticGraph::FromDynamic(scratch)).size());
+      static_cast<int64_t>(GreedyMis(final_graph).size());
+  if (scenario.reference == Reference::kAlpha) {
+    ExactMisOptions options;
+    options.max_nodes = kExactNodeBudget;
+    options.max_seconds = kExactSecondsBudget;
+    if (const std::optional<int64_t> alpha = ExactAlpha(final_graph, options)) {
+      record.reference = *alpha;
+      record.reference_kind = "alpha";
+    }
+  }
+  if (scenario.reference != Reference::kNone &&
+      record.reference_kind.empty()) {
+    ArwOptions arw;
+    arw.iterations = scenario.arw_iterations;
+    record.reference = static_cast<int64_t>(ArwMis(final_graph, arw).size());
+    record.reference_kind = "best";
+  }
+  if (!record.reference_kind.empty()) {
+    std::printf("  reference: %s %lld\n", record.reference_kind.c_str(),
+                static_cast<long long>(record.reference));
+  }
 
-  std::vector<RunResult> runs;
+  const std::vector<VertexId> initial = ComputeInitialSolution(
+      base, scenario.start, scenario.arw_iterations, kExactNodeBudget,
+      kExactSecondsBudget);
   for (const MaintainerConfig& algo : scenario.algos) {
     for (int batch_size : scenario.batch_sizes) {
-      RunResult run = RunOne(base, updates, algo, batch_size,
+      RunResult run = RunOne(base, updates, initial, algo, batch_size,
                              greedy_reference, snapshot_every);
       std::printf(
           "  %-12s batch=%-5d %10.0f ops/s  p50=%8.2fus p99=%8.2fus  "
@@ -550,7 +787,7 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
             run.snapshot.last_bytes / 1024, run.snapshot.restore_seconds * 1e3,
             run.snapshot.resume_matches ? "matches" : "DIVERGED");
       }
-      runs.push_back(std::move(run));
+      record.runs.push_back(std::move(run));
     }
   }
 
@@ -612,34 +849,16 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
         sharded_sequential.barrier_seconds * 1e3, sharded.partition.c_str());
   }
 
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("scenario");
-  w.String(scenario.name);
-  w.Key("description");
-  w.String(scenario.description);
-  w.Key("scale");
-  w.Double(BenchScale());
-  // Hardware threads visible to this measurement — shard scaling numbers
-  // (and to a degree every throughput number) are only interpretable
-  // alongside it.
-  w.Key("cpu_count");
-  w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
-  w.Key("graph");
-  w.BeginObject();
-  w.Key("name");
-  w.String(scenario.graph_name);
-  w.Key("n");
-  w.Int(base.n);
-  w.Key("m");
-  w.Int(base.NumEdges());
-  w.EndObject();
   w.Key("updates");
   w.Int(num_updates);
   w.Key("greedy_reference");
   w.Int(greedy_reference);
+  if (!record.reference_kind.empty()) {
+    w.Key("reference");
+    w.Int(record.reference);
+    w.Key("reference_kind");
+    w.String(record.reference_kind);
+  }
   // Memory budget of the streaming ingest (environment-dependent, like the
   // "serving" block: the regression checker pops it).
   if (scenario.ingested) {
@@ -690,7 +909,7 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
   }
   w.Key("runs");
   w.BeginArray();
-  for (const RunResult& run : runs) {
+  for (const RunResult& run : record.runs) {
     w.BeginObject();
     w.Key("algorithm");
     w.String(run.algorithm);
@@ -805,7 +1024,113 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
     w.EndArray();
     w.EndObject();
   }
+  return record;
+}
+
+// The paper's tables from the case records: one row per case, one column
+// per run. Gap and accuracy are measured against the case's reference
+// ('^' marks a run that beat it); without a reference the table shows the
+// final sizes.
+void PrintTables(const Scenario& scenario,
+                 const std::vector<CaseRecord>& cases) {
+  if (scenario.algos.empty()) {
+    TablePrinter table({"graph", "n", "m", "avg-deg", "beta-fit", "paper-n",
+                        "paper-m", "paper-avg"});
+    for (const CaseRecord& c : cases) {
+      const DatasetSpec* spec = FindDataset(c.graph_name);
+      table.AddRow({c.graph_name, FormatCount(c.n), FormatCount(c.m),
+                    FormatDouble(2.0 * c.m / c.n, 2),
+                    FormatDouble(c.beta_fit, 2), FormatCount(spec->paper_n),
+                    FormatCount(spec->paper_m),
+                    FormatDouble(spec->paper_avg_degree, 2)});
+    }
+    std::printf("\ngraph statistics:\n");
+    table.Print(stdout);
+    return;
+  }
+  const bool with_reference = scenario.reference != Reference::kNone;
+  auto print = [&](const char* title, auto cell) {
+    std::vector<std::string> headers = {"graph", "updates"};
+    if (with_reference) headers.push_back("reference");
+    for (const RunResult& run : cases.front().runs) {
+      headers.push_back(scenario.batch_sizes.size() > 1
+                            ? run.algorithm + " b" +
+                                  std::to_string(run.batch_size)
+                            : run.algorithm);
+    }
+    TablePrinter table(headers);
+    for (const CaseRecord& c : cases) {
+      std::vector<std::string> row = {c.graph_name, FormatCount(c.updates)};
+      if (with_reference) {
+        row.push_back(c.reference_kind + " " + FormatCount(c.reference));
+      }
+      for (const RunResult& run : c.runs) row.push_back(cell(c, run));
+      table.AddRow(std::move(row));
+    }
+    std::printf("\n%s:\n", title);
+    table.Print(stdout);
+  };
+  if (with_reference) {
+    print("gap to the reference", [](const CaseRecord& c, const RunResult& r) {
+      const int64_t gap = c.reference - r.final_solution_size;
+      return gap < 0 ? FormatCount(-gap) + "^" : FormatCount(gap);
+    });
+    print("accuracy", [](const CaseRecord& c, const RunResult& r) {
+      return FormatPercent(c.reference == 0
+                               ? 1.0
+                               : static_cast<double>(r.final_solution_size) /
+                                     static_cast<double>(c.reference));
+    });
+  } else {
+    print("final solution size", [](const CaseRecord&, const RunResult& r) {
+      return FormatCount(r.final_solution_size);
+    });
+  }
+  print("response time (s)", [](const CaseRecord&, const RunResult& r) {
+    return FormatDouble(r.total_seconds, 3);
+  });
+  print("peak memory", [](const CaseRecord&, const RunResult& r) {
+    return FormatBytes(r.peak_memory_bytes);
+  });
+}
+
+// A one-case scenario writes its case's fields at the top level; a preset
+// with several cases nests them under "cases".
+int RunScenario(const Scenario& scenario, const std::string& out_path,
+                int snapshot_every, int sharded_shards,
+                PartitionStrategy partition) {
+  std::printf("scenario %s: %s\n", scenario.name.c_str(),
+              scenario.description.c_str());
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("schema_version");
+  w.Int(1);
+  w.Key("scenario");
+  w.String(scenario.name);
+  w.Key("description");
+  w.String(scenario.description);
+  w.Key("scale");
+  w.Double(BenchScale());
+  // Hardware threads visible to this measurement — shard scaling numbers
+  // (and to a degree every throughput number) are only interpretable
+  // alongside it.
+  w.Key("cpu_count");
+  w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const bool nested = scenario.cases.size() > 1;
+  if (nested) {
+    w.Key("cases");
+    w.BeginArray();
+  }
+  std::vector<CaseRecord> records;
+  for (const Case& c : scenario.cases) {
+    if (nested) w.BeginObject();
+    records.push_back(RunCase(scenario, c, snapshot_every, sharded_shards,
+                              partition, &w));
+    if (nested) w.EndObject();
+  }
+  if (nested) w.EndArray();
   w.EndObject();
+  PrintTables(scenario, records);
 
   if (!WriteFile(out_path, w.Take())) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
@@ -822,12 +1147,20 @@ int Main(int argc, char** argv) {
   int sharded_shards = 0;
   PartitionStrategy partition = PartitionStrategy::kHash;
   bool list = false;
+  auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: bench_driver --scenario NAME [--out PATH] "
+                 "[--snapshot-every N] [--shards N] "
+                 "[--partition hash|range|locality] | --list\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      DYNMIS_CHECK(i + 1 < argc);
-      return argv[++i];
-    };
+    const bool takes_value = arg == "--scenario" || arg == "--out" ||
+                             arg == "--snapshot-every" || arg == "--shards" ||
+                             arg == "--partition";
+    if (takes_value && i + 1 == argc) return usage();
+    auto next = [&] { return argv[++i]; };
     if (arg == "--scenario") {
       scenario_name = next();
     } else if (arg == "--out") {
@@ -858,18 +1191,14 @@ int Main(int argc, char** argv) {
     } else if (arg == "--list") {
       list = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_driver --scenario NAME [--out PATH] "
-                   "[--snapshot-every N] [--shards N] "
-                   "[--partition hash|range|locality] | --list\n");
-      return 2;
+      return usage();
     }
   }
   const std::vector<Scenario> scenarios = BuildScenarios();
   if (list || scenario_name.empty()) {
     std::printf("scenarios:\n");
     for (const Scenario& s : scenarios) {
-      std::printf("  %-10s %s\n", s.name.c_str(), s.description.c_str());
+      std::printf("  %-15s %s\n", s.name.c_str(), s.description.c_str());
     }
     return list ? 0 : 2;
   }

@@ -1,7 +1,8 @@
 // Public graph surface: the dynamic graph substrate, the edge-list
-// interchange format with its SNAP loader, the synthetic generators and
-// dataset registry, and update streams / trace files. Applications include
-// this (or the dynmis/dynmis.h umbrella) instead of reaching into src/.
+// interchange format, the synthetic generators and dataset registry, and
+// update streams / trace files. SNAP edge-list files load through
+// ingest::IngestEdgeList (dynmis/workload.h). Applications include this (or
+// the dynmis/dynmis.h umbrella) instead of reaching into src/.
 
 #ifndef DYNMIS_INCLUDE_DYNMIS_GRAPH_H_
 #define DYNMIS_INCLUDE_DYNMIS_GRAPH_H_
@@ -9,7 +10,6 @@
 #include "src/graph/datasets.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/graph/edge_list.h"
-#include "src/graph/edge_list_io.h"
 #include "src/graph/generators.h"
 #include "src/graph/static_graph.h"
 #include "src/graph/update_stream.h"

@@ -1,9 +1,9 @@
 // MaintainerRegistry: the string-keyed factory through which every dynamic
 // MIS maintainer is constructed. Replaces the old closed AlgoKind enum (one
-// switch in the harness, a second name table in the CLI): adding an
-// algorithm is now a single Register() call — or the
+// switch in the experiment driver, a second name table in the CLI): adding
+// an algorithm is now a single Register() call — or the
 // DYNMIS_REGISTER_MAINTAINER macro in the algorithm's own .cc file — and it
-// immediately shows up in the harness, the CLI's --algo flag and
+// immediately shows up in bench_driver, the CLI's --algo flag and
 // `--algo help` listing, and the registry round-trip tests.
 //
 // Names come in two flavours:

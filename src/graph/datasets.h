@@ -9,7 +9,7 @@
 // crawls stay the densest), and a fixed seed, while n is scaled down so the
 // full benchmark suite runs in minutes. The paper's published statistics are
 // carried along for the Table I report. Real SNAP files can be swapped in
-// via LoadEdgeList() without touching the harness.
+// via ingest::IngestEdgeList() (src/ingest/ingest.h).
 
 #ifndef DYNMIS_SRC_GRAPH_DATASETS_H_
 #define DYNMIS_SRC_GRAPH_DATASETS_H_

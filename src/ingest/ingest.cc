@@ -191,8 +191,9 @@ bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
 
   auto consume_line = [&](const char* begin, const char* end) {
     ++lineno;
-    // Comment handling mirrors edge_list_io: strip from '#', and honor a
-    // size header before any edge line so the containers pre-size once.
+    // Strip comments from '#', and honor a size header ("# nodes: N edges:
+    // M", or SNAP's capitalized variant) before any edge line so the
+    // containers pre-size once.
     const char* hash =
         static_cast<const char*>(memchr(begin, '#', end - begin));
     if (hash != nullptr) {

@@ -1,14 +1,14 @@
 // SNAP-scale edge-list ingestion.
 //
-// The paper's datasets are SNAP edge lists with millions of edges; the
-// existing LoadEdgeList (src/graph/edge_list_io.h) is convenient but keeps
-// an id hash map plus a seen-edge hash set alive through the parse, which
-// at multi-million-edge scale costs several times the graph itself. The
-// ingester here streams: a chunked reader with a hand-rolled integer
-// scanner, a flat id-compaction table for dense id spaces (hash fallback
-// for sparse ones), sort+unique deduplication (16 B/edge transient instead
-// of ~40 B/edge of hash set), `.gz` transparently via a `gzip -dc` pipe,
-// and size headers honored so `Reserve(n, m)` pre-sizes everything.
+// The paper's datasets are SNAP edge lists with millions of edges, and this
+// is the library's one edge-list loader (dynmis_cli's --graph goes through
+// it too). Keeping an id hash map plus a seen-edge hash set alive through
+// the parse would cost several times the graph itself at multi-million-edge
+// scale, so the ingester streams: a chunked reader with a hand-rolled
+// integer scanner, a flat id-compaction table for dense id spaces (hash
+// fallback for sparse ones), sort+unique deduplication (16 B/edge transient
+// instead of ~40 B/edge of hash set), `.gz` transparently via a `gzip -dc`
+// pipe, and size headers honored so `Reserve(n, m)` pre-sizes everything.
 //
 // Every ingest produces an IngestReport with the memory-budget numbers the
 // bench matrix and the CI gate consume: wall-clock load time, bytes/edge of
@@ -47,9 +47,12 @@ struct IngestReport {
 };
 
 // Streams `path` (plain text, or `.gz` via a `gzip -dc` pipe) into an
-// EdgeListGraph with compacted 0..n-1 ids, self-loops dropped and duplicate
-// edges (either orientation) kept once. Returns false with *error set on
-// unreadable files or malformed numeric tokens. `report` is optional.
+// EdgeListGraph with 0..n-1 ids compacted in first-seen order, self-loops
+// dropped and duplicate edges (either orientation) kept once; the edges come
+// out sorted. Each non-comment line holds exactly two non-negative ids.
+// Returns false with *error set on unreadable files or malformed lines (a
+// lone endpoint, a third token, a non-numeric or negative id). `report` is
+// optional.
 bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
                     IngestReport* report, std::string* error);
 

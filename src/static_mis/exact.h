@@ -7,8 +7,8 @@
 // maximum-degree vertex with re-kernelization at every node, a greedy
 // clique-cover upper bound and a brute-force base case for components of at
 // most 64 vertices. A node budget bounds the effort; when exhausted the
-// result is flagged unsolved (the harness then falls back to the ARW
-// reference, matching the paper's easy/hard split).
+// result is flagged unsolved (ComputeInitialSolution and bench_driver's
+// references then fall back to ARW, matching the paper's easy/hard split).
 
 #ifndef DYNMIS_SRC_STATIC_MIS_EXACT_H_
 #define DYNMIS_SRC_STATIC_MIS_EXACT_H_

@@ -1,8 +1,9 @@
 // Fixed-width text table formatting for paper-style output.
 //
-// The benchmark harness prints rows that mirror the paper's tables (Table
-// I-IV) and figure series. TablePrinter right-pads headers and cells into
-// aligned columns; values can be added as strings, integers or doubles.
+// bench_driver's paper presets print rows that mirror the paper's tables
+// (Table I-IV) and figure series, and the examples print their reports the
+// same way. TablePrinter right-pads headers and cells into aligned columns;
+// values can be added as strings, integers or doubles.
 
 #ifndef DYNMIS_SRC_UTIL_TABLE_H_
 #define DYNMIS_SRC_UTIL_TABLE_H_

@@ -1,4 +1,4 @@
-// Wall-clock timing helpers used by the benchmark harness.
+// Wall-clock timing helpers used by the benchmark driver and the tools.
 
 #ifndef DYNMIS_SRC_UTIL_TIMER_H_
 #define DYNMIS_SRC_UTIL_TIMER_H_

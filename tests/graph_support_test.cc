@@ -1,13 +1,9 @@
-// StaticGraph, edge-list IO, degree statistics, update streams, datasets
-// and utility formatting.
-
-#include <cstdio>
-#include <filesystem>
+// StaticGraph, degree statistics, update streams, datasets and utility
+// formatting.
 
 #include "gtest/gtest.h"
 #include "src/graph/datasets.h"
 #include "src/graph/degree_stats.h"
-#include "src/graph/edge_list_io.h"
 #include "src/graph/generators.h"
 #include "src/graph/static_graph.h"
 #include "src/graph/update_stream.h"
@@ -60,44 +56,6 @@ TEST(StaticGraphTest, InducedSubgraphComposesOriginalIds) {
   EXPECT_EQ(sub.NumEdges(), 2);
   EXPECT_EQ(sub.OriginalId(0), 2);
   EXPECT_EQ(sub.OriginalId(2), 5);
-}
-
-TEST(EdgeListIoTest, ParsesSnapFormat) {
-  const std::string text =
-      "# Directed graph (each unordered pair of nodes is saved once)\n"
-      "# Nodes: 4 Edges: 4\n"
-      "10\t20\n"
-      "20 10\n"   // Duplicate in the other orientation.
-      "20\t30\n"
-      "30\t30\n"  // Self loop: dropped.
-      "40 10 # trailing comment\n";
-  const auto g = ParseEdgeList(text);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(g->n, 4);
-  EXPECT_EQ(g->NumEdges(), 3);
-}
-
-TEST(EdgeListIoTest, RejectsMalformedLines) {
-  EXPECT_FALSE(ParseEdgeList("1 2 3\n").has_value());
-  EXPECT_FALSE(ParseEdgeList("1\n").has_value());
-  EXPECT_TRUE(ParseEdgeList("").has_value());
-}
-
-TEST(EdgeListIoTest, SaveLoadRoundTrip) {
-  Rng rng(12);
-  const EdgeListGraph g = ErdosRenyiGnm(30, 60, &rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "dynmis_io_test.txt").string();
-  ASSERT_TRUE(SaveEdgeList(g, path));
-  const auto loaded = LoadEdgeList(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->n, g.n);
-  EXPECT_EQ(loaded->NumEdges(), g.NumEdges());
-}
-
-TEST(EdgeListIoTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(LoadEdgeList("/nonexistent/dynmis.txt").has_value());
 }
 
 TEST(DegreeStatsTest, CountsAndBuckets) {

@@ -2,9 +2,10 @@
 // allocation-free steady state via stable buffer capacity, byte-identical
 // deterministic persistence), the timing wheel (exact TTL expiry timing,
 // FastForward rules), the pre-drawn temporal sequences (determinism, valid
-// replay, deletion-storm shape) and the streaming edge-list ingester
-// (header pre-sizing, dedup/self-loop drops, id compaction, malformed
-// input rejection, deterministic generation, `.gz` decoding).
+// replay, deletion-storm shape) and the streaming edge-list ingester, the
+// library's one edge-list loader (header pre-sizing, SNAP format,
+// dedup/self-loop drops, id compaction, malformed input rejection, empty
+// files, deterministic generation, `.gz` decoding).
 
 #include <algorithm>
 #include <cstdint>
@@ -495,6 +496,57 @@ TEST_F(IngestFileTest, RejectsMalformedTokensAndMissingFiles) {
   EXPECT_FALSE(ingest::IngestEdgeList(TempPath("does_not_exist.txt"), &graph,
                                       nullptr, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST_F(IngestFileTest, ParsesSnapFormat) {
+  const std::string path = TempPath("snap.txt");
+  cleanup_.push_back(path);
+  WriteFile(path,
+            "# Directed graph (each unordered pair of nodes is saved once)\n"
+            "# Nodes: 4 Edges: 4\n"
+            "10\t20\n"
+            "20 10\n"   // Duplicate in the other orientation.
+            "20\t30\n"
+            "30\t30\n"  // Self loop: dropped.
+            "40 10 # trailing comment\n");
+  EdgeListGraph graph;
+  std::string error;
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, nullptr, &error)) << error;
+  EXPECT_EQ(graph.n, 4);
+  EXPECT_EQ(graph.NumEdges(), 3);
+}
+
+TEST_F(IngestFileTest, RejectsMalformedLinesAndLoadsAnEmptyFile) {
+  const std::string path = TempPath("lines.txt");
+  cleanup_.push_back(path);
+  EdgeListGraph graph;
+  std::string error;
+  for (const char* bad : {"1 2 3\n", "1\n"}) {  // Three tokens, one token.
+    WriteFile(path, bad);
+    EXPECT_FALSE(ingest::IngestEdgeList(path, &graph, nullptr, &error)) << bad;
+  }
+  WriteFile(path, "");
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, nullptr, &error)) << error;
+  EXPECT_EQ(graph.n, 0);
+  EXPECT_EQ(graph.NumEdges(), 0);
+}
+
+TEST_F(IngestFileTest, LoadsAWrittenGraph) {
+  Rng rng(12);
+  const EdgeListGraph g = ErdosRenyiGnm(30, 60, &rng);
+  const std::string path = TempPath("round_trip.txt");
+  cleanup_.push_back(path);
+  std::string text = "# nodes: " + std::to_string(g.n) +
+                     " edges: " + std::to_string(g.edges.size()) + "\n";
+  for (const auto& [u, v] : g.edges) {
+    text += std::to_string(u) + "\t" + std::to_string(v) + "\n";
+  }
+  WriteFile(path, text);
+  EdgeListGraph loaded;
+  std::string error;
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &loaded, nullptr, &error)) << error;
+  EXPECT_EQ(loaded.n, g.n);
+  EXPECT_EQ(loaded.NumEdges(), g.NumEdges());
 }
 
 TEST_F(IngestFileTest, GeneratorIsDeterministicAndIngestible) {

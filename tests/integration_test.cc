@@ -7,13 +7,13 @@
 #include <memory>
 #include <vector>
 
+#include "dynmis/engine.h"
 #include "gtest/gtest.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
-#include "src/harness/experiment.h"
-#include "src/harness/report.h"
 #include "src/static_mis/exact.h"
+#include "src/static_mis/initial_solution.h"
 #include "src/util/random.h"
 #include "tests/verifiers.h"
 
@@ -103,27 +103,31 @@ TEST(IntegrationTest, DrainAndRegrow) {
 }
 
 // The full dataset pipeline: generate every registry stand-in, run a short
-// stream with the real harness, sanity-check outputs.
+// stream through MisEngine from a greedy start, sanity-check outputs.
 TEST(IntegrationTest, DatasetPipelineSmoke) {
   int checked = 0;
   for (const auto* specs : {&EasyDatasets(), &HardDatasets()}) {
     for (const DatasetSpec& spec : *specs) {
       if (spec.n > 6000) continue;  // Keep the suite fast.
       const EdgeListGraph base = GenerateDataset(spec);
-      ExperimentConfig config;
-      config.initial = InitialSolution::kGreedy;
-      config.num_updates = 300;
-      config.stream.seed = spec.seed;
-      config.stream.bias = EndpointBias::kDegreeProportional;
-      const ExperimentResult result =
-          RunExperiment(base, {"DyOneSwap", "DyTwoSwap"}, config);
-      for (const AlgoRunResult& run : result.algos) {
-        EXPECT_TRUE(run.finished) << spec.name;
-        EXPECT_GT(run.final_size, 0) << spec.name;
+      UpdateStreamOptions stream;
+      stream.seed = spec.seed;
+      stream.bias = EndpointBias::kDegreeProportional;
+      const std::vector<GraphUpdate> updates =
+          MakeUpdateSequence(base.ToDynamic(), 300, stream);
+      // Greedy needs no ARW rounds or exact budget.
+      const std::vector<VertexId> initial = ComputeInitialSolution(
+          base, InitialSolution::kGreedy, 0, 0, 0);
+      int64_t final_size[2] = {0, 0};  // DyOneSwap, DyTwoSwap.
+      for (int k = 0; k < 2; ++k) {
+        auto engine =
+            MisEngine::Create(base, {k == 0 ? "DyOneSwap" : "DyTwoSwap"});
+        engine->Initialize(initial);
+        for (const GraphUpdate& update : updates) engine->Apply(update);
+        final_size[k] = engine->SolutionSize();
+        EXPECT_GT(final_size[k], 0) << spec.name;
       }
-      EXPECT_GE(FindRun(result, "DyTwoSwap").final_size,
-                FindRun(result, "DyOneSwap").final_size - 2)
-          << spec.name;
+      EXPECT_GE(final_size[1], final_size[0] - 2) << spec.name;
       ++checked;
     }
   }

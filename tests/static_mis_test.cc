@@ -1,5 +1,6 @@
 // Greedy and ARW local-search tests: validity, maximality, and the quality
-// ordering greedy <= ARW <= exact on random sweeps.
+// ordering greedy <= ARW <= exact on random sweeps; the start-solution
+// helper's fallback from an over-budget exact solve to ARW.
 
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "src/static_mis/brute_force.h"
 #include "src/static_mis/exact.h"
 #include "src/static_mis/greedy.h"
+#include "src/static_mis/initial_solution.h"
 #include "src/util/random.h"
 
 namespace dynmis {
@@ -107,6 +109,26 @@ TEST(ArwTest, OrderingGreedyArwExact) {
   EXPECT_LE(greedy, arw + 2);  // ARW starts from greedy; allow search noise.
   EXPECT_GE(arw, greedy);
   EXPECT_GE(exact.solution.size(), arw);
+}
+
+TEST(InitialSolutionTest, ExactFallsBackToArwWhenOverBudget) {
+  Rng rng(17);
+  const EdgeListGraph base = ErdosRenyiGnm(300, 1200, &rng);
+  const StaticGraph g = base.ToStatic();
+  ExactMisOptions one_node;
+  one_node.max_nodes = 1;
+  ASSERT_FALSE(SolveExactMis(g, one_node).solved);  // Too small to solve.
+
+  const std::vector<VertexId> start = ComputeInitialSolution(
+      base, InitialSolution::kExact, /*arw_iterations=*/50,
+      /*exact_node_budget=*/1, /*exact_seconds_budget=*/20.0);
+  ArwOptions arw;
+  arw.iterations = 50;
+  EXPECT_EQ(start, ArwMis(g, arw));
+  EXPECT_TRUE(IsIndependent(g, start));
+  EXPECT_TRUE(IsMaximal(g, start));
+  EXPECT_TRUE(ComputeInitialSolution(base, InitialSolution::kEmpty, 50, 1, 20.0)
+                  .empty());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (CI `docs` job).
 
-Two checks, both over committed files only (no network):
+Three checks, all over committed files only (no network):
 
 1. Markdown link check. Every relative link in README.md, docs/*.md and
    bench/EXPERIMENTS.md must point at a file that exists in the repo,
@@ -13,6 +13,11 @@ Two checks, both over committed files only (no network):
    `VerbName()` switch in src/serve/protocol.cc. A verb added to the
    parser without a table row fails, and so does a documented verb the
    parser no longer accepts.
+
+3. Benchmark preset drift. The "What reproduces what" table in
+   bench/EXPERIMENTS.md must list exactly the scenarios bench_driver
+   runs: the names extracted from `BuildScenarios()` in
+   bench/bench_driver.cc.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -28,6 +33,8 @@ CHECKED_DOCS = ["README.md", "docs", "bench/EXPERIMENTS.md"]
 
 PROTOCOL_DOC = REPO / "docs" / "PROTOCOL.md"
 PROTOCOL_SRC = REPO / "src" / "serve" / "protocol.cc"
+PRESET_DOC = REPO / "bench" / "EXPERIMENTS.md"
+PRESET_SRC = REPO / "bench" / "bench_driver.cc"
 
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 # [text](target) — target up to the first unescaped ')'; images included.
@@ -175,12 +182,64 @@ def check_verbs():
     return problems
 
 
+def driver_scenarios():
+    """Scenario names from BuildScenarios() in bench_driver.cc."""
+    source = PRESET_SRC.read_text(encoding="utf-8")
+    match = re.search(
+        r"std::vector<Scenario> BuildScenarios\(\) \{.*?\n\}", source,
+        flags=re.DOTALL,
+    )
+    if not match:
+        return None
+    names = re.findall(
+        r'(?:FromWorkload|Preset)\(\s*"([a-z0-9-]+)"|s\.name = "([a-z0-9-]+)"',
+        match.group(0),
+    )
+    return {a or b for a, b in names} or None
+
+
+def documented_scenarios():
+    """First-column `name` entries of EXPERIMENTS.md's 'What reproduces
+    what' table."""
+    names = set()
+    in_table = False
+    for line in PRESET_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            in_table = line.strip().lower().endswith("what reproduces what")
+            continue
+        if in_table:
+            match = re.match(r"\|\s*`([a-z0-9-]+)`\s*\|", line)
+            if match:
+                names.add(match.group(1))
+    return names
+
+
+def check_presets():
+    from_code = driver_scenarios()
+    if from_code is None:
+        return [f"{PRESET_SRC.relative_to(REPO)}: could not locate the "
+                "scenarios in BuildScenarios() (check_docs.py needs updating)"]
+    from_docs = documented_scenarios()
+    problems = []
+    for name in sorted(from_code - from_docs):
+        problems.append(
+            f"bench/EXPERIMENTS.md: scenario '{name}' exists in "
+            "bench/bench_driver.cc but has no 'What reproduces what' row"
+        )
+    for name in sorted(from_docs - from_code):
+        problems.append(
+            f"bench/EXPERIMENTS.md: scenario '{name}' is documented but "
+            "bench/bench_driver.cc does not define it"
+        )
+    return problems
+
+
 def main():
     files = gather_files()
     if not files:
         print("check_docs.py: no documentation files found", file=sys.stderr)
         return 1
-    problems = check_links(files) + check_verbs()
+    problems = check_links(files) + check_verbs() + check_presets()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -188,7 +247,8 @@ def main():
         return 1
     names = ", ".join(str(f.relative_to(REPO)) for f in files)
     print(f"check_docs.py: OK — links + anchors clean in {names}; "
-          f"verb table in sync ({len(documented_verbs())} verbs)")
+          f"verb table in sync ({len(documented_verbs())} verbs); "
+          f"preset table in sync ({len(documented_scenarios())} scenarios)")
     return 0
 
 

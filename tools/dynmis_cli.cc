@@ -8,7 +8,7 @@
 //              [--edge-fraction F] [--insert-fraction F] [--degree-bias]
 //              [--report-every K] [--save-trace FILE] [--csv]
 //
-//   --graph FILE       SNAP-format edge list (required).
+//   --graph FILE       SNAP-format edge list, plain or .gz (required).
 //   --algo NAME        a MaintainerRegistry name (default DyTwoSwap);
 //                      `--algo help` lists everything the registry accepts.
 //   --k K              swap order for the generic KSwap maintainer.
@@ -88,7 +88,6 @@
 
 #include "dynmis/dynmis.h"
 #include "dynmis/workload.h"
-#include "src/harness/experiment.h"
 #include "src/repl/bootstrap.h"
 #include "src/repl/change_log.h"
 #include "src/serve/workload.h"
@@ -269,6 +268,24 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options,
   return true;
 }
 
+// Range checks for the update-stream flags shared by the run and
+// `snapshot load` paths; prints the problem and returns false.
+bool StreamFlagsValid(const CliOptions& options) {
+  const auto in_unit = [](double f) { return f >= 0 && f <= 1; };
+  const char* problem = nullptr;
+  if (options.random_updates < 0) {
+    problem = "--random must be >= 0";
+  } else if (options.report_every < 0) {
+    problem = "--report-every must be >= 0";
+  } else if (!in_unit(options.edge_fraction)) {
+    problem = "--edge-fraction must be in [0, 1]";
+  } else if (!in_unit(options.insert_fraction)) {
+    problem = "--insert-fraction must be in [0, 1]";
+  }
+  if (problem != nullptr) std::fprintf(stderr, "%s\n", problem);
+  return problem == nullptr;
+}
+
 int Run(const CliOptions& options) {
   if (!MaintainerRegistry::Global().Has(options.algo.algorithm)) {
     std::fprintf(stderr,
@@ -284,6 +301,7 @@ int Run(const CliOptions& options) {
     std::fprintf(stderr, "--recompute-every must be a positive integer\n");
     return 2;
   }
+  if (!StreamFlagsValid(options)) return 2;
   InitialSolution initial;
   if (options.initial == "greedy") {
     initial = InitialSolution::kGreedy;
@@ -297,15 +315,15 @@ int Run(const CliOptions& options) {
     return 2;
   }
 
-  const auto graph = LoadEdgeList(options.graph_path);
-  if (!graph) {
-    std::fprintf(stderr, "cannot load graph: %s\n",
-                 options.graph_path.c_str());
+  EdgeListGraph graph;
+  std::string error;
+  if (!ingest::IngestEdgeList(options.graph_path, &graph, nullptr, &error)) {
+    std::fprintf(stderr, "cannot load graph: %s\n", error.c_str());
     return 1;
   }
-  std::fprintf(stderr, "graph: n=%d m=%lld avg-deg=%.2f\n", graph->n,
-               static_cast<long long>(graph->NumEdges()),
-               graph->AverageDegree());
+  std::fprintf(stderr, "graph: n=%d m=%lld avg-deg=%.2f\n", graph.n,
+               static_cast<long long>(graph.NumEdges()),
+               graph.AverageDegree());
 
   std::vector<GraphUpdate> updates;
   if (!options.updates_path.empty()) {
@@ -324,7 +342,7 @@ int Run(const CliOptions& options) {
     stream.bias = options.degree_bias ? EndpointBias::kDegreeProportional
                                       : EndpointBias::kUniform;
     updates =
-        MakeUpdateSequence(graph->ToDynamic(), options.random_updates, stream);
+        MakeUpdateSequence(graph.ToDynamic(), options.random_updates, stream);
   }
   if (!options.save_trace_path.empty() &&
       !SaveUpdateTrace(updates, options.save_trace_path)) {
@@ -333,11 +351,11 @@ int Run(const CliOptions& options) {
     return 1;
   }
 
-  std::unique_ptr<MisEngine> engine = MisEngine::Create(*graph, options.algo);
+  std::unique_ptr<MisEngine> engine = MisEngine::Create(graph, options.algo);
   // Has() passed above, so construction cannot miss the registry.
   Timer init_timer;
   engine->Initialize(
-      ComputeInitialSolution(*graph, initial, /*arw_iterations=*/500,
+      ComputeInitialSolution(graph, initial, /*arw_iterations=*/500,
                              /*exact_node_budget=*/2'000'000,
                              /*exact_seconds_budget=*/30.0));
   std::fprintf(stderr, "initial |I|=%lld (%.3fs, %s start)\n",
@@ -524,6 +542,7 @@ int RunSnapshotCommand(int argc, char** argv) {
                    "snapshot; --graph/--algo-style flags are not accepted\n");
       return 2;
     }
+    if (!StreamFlagsValid(options)) return 2;
     return RunSnapshotLoad(options, /*resume_updates=*/true);
   }
   if (mode == "info") {
@@ -835,13 +854,12 @@ int RunServeCommand(int argc, char** argv) {
   }
 
   EdgeListGraph base;  // Default: serve an empty graph.
+  std::string error;
   if (!graph_path.empty()) {
-    const auto loaded = LoadEdgeList(graph_path);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot load graph: %s\n", graph_path.c_str());
+    if (!ingest::IngestEdgeList(graph_path, &base, nullptr, &error)) {
+      std::fprintf(stderr, "cannot load graph: %s\n", error.c_str());
       return 1;
     }
-    base = *loaded;
   } else if (!scenario.empty()) {
     serve::ServeWorkload workload;
     if (!serve::BuildServeWorkload(scenario, &workload)) {
@@ -851,7 +869,6 @@ int RunServeCommand(int argc, char** argv) {
     base = std::move(workload.base);
   }
 
-  std::string error;
   std::unique_ptr<serve::ServingBackend> backend;
   // Checkpoint bootstrap: a follower restores from its local checkpoint
   // directory; a primary restarted on a non-empty --change-log directory
