@@ -73,11 +73,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/json_writer.h"
 #include "dynmis/dynmis.h"
 #include "dynmis/workload.h"
 #include "src/graph/degree_stats.h"
 #include "src/serve/workload.h"
+#include "src/util/json_writer.h"
 #include "src/util/timer.h"
 
 namespace dynmis {
@@ -682,19 +682,14 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
                         : c.make_graph();
   record.n = base.n;
   record.m = base.NumEdges();
-  w.Key("graph");
-  w.BeginObject();
-  w.Key("name");
-  w.String(c.graph_name);
-  w.Key("n");
-  w.Int(base.n);
-  w.Key("m");
-  w.Int(base.NumEdges());
+  w.BeginObject("graph");
+  w.String("name", c.graph_name);
+  w.Int("n", base.n);
+  w.Int("m", base.NumEdges());
   if (scenario.algos.empty()) {
     record.beta_fit =
         EstimatePowerLawExponent(ComputeDegreeStats(base.ToStatic()));
-    w.Key("beta_fit");
-    w.Double(record.beta_fit);
+    w.Double("beta_fit", record.beta_fit);
     w.EndObject();
     std::printf("  graph %s: n=%d m=%lld\n", c.graph_name.c_str(), base.n,
                 static_cast<long long>(base.NumEdges()));
@@ -849,105 +844,63 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
         sharded_sequential.barrier_seconds * 1e3, sharded.partition.c_str());
   }
 
-  w.Key("updates");
-  w.Int(num_updates);
-  w.Key("greedy_reference");
-  w.Int(greedy_reference);
+  w.Int("updates", num_updates);
+  w.Int("greedy_reference", greedy_reference);
   if (!record.reference_kind.empty()) {
-    w.Key("reference");
-    w.Int(record.reference);
-    w.Key("reference_kind");
-    w.String(record.reference_kind);
+    w.Int("reference", record.reference);
+    w.String("reference_kind", record.reference_kind);
   }
   // Memory budget of the streaming ingest (environment-dependent, like the
   // "serving" block: the regression checker pops it).
   if (scenario.ingested) {
-    w.Key("ingest");
-    w.BeginObject();
-    w.Key("vertices");
-    w.Int(ingest_report.vertices);
-    w.Key("edges");
-    w.Int(ingest_report.edges);
-    w.Key("dropped_self_loops");
-    w.Int(ingest_report.dropped_self_loops);
-    w.Key("dropped_duplicates");
-    w.Int(ingest_report.dropped_duplicates);
-    w.Key("header_reserved");
-    w.Bool(ingest_report.header_reserved);
-    w.Key("gzip");
-    w.Bool(ingest_report.gzip);
-    w.Key("load_seconds");
-    w.Double(ingest_report.load_seconds);
-    w.Key("graph_bytes");
-    w.Uint(ingest_report.graph_bytes);
-    w.Key("bytes_per_edge");
-    w.Double(ingest_report.bytes_per_edge);
-    w.Key("peak_rss_bytes");
-    w.Uint(ingest_report.peak_rss_bytes);
+    w.BeginObject("ingest");
+    w.Int("vertices", ingest_report.vertices);
+    w.Int("edges", ingest_report.edges);
+    w.Int("dropped_self_loops", ingest_report.dropped_self_loops);
+    w.Int("dropped_duplicates", ingest_report.dropped_duplicates);
+    w.Bool("header_reserved", ingest_report.header_reserved);
+    w.Bool("gzip", ingest_report.gzip);
+    w.Double("load_seconds", ingest_report.load_seconds);
+    w.Uint("graph_bytes", ingest_report.graph_bytes);
+    w.Double("bytes_per_edge", ingest_report.bytes_per_edge);
+    w.Uint("peak_rss_bytes", ingest_report.peak_rss_bytes);
     w.EndObject();
   }
   // Shape of the sliding-window stream the runs replayed (deterministic,
   // but scale-dependent: the regression checker pops it too).
   if (scenario.temporal) {
-    w.Key("temporal");
-    w.BeginObject();
-    w.Key("ttl_ticks");
-    w.Int(temporal_stats.ttl_ticks);
-    w.Key("inserts");
-    w.Int(temporal_stats.inserts);
-    w.Key("expiries");
-    w.Int(temporal_stats.expiries);
-    w.Key("deletion_share");
-    w.Double(temporal_stats.deletion_share);
-    w.Key("window_peak_edges");
-    w.Uint(temporal_stats.window_peak_edges);
-    w.Key("expiry_backlog_peak");
-    w.Uint(temporal_stats.expiry_backlog_peak);
-    w.Key("storm");
-    w.Bool(scenario.window.storm);
+    w.BeginObject("temporal");
+    w.Int("ttl_ticks", temporal_stats.ttl_ticks);
+    w.Int("inserts", temporal_stats.inserts);
+    w.Int("expiries", temporal_stats.expiries);
+    w.Double("deletion_share", temporal_stats.deletion_share);
+    w.Uint("window_peak_edges", temporal_stats.window_peak_edges);
+    w.Uint("expiry_backlog_peak", temporal_stats.expiry_backlog_peak);
+    w.Bool("storm", scenario.window.storm);
     w.EndObject();
   }
-  w.Key("runs");
-  w.BeginArray();
+  w.BeginArray("runs");
   for (const RunResult& run : record.runs) {
     w.BeginObject();
-    w.Key("algorithm");
-    w.String(run.algorithm);
-    w.Key("batch_size");
-    w.Int(run.batch_size);
-    w.Key("updates");
-    w.Int(run.updates);
-    w.Key("total_seconds");
-    w.Double(run.total_seconds);
-    w.Key("ops_per_sec");
-    w.Double(run.ops_per_sec);
-    w.Key("latency_unit");
-    w.String(run.latency_unit);
-    w.Key("latency_p50_us");
-    w.Double(run.latency_p50_us);
-    w.Key("latency_p99_us");
-    w.Double(run.latency_p99_us);
-    w.Key("peak_memory_bytes");
-    w.Uint(run.peak_memory_bytes);
-    w.Key("final_solution_size");
-    w.Int(run.final_solution_size);
-    w.Key("quality_vs_greedy");
-    w.Double(run.quality_vs_greedy);
+    w.String("algorithm", run.algorithm);
+    w.Int("batch_size", run.batch_size);
+    w.Int("updates", run.updates);
+    w.Double("total_seconds", run.total_seconds);
+    w.Double("ops_per_sec", run.ops_per_sec);
+    w.String("latency_unit", run.latency_unit);
+    w.Double("latency_p50_us", run.latency_p50_us);
+    w.Double("latency_p99_us", run.latency_p99_us);
+    w.Uint("peak_memory_bytes", run.peak_memory_bytes);
+    w.Int("final_solution_size", run.final_solution_size);
+    w.Double("quality_vs_greedy", run.quality_vs_greedy);
     if (run.snapshot.every > 0) {
-      w.Key("snapshot");
-      w.BeginObject();
-      w.Key("every");
-      w.Int(run.snapshot.every);
-      w.Key("count");
-      w.Int(run.snapshot.count);
-      w.Key("save_total_seconds");
-      w.Double(run.snapshot.save_total_seconds);
-      w.Key("last_bytes");
-      w.Uint(run.snapshot.last_bytes);
-      w.Key("restore_seconds");
-      w.Double(run.snapshot.restore_seconds);
-      w.Key("resume_matches");
-      w.Bool(run.snapshot.resume_matches);
+      w.BeginObject("snapshot");
+      w.Int("every", run.snapshot.every);
+      w.Int("count", run.snapshot.count);
+      w.Double("save_total_seconds", run.snapshot.save_total_seconds);
+      w.Uint("last_bytes", run.snapshot.last_bytes);
+      w.Double("restore_seconds", run.snapshot.restore_seconds);
+      w.Bool("resume_matches", run.snapshot.resume_matches);
       w.EndObject();
     }
     w.EndObject();
@@ -955,67 +908,44 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   w.EndArray();
   if (sharded_shards > 1) {
     auto emit_sharded_run = [&](const ShardedRunResult& r) {
-      w.Key("shards");
-      w.Int(r.shards);
-      w.Key("partition");
-      w.String(r.partition);
-      w.Key("async_resolver");
-      w.Bool(r.async_resolver);
-      w.Key("updates");
-      w.Int(r.updates);
-      w.Key("total_seconds");
-      w.Double(r.total_seconds);
-      w.Key("ops_per_sec");
-      w.Double(r.ops_per_sec);
-      w.Key("final_solution_size");
-      w.Int(r.final_solution_size);
-      w.Key("quality_vs_greedy");
-      w.Double(r.quality_vs_greedy);
-      w.Key("cut_edge_fraction");
-      w.Double(r.cut_edge_fraction);
-      w.Key("conflicts");
-      w.Int(r.conflicts);
-      w.Key("evictions");
-      w.Int(r.evictions);
-      w.Key("readded");
-      w.Int(r.readded);
-      w.Key("barriers");
-      w.Int(r.barriers);
-      w.Key("barrier_seconds");
-      w.Double(r.barrier_seconds);
-      w.Key("resolve_seconds");
-      w.Double(r.resolve_seconds);
-      w.Key("transitions_consumed");
-      w.Int(r.transitions_consumed);
-      w.Key("verified_independent");
-      w.Bool(r.verified_independent);
+      w.Int("shards", r.shards);
+      w.String("partition", r.partition);
+      w.Bool("async_resolver", r.async_resolver);
+      w.Int("updates", r.updates);
+      w.Double("total_seconds", r.total_seconds);
+      w.Double("ops_per_sec", r.ops_per_sec);
+      w.Int("final_solution_size", r.final_solution_size);
+      w.Double("quality_vs_greedy", r.quality_vs_greedy);
+      w.Double("cut_edge_fraction", r.cut_edge_fraction);
+      w.Int("conflicts", r.conflicts);
+      w.Int("evictions", r.evictions);
+      w.Int("readded", r.readded);
+      w.Int("barriers", r.barriers);
+      w.Double("barrier_seconds", r.barrier_seconds);
+      w.Double("resolve_seconds", r.resolve_seconds);
+      w.Int("transitions_consumed", r.transitions_consumed);
+      w.Bool("verified_independent", r.verified_independent);
     };
-    w.Key("sharded");
-    w.BeginObject();
-    w.Key("algorithm");
-    w.String("DyTwoSwap");
-    w.Key("batch_size");
-    w.Int(sharded_batch);
+    w.BeginObject("sharded");
+    w.String("algorithm", "DyTwoSwap");
+    w.Int("batch_size", sharded_batch);
     emit_sharded_run(sharded);
-    w.Key("scaling_vs_one_shard");
-    w.Double(sharded_base.ops_per_sec > 0
+    w.Double("scaling_vs_one_shard",
+             sharded_base.ops_per_sec > 0
                  ? sharded.ops_per_sec / sharded_base.ops_per_sec
                  : 0);
-    w.Key("one_shard");
-    w.BeginObject();
+    w.BeginObject("one_shard");
     emit_sharded_run(sharded_base);
     w.EndObject();
     // Same shard count + plan, sequential barrier-recompute resolver: the
     // barrier_seconds delta against the headline run is the asynchronous
     // resolver's payoff.
-    w.Key("sequential_resolver");
-    w.BeginObject();
+    w.BeginObject("sequential_resolver");
     emit_sharded_run(sharded_sequential);
     w.EndObject();
     // One async run per partition plan at the requested shard count, so
     // cut-edge fraction and resolve cost are comparable across plans.
-    w.Key("plans");
-    w.BeginArray();
+    w.BeginArray("plans");
     for (const ShardedRunResult& r : plan_runs) {
       w.BeginObject();
       emit_sharded_run(r);
@@ -1103,24 +1033,16 @@ int RunScenario(const Scenario& scenario, const std::string& out_path,
               scenario.description.c_str());
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("scenario");
-  w.String(scenario.name);
-  w.Key("description");
-  w.String(scenario.description);
-  w.Key("scale");
-  w.Double(BenchScale());
+  w.Int("schema_version", 1);
+  w.String("scenario", scenario.name);
+  w.String("description", scenario.description);
+  w.Double("scale", BenchScale());
   // Hardware threads visible to this measurement — shard scaling numbers
   // (and to a degree every throughput number) are only interpretable
   // alongside it.
-  w.Key("cpu_count");
-  w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+  w.Int("cpu_count", std::thread::hardware_concurrency());
   const bool nested = scenario.cases.size() > 1;
-  if (nested) {
-    w.Key("cases");
-    w.BeginArray();
-  }
+  if (nested) w.BeginArray("cases");
   std::vector<CaseRecord> records;
   for (const Case& c : scenario.cases) {
     if (nested) w.BeginObject();

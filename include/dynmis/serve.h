@@ -21,23 +21,25 @@
 //                                    hash | range | locality)
 //   QUIT                             orderly goodbye
 //
-// Updates pass through an *admission layer*: each op is validated against a
-// replica graph (invalid ops are rejected with `ERR`, never reach the
-// engine, and can never trip an engine precondition), then coalesced with
-// ops from every other connection into one ApplyBatch call, flushed when the
-// batch fills (`batch_max_ops`) or a deadline expires (`flush_deadline_us`).
-// Acks are deferred until the containing batch applies, so `OK` means
-// "applied", and the measured update latency is the honest queue+apply time.
-// Throughput therefore scales with connection count (one engine call per
-// batch) instead of collapsing into per-op engine traffic.
+// Updates pass through an *admission layer* (src/serve/admission.h): each op
+// is validated against a replica graph (invalid ops are rejected with `ERR`,
+// never reach the engine, and can never trip an engine precondition), then
+// coalesced with ops from every other connection into one ApplyBatch call,
+// flushed when the batch fills (`batch_max_ops`) or a deadline expires
+// (`flush_deadline_us`). Acks are deferred until the containing batch
+// applies, so `OK` means "applied", and the measured update latency is the
+// honest queue+apply time. Throughput therefore scales with connection
+// count (one engine call per batch) instead of collapsing into per-op
+// engine traffic.
 //
 // The server runs over either backend behind the ServingBackend adapter: a
 // single MisEngine, or a ShardedMisEngine with N worker shards. STATS
 // reports the same EngineStats fields for both (plus a per-shard breakdown
 // for the sharded backend), wired from the same counters the bench driver's
 // observer hook uses. SNAPSHOT writes the PR-3 container online;
-// ServeOptions::restore_path warm-starts a fresh server from one (warm
-// failover: checkpoint on the old process, --restore on the new).
+// RestoreServingBackend plus Server::AdoptKeyMap warm-start a fresh server
+// from one (warm failover: checkpoint on the old process, --restore on the
+// new).
 //
 // Concurrency model: one engine thread (acceptor + admission + backend +
 // replication) plus ServeOptions::io_threads I/O threads. Each I/O thread
@@ -111,10 +113,6 @@ struct ServeOptions {
   size_t max_output_bytes = 16 << 20;
   int max_connections = 256;
 
-  // Warm start: restore the backend from this snapshot file instead of
-  // building it from a base graph.
-  std::string restore_path;
-
   // Record every applied update so the TRACE command can export the exact
   // applied sequence (unbounded memory over the server's lifetime; meant
   // for verification runs, not production).
@@ -174,7 +172,7 @@ struct ServeOptions {
 };
 
 // The uniform surface the server drives. Both engines sit behind it; a new
-// backend (e.g. a remote replica) implements these seven calls.
+// backend (e.g. a remote replica) implements these twelve calls.
 class ServingBackend {
  public:
   virtual ~ServingBackend() = default;
@@ -208,22 +206,23 @@ class ServingBackend {
   virtual const MaintainerConfig& Config() const = 0;
 };
 
-// Builds the backend named by `options.backend` over a copy of `base`
-// (ignored when options.restore_path is set — the snapshot fixes graph and
-// algorithm). Returns nullptr with `*error` set on unknown backend name,
-// unknown algorithm, or a failed restore.
+// Builds the backend named by `options.backend` (with `options.shards` and
+// `options.algo`) over a copy of `base`, initialized. Returns nullptr with
+// `*error` set on an unknown backend name or algorithm. Snapshots restore
+// through RestoreServingBackend.
 std::unique_ptr<ServingBackend> MakeServingBackend(const EdgeListGraph& base,
                                                    const ServeOptions& options,
                                                    std::string* error);
 
 // Restores a backend from a snapshot stream, auto-detecting the container
 // flavour ("sharded" section present -> ShardedMisEngine, else MisEngine).
-// The replication bootstrap path uses this to load base snapshots without
-// knowing which backend wrote them. When `keymap` is non-null and the
-// container carries a "keymap" section (servers with keyed clients write
-// one), it is restored into `*keymap`; containers without one leave it
-// empty. Returns nullptr with `*error` set on a malformed or incompatible
-// snapshot.
+// The one restore path: `dynmis_cli serve --restore`, the replication
+// bootstrap, RESHARD and the load generator's resume check all load
+// snapshots through it, without knowing which backend wrote them. When
+// `keymap` is non-null and the container carries a "keymap" section
+// (servers with keyed clients write one), it is restored into `*keymap`;
+// containers without one leave it empty. Returns nullptr with `*error` set
+// on a malformed or incompatible snapshot.
 std::unique_ptr<ServingBackend> RestoreServingBackend(
     std::istream& in, std::string* error, ingest::KeyMap* keymap = nullptr);
 
@@ -286,7 +285,9 @@ class Server {
   Server(std::unique_ptr<ServingBackend> backend, ServeOptions options);
   ~Server();
 
-  // Binds and listens. Returns false with `*error` set on socket failure.
+  // Binds and listens (and, for a follower, starts tailing). Returns false
+  // with `*error` set on socket failure or a malformed address: a listen
+  // port outside 0..65535, or a follow port outside 1..65535.
   bool Start(std::string* error);
 
   // The bound port (valid after Start()).

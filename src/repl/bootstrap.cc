@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/repl/change_log.h"
+#include "src/serve/admission.h"
 
 namespace dynmis {
 namespace repl {
@@ -28,9 +29,7 @@ bool BootstrapFromChangeLog(const std::string& dir, const EdgeListGraph& base,
     out->base_seq = state.latest_base_seq;
     out->epoch = std::max(out->epoch, base_epoch);
   } else {
-    serve::ServeOptions fresh = options;
-    fresh.restore_path.clear();
-    out->backend = serve::MakeServingBackend(base, fresh, error);
+    out->backend = serve::MakeServingBackend(base, options, error);
     if (out->backend == nullptr) return false;
   }
 
@@ -52,20 +51,15 @@ bool BootstrapFromChangeLog(const std::string& dir, const EdgeListGraph& base,
     // exactly the primary's state for this seq.
     size_t insv = 0;
     for (const GraphUpdate& update : batch.updates) {
+      VertexId id = kInvalidVertex;
       if (update.kind == UpdateKind::kInsertVertex) {
         if (insv >= result.new_vertices.size()) {
           *error = "bootstrap: replayed batch lost a vertex-insert id";
           return false;
         }
-        const VertexId id = result.new_vertices[insv++];
-        if (!update.key.empty()) out->keymap.Bind(update.key, id);
-      } else if (update.kind == UpdateKind::kDeleteVertex) {
-        if (!update.key.empty()) {
-          out->keymap.Release(update.key);
-        } else {
-          out->keymap.ReleaseId(update.u);
-        }
+        id = result.new_vertices[insv++];
       }
+      serve::ApplyKeyEffect(update, id, &out->keymap);
     }
     out->epoch = std::max(out->epoch, batch.epoch);
     ++out->tail_batches;

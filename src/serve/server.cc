@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,11 +38,11 @@
 #include <utility>
 
 #include "dynmis/sharded_engine.h"
-#include "src/ingest/temporal.h"
 #include "src/io/atomic_file.h"
 #include "src/io/snapshot.h"
 #include "src/repl/change_log.h"
 #include "src/repl/snapshotter.h"
+#include "src/serve/admission.h"
 #include "src/serve/binary.h"
 #include "src/serve/io_thread.h"
 #include "src/serve/mailbox.h"
@@ -53,6 +52,7 @@
 #include "src/serve/verify.h"
 #include "src/util/check.h"
 #include "src/util/faultfs.h"
+#include "src/util/json_writer.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
 
@@ -126,53 +126,6 @@ class ShardedBackend : public ServingBackend {
   std::unique_ptr<ShardedMisEngine> engine_;
 };
 
-// --- JSON assembly -----------------------------------------------------------
-
-// STATS emits one line of JSON. Keys and string values are all
-// server-controlled identifiers (no client bytes), so escaping reduces to
-// quoting.
-
-void JsonKey(std::string* out, const char* key) {
-  if (out->back() != '{' && out->back() != '[') out->push_back(',');
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-}
-
-void JsonStr(std::string* out, const char* key, const std::string& value) {
-  JsonKey(out, key);
-  out->push_back('"');
-  out->append(value);
-  out->push_back('"');
-}
-
-void JsonInt(std::string* out, const char* key, int64_t value) {
-  JsonKey(out, key);
-  out->append(std::to_string(value));
-}
-
-void JsonDouble(std::string* out, const char* key, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  JsonKey(out, key);
-  out->append(buf);
-}
-
-void JsonEngineStats(std::string* out, const EngineStats& stats) {
-  out->push_back('{');
-  JsonStr(out, "algorithm", stats.algorithm);
-  JsonInt(out, "solution_size", stats.solution_size);
-  JsonInt(out, "num_vertices", stats.num_vertices);
-  JsonInt(out, "num_edges", stats.num_edges);
-  JsonInt(out, "structure_memory_bytes",
-          static_cast<int64_t>(stats.structure_memory_bytes));
-  JsonInt(out, "graph_memory_bytes",
-          static_cast<int64_t>(stats.graph_memory_bytes));
-  JsonInt(out, "updates_applied", stats.updates_applied);
-  JsonDouble(out, "update_seconds", stats.update_seconds);
-  out->push_back('}');
-}
-
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -199,28 +152,6 @@ std::unique_ptr<ServingBackend> MakeServingBackend(const EdgeListGraph& base,
     *error = "unknown backend: " + options.backend +
              " (expected engine or sharded)";
     return nullptr;
-  }
-  if (!options.restore_path.empty()) {
-    std::ifstream in(options.restore_path, std::ios::binary);
-    if (!in) {
-      *error = "cannot open snapshot: " + options.restore_path;
-      return nullptr;
-    }
-    SnapshotStatus status;
-    if (sharded) {
-      auto engine = ShardedMisEngine::LoadSnapshot(in, &status);
-      if (engine == nullptr) {
-        *error = "restore failed: " + status.message;
-        return nullptr;
-      }
-      return std::make_unique<ShardedBackend>(std::move(engine));
-    }
-    auto engine = MisEngine::LoadSnapshot(in, &status);
-    if (engine == nullptr) {
-      *error = "restore failed: " + status.message;
-      return nullptr;
-    }
-    return std::make_unique<EngineBackend>(std::move(engine));
   }
   if (sharded) {
     ShardedEngineOptions shard_options;
@@ -363,31 +294,27 @@ struct Server::Impl {
     std::unique_ptr<repl::ChangeLogCursor> sub_cursor;
   };
 
-  // One admitted op awaiting the next flush.
+  // The reply owed for one client op of the pending admission batch (TTL
+  // expiries have none), in admission order.
   struct PendingMeta {
     int64_t session = 0;
     Verb verb = Verb::kIns;
     double enqueue_time = 0;
-    VertexId assigned_id = kInvalidVertex;  // INSV: replica-assigned id.
     bool in_frame = false;
   };
 
+  Impl(std::unique_ptr<ServingBackend> served, ServeOptions serve_options)
+      : backend(std::move(served)),
+        options(std::move(serve_options)),
+        admission(backend->ExportGraph(), options.window_ttl_ms) {}
+
   std::unique_ptr<ServingBackend> backend;
-  DynamicGraph replica;
   ServeOptions options;
+  // Replica, key map, TTL wheel and the pending batch (src/serve/
+  // admission.h).
+  Admission admission;
   ServeMetrics metrics;
   Timer clock;
-
-  // External-key bindings (KINS/KDEL/KQUERY). Mutated eagerly at admission
-  // alongside the replica, so every admitted op saw a consistent map.
-  ingest::KeyMap keymap;
-
-  // Temporal sliding window (ServeOptions::window_ttl_ms): a wall-clock
-  // timing wheel at 1ms/tick over the admitted edge inserts. Null when the
-  // window is off.
-  std::unique_ptr<ingest::TimingWheel> window_wheel;
-  std::vector<std::pair<VertexId, VertexId>> window_scratch;
-  int64_t expired_ops = 0;  // TTL deletions applied over the lifetime.
 
   int listen_fd = -1;
   int bound_port = 0;
@@ -415,7 +342,6 @@ struct Server::Impl {
   // ShipOutput pass.
   std::vector<int64_t> dirty_sessions;
 
-  std::vector<GraphUpdate> pending_updates;
   std::vector<PendingMeta> pending_meta;
 
   // Applied-op log for TRACE (only when options.record_trace), with the
@@ -472,6 +398,7 @@ struct Server::Impl {
   // are consumed by a tiny state machine.
   enum class UpstreamState { kGreeting, kSubscribeAck, kStreaming, kDown };
   int upstream_fd = -1;
+  sockaddr_in upstream_addr{};
   UpstreamState upstream_state = UpstreamState::kDown;
   std::unique_ptr<LineBuffer> upstream_in;
   int64_t upstream_head = -1;  // Primary's next_seq as last announced.
@@ -508,176 +435,48 @@ struct Server::Impl {
 
   // ---- Admission ------------------------------------------------------------
 
-  // Resolves a keyed command against the map before graph validation: KINS
-  // must introduce a fresh key; KDEL names an existing one (the bound id
-  // lands in update.u, turning it into a plain vertex delete downstream).
-  bool ResolveKeyed(Command* cmd, std::string* why) {
-    if (cmd->verb == Verb::kKIns) {
-      if (keymap.Lookup(cmd->update.key) != kInvalidVertex) {
-        *why = "key exists";
-        return false;
-      }
-      return true;
-    }
-    if (cmd->verb == Verb::kKDel) {
-      const VertexId id = keymap.Lookup(cmd->update.key);
-      if (id == kInvalidVertex) {
-        *why = "unknown key";
-        return false;
-      }
-      cmd->update.u = id;
-    }
-    return true;
-  }
-
-  // Mirrors an admitted op's key effect into the map, as eagerly as
-  // Validate mutates the replica: bind the fresh vertex's id, release a
-  // dying vertex's binding (whether the client named it by key or raw id).
-  void CommitKeyed(const GraphUpdate& update, VertexId insv_id) {
-    if (update.kind == UpdateKind::kInsertVertex) {
-      if (!update.key.empty()) keymap.Bind(update.key, insv_id);
-    } else if (update.kind == UpdateKind::kDeleteVertex) {
-      if (!update.key.empty()) {
-        keymap.Release(update.key);
-      } else {
-        keymap.ReleaseId(update.u);
-      }
-    }
-  }
-
-  // Schedules an admitted edge insert for TTL expiry when the sliding
-  // window is on.
-  void MaybeScheduleWindow(const GraphUpdate& update) {
-    if (window_wheel != nullptr && update.kind == UpdateKind::kInsertEdge) {
-      window_wheel->Schedule(update.u, update.v);
-    }
-  }
-
-  // Advances the wall-clock wheel to `now` and feeds the expired edges
-  // through the same pending batch as client writes (no response slots —
-  // Flush acks via pending_meta, which these ops never enter), so expiries
-  // apply, replicate, and snapshot exactly like client deletions.
+  // Feeds the TTL expiries due by now through the same pending batch as
+  // client writes (no response slots — they never enter pending_meta), so
+  // expiries apply, replicate, and snapshot exactly like client deletions.
   void AdvanceWindow() {
-    if (window_wheel == nullptr || read_only || fenced || degraded) return;
-    const uint64_t target =
+    if (read_only || fenced || degraded) return;
+    const uint64_t tick_ms =
         static_cast<uint64_t>(clock.ElapsedSeconds() * 1e3);
-    // An empty wheel skips its backlog wholesale (a follower's cursor
-    // would otherwise spin through every tick of its read-only stretch at
-    // promotion).
-    if (window_wheel->scheduled() == 0) window_wheel->FastForward(target);
-    bool expired_any = false;
-    while (window_wheel->now() < target) {
-      window_scratch.clear();
-      window_wheel->Advance(&window_scratch);
-      for (const auto& edge : window_scratch) {
-        if (!replica.IsVertexAlive(edge.first) ||
-            !replica.IsVertexAlive(edge.second) ||
-            !replica.HasEdge(edge.first, edge.second)) {
-          continue;  // Gone before its TTL; nothing left to expire.
-        }
-        replica.RemoveEdgeBetween(edge.first, edge.second);
-        GraphUpdate update;
-        update.kind = UpdateKind::kDeleteEdge;
-        update.u = edge.first;
-        update.v = edge.second;
-        pending_updates.push_back(std::move(update));
-        ++expired_ops;
-        expired_any = true;
-        if (static_cast<int>(pending_updates.size()) >=
-            options.batch_max_ops) {
-          Flush(FlushReason::kFull);
-          expired_any = false;
-        }
-      }
+    while (!admission.ExpireDue(tick_ms, options.batch_max_ops)) {
+      Flush(FlushReason::kFull);
     }
     // A pure-expiry batch has no client flush deadline to trip; apply it
     // now so the window lags the clock by at most one loop pass.
-    if (expired_any && pending_meta.empty() && !pending_updates.empty()) {
+    if (pending_meta.empty() && !admission.pending().empty()) {
       Flush(FlushReason::kDeadline);
     }
-  }
-
-  // Validates `update` against the replica. Returns true and applies it to
-  // the replica (assigning *insv_id for vertex inserts); on false, `*why`
-  // names the violated precondition.
-  bool Validate(GraphUpdate* update, VertexId* insv_id, std::string* why) {
-    switch (update->kind) {
-      case UpdateKind::kInsertEdge:
-        if (update->u == update->v) {
-          *why = "self loop";
-          return false;
-        }
-        if (!replica.IsVertexAlive(update->u) ||
-            !replica.IsVertexAlive(update->v)) {
-          *why = "unknown vertex";
-          return false;
-        }
-        if (replica.HasEdge(update->u, update->v)) {
-          *why = "edge exists";
-          return false;
-        }
-        replica.AddEdge(update->u, update->v);
-        return true;
-      case UpdateKind::kDeleteEdge:
-        if (!replica.IsVertexAlive(update->u) ||
-            !replica.IsVertexAlive(update->v) ||
-            !replica.HasEdge(update->u, update->v)) {
-          *why = "no such edge";
-          return false;
-        }
-        replica.RemoveEdgeBetween(update->u, update->v);
-        return true;
-      case UpdateKind::kInsertVertex: {
-        for (const VertexId n : update->neighbors) {
-          if (!replica.IsVertexAlive(n)) {
-            *why = "unknown neighbor";
-            return false;
-          }
-        }
-        std::vector<VertexId> sorted = update->neighbors;
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-          *why = "duplicate neighbor";
-          return false;
-        }
-        const VertexId id = replica.AddVertex();
-        for (const VertexId n : update->neighbors) replica.AddEdge(id, n);
-        *insv_id = id;
-        return true;
-      }
-      case UpdateKind::kDeleteVertex:
-        if (!replica.IsVertexAlive(update->u)) {
-          *why = "unknown vertex";
-          return false;
-        }
-        replica.RemoveVertex(update->u);
-        return true;
-    }
-    *why = "bad update";
-    return false;
   }
 
   // Applies the coalesced batch through the backend and fills the deferred
   // responses. `reason` picks the flush counter to bump.
   enum class FlushReason { kFull, kDeadline, kBarrier };
   void Flush(FlushReason reason) {
-    if (pending_updates.empty()) return;
+    const std::vector<GraphUpdate>& batch = admission.pending();
+    if (batch.empty()) return;
     // Fencing barrier: if a newer primary claimed the epoch file after
     // these ops were admitted, refuse the whole batch now — the apply/ack
-    // below is exactly the step a fenced server must not take.
+    // below is exactly the step a fenced server must not take. The refusal
+    // leaves no trace in the admission state: a re-promoted server must
+    // validate against what its backend holds.
     CheckEpochFile();
     if (fenced) {
-      RefusePendingBatch();
+      for (const PendingMeta& meta : pending_meta) {
+        ++metrics.ops_rejected;
+        SettleOp(meta, /*refused=*/true, kInvalidVertex);
+      }
+      pending_meta.clear();
+      admission.Refuse(backend->ExportGraph());
       return;
     }
-    const UpdateResult result = backend->ApplyBatch(pending_updates);
+    const UpdateResult result = backend->ApplyBatch(batch);
     const double now = clock.ElapsedSeconds();
-    DYNMIS_CHECK(result.applied ==
-                 static_cast<int64_t>(pending_updates.size()));
-
     ++metrics.batches_flushed;
-    metrics.batch_ops_total += static_cast<int64_t>(pending_updates.size());
-    metrics.ops_applied += static_cast<int64_t>(pending_updates.size());
+    metrics.batch_ops_total += static_cast<int64_t>(batch.size());
     switch (reason) {
       case FlushReason::kFull:
         ++metrics.flushes_full;
@@ -689,87 +488,70 @@ struct Server::Impl {
         ++metrics.flushes_barrier;
         break;
     }
-
-    // The replica assigned vertex-insert ids at admission; the backend must
-    // agree or the admission layer's validation graph has diverged.
     size_t insv = 0;
-    for (size_t i = 0; i < pending_meta.size(); ++i) {
-      const PendingMeta& meta = pending_meta[i];
+    for (const PendingMeta& meta : pending_meta) {
       metrics.update_latency.Record(now - meta.enqueue_time);
       const bool vertex_insert =
           meta.verb == Verb::kInsV || meta.verb == Verb::kKIns;
-      if (vertex_insert) {
-        DYNMIS_CHECK(insv < result.new_vertices.size());
-        DYNMIS_CHECK(result.new_vertices[insv] == meta.assigned_id);
-        ++insv;
-      }
-      auto it = connections.find(meta.session);
-      if (it == connections.end()) continue;  // Client left; ack evaporates.
-      Connection& conn = it->second;
-      if (meta.in_frame) {
-        // Frames complete strictly FIFO per connection (a frame closes at
-        // END before the next BATCH opens), so the front frame owns the
-        // oldest pending ops.
-        DYNMIS_CHECK(!conn.frames.empty());
-        Frame& frame = conn.frames.front();
-        --frame.outstanding;
-        ++frame.applied;
-        SettleFrames(&conn);
-      } else {
-        Response* r = ClaimDeferred(&conn, /*frame_slot=*/false);
-        r->text.clear();
-        if (conn.binary) {
-          if (vertex_insert) {
-            AppendOkIdResponse(&r->text, meta.assigned_id);
-          } else {
-            AppendOkResponse(&r->text);
-          }
-        } else if (vertex_insert) {
-          r->text = "OK " + std::to_string(meta.assigned_id);
-        } else {
-          r->text = "OK";
-        }
-        r->ready = true;
-        DrainResponses(&conn);
-      }
+      DYNMIS_CHECK(!vertex_insert || insv < result.new_vertices.size());
+      SettleOp(meta, /*refused=*/false,
+               vertex_insert ? result.new_vertices[insv++] : kInvalidVertex);
     }
-    RecordAppliedBatch(pending_updates);
-    pending_updates.clear();
     pending_meta.clear();
+    FinishApplied(batch, result);
   }
 
-  // Fills every pending deferred ack with a fencing error instead of
-  // applying the batch. The admission replica already holds these ops and
-  // cannot roll back, so a fenced server's replica may run ahead of its
-  // backend by this one batch — harmless, because a fenced server exists
-  // only to be decommissioned or re-promoted (which rebuilds nothing from
-  // its live state).
-  void RefusePendingBatch() {
-    for (const PendingMeta& meta : pending_meta) {
-      ++metrics.ops_rejected;
-      auto it = connections.find(meta.session);
-      if (it == connections.end()) continue;
-      Connection& conn = it->second;
-      if (meta.in_frame) {
-        DYNMIS_CHECK(!conn.frames.empty());
-        Frame& frame = conn.frames.front();
-        --frame.outstanding;
-        ++frame.rejected;
-        SettleFrames(&conn);
-      } else {
-        Response* r = ClaimDeferred(&conn, /*frame_slot=*/false);
-        r->text.clear();
-        if (conn.binary) {
-          AppendRejectResponse(&r->text, "fenced");
-        } else {
-          r->text = "ERR fenced " + std::to_string(epoch);
-        }
-        r->ready = true;
-        DrainResponses(&conn);
-      }
+  // Settles one admitted op's deferred reply: an op of a BATCH frame counts
+  // into its frame, a single op fills its slot — `OK`, `OK <id>` for a
+  // vertex insert (`id`), or the fencing error when `refused`.
+  void SettleOp(const PendingMeta& meta, bool refused, VertexId id) {
+    auto it = connections.find(meta.session);
+    if (it == connections.end()) return;  // Client left; ack evaporates.
+    Connection& conn = it->second;
+    if (meta.in_frame) {
+      // Frames complete strictly FIFO per connection (a frame closes at
+      // END before the next BATCH opens), so the front frame owns the
+      // oldest pending ops.
+      DYNMIS_CHECK(!conn.frames.empty());
+      Frame& frame = conn.frames.front();
+      --frame.outstanding;
+      ++(refused ? frame.rejected : frame.applied);
+      SettleFrames(&conn);
+      return;
     }
-    pending_updates.clear();
-    pending_meta.clear();
+    Response* r = ClaimDeferred(&conn, /*frame_slot=*/false);
+    r->text.clear();
+    if (refused) {
+      if (conn.binary) {
+        AppendRejectResponse(&r->text, "fenced");
+      } else {
+        r->text = "ERR fenced " + std::to_string(epoch);
+      }
+    } else if (conn.binary) {
+      if (id != kInvalidVertex) {
+        AppendOkIdResponse(&r->text, id);
+      } else {
+        AppendOkResponse(&r->text);
+      }
+    } else if (id != kInvalidVertex) {
+      r->text = "OK " + std::to_string(id);
+    } else {
+      r->text = "OK";
+    }
+    r->ready = true;
+    DrainResponses(&conn);
+  }
+
+  // The apply tail shared by the admission flush and the follower: the
+  // backend applied `updates` as one batch. Checks it took every op and
+  // assigned the vertex ids the replica predicted, then records the batch.
+  // Clears the admission batch last (`updates` may be that batch).
+  void FinishApplied(const std::vector<GraphUpdate>& updates,
+                     const UpdateResult& result) {
+    DYNMIS_CHECK(result.applied == static_cast<int64_t>(updates.size()));
+    metrics.ops_applied += static_cast<int64_t>(updates.size());
+    RecordAppliedBatch(updates);
+    admission.Applied(result);
   }
 
   // Transition to the fenced state: a writer term above our own exists, so
@@ -941,7 +723,7 @@ struct Server::Impl {
   SnapshotStatus SaveServerSnapshot(std::ostream& out) {
     SnapshotWriter writer;
     backend->SaveTo(&writer);
-    keymap.SaveTo(&writer);
+    admission.keymap().SaveTo(&writer);
     return writer.WriteTo(out);
   }
 
@@ -1341,20 +1123,21 @@ struct Server::Impl {
   void AdmitSingle(Connection* conn, Command* cmd) {
     VertexId insv_id = kInvalidVertex;
     std::string why;
-    if (!ResolveKeyed(cmd, &why) ||
-        !Validate(&cmd->update, &insv_id, &why)) {
+    if (!admission.Admit(&cmd->update, &insv_id, &why)) {
       ++metrics.ops_rejected;
       RespondReject(conn, why);
       return;
     }
-    CommitKeyed(cmd->update, insv_id);
-    MaybeScheduleWindow(cmd->update);
     ++metrics.ops_admitted;
     RespondDeferred(conn, /*frame_slot=*/false);
-    pending_updates.push_back(std::move(cmd->update));
     pending_meta.push_back({conn->session, cmd->verb, clock.ElapsedSeconds(),
-                            insv_id, /*in_frame=*/false});
-    if (static_cast<int>(pending_updates.size()) >= options.batch_max_ops) {
+                            /*in_frame=*/false});
+    FlushIfFull();
+  }
+
+  void FlushIfFull() {
+    if (static_cast<int>(admission.pending().size()) >=
+        options.batch_max_ops) {
       Flush(FlushReason::kFull);
     }
   }
@@ -1383,26 +1166,20 @@ struct Server::Impl {
     Frame& frame = conn->frames.back();
     VertexId insv_id = kInvalidVertex;
     std::string why;
-    if (!ResolveKeyed(&cmd, &why) ||
-        !Validate(&cmd.update, &insv_id, &why)) {
+    if (!admission.Admit(&cmd.update, &insv_id, &why)) {
       ++metrics.ops_rejected;
       ++frame.rejected;
     } else {
-      CommitKeyed(cmd.update, insv_id);
-      MaybeScheduleWindow(cmd.update);
       ++metrics.ops_admitted;
       ++frame.outstanding;
       if (cmd.verb == Verb::kInsV || cmd.verb == Verb::kKIns) {
         frame.insert_ids.push_back(insv_id);
       }
-      pending_updates.push_back(std::move(cmd.update));
       pending_meta.push_back({conn->session, cmd.verb, clock.ElapsedSeconds(),
-                              insv_id, /*in_frame=*/true});
+                              /*in_frame=*/true});
     }
     if (--conn->frame_updates_left == 0) conn->awaiting_end = true;
-    if (static_cast<int>(pending_updates.size()) >= options.batch_max_ops) {
-      Flush(FlushReason::kFull);
-    }
+    FlushIfFull();
   }
 
   // The admitted ops of an aborted frame stay admitted (they were valid);
@@ -1422,52 +1199,52 @@ struct Server::Impl {
     RespondError(conn, msg);
   }
 
+  // QUERY u / KQUERY key, answered in the connection's encoding.
+  void AnswerVertexQuery(Connection* conn, const Command& cmd) {
+    const bool keyed = cmd.verb == Verb::kKQuery;
+    const VertexId id =
+        keyed ? admission.keymap().Lookup(cmd.update.key) : cmd.vertex;
+    const char* error = nullptr;
+    if (keyed && id == kInvalidVertex) {
+      error = "unknown key";
+    } else if (!keyed && !admission.replica().IsVertexAlive(id)) {
+      error = "unknown vertex";
+    }
+    const bool in_solution = error == nullptr && backend->InSolution(id);
+    Response& r = conn->responses.PushSlot();
+    r.ready = true;
+    r.frame_slot = false;
+    r.text.clear();
+    if (conn->binary) {
+      if (error != nullptr) {
+        AppendErrResponse(&r.text, error);
+      } else if (keyed) {
+        AppendKQueryResponse(&r.text, id, in_solution);
+      } else {
+        AppendQueryResponse(&r.text, in_solution);
+      }
+    } else if (error != nullptr) {
+      r.text = std::string("ERR ") + error;
+    } else {
+      r.text = keyed ? "OK " + std::to_string(id) + (in_solution ? " 1" : " 0")
+                     : (in_solution ? "OK 1" : "OK 0");
+    }
+    DrainResponses(conn);
+  }
+
   void HandleQuery(Connection* conn, const Command& cmd) {
     const Timer query_timer;
     Flush(FlushReason::kBarrier);  // Read-your-writes for every client.
-    if (conn->binary) {
-      // Only QUERY and KQUERY have binary request frames; the other query
-      // verbs are text-only and cannot arrive here.
-      DYNMIS_CHECK(cmd.verb == Verb::kQuery || cmd.verb == Verb::kKQuery);
-      Response& r = conn->responses.PushSlot();
-      r.ready = true;
-      r.frame_slot = false;
-      r.text.clear();
-      if (cmd.verb == Verb::kKQuery) {
-        const VertexId id = keymap.Lookup(cmd.update.key);
-        if (id == kInvalidVertex) {
-          AppendErrResponse(&r.text, "unknown key");
-        } else {
-          AppendKQueryResponse(&r.text, id, backend->InSolution(id));
-        }
-      } else if (!replica.IsVertexAlive(cmd.vertex)) {
-        AppendErrResponse(&r.text, "unknown vertex");
-      } else {
-        AppendQueryResponse(&r.text, backend->InSolution(cmd.vertex));
-      }
+    if (cmd.verb == Verb::kQuery || cmd.verb == Verb::kKQuery) {
+      AnswerVertexQuery(conn, cmd);
       metrics.query_latency.Record(query_timer.ElapsedSeconds());
-      DrainResponses(conn);
       return;
     }
+    // Only QUERY and KQUERY have binary request frames; the other query
+    // verbs are text-only and cannot arrive on a binary connection.
+    DYNMIS_CHECK(!conn->binary);
     std::string response;
     switch (cmd.verb) {
-      case Verb::kQuery:
-        if (!replica.IsVertexAlive(cmd.vertex)) {
-          response = "ERR unknown vertex";
-        } else {
-          response = backend->InSolution(cmd.vertex) ? "OK 1" : "OK 0";
-        }
-        break;
-      case Verb::kKQuery: {
-        const VertexId id = keymap.Lookup(cmd.update.key);
-        if (id == kInvalidVertex) {
-          response = "ERR unknown key";
-        } else {
-          response = "OK " + std::to_string(id) +
-                     (backend->InSolution(id) ? " 1" : " 0");
-        }
-        break;
-      }
       case Verb::kSolution: {
         std::vector<VertexId> solution;
         backend->CollectSolution(&solution);
@@ -1480,7 +1257,7 @@ struct Server::Impl {
         break;
       }
       case Verb::kStats:
-        response = "OK " + StatsJson();
+        response = "OK " + BuildStatsJson();
         break;
       case Verb::kVerify:
         response = VerifySolution();
@@ -1534,7 +1311,7 @@ struct Server::Impl {
     backend->CollectSolution(&solution);
     bool independent = false;
     bool maximal = false;
-    CheckSolution(replica, solution, &independent, &maximal);
+    CheckSolution(admission.replica(), solution, &independent, &maximal);
     return std::string("OK independent=") + (independent ? "1" : "0") +
            " maximal=" + (maximal ? "1" : "0") +
            " size=" + std::to_string(solution.size());
@@ -1694,19 +1471,29 @@ struct Server::Impl {
 
   // ---- Follower upstream (TCP) ----------------------------------------------
 
-  // host:port -> sockaddr. Fails only on malformed configuration, which —
-  // unlike a refused connection — is not worth retrying.
-  bool ParseFollowAddr(sockaddr_in* addr, std::string* error) {
+  // host:port -> upstream_addr, parsed once at Start(). Fails only on
+  // malformed configuration, which — unlike a refused connection — is not
+  // worth retrying.
+  bool ParseFollowAddr(std::string* error) {
     const size_t colon = options.follow_addr.rfind(':');
     if (colon == std::string::npos) {
       *error = "--follow expects host:port";
       return false;
     }
     const std::string host = options.follow_addr.substr(0, colon);
-    const int port = std::atoi(options.follow_addr.c_str() + colon + 1);
-    addr->sin_family = AF_INET;
-    addr->sin_port = htons(static_cast<uint16_t>(port));
-    if (inet_pton(AF_INET, host.c_str(), &addr->sin_addr) != 1) {
+    const std::string port = options.follow_addr.substr(colon + 1);
+    const bool digits =
+        !port.empty() && port.size() <= 5 &&
+        std::all_of(port.begin(), port.end(),
+                    [](char c) { return c >= '0' && c <= '9'; });
+    const int value = digits ? std::atoi(port.c_str()) : 0;
+    if (value < 1 || value > 65535) {
+      *error = "--follow port must be a number in 1..65535: " + port;
+      return false;
+    }
+    upstream_addr.sin_family = AF_INET;
+    upstream_addr.sin_port = htons(static_cast<uint16_t>(value));
+    if (inet_pton(AF_INET, host.c_str(), &upstream_addr.sin_addr) != 1) {
       *error = "--follow host must be an IPv4 address: " + host;
       return false;
     }
@@ -1714,15 +1501,14 @@ struct Server::Impl {
   }
 
   bool ConnectUpstream(std::string* error) {
-    sockaddr_in addr{};
-    if (!ParseFollowAddr(&addr, error)) return false;
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
       *error = std::string("socket: ") + std::strerror(errno);
       return false;
     }
-    if (faultfs::Connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof(addr), options.follow_addr.c_str()) != 0) {
+    if (faultfs::Connect(fd, reinterpret_cast<const sockaddr*>(&upstream_addr),
+                         sizeof(upstream_addr),
+                         options.follow_addr.c_str()) != 0) {
       *error = "connect " + options.follow_addr + ": " + std::strerror(errno);
       close(fd);
       return false;
@@ -1938,44 +1724,15 @@ struct Server::Impl {
 
   // Applies one replicated batch exactly as the primary did — one
   // ApplyBatch call per RBATCH, so the batch partition (and therefore the
-  // final solution) is identical — and mirrors it into the admission
-  // replica, checking that vertex-insert ids come out byte-for-byte equal.
-  // Keyed ops go through the follower's own key map: a keyed delete's id is
-  // re-resolved locally (the RBATCH text spelling carries only the key),
-  // and a keyed insert binds the locally assigned id — which the id checks
-  // above prove equals the primary's, so the two maps stay byte-identical.
+  // final solution) is identical. The admission state mirrors it first:
+  // keyed deletes re-resolve against the follower's own key map, and the
+  // apply tail checks that vertex-insert ids come out equal, so the two
+  // maps stay byte-identical.
   void ApplyReplBatch(std::vector<GraphUpdate>* updates) {
-    for (GraphUpdate& update : *updates) {
-      if (update.kind == UpdateKind::kDeleteVertex && !update.key.empty()) {
-        const VertexId id = keymap.Lookup(update.key);
-        DYNMIS_CHECK(id != kInvalidVertex);  // Divergence: unknown key.
-        // Change-log records carry the primary's resolved id; it must match
-        // this replica's own resolution or the maps have diverged.
-        DYNMIS_CHECK(update.u == kInvalidVertex || update.u == id);
-        update.u = id;
-      }
-    }
+    admission.Mirror(updates);
     const UpdateResult result = backend->ApplyBatch(*updates);
-    DYNMIS_CHECK(result.applied == static_cast<int64_t>(updates->size()));
-    size_t insv = 0;
-    for (const GraphUpdate& update : *updates) {
-      const VertexId id = ApplyUpdate(&replica, update);
-      if (update.kind == UpdateKind::kInsertVertex) {
-        DYNMIS_CHECK(insv < result.new_vertices.size());
-        DYNMIS_CHECK(result.new_vertices[insv] == id);
-        ++insv;
-        if (!update.key.empty()) keymap.Bind(update.key, id);
-      } else if (update.kind == UpdateKind::kDeleteVertex) {
-        if (!update.key.empty()) {
-          keymap.Release(update.key);
-        } else {
-          keymap.ReleaseId(update.u);
-        }
-      }
-    }
-    metrics.ops_applied += static_cast<int64_t>(updates->size());
     ++metrics.repl_batches_applied;
-    RecordAppliedBatch(*updates);
+    FinishApplied(*updates, result);
   }
 
   // Follower --follow-dir: drain whatever complete records the primary has
@@ -2147,6 +1904,7 @@ struct Server::Impl {
   // ---- Replication startup --------------------------------------------------
 
   bool StartReplication(std::string* error) {
+    if (!options.follow_addr.empty() && !ParseFollowAddr(error)) return false;
     epoch = options.start_epoch;
     reconnect_rng.Seed(0x9e3779b97f4a7c15ULL ^
                        (static_cast<uint64_t>(getpid()) << 17) ^
@@ -2182,8 +1940,6 @@ struct Server::Impl {
       }
     }
     if (!options.follow_addr.empty()) {
-      sockaddr_in addr{};
-      if (!ParseFollowAddr(&addr, error)) return false;  // Config error.
       std::string connect_error;
       if (!ConnectUpstream(&connect_error)) {
         // A dead primary at follower startup is an ordering hazard, not a
@@ -2215,24 +1971,106 @@ struct Server::Impl {
            options.host.rfind("127.", 0) == 0;
   }
 
-  // ---- Stats JSON -----------------------------------------------------------
+  // ---- Metrics and STATS ----------------------------------------------------
 
+  // Per-I/O-thread counters: live while running, the final copies captured
+  // at shutdown afterwards.
+  std::vector<IoMetrics> IoMetricsNow() {
+    std::vector<IoMetrics> all;
+    for (const auto& io : io_threads) all.push_back(io->MetricsCopy());
+    return all.empty() ? io_metrics_final : all;
+  }
+
+  // The serving counters, collected once: STATS renders them and
+  // Server::MetricsSnapshot() returns them.
+  ServingMetricsSnapshot CollectMetrics(const std::vector<IoMetrics>& io) {
+    ServingMetricsSnapshot snap;
+    snap.connections_accepted = metrics.connections_accepted;
+    snap.connections_open = static_cast<int64_t>(connections.size());
+    snap.protocol_errors = metrics.protocol_errors;
+    snap.ops_admitted = metrics.ops_admitted;
+    snap.ops_applied = metrics.ops_applied;
+    snap.ops_rejected = metrics.ops_rejected;
+    snap.batches_flushed = metrics.batches_flushed;
+    snap.mean_batch_occupancy = metrics.MeanBatchOccupancy();
+    snap.flushes_full = metrics.flushes_full;
+    snap.flushes_deadline = metrics.flushes_deadline;
+    snap.flushes_barrier = metrics.flushes_barrier;
+    snap.uptime_seconds = clock.ElapsedSeconds();
+    snap.ops_per_sec =
+        snap.uptime_seconds > 0
+            ? static_cast<double>(metrics.ops_applied) / snap.uptime_seconds
+            : 0;
+    snap.update_p50_us = metrics.update_latency.PercentileUs(0.50);
+    snap.update_p99_us = metrics.update_latency.PercentileUs(0.99);
+    snap.query_p50_us = metrics.query_latency.PercentileUs(0.50);
+    snap.query_p99_us = metrics.query_latency.PercentileUs(0.99);
+    snap.io_threads = static_cast<int64_t>(io.size());
+    for (const IoMetrics& m : io) {
+      snap.io_wakeups += m.wakeups;
+      snap.io_frames_decoded += m.frames_decoded;
+      snap.io_inbox_depth_high_water =
+          std::max(snap.io_inbox_depth_high_water, m.inbox_depth_high_water);
+    }
+    snap.repl_role = fenced ? "fenced" : (read_only ? "follower" : "primary");
+    snap.repl_next_seq = next_seq;
+    snap.repl_ops_logged = metrics.repl_ops_logged;
+    snap.repl_segments =
+        log_writer != nullptr ? log_writer->segments_created() : 0;
+    if (snapshotter != nullptr) {
+      snap.repl_snapshots_written = snapshotter->snapshots_written();
+      snap.repl_snapshots_failed = snapshotter->snapshots_failed();
+      snap.repl_last_base_seq = snapshotter->last_base_seq();
+    }
+    for (const auto& [session, conn] : connections) {
+      if (conn.subscriber) ++snap.repl_subscribers;
+    }
+    snap.repl_promotions = metrics.repl_promotions;
+    snap.repl_resharded = metrics.repl_resharded;
+    snap.repl_epoch = epoch;
+    snap.repl_fenced = fenced ? 1 : 0;
+    snap.repl_reconnects = metrics.repl_reconnects;
+    snap.degraded_reason = degraded_reason;
+    snap.keymap_entries = static_cast<int64_t>(admission.keymap().Size());
+    snap.window_edges = admission.window_edges();
+    snap.expired_ops = admission.expired_ops();
+    return snap;
+  }
+
+  static void WriteEngineStats(JsonWriter* w, const EngineStats& stats) {
+    w->String("algorithm", stats.algorithm);
+    w->Int("solution_size", stats.solution_size);
+    w->Int("num_vertices", stats.num_vertices);
+    w->Int("num_edges", stats.num_edges);
+    w->Int("structure_memory_bytes", stats.structure_memory_bytes);
+    w->Int("graph_memory_bytes", stats.graph_memory_bytes);
+    w->Int("updates_applied", stats.updates_applied);
+    w->Double("update_seconds", stats.update_seconds);
+  }
+
+  // The STATS payload: one line of JSON. tools/check_docs.py reads the
+  // block structure of this function to gate docs/OPERATIONS.md's alert
+  // table, so blocks open with literal keys.
   std::string BuildStatsJson() {
-    std::string out = "{";
-    JsonStr(&out, "backend", backend->Kind());
-    JsonInt(&out, "protocol_version", kProtocolVersion);
-    JsonInt(&out, "shards", backend->NumShards());
-    JsonKey(&out, "engine");
-    JsonEngineStats(&out, backend->Stats());
+    const std::vector<IoMetrics> io = IoMetricsNow();
+    const ServingMetricsSnapshot snap = CollectMetrics(io);
+    JsonWriter w(/*single_line=*/true);
+    w.BeginObject();
+    w.String("backend", backend->Kind());
+    w.Int("protocol_version", kProtocolVersion);
+    w.Int("shards", backend->NumShards());
+    w.BeginObject("engine");
+    WriteEngineStats(&w, backend->Stats());
+    w.EndObject();
     const std::vector<EngineStats> per_shard = backend->PerShardStats();
     if (!per_shard.empty()) {
-      JsonKey(&out, "per_shard");
-      out.push_back('[');
-      for (size_t i = 0; i < per_shard.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        JsonEngineStats(&out, per_shard[i]);
+      w.BeginArray("per_shard");
+      for (const EngineStats& stats : per_shard) {
+        w.BeginObject();
+        WriteEngineStats(&w, stats);
+        w.EndObject();
       }
-      out.push_back(']');
+      w.EndArray();
     }
     if (ShardedMisEngine* engine = backend->Sharded()) {
       // Cut-edge resolver health: `resolver_backlog` (shipped ops the
@@ -2241,124 +2079,100 @@ struct Server::Impl {
       // should watch — a backlog that grows without bound means the
       // resolver thread cannot keep up with update ingest.
       const ShardedStats sharded = engine->ShardStats();
-      JsonKey(&out, "sharded");
-      out.push_back('{');
-      JsonStr(&out, "partition", sharded.partition);
-      JsonInt(&out, "intra_edges", sharded.intra_edges);
-      JsonInt(&out, "cut_edges", sharded.cut_edges);
-      JsonDouble(&out, "cut_edge_fraction", sharded.cut_edge_fraction);
-      JsonInt(&out, "barriers", sharded.barriers);
-      JsonInt(&out, "conflicts", sharded.conflicts);
-      JsonInt(&out, "evictions", sharded.evictions);
-      JsonInt(&out, "readded", sharded.readded);
-      JsonInt(&out, "swaps", sharded.swaps);
-      JsonDouble(&out, "resolve_seconds", sharded.resolve_seconds);
-      JsonInt(&out, "async_resolver", sharded.async_resolver ? 1 : 0);
-      JsonInt(&out, "resolver_backlog", sharded.resolver_backlog);
-      JsonInt(&out, "resolver_conflicts", sharded.resolver_conflicts);
-      JsonInt(&out, "transitions_consumed", sharded.transitions_consumed);
-      out.push_back('}');
+      w.BeginObject("sharded");
+      w.String("partition", sharded.partition);
+      w.Int("intra_edges", sharded.intra_edges);
+      w.Int("cut_edges", sharded.cut_edges);
+      w.Double("cut_edge_fraction", sharded.cut_edge_fraction);
+      w.Int("barriers", sharded.barriers);
+      w.Int("conflicts", sharded.conflicts);
+      w.Int("evictions", sharded.evictions);
+      w.Int("readded", sharded.readded);
+      w.Int("swaps", sharded.swaps);
+      w.Double("resolve_seconds", sharded.resolve_seconds);
+      w.Int("async_resolver", sharded.async_resolver ? 1 : 0);
+      w.Int("resolver_backlog", sharded.resolver_backlog);
+      w.Int("resolver_conflicts", sharded.resolver_conflicts);
+      w.Int("transitions_consumed", sharded.transitions_consumed);
+      w.EndObject();
     }
-    JsonKey(&out, "serving");
-    out.push_back('{');
-    JsonInt(&out, "connections_open",
-            static_cast<int64_t>(connections.size()));
-    JsonInt(&out, "connections_accepted", metrics.connections_accepted);
-    JsonInt(&out, "protocol_errors", metrics.protocol_errors);
-    JsonInt(&out, "ops_admitted", metrics.ops_admitted);
-    JsonInt(&out, "ops_applied", metrics.ops_applied);
-    JsonInt(&out, "ops_rejected", metrics.ops_rejected);
-    JsonInt(&out, "batches_flushed", metrics.batches_flushed);
-    JsonDouble(&out, "mean_batch_occupancy", metrics.MeanBatchOccupancy());
-    JsonInt(&out, "flushes_full", metrics.flushes_full);
-    JsonInt(&out, "flushes_deadline", metrics.flushes_deadline);
-    JsonInt(&out, "flushes_barrier", metrics.flushes_barrier);
-    JsonInt(&out, "keymap_entries", static_cast<int64_t>(keymap.Size()));
-    JsonInt(&out, "window_edges",
-            window_wheel != nullptr
-                ? static_cast<int64_t>(window_wheel->scheduled())
-                : 0);
-    JsonInt(&out, "expired_ops", expired_ops);
-    const double uptime = clock.ElapsedSeconds();
-    JsonDouble(&out, "uptime_seconds", uptime);
-    JsonDouble(&out, "ops_per_sec",
-               uptime > 0 ? static_cast<double>(metrics.ops_applied) / uptime
-                          : 0);
-    JsonKey(&out, "update_latency_us");
-    out.push_back('{');
-    JsonInt(&out, "count", metrics.update_latency.count());
-    JsonDouble(&out, "p50", metrics.update_latency.PercentileUs(0.50));
-    JsonDouble(&out, "p99", metrics.update_latency.PercentileUs(0.99));
-    out.push_back('}');
-    JsonKey(&out, "query_latency_us");
-    out.push_back('{');
-    JsonInt(&out, "count", metrics.query_latency.count());
-    JsonDouble(&out, "p50", metrics.query_latency.PercentileUs(0.50));
-    JsonDouble(&out, "p99", metrics.query_latency.PercentileUs(0.99));
-    out.push_back('}');
-    JsonKey(&out, "commands");
-    out.push_back('{');
+    w.BeginObject("serving");
+    w.Int("connections_open", snap.connections_open);
+    w.Int("connections_accepted", snap.connections_accepted);
+    w.Int("protocol_errors", snap.protocol_errors);
+    w.Int("ops_admitted", snap.ops_admitted);
+    w.Int("ops_applied", snap.ops_applied);
+    w.Int("ops_rejected", snap.ops_rejected);
+    w.Int("batches_flushed", snap.batches_flushed);
+    w.Double("mean_batch_occupancy", snap.mean_batch_occupancy);
+    w.Int("flushes_full", snap.flushes_full);
+    w.Int("flushes_deadline", snap.flushes_deadline);
+    w.Int("flushes_barrier", snap.flushes_barrier);
+    w.Int("keymap_entries", snap.keymap_entries);
+    w.Int("window_edges", snap.window_edges);
+    w.Int("expired_ops", snap.expired_ops);
+    w.Double("uptime_seconds", snap.uptime_seconds);
+    w.Double("ops_per_sec", snap.ops_per_sec);
+    w.BeginObject("update_latency_us");
+    w.Int("count", metrics.update_latency.count());
+    w.Double("p50", snap.update_p50_us);
+    w.Double("p99", snap.update_p99_us);
+    w.EndObject();
+    w.BeginObject("query_latency_us");
+    w.Int("count", metrics.query_latency.count());
+    w.Double("p50", snap.query_p50_us);
+    w.Double("p99", snap.query_p99_us);
+    w.EndObject();
+    w.BeginObject("commands");
     for (int i = 0; i < kNumVerbs; ++i) {
-      JsonInt(&out, VerbName(static_cast<Verb>(i)), metrics.commands[i]);
+      w.Int(VerbName(static_cast<Verb>(i)), metrics.commands[i]);
     }
-    out.push_back('}');
-    out.push_back('}');
-    JsonKey(&out, "io");
-    out.push_back('{');
-    JsonInt(&out, "threads", static_cast<int64_t>(io_threads.size()));
-    JsonKey(&out, "per_thread");
-    out.push_back('[');
-    for (size_t t = 0; t < io_threads.size(); ++t) {
-      if (t > 0) out.push_back(',');
-      const IoMetrics m = io_threads[t]->MetricsCopy();
-      out.push_back('{');
-      JsonInt(&out, "wakeups", m.wakeups);
-      JsonInt(&out, "frames_decoded", m.frames_decoded);
-      JsonInt(&out, "bytes_read", m.bytes_read);
-      JsonInt(&out, "bytes_written", m.bytes_written);
-      JsonInt(&out, "decode_errors", m.decode_errors);
-      JsonInt(&out, "connections", m.connections);
-      JsonInt(&out, "inbox_depth_high_water", m.inbox_depth_high_water);
-      JsonKey(&out, "decode_latency_us");
-      out.push_back('{');
+    w.EndObject();
+    w.EndObject();
+    w.BeginObject("io");
+    w.Int("threads", snap.io_threads);
+    w.BeginArray("per_thread");
+    for (const IoMetrics& m : io) {
+      w.BeginObject();
+      w.Int("wakeups", m.wakeups);
+      w.Int("frames_decoded", m.frames_decoded);
+      w.Int("bytes_read", m.bytes_read);
+      w.Int("bytes_written", m.bytes_written);
+      w.Int("decode_errors", m.decode_errors);
+      w.Int("connections", m.connections);
+      w.Int("inbox_depth_high_water", m.inbox_depth_high_water);
+      w.BeginObject("decode_latency_us");
       for (int v = 0; v < kNumVerbs; ++v) {
         const LatencyRecorder& rec = m.decode_latency[v];
         if (rec.count() == 0) continue;
-        JsonKey(&out, VerbName(static_cast<Verb>(v)));
-        out.push_back('{');
-        JsonInt(&out, "count", rec.count());
-        JsonDouble(&out, "p50", rec.PercentileUs(0.50));
-        JsonDouble(&out, "p99", rec.PercentileUs(0.99));
-        out.push_back('}');
+        w.BeginObject(VerbName(static_cast<Verb>(v)));
+        w.Int("count", rec.count());
+        w.Double("p50", rec.PercentileUs(0.50));
+        w.Double("p99", rec.PercentileUs(0.99));
+        w.EndObject();
       }
-      out.push_back('}');
-      out.push_back('}');
+      w.EndObject();
+      w.EndObject();
     }
-    out.push_back(']');
-    out.push_back('}');
-    JsonKey(&out, "replication");
-    out.push_back('{');
-    JsonStr(&out, "role",
-            fenced ? "fenced" : (read_only ? "follower" : "primary"));
-    JsonInt(&out, "epoch", epoch);
-    JsonInt(&out, "fenced", fenced ? 1 : 0);
-    JsonInt(&out, "degraded", degraded ? 1 : 0);
-    JsonStr(&out, "degraded_reason", degraded_reason);
-    JsonInt(&out, "reconnects", metrics.repl_reconnects);
-    JsonInt(&out, "next_seq", next_seq);
-    JsonInt(&out, "batches_logged", metrics.repl_batches_logged);
-    JsonInt(&out, "ops_logged", metrics.repl_ops_logged);
-    JsonInt(&out, "segments",
-            log_writer != nullptr ? log_writer->segments_created() : 0);
-    JsonInt(&out, "batches_streamed", metrics.repl_batches_streamed);
-    JsonInt(&out, "batches_applied", metrics.repl_batches_applied);
-    JsonInt(&out, "snapshots_written",
-            snapshotter != nullptr ? snapshotter->snapshots_written() : 0);
-    JsonInt(&out, "snapshots_failed",
-            snapshotter != nullptr ? snapshotter->snapshots_failed() : 0);
-    JsonInt(&out, "last_base_seq",
-            snapshotter != nullptr ? snapshotter->last_base_seq() : -1);
-    JsonInt(&out, "subscribers", CountSubscribers());
+    w.EndArray();
+    w.EndObject();
+    w.BeginObject("replication");
+    w.String("role", snap.repl_role);
+    w.Int("epoch", snap.repl_epoch);
+    w.Int("fenced", snap.repl_fenced);
+    w.Int("degraded", degraded ? 1 : 0);
+    w.String("degraded_reason", snap.degraded_reason);
+    w.Int("reconnects", snap.repl_reconnects);
+    w.Int("next_seq", snap.repl_next_seq);
+    w.Int("batches_logged", metrics.repl_batches_logged);
+    w.Int("ops_logged", snap.repl_ops_logged);
+    w.Int("segments", snap.repl_segments);
+    w.Int("batches_streamed", metrics.repl_batches_streamed);
+    w.Int("batches_applied", metrics.repl_batches_applied);
+    w.Int("snapshots_written", snap.repl_snapshots_written);
+    w.Int("snapshots_failed", snap.repl_snapshots_failed);
+    w.Int("last_base_seq", snap.repl_last_base_seq);
+    w.Int("subscribers", snap.repl_subscribers);
     // Lag: how far the slowest consumer trails this server's head. On a
     // primary that is the slowest catching-up subscriber; on a follower,
     // the last head the upstream announced minus what has applied locally.
@@ -2390,24 +2204,15 @@ struct Server::Impl {
             ? static_cast<double>(metrics.ops_applied) /
                   static_cast<double>(batches_seen)
             : 0;
-    JsonInt(&out, "lag_batches", lag_batches);
-    JsonDouble(&out, "lag_ops_estimate",
-               static_cast<double>(lag_batches) * mean_ops);
-    JsonInt(&out, "lag_segments", lag_segments);
-    JsonInt(&out, "promotions", metrics.repl_promotions);
-    JsonInt(&out, "resharded", metrics.repl_resharded);
-    JsonInt(&out, "reshard_in_progress", reshard != nullptr ? 1 : 0);
-    out.push_back('}');
-    out.push_back('}');
-    return out;
-  }
-
-  int64_t CountSubscribers() const {
-    int64_t n = 0;
-    for (const auto& [session, conn] : connections) {
-      if (conn.subscriber) ++n;
-    }
-    return n;
+    w.Int("lag_batches", lag_batches);
+    w.Double("lag_ops_estimate", static_cast<double>(lag_batches) * mean_ops);
+    w.Int("lag_segments", lag_segments);
+    w.Int("promotions", snap.repl_promotions);
+    w.Int("resharded", snap.repl_resharded);
+    w.Int("reshard_in_progress", reshard != nullptr ? 1 : 0);
+    w.EndObject();
+    w.EndObject();
+    return w.Take();
   }
 
   bool HasCatchingUpSubscriber() const {
@@ -2417,11 +2222,14 @@ struct Server::Impl {
     return false;
   }
 
-  std::string StatsJson() { return BuildStatsJson(); }
-
   // ---- Socket plumbing ------------------------------------------------------
 
   bool StartListening(std::string* error) {
+    if (options.port < 0 || options.port > 65535) {
+      *error = "listen port must be in 0..65535: " +
+               std::to_string(options.port);
+      return false;
+    }
     listen_fd = socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd < 0) {
       *error = std::string("socket: ") + std::strerror(errno);
@@ -2718,8 +2526,7 @@ struct Server::Impl {
         tighten(50);
       }
       if (degraded) tighten(50);  // Change-log retry tick.
-      if (window_wheel != nullptr && !read_only && !fenced &&
-          window_wheel->scheduled() > 0) {
+      if (admission.window_edges() > 0 && !read_only && !fenced) {
         // TTL expiries are clock-driven; tick at a few ms so the window
         // tracks wall time even on an otherwise idle server.
         tighten(5);
@@ -2829,35 +2636,11 @@ struct Server::Impl {
 };
 
 Server::Server(std::unique_ptr<ServingBackend> backend, ServeOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->backend = std::move(backend);
-  impl_->options = std::move(options);
-  impl_->replica = impl_->backend->ExportGraph();
+    : impl_(std::make_unique<Impl>(std::move(backend), std::move(options))) {
   impl_->read_only = !impl_->options.follow_addr.empty() ||
                      !impl_->options.follow_dir.empty();
   impl_->next_seq = impl_->options.repl_start_seq;
   impl_->last_snapshot_trigger_seq = impl_->next_seq;
-  if (impl_->options.window_ttl_ms > 0) {
-    impl_->window_wheel = std::make_unique<ingest::TimingWheel>(
-        static_cast<uint32_t>(impl_->options.window_ttl_ms));
-  }
-  // Warm restart: the snapshot the backend was restored from may carry a
-  // "keymap" section (SaveServerSnapshot writes one); reload the bindings
-  // so keyed clients survive the restart. AdoptKeyMap overrides this for
-  // the replication bootstrap path.
-  if (!impl_->options.restore_path.empty()) {
-    std::ifstream in(impl_->options.restore_path, std::ios::binary);
-    SnapshotReader reader;
-    if (in && reader.ReadFrom(in).ok && reader.HasSection("keymap")) {
-      if (!impl_->keymap.LoadFrom(&reader)) {
-        std::fprintf(stderr,
-                     "dynmis serve: keymap restore failed: %s (starting "
-                     "with no key bindings)\n",
-                     reader.status().message.c_str());
-        impl_->keymap = ingest::KeyMap();
-      }
-    }
-  }
 }
 
 Server::~Server() = default;
@@ -2878,81 +2661,22 @@ void Server::Stop() {
   if (impl_->wake_fd >= 0) WriteWakeEventFd(impl_->wake_fd);
 }
 
-const DynamicGraph& Server::replica_graph() const { return impl_->replica; }
-
-const ingest::KeyMap& Server::key_map() const { return impl_->keymap; }
-
-void Server::AdoptKeyMap(ingest::KeyMap keymap) {
-  impl_->keymap = std::move(keymap);
+const DynamicGraph& Server::replica_graph() const {
+  return impl_->admission.replica();
 }
 
-std::string Server::StatsJson() { return impl_->StatsJson(); }
+const ingest::KeyMap& Server::key_map() const {
+  return impl_->admission.keymap();
+}
+
+void Server::AdoptKeyMap(ingest::KeyMap keymap) {
+  impl_->admission.AdoptKeyMap(std::move(keymap));
+}
+
+std::string Server::StatsJson() { return impl_->BuildStatsJson(); }
 
 ServingMetricsSnapshot Server::MetricsSnapshot() const {
-  const ServeMetrics& m = impl_->metrics;
-  ServingMetricsSnapshot snap;
-  snap.connections_accepted = m.connections_accepted;
-  snap.connections_open = static_cast<int64_t>(impl_->connections.size());
-  snap.protocol_errors = m.protocol_errors;
-  snap.ops_admitted = m.ops_admitted;
-  snap.ops_applied = m.ops_applied;
-  snap.ops_rejected = m.ops_rejected;
-  snap.batches_flushed = m.batches_flushed;
-  snap.mean_batch_occupancy = m.MeanBatchOccupancy();
-  snap.flushes_full = m.flushes_full;
-  snap.flushes_deadline = m.flushes_deadline;
-  snap.flushes_barrier = m.flushes_barrier;
-  snap.keymap_entries = static_cast<int64_t>(impl_->keymap.Size());
-  snap.window_edges =
-      impl_->window_wheel != nullptr
-          ? static_cast<int64_t>(impl_->window_wheel->scheduled())
-          : 0;
-  snap.expired_ops = impl_->expired_ops;
-  snap.uptime_seconds = impl_->clock.ElapsedSeconds();
-  snap.ops_per_sec =
-      snap.uptime_seconds > 0
-          ? static_cast<double>(m.ops_applied) / snap.uptime_seconds
-          : 0;
-  snap.update_p50_us = m.update_latency.PercentileUs(0.50);
-  snap.update_p99_us = m.update_latency.PercentileUs(0.99);
-  snap.query_p50_us = m.query_latency.PercentileUs(0.50);
-  snap.query_p99_us = m.query_latency.PercentileUs(0.99);
-  snap.repl_role = impl_->fenced ? "fenced"
-                                 : (impl_->read_only ? "follower" : "primary");
-  snap.repl_next_seq = impl_->next_seq;
-  snap.repl_epoch = impl_->epoch;
-  snap.repl_fenced = impl_->fenced ? 1 : 0;
-  snap.repl_reconnects = m.repl_reconnects;
-  snap.degraded_reason = impl_->degraded_reason;
-  snap.repl_ops_logged = m.repl_ops_logged;
-  snap.repl_segments = impl_->log_writer != nullptr
-                           ? impl_->log_writer->segments_created()
-                           : 0;
-  snap.repl_snapshots_written = impl_->snapshotter != nullptr
-                                    ? impl_->snapshotter->snapshots_written()
-                                    : 0;
-  snap.repl_snapshots_failed = impl_->snapshotter != nullptr
-                                   ? impl_->snapshotter->snapshots_failed()
-                                   : 0;
-  snap.repl_last_base_seq = impl_->snapshotter != nullptr
-                                ? impl_->snapshotter->last_base_seq()
-                                : -1;
-  snap.repl_subscribers = impl_->CountSubscribers();
-  snap.repl_promotions = m.repl_promotions;
-  snap.repl_resharded = m.repl_resharded;
-  // Live per-thread counters while running; the final copies captured at
-  // shutdown afterwards.
-  std::vector<IoMetrics> io_all;
-  for (const auto& io : impl_->io_threads) io_all.push_back(io->MetricsCopy());
-  if (io_all.empty()) io_all = impl_->io_metrics_final;
-  snap.io_threads = static_cast<int64_t>(io_all.size());
-  for (const IoMetrics& io_metrics : io_all) {
-    snap.io_wakeups += io_metrics.wakeups;
-    snap.io_frames_decoded += io_metrics.frames_decoded;
-    snap.io_inbox_depth_high_water = std::max(
-        snap.io_inbox_depth_high_water, io_metrics.inbox_depth_high_water);
-  }
-  return snap;
+  return impl_->CollectMetrics(impl_->IoMetricsNow());
 }
 
 void Server::RequestPromote() {

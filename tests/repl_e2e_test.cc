@@ -62,14 +62,16 @@ class TestServer {
     std::string error;
     auto backend = MakeServingBackend(base, options, &error);
     EXPECT_NE(backend, nullptr) << error;
-    Launch(std::move(backend), std::move(options));
+    Launch(std::move(backend), std::move(options), {});
   }
 
-  // Follower bootstrap path: the backend was built by BootstrapFromChangeLog
-  // rather than from a base graph.
-  TestServer(std::unique_ptr<ServingBackend> backend, ServeOptions options) {
+  // Follower bootstrap and warm restart: the backend was built by
+  // BootstrapFromChangeLog or RestoreServingBackend rather than from a base
+  // graph, and `keymap` holds the key bindings restored with it.
+  TestServer(std::unique_ptr<ServingBackend> backend, ServeOptions options,
+             ingest::KeyMap keymap = {}) {
     options.port = 0;
-    Launch(std::move(backend), std::move(options));
+    Launch(std::move(backend), std::move(options), std::move(keymap));
   }
 
   ~TestServer() { StopAndJoin(); }
@@ -86,13 +88,15 @@ class TestServer {
   Server& server() { return *server_; }
 
  private:
-  void Launch(std::unique_ptr<ServingBackend> backend, ServeOptions options) {
+  void Launch(std::unique_ptr<ServingBackend> backend, ServeOptions options,
+              ingest::KeyMap keymap) {
     // Multi-threaded I/O everywhere: replication (SUBSCRIBE streams,
     // PROMOTE, RESHARD) must behave identically through the mailbox
     // transport.
     options.io_threads = 4;
     std::string error;
     server_ = std::make_unique<Server>(std::move(backend), options);
+    server_->AdoptKeyMap(std::move(keymap));
     EXPECT_TRUE(server_->Start(&error)) << error;
     thread_ = std::thread([this] { run_result_ = server_->Run(); });
   }
@@ -403,9 +407,15 @@ TEST(ReplKeyedTest, KeymapSnapshotRoundTrip) {
   EXPECT_EQ(client.Ask("KDEL item-1"), "OK");
   server.StopAndJoin();
 
-  ServeOptions ropts;
-  ropts.restore_path = snap;
-  TestServer restored(ropts, EdgeListGraph{});
+  // Warm restart the way `dynmis_cli serve --restore` does it.
+  std::ifstream snap_in(snap, std::ios::binary);
+  std::string error;
+  ingest::KeyMap restored_keys;
+  auto restored_backend =
+      RestoreServingBackend(snap_in, &error, &restored_keys);
+  ASSERT_NE(restored_backend, nullptr) << error;
+  TestServer restored(std::move(restored_backend), ServeOptions{},
+                      std::move(restored_keys));
   TestClient rc(restored.port());
   for (const std::string& key : keys) {
     EXPECT_EQ(rc.Ask("KQUERY " + key), answers[key]) << key;

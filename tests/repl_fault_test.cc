@@ -122,6 +122,14 @@ class TestClient {
     return response;
   }
 
+  void Send(const std::string& line) { EXPECT_TRUE(client_.SendLine(line)); }
+
+  std::string ReadLine() {
+    std::string line;
+    EXPECT_TRUE(client_.ReadLine(&line));
+    return line;
+  }
+
  private:
   LineClient client_;
 };
@@ -320,6 +328,80 @@ TEST(ReplFaultTest, SubscriberHandshakeAboveEpochFencesPrimary) {
       response.rfind("ERR fenced " + std::to_string(epoch + 5), 0) == 0)
       << response;
   EXPECT_TRUE(source.AskPastAdmission(&writer).rfind("ERR fenced", 0) == 0);
+}
+
+// A batch refused at fencing time leaves no trace in the admission state:
+// the replica and the key map stay exactly what the backend holds, so a
+// re-promoted server neither rejects the refused write as a duplicate, nor
+// predicts a stale vertex-insert id (which aborted the server), nor
+// answers for a key bound to a vertex the backend never created.
+void ExpectRefusedBatchLeavesNoTrace(const std::string& backend) {
+  const std::string dir = FreshDir("fault_refused_" + backend);
+  ServeOptions options;
+  options.backend = backend;
+  options.change_log_dir = dir;
+  // Ops stay pending until a barrier, so every write below is admitted
+  // first and refused at the flush that finds the new epoch.
+  options.flush_deadline_us = 60e6;
+  TestServer server(options);
+  TestClient client(server.port());
+  // Admits `write`, claims the directory for a newer primary, then flushes
+  // with a barrier: the write is refused with the new epoch.
+  const auto refused_after_fence = [&](const std::string& write) {
+    int64_t head = 0, epoch = 0;
+    ReplStatus(&client, &head, &epoch);
+    client.Send(write);
+    std::string error;
+    EXPECT_TRUE(repl::WriteEpochFile(dir, epoch + 1, &error)) << error;
+    client.Send("QUERY 0");
+    EXPECT_EQ(client.ReadLine(), "ERR fenced " + std::to_string(epoch + 1))
+        << write;
+    EXPECT_TRUE(client.ReadLine().rfind("OK ", 0) == 0);
+    EXPECT_TRUE(client.Ask("PROMOTE").rfind("OK PROMOTED ", 0) == 0);
+  };
+  // A write flushed by a barrier; returns its ack.
+  const auto flushed = [&](const std::string& write) {
+    client.Send(write);
+    client.Send("QUERY 0");
+    const std::string ack = client.ReadLine();
+    EXPECT_TRUE(client.ReadLine().rfind("OK ", 0) == 0);
+    return ack;
+  };
+
+  // Phantom edge: two solution members joined by a refused insert.
+  const std::string solution = client.Ask("SOLUTION");
+  long long count = 0, u = 0, v = 0;
+  ASSERT_EQ(std::sscanf(solution.c_str(), "OK %lld %lld %lld", &count, &u,
+                        &v),
+            3)
+      << solution;
+  const std::string insert =
+      "INS " + std::to_string(u) + " " + std::to_string(v);
+  refused_after_fence(insert);
+  ExpectVerifyOk(&client);
+  EXPECT_EQ(flushed(insert), "OK");
+  ExpectVerifyOk(&client);
+
+  // Phantom key: the refused KINS binds nothing.
+  refused_after_fence("KINS alpha 0");
+  EXPECT_EQ(client.Ask("KQUERY alpha"), "ERR unknown key");
+  const std::string kins = flushed("KINS alpha 0");
+  EXPECT_TRUE(kins.rfind("OK ", 0) == 0) << kins;
+  EXPECT_EQ(client.Ask("KQUERY alpha").rfind(kins + " ", 0), 0u);
+
+  // Vertex insert: the re-promoted server predicts the backend's id.
+  refused_after_fence("INSV 0");
+  const std::string insv = flushed("INSV 0");
+  EXPECT_TRUE(insv.rfind("OK ", 0) == 0) << insv;
+  ExpectVerifyOk(&client);
+}
+
+TEST(ReplFaultTest, RefusedBatchLeavesNoTraceEngine) {
+  ExpectRefusedBatchLeavesNoTrace("engine");
+}
+
+TEST(ReplFaultTest, RefusedBatchLeavesNoTraceSharded) {
+  ExpectRefusedBatchLeavesNoTrace("sharded");
 }
 
 // Kill the primary, restart it on the same port from its change log: the

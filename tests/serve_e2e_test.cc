@@ -30,6 +30,7 @@
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
+#include "src/ingest/key_map.h"
 #include "src/serve/binary.h"
 #include "src/serve/line_client.h"
 #include "src/serve/protocol.h"
@@ -52,16 +53,23 @@ class TestServer {
  public:
   explicit TestServer(ServeOptions options,
                       const EdgeListGraph& base = TestGraph()) {
-    options.port = 0;
-    // Always multi-threaded I/O: single-thread is just the degenerate case,
-    // and 4 threads is what CI's sanitizer legs should be watching.
-    options.io_threads = 4;
     std::string error;
     auto backend = MakeServingBackend(base, options, &error);
     EXPECT_NE(backend, nullptr) << error;
-    server_ = std::make_unique<Server>(std::move(backend), options);
-    EXPECT_TRUE(server_->Start(&error)) << error;
-    thread_ = std::thread([this] { run_result_ = server_->Run(); });
+    Launch(std::move(backend), std::move(options), {});
+  }
+
+  // Warm start from a snapshot file, the way `dynmis_cli serve --restore`
+  // does it: the container picks the backend, and its "keymap" section
+  // seeds the key bindings.
+  static std::unique_ptr<TestServer> Restored(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::string error;
+    ingest::KeyMap keymap;
+    auto backend = RestoreServingBackend(in, &error, &keymap);
+    EXPECT_NE(backend, nullptr) << error;
+    return std::unique_ptr<TestServer>(
+        new TestServer(std::move(backend), std::move(keymap)));
   }
 
   ~TestServer() { StopAndJoin(); }
@@ -78,6 +86,23 @@ class TestServer {
   Server& server() { return *server_; }
 
  private:
+  TestServer(std::unique_ptr<ServingBackend> backend, ingest::KeyMap keymap) {
+    Launch(std::move(backend), {}, std::move(keymap));
+  }
+
+  void Launch(std::unique_ptr<ServingBackend> backend, ServeOptions options,
+              ingest::KeyMap keymap) {
+    options.port = 0;
+    // Always multi-threaded I/O: single-thread is just the degenerate case,
+    // and 4 threads is what CI's sanitizer legs should be watching.
+    options.io_threads = 4;
+    std::string error;
+    server_ = std::make_unique<Server>(std::move(backend), options);
+    server_->AdoptKeyMap(std::move(keymap));
+    EXPECT_TRUE(server_->Start(&error)) << error;
+    thread_ = std::thread([this] { run_result_ = server_->Run(); });
+  }
+
   std::unique_ptr<Server> server_;
   std::thread thread_;
   int run_result_ = -1;
@@ -361,10 +386,8 @@ TEST(ServeE2eTest, SnapshotRestoreWarmFailover) {
   EXPECT_EQ(old_server.StopAndJoin(), 0);
 
   // "Failover": a brand-new server warm-starts from the snapshot.
-  ServeOptions restore_options;
-  restore_options.restore_path = snap_path;
-  TestServer new_server(restore_options, EdgeListGraph{});
-  TestClient client(new_server.port());
+  const auto new_server = TestServer::Restored(snap_path);
+  TestClient client(new_server->port());
   const std::vector<VertexId> restored_solution =
       ParseSolution(client.Ask("SOLUTION"));
   EXPECT_EQ(restored_solution, solution_at_snapshot);
@@ -372,11 +395,11 @@ TEST(ServeE2eTest, SnapshotRestoreWarmFailover) {
   // The restored server accepts further traffic and stays verified,
   // including vertex inserts (id allocation must line up with the replica).
   EXPECT_TRUE(client.Ask("INSV 0 5").rfind("OK ", 0) == 0);
-  Churn(new_server.port(), 4321, 150);
-  TestClient verifier(new_server.port());
+  Churn(new_server->port(), 4321, 150);
+  TestClient verifier(new_server->port());
   EXPECT_NE(verifier.Ask("VERIFY").find("independent=1 maximal=1"),
             std::string::npos);
-  EXPECT_EQ(new_server.StopAndJoin(), 0);
+  EXPECT_EQ(new_server->StopAndJoin(), 0);
 }
 
 TEST(ServeE2eTest, SnapshotRestoreShardedBackend) {
@@ -393,18 +416,41 @@ TEST(ServeE2eTest, SnapshotRestoreShardedBackend) {
       ParseSolution(control.Ask("SOLUTION"));
   EXPECT_EQ(old_server.StopAndJoin(), 0);
 
-  ServeOptions restore_options;
-  restore_options.backend = "sharded";
-  restore_options.restore_path = snap_path;
-  TestServer new_server(restore_options, EdgeListGraph{});
-  TestClient client(new_server.port());
+  // The container says "sharded"; nothing else needs to.
+  const auto new_server = TestServer::Restored(snap_path);
+  TestClient client(new_server->port());
   EXPECT_EQ(ParseSolution(client.Ask("SOLUTION")), solution_at_snapshot);
   EXPECT_TRUE(client.Ask("INSV 1 4").rfind("OK ", 0) == 0);
-  Churn(new_server.port(), 88, 150);
-  TestClient verifier(new_server.port());
+  Churn(new_server->port(), 88, 150);
+  TestClient verifier(new_server->port());
   EXPECT_NE(verifier.Ask("VERIFY").find("independent=1 maximal=1"),
             std::string::npos);
-  EXPECT_EQ(new_server.StopAndJoin(), 0);
+  EXPECT_EQ(new_server->StopAndJoin(), 0);
+}
+
+// Out-of-range ports are configuration errors at Start(): no bind to the
+// port's low 16 bits, no follower retrying a port it can never reach.
+TEST(ServeE2eTest, StartRejectsOutOfRangePorts) {
+  const auto start_error = [](const ServeOptions& options) {
+    std::string error;
+    Server server(MakeServingBackend(TestGraph(), options, &error), options);
+    EXPECT_FALSE(server.Start(&error));
+    return error;
+  };
+  for (const int port : {70000, 65536, -1}) {
+    ServeOptions options;
+    options.port = port;
+    const std::string error = start_error(options);
+    EXPECT_NE(error.find("listen port"), std::string::npos) << error;
+  }
+  for (const char* addr : {"127.0.0.1:x", "127.0.0.1:70000", "127.0.0.1:0",
+                           "127.0.0.1:", "127.0.0.1:+80", "127.0.0.1:8x"}) {
+    ServeOptions options;
+    options.follow_addr = addr;
+    const std::string error = start_error(options);
+    EXPECT_NE(error.find("--follow port"), std::string::npos)
+        << addr << ": " << error;
+  }
 }
 
 TEST(ServeE2eTest, EarlySettlingFrameDoesNotStealAnEarlierOpSlot) {

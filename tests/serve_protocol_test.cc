@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "src/serve/binary.h"
+#include "src/util/json_writer.h"
 
 namespace dynmis {
 namespace serve {
@@ -541,6 +542,26 @@ TEST(BinaryCodecTest, HelloBinParsing) {
   EXPECT_FALSE(MustParse("HELLO 2").binary);
   MustFail("HELLO 2 BIN extra");
   MustFail("HELLO 2 bin");  // Case-sensitive, like the verbs.
+}
+
+// STATS is one protocol line: the single-line JSON form has no whitespace
+// at all, and strings are escaped (degraded_reason carries error text).
+TEST(StatsLineTest, SingleLineJsonIsCompactAndEscaped) {
+  JsonWriter w(/*single_line=*/true);
+  w.BeginObject();
+  w.String("degraded_reason", "write \"seg-1\": No space\n");
+  w.BeginObject("update_latency_us");
+  w.Int("count", 2);
+  w.Double("p50", 1.5);
+  w.EndObject();
+  w.BeginArray("per_thread");
+  w.BeginObject();
+  w.EndObject();
+  w.EndArray();
+  w.EndObject();
+  EXPECT_EQ(w.Take(),
+            R"({"degraded_reason":"write \"seg-1\": No space\n",)"
+            R"("update_latency_us":{"count":2,"p50":1.5},"per_thread":[{}]})");
 }
 
 }  // namespace

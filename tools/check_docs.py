@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (CI `docs` job).
 
-Three checks, all over committed files only (no network):
+Four checks, all over committed files only (no network):
 
 1. Markdown link check. Every relative link in README.md, docs/*.md and
    bench/EXPERIMENTS.md must point at a file that exists in the repo,
@@ -19,6 +19,15 @@ Three checks, all over committed files only (no network):
    runs: the names extracted from `BuildScenarios()` in
    bench/bench_driver.cc.
 
+4. STATS field drift. Every field in docs/OPERATIONS.md's alert table
+   ("STATS fields an operator should alert on") must be a key the STATS
+   renderer writes inside the named block: the keys are read from the
+   JsonWriter calls of `BuildStatsJson()` in src/serve/server.cc, with
+   each block's path taken from the keys of its BeginObject/BeginArray
+   calls (`io.per_thread[]` is an element of the `per_thread` array inside
+   `io`). A dotted field such as `update_latency_us.p99` names a key of a
+   nested block.
+
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
 
@@ -35,6 +44,8 @@ PROTOCOL_DOC = REPO / "docs" / "PROTOCOL.md"
 PROTOCOL_SRC = REPO / "src" / "serve" / "protocol.cc"
 PRESET_DOC = REPO / "bench" / "EXPERIMENTS.md"
 PRESET_SRC = REPO / "bench" / "bench_driver.cc"
+STATS_DOC = REPO / "docs" / "OPERATIONS.md"
+STATS_SRC = REPO / "src" / "serve" / "server.cc"
 
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 # [text](target) — target up to the first unescaped ')'; images included.
@@ -234,12 +245,115 @@ def check_presets():
     return problems
 
 
+def function_body(source, signature):
+    """The brace-balanced body of the function whose definition starts
+    with `signature`, or None."""
+    start = source.find(signature)
+    if start < 0:
+        return None
+    depth = 0
+    for i in range(source.index("{", start), len(source)):
+        if source[i] == "{":
+            depth += 1
+        elif source[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return source[start:i]
+    return None
+
+
+def stats_keys():
+    """(block path, key) pairs written by BuildStatsJson() in server.cc.
+    The root object's path is ""; a keyed block's path extends its
+    parent's ("serving.update_latency_us"); an array's path ends in "[]"
+    and its unkeyed elements share it; a block whose key is computed at
+    run time gets "*"."""
+    body = function_body(STATS_SRC.read_text(encoding="utf-8"),
+                         "std::string BuildStatsJson() {")
+    if body is None:
+        return None
+    calls = re.finditer(
+        r"\bw\.(BeginObject|BeginArray|EndObject|EndArray|String|Int|Uint|"
+        r"Double|Bool)\(\s*(\)|\"([^\"]*)\"|)",
+        body,
+    )
+    keys = set()
+    stack = []
+    for call in calls:
+        method, arg, key = call.group(1), call.group(2), call.group(3)
+        if method.startswith("End"):
+            if not stack:
+                return None
+            stack.pop()
+            continue
+        parent = stack[-1] if stack else ""
+        if key is not None:
+            keys.add((parent, key))
+        if not method.startswith("Begin"):
+            continue
+        if not stack:
+            stack.append("")
+            continue
+        name = key if key is not None else ("*" if arg != ")" else None)
+        if name is None:
+            stack.append(parent)  # An array element.
+            continue
+        path = f"{parent}.{name}" if parent else name
+        stack.append(path + ("[]" if method == "BeginArray" else ""))
+    return keys or None
+
+
+def documented_stats_fields():
+    """(field, block) pairs from OPERATIONS.md's alert table; a row may
+    name several fields ("`lag_batches` / `lag_ops_estimate`")."""
+    fields = []
+    in_table = False
+    for lineno, line in enumerate(
+        STATS_DOC.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if line.startswith("#"):
+            in_table = "stats fields" in line.lower()
+            continue
+        if not in_table or not line.startswith("|"):
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) < 2:
+            continue
+        blocks = re.findall(r"`([^`]+)`", cells[1])
+        for field in re.findall(r"`([^`]+)`", cells[0]):
+            fields.append((lineno, field, blocks[0] if blocks else ""))
+    return fields
+
+
+def check_stats_fields():
+    from_code = stats_keys()
+    if from_code is None:
+        return [f"{STATS_SRC.relative_to(REPO)}: could not read the STATS "
+                "keys from BuildStatsJson() (check_docs.py needs updating)"]
+    fields = documented_stats_fields()
+    if not fields:
+        return [f"{STATS_DOC.relative_to(REPO)}: found no rows in the "
+                "'STATS fields' alert table (check_docs.py needs updating)"]
+    problems = []
+    for lineno, field, block in fields:
+        *nested, key = field.split(".")
+        path = ".".join([block] + nested)
+        if (path, key) not in from_code:
+            problems.append(
+                f"docs/OPERATIONS.md:{lineno}: STATS field '{field}' in block "
+                f"'{block}' is not written by BuildStatsJson() "
+                "(src/serve/server.cc)"
+            )
+    return problems
+
+
 def main():
     files = gather_files()
     if not files:
         print("check_docs.py: no documentation files found", file=sys.stderr)
         return 1
-    problems = check_links(files) + check_verbs() + check_presets()
+    problems = (check_links(files) + check_verbs() + check_presets() +
+                check_stats_fields())
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -248,7 +362,9 @@ def main():
     names = ", ".join(str(f.relative_to(REPO)) for f in files)
     print(f"check_docs.py: OK — links + anchors clean in {names}; "
           f"verb table in sync ({len(documented_verbs())} verbs); "
-          f"preset table in sync ({len(documented_scenarios())} scenarios)")
+          f"preset table in sync ({len(documented_scenarios())} scenarios); "
+          f"alert table in sync ({len(documented_stats_fields())} STATS "
+          "fields)")
     return 0
 
 

@@ -45,9 +45,10 @@
 //       serve the engine over TCP — newline text by default, with a
 //       length-prefixed binary protocol negotiated per connection (HELLO 2
 //       BIN; README "Serving"). --io-threads N spreads connection I/O over
-//       N epoll threads. With no graph source the server starts on an
-//       empty graph (clients build it with INSV). SIGTERM/SIGINT drain
-//       in-flight batches and exit 0.
+//       N epoll threads. --restore takes backend, shard count and
+//       algorithm from the snapshot. With no graph source the server
+//       starts on an empty graph (clients build it with INSV).
+//       SIGTERM/SIGINT drain in-flight batches and exit 0.
 //
 // Replication (README "Replication"):
 //
@@ -92,6 +93,7 @@
 #include "src/repl/change_log.h"
 #include "src/serve/workload.h"
 #include "src/util/faultfs.h"
+#include "src/util/json_writer.h"
 
 namespace dynmis {
 namespace {
@@ -653,20 +655,21 @@ int RunIngestCommand(int argc, char** argv) {
     return 1;
   }
   if (json) {
-    std::printf(
-        "{\"vertices\":%lld,\"edges\":%lld,\"lines\":%lld,"
-        "\"dropped_self_loops\":%lld,\"dropped_duplicates\":%lld,"
-        "\"header_reserved\":%s,\"gzip\":%s,\"load_seconds\":%.6f,"
-        "\"graph_bytes\":%zu,\"bytes_per_edge\":%.2f,"
-        "\"peak_rss_bytes\":%zu}\n",
-        static_cast<long long>(report.vertices),
-        static_cast<long long>(report.edges),
-        static_cast<long long>(report.lines),
-        static_cast<long long>(report.dropped_self_loops),
-        static_cast<long long>(report.dropped_duplicates),
-        report.header_reserved ? "true" : "false",
-        report.gzip ? "true" : "false", report.load_seconds,
-        report.graph_bytes, report.bytes_per_edge, report.peak_rss_bytes);
+    JsonWriter w(/*single_line=*/true);
+    w.BeginObject();
+    w.Int("vertices", report.vertices);
+    w.Int("edges", report.edges);
+    w.Int("lines", report.lines);
+    w.Int("dropped_self_loops", report.dropped_self_loops);
+    w.Int("dropped_duplicates", report.dropped_duplicates);
+    w.Bool("header_reserved", report.header_reserved);
+    w.Bool("gzip", report.gzip);
+    w.Double("load_seconds", report.load_seconds);
+    w.Uint("graph_bytes", report.graph_bytes);
+    w.Double("bytes_per_edge", report.bytes_per_edge);
+    w.Uint("peak_rss_bytes", report.peak_rss_bytes);
+    w.EndObject();
+    std::printf("%s\n", w.Take().c_str());
   } else {
     std::fprintf(stderr,
                  "ingest: n=%lld m=%lld (%lld lines, %lld self-loops, %lld "
@@ -718,6 +721,7 @@ int RunServeCommand(int argc, char** argv) {
   std::string graph_path;
   std::string scenario;
   std::string bootstrap_dir;  // TCP follower: local checkpoint to restore.
+  std::string restore_path;   // Warm start from a snapshot file.
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -738,7 +742,7 @@ int RunServeCommand(int argc, char** argv) {
       scenario = v;
     } else if (arg == "--restore") {
       if (!(v = next())) return ServeUsage(argv[0]);
-      options.restore_path = v;
+      restore_path = v;
     } else if (arg == "--algo") {
       if (!(v = next())) return ServeUsage(argv[0]);
       options.algo.algorithm = v;
@@ -813,8 +817,7 @@ int RunServeCommand(int argc, char** argv) {
     std::fprintf(stderr, "serve: non-positive sizing flag\n");
     return 2;
   }
-  if ((!graph_path.empty()) + (!scenario.empty()) +
-          (!options.restore_path.empty()) >
+  if ((!graph_path.empty()) + (!scenario.empty()) + (!restore_path.empty()) >
       1) {
     std::fprintf(stderr,
                  "serve: --graph, --scenario and --restore are exclusive\n");
@@ -838,7 +841,7 @@ int RunServeCommand(int argc, char** argv) {
                  "loop)\n");
     return 2;
   }
-  if (follower && !options.restore_path.empty()) {
+  if (follower && !restore_path.empty()) {
     std::fprintf(stderr,
                  "serve: --restore conflicts with following (followers "
                  "bootstrap from a checkpoint directory)\n");
@@ -883,8 +886,7 @@ int RunServeCommand(int argc, char** argv) {
       checkpoint_dir = options.change_log_dir;
     }
   }
-  ingest::KeyMap boot_keymap;
-  bool have_boot_keymap = false;
+  ingest::KeyMap keymap;  // Restored bindings; empty on a fresh start.
   if (!checkpoint_dir.empty()) {
     repl::BootstrapResult boot;
     if (!repl::BootstrapFromChangeLog(checkpoint_dir, base, options, &boot,
@@ -893,8 +895,7 @@ int RunServeCommand(int argc, char** argv) {
       return 1;
     }
     backend = std::move(boot.backend);
-    boot_keymap = std::move(boot.keymap);
-    have_boot_keymap = true;
+    keymap = std::move(boot.keymap);
     options.repl_start_seq = boot.next_seq;
     options.bootstrap_base_seq = boot.base_seq;
     options.start_epoch = boot.epoch;
@@ -905,7 +906,18 @@ int RunServeCommand(int argc, char** argv) {
                  static_cast<long long>(boot.tail_batches),
                  static_cast<long long>(boot.tail_ops),
                  checkpoint_dir.c_str(),
-                 static_cast<long long>(boot.next_seq), boot_keymap.Size());
+                 static_cast<long long>(boot.next_seq), keymap.Size());
+  } else if (!restore_path.empty()) {
+    // The snapshot fixes backend kind, shard count and algorithm; its
+    // "keymap" section (servers with keyed clients write one) restores the
+    // external-key bindings.
+    std::ifstream in(restore_path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "serve: cannot open snapshot: %s\n",
+                   restore_path.c_str());
+      return 1;
+    }
+    backend = serve::RestoreServingBackend(in, &error, &keymap);
   } else {
     backend = serve::MakeServingBackend(base, options, &error);
   }
@@ -915,9 +927,9 @@ int RunServeCommand(int argc, char** argv) {
   }
   const EngineStats stats = backend->Stats();
   serve::Server server(std::move(backend), options);
-  // The bootstrap's key bindings (base snapshot "keymap" section + keyed
-  // tail ops) make the follower resolve KQUERY exactly as the primary.
-  if (have_boot_keymap) server.AdoptKeyMap(std::move(boot_keymap));
+  // The restored key bindings (snapshot "keymap" section, plus keyed tail
+  // ops after a bootstrap) make KQUERY resolve exactly as before.
+  server.AdoptKeyMap(std::move(keymap));
   if (!server.Start(&error)) {
     std::fprintf(stderr, "serve: %s\n", error.c_str());
     return 1;

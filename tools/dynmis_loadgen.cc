@@ -67,7 +67,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/json_writer.h"
 #include "dynmis/dynmis.h"
 #include "src/serve/binary.h"
 #include "src/serve/line_client.h"
@@ -75,6 +74,7 @@
 #include "src/serve/trace.h"
 #include "src/serve/verify.h"
 #include "src/serve/workload.h"
+#include "src/util/json_writer.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
 
@@ -525,79 +525,12 @@ LoadPhaseResult RunLoadPhase(const LoadgenOptions& options,
   return phase;
 }
 
-// An in-process stand-in for the server's backend, for replay/resume checks.
-struct ReplayBackend {
-  std::unique_ptr<MisEngine> engine;
-  std::unique_ptr<ShardedMisEngine> sharded;
-
-  static ReplayBackend Fresh(const EdgeListGraph& base,
-                             const MaintainerConfig& algo, bool is_sharded,
-                             int shards) {
-    ReplayBackend backend;
-    if (is_sharded) {
-      ShardedEngineOptions options;
-      options.num_shards = shards;
-      backend.sharded = ShardedMisEngine::Create(base, algo, options);
-      if (backend.sharded != nullptr) backend.sharded->Initialize();
-    } else {
-      backend.engine = MisEngine::Create(base, algo);
-      if (backend.engine != nullptr) backend.engine->Initialize();
-    }
-    return backend;
-  }
-
-  static ReplayBackend Restore(const std::string& path, bool is_sharded,
-                               std::string* error) {
-    ReplayBackend backend;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      *error = "cannot open snapshot: " + path;
-      return backend;
-    }
-    SnapshotStatus status;
-    if (is_sharded) {
-      backend.sharded = ShardedMisEngine::LoadSnapshot(in, &status);
-    } else {
-      backend.engine = MisEngine::LoadSnapshot(in, &status);
-    }
-    if (!backend.ok()) *error = "restore failed: " + status.message;
-    return backend;
-  }
-
-  bool ok() const { return engine != nullptr || sharded != nullptr; }
-
-  void ApplyBatch(const std::vector<GraphUpdate>& updates) {
-    if (engine != nullptr) {
-      engine->ApplyBatch(updates);
-    } else {
-      sharded->ApplyBatch(updates);
-      sharded->Flush();
-    }
-  }
-
-  void Apply(const GraphUpdate& update) {
-    if (engine != nullptr) {
-      engine->Apply(update);
-    } else {
-      sharded->Apply(update);
-    }
-  }
-
-  std::vector<VertexId> SortedSolution() {
-    std::vector<VertexId> solution;
-    if (engine != nullptr) {
-      engine->CollectSolution(&solution);
-    } else {
-      sharded->CollectSolution(&solution);
-    }
-    std::sort(solution.begin(), solution.end());
-    return solution;
-  }
-
-  DynamicGraph ExportGraph() {
-    return engine != nullptr ? engine->graph() : sharded->BuildGlobalGraph();
-  }
-};
+std::vector<VertexId> SortedSolution(serve::ServingBackend* backend) {
+  std::vector<VertexId> solution;
+  backend->CollectSolution(&solution);
+  std::sort(solution.begin(), solution.end());
+  return solution;
+}
 
 std::vector<VertexId> ParseSolutionLine(const std::string& line) {
   // "OK <count> <id>...".
@@ -735,7 +668,6 @@ int Main(int argc, char** argv) {
   const std::string backend_kind = GreetingField(greeting, "backend");
   const std::string algorithm = GreetingField(greeting, "algorithm");
   const int shards = std::atoi(GreetingField(greeting, "shards").c_str());
-  const bool is_sharded = backend_kind == "sharded";
   // The replay/resume backends must run the server's algorithm, not this
   // tool's default: adopt the advertised name unless --algo overrode it.
   if (!options.algo_given && !algorithm.empty()) {
@@ -873,12 +805,17 @@ int Main(int argc, char** argv) {
     bool maximal = false;
     client_verified = serve::CheckSolution(mirror, server_solution,
                                            &independent, &maximal);
-    // Replay with the server's exact transaction boundaries.
-    ReplayBackend replay = ReplayBackend::Fresh(workload.base, options.algo,
-                                                is_sharded, shards);
-    if (!replay.ok()) {
+    // Replay with the server's exact transaction boundaries, through the
+    // same backend adapter the server runs.
+    serve::ServeOptions replay_options;
+    replay_options.backend = backend_kind;
+    replay_options.shards = shards;
+    replay_options.algo = options.algo;
+    const std::unique_ptr<serve::ServingBackend> replay =
+        serve::MakeServingBackend(workload.base, replay_options, &error);
+    if (replay == nullptr) {
       std::fprintf(stderr, "loadgen: cannot build replay backend (%s)\n",
-                   options.algo.algorithm.c_str());
+                   error.c_str());
       return 1;
     }
     size_t offset = 0;
@@ -887,10 +824,10 @@ int Main(int argc, char** argv) {
       block.assign(trace.updates.begin() + static_cast<int64_t>(offset),
                    trace.updates.begin() + static_cast<int64_t>(offset) +
                        size);
-      replay.ApplyBatch(block);
+      replay->ApplyBatch(block);
       offset += static_cast<size_t>(size);
     }
-    replay_matches = replay.SortedSolution() == server_solution;
+    replay_matches = SortedSolution(replay.get()) == server_solution;
     std::fprintf(stderr,
                  "loadgen: trace %zu ops in %zu batches — client_verified=%d "
                  "replay_matches=%d\n",
@@ -958,33 +895,37 @@ int Main(int argc, char** argv) {
       return 1;
     }
     snapshot_bytes = std::atoll(snap_line.c_str() + 3);
-    ReplayBackend restored =
-        ReplayBackend::Restore(options.snapshot_path, is_sharded, &error);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "loadgen: %s\n", error.c_str());
+    std::ifstream in(options.snapshot_path, std::ios::binary);
+    const std::unique_ptr<serve::ServingBackend> restored =
+        serve::RestoreServingBackend(in, &error);
+    if (restored == nullptr) {
+      std::fprintf(stderr, "loadgen: %s: %s\n",
+                   options.snapshot_path.c_str(), error.c_str());
       return 1;
     }
-    snapshot_matches = restored.SortedSolution() == latest_server_solution;
+    snapshot_matches =
+        SortedSolution(restored.get()) == latest_server_solution;
     // Resume: the same closed-loop stream through the live server and the
-    // restored engine; one op per request keeps the transaction boundaries
+    // restored backend; one op per request keeps the transaction boundaries
     // aligned (each op is its own ApplyBatch on both sides).
     UpdateStreamOptions resume_stream = workload.stream;
     resume_stream.seed = options.seed * 977 + 4243;
     UpdateStreamGenerator generator(resume_stream);
-    DynamicGraph resume_mirror = restored.ExportGraph();
+    DynamicGraph resume_mirror = restored->ExportGraph();
+    std::vector<GraphUpdate> one_op(1);
     bool resume_failed = false;
     for (int i = 0; i < options.resume_updates; ++i) {
-      const GraphUpdate update = generator.Next(resume_mirror);
+      one_op[0] = generator.Next(resume_mirror);
       std::string ack;
-      if (!control.Ask(serve::FormatCommandLine(update), &ack) ||
+      if (!control.Ask(serve::FormatCommandLine(one_op[0]), &ack) ||
           ack.rfind("OK", 0) != 0) {
         std::fprintf(stderr, "loadgen: resume op refused (%s)\n",
                      ack.c_str());
         resume_failed = true;
         break;
       }
-      ApplyUpdate(&resume_mirror, update);
-      restored.Apply(update);
+      ApplyUpdate(&resume_mirror, one_op[0]);
+      restored->ApplyBatch(one_op);
     }
     if (!resume_failed) {
       if (!control.Ask("SOLUTION", &solution_line) ||
@@ -993,7 +934,8 @@ int Main(int argc, char** argv) {
         return 1;
       }
       latest_server_solution = ParseSolutionLine(solution_line);
-      resume_matches = restored.SortedSolution() == latest_server_solution;
+      resume_matches =
+          SortedSolution(restored.get()) == latest_server_solution;
     }
     std::fprintf(stderr,
                  "loadgen: snapshot %lld bytes — snapshot_matches=%d "
@@ -1018,136 +960,90 @@ int Main(int argc, char** argv) {
 
   // --- JSON emission ---------------------------------------------------------
 
-  bench::JsonWriter w;
+  // Integer fields echoed from a STATS scope.
+  const auto stats_int = [](const std::string& scope, const char* key) {
+    return static_cast<int64_t>(ExtractJsonNumber(scope, key));
+  };
+  const auto per_sec = [elapsed](int64_t count) {
+    return elapsed > 0 ? static_cast<double>(count) / elapsed : 0;
+  };
+  JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("scenario");
-  w.String(options.scenario);
-  w.Key("tool");
-  w.String("dynmis_loadgen");
-  w.Key("scale");
-  w.Double(bench::BenchScale());
-  w.Key("cpu_count");
-  w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
-  w.Key("graph");
-  w.BeginObject();
-  w.Key("name");
-  w.String(workload.name);
-  w.Key("n");
-  w.Int(workload.base.n);
-  w.Key("m");
-  w.Int(workload.base.NumEdges());
+  w.Int("schema_version", 1);
+  w.String("scenario", options.scenario);
+  w.String("tool", "dynmis_loadgen");
+  w.Double("scale", bench::BenchScale());
+  w.Int("cpu_count", std::thread::hardware_concurrency());
+  w.BeginObject("graph");
+  w.String("name", workload.name);
+  w.Int("n", workload.base.n);
+  w.Int("m", workload.base.NumEdges());
   w.EndObject();
-  w.Key("updates");
-  w.Int(total);
-  w.Key("serving");
-  w.BeginObject();
-  w.Key("backend");
-  w.String(backend_kind);
-  w.Key("shards");
-  w.Int(shards);
-  w.Key("algorithm");
-  w.String(algorithm);
-  w.Key("protocol");
-  w.String(options.binary ? "binary" : (options.keyed ? "keyed" : "text"));
-  w.Key("connections");
-  w.Int(last.connections);
-  w.Key("pipeline");
-  w.Int(options.pipeline);
-  w.Key("client_batch");
-  w.Int(options.client_batch);
-  w.Key("target_qps");
-  w.Double(options.target_qps);
-  w.Key("achieved_qps");
-  w.Double(elapsed > 0 ? static_cast<double>(totals.sent) / elapsed : 0);
-  w.Key("updates_sent");
-  w.Int(totals.sent);
-  w.Key("acked");
-  w.Int(totals.acked);
-  w.Key("rejected");
-  w.Int(totals.rejected);
-  w.Key("elapsed_seconds");
-  w.Double(elapsed);
-  w.Key("client_ops_per_sec");
-  w.Double(elapsed > 0 ? static_cast<double>(totals.acked) / elapsed : 0);
-  w.Key("rtt_p50_us");
-  w.Double(rtt_p50_us);
-  w.Key("rtt_p99_us");
-  w.Double(rtt_p99_us);
+  w.Int("updates", total);
+  w.BeginObject("serving");
+  w.String("backend", backend_kind);
+  w.Int("shards", shards);
+  w.String("algorithm", algorithm);
+  w.String("protocol",
+           options.binary ? "binary" : (options.keyed ? "keyed" : "text"));
+  w.Int("connections", last.connections);
+  w.Int("pipeline", options.pipeline);
+  w.Int("client_batch", options.client_batch);
+  w.Double("target_qps", options.target_qps);
+  w.Double("achieved_qps", per_sec(totals.sent));
+  w.Int("updates_sent", totals.sent);
+  w.Int("acked", totals.acked);
+  w.Int("rejected", totals.rejected);
+  w.Double("elapsed_seconds", elapsed);
+  w.Double("client_ops_per_sec", per_sec(totals.acked));
+  w.Double("rtt_p50_us", rtt_p50_us);
+  w.Double("rtt_p99_us", rtt_p99_us);
   if (phases.size() > 1) {
-    w.Key("sweep");
-    w.BeginArray();
+    w.BeginArray("sweep");
     for (const LoadPhaseResult& phase : phases) {
       w.BeginObject();
-      w.Key("connections");
-      w.Int(phase.connections);
-      w.Key("ops_per_sec");
-      w.Double(phase.ops_per_sec());
-      w.Key("rtt_p50_us");
-      w.Double(phase.rtt_p50_us);
-      w.Key("rtt_p99_us");
-      w.Double(phase.rtt_p99_us);
-      w.Key("acked");
-      w.Int(phase.totals.acked);
-      w.Key("rejected");
-      w.Int(phase.totals.rejected);
+      w.Int("connections", phase.connections);
+      w.Double("ops_per_sec", phase.ops_per_sec());
+      w.Double("rtt_p50_us", phase.rtt_p50_us);
+      w.Double("rtt_p99_us", phase.rtt_p99_us);
+      w.Int("acked", phase.totals.acked);
+      w.Int("rejected", phase.totals.rejected);
       w.EndObject();
     }
     w.EndArray();
   }
-  w.Key("server");
-  w.BeginObject();
-  w.Key("ops_applied");
-  w.Int(static_cast<int64_t>(ExtractJsonNumber(server_json, "ops_applied")));
-  w.Key("ops_rejected");
-  w.Int(
-      static_cast<int64_t>(ExtractJsonNumber(server_json, "ops_rejected")));
-  w.Key("batches_flushed");
-  w.Int(static_cast<int64_t>(
-      ExtractJsonNumber(server_json, "batches_flushed")));
-  w.Key("mean_batch_occupancy");
-  w.Double(ExtractJsonNumber(server_json, "mean_batch_occupancy"));
+  w.BeginObject("server");
+  w.Int("ops_applied", stats_int(server_json, "ops_applied"));
+  w.Int("ops_rejected", stats_int(server_json, "ops_rejected"));
+  w.Int("batches_flushed", stats_int(server_json, "batches_flushed"));
+  w.Double("mean_batch_occupancy",
+           ExtractJsonNumber(server_json, "mean_batch_occupancy"));
   // Percentiles from the post-load STATS call: the resume ops are
   // closed-loop singles and would skew the load phase's distribution.
-  w.Key("update_p50_us");
-  w.Double(ExtractJsonNumber(UpdateLatencyScope(load_stats_json), "p50"));
-  w.Key("update_p99_us");
-  w.Double(ExtractJsonNumber(UpdateLatencyScope(load_stats_json), "p99"));
-  w.Key("solution_size");
-  w.Int(static_cast<int64_t>(
-      ExtractJsonNumber(server_json, "solution_size")));
+  const std::string load_latency = UpdateLatencyScope(load_stats_json);
+  w.Double("update_p50_us", ExtractJsonNumber(load_latency, "p50"));
+  w.Double("update_p99_us", ExtractJsonNumber(load_latency, "p99"));
+  w.Int("solution_size", stats_int(server_json, "solution_size"));
   w.EndObject();
-  w.Key("solution_size");
-  w.Int(static_cast<int64_t>(latest_server_solution.size()));
-  w.Key("verified_independent");
-  w.Bool(verified_independent);
-  w.Key("verified_maximal");
-  w.Bool(verified_maximal);
+  w.Int("solution_size", latest_server_solution.size());
+  w.Bool("verified_independent", verified_independent);
+  w.Bool("verified_maximal", verified_maximal);
   if (options.verify) {
-    w.Key("client_verified");
-    w.Bool(client_verified);
-    w.Key("replay_matches");
-    w.Bool(replay_matches);
+    w.Bool("client_verified", client_verified);
+    w.Bool("replay_matches", replay_matches);
   }
   if (!options.snapshot_path.empty()) {
-    w.Key("snapshot");
-    w.BeginObject();
-    w.Key("bytes");
-    w.Int(snapshot_bytes);
-    w.Key("snapshot_matches");
-    w.Bool(snapshot_matches);
-    w.Key("resume_updates");
-    w.Int(options.resume_updates);
-    w.Key("resume_matches");
-    w.Bool(resume_matches);
+    w.BeginObject("snapshot");
+    w.Int("bytes", snapshot_bytes);
+    w.Bool("snapshot_matches", snapshot_matches);
+    w.Int("resume_updates", options.resume_updates);
+    w.Bool("resume_matches", resume_matches);
     w.EndObject();
   }
   if (options.keyed) {
     // The server's own binding count must equal the client-side replica:
     // this run is the only writer, so any drift is a bug.
-    const int64_t keymap_entries = static_cast<int64_t>(
-        ExtractJsonNumber(server_json, "keymap_entries"));
+    const int64_t keymap_entries = stats_int(server_json, "keymap_entries");
     if (keymap_entries != static_cast<int64_t>(all_live_keys.size())) {
       std::fprintf(stderr,
                    "loadgen: keymap drift — server holds %lld entries, "
@@ -1156,20 +1052,13 @@ int Main(int argc, char** argv) {
                    all_live_keys.size());
       checks_ok = false;
     }
-    w.Key("keyed");
-    w.BeginObject();
-    w.Key("keys_inserted");
-    w.Int(keys_inserted_total);
-    w.Key("keys_deleted");
-    w.Int(keys_deleted_total);
-    w.Key("keys_live");
-    w.Int(static_cast<int64_t>(all_live_keys.size()));
-    w.Key("keys_verified");
-    w.Int(keys_verified);
-    w.Key("key_mismatches");
-    w.Int(key_mismatches);
-    w.Key("keymap_entries");
-    w.Int(keymap_entries);
+    w.BeginObject("keyed");
+    w.Int("keys_inserted", keys_inserted_total);
+    w.Int("keys_deleted", keys_deleted_total);
+    w.Int("keys_live", all_live_keys.size());
+    w.Int("keys_verified", keys_verified);
+    w.Int("key_mismatches", key_mismatches);
+    w.Int("keymap_entries", keymap_entries);
     w.EndObject();
   }
   w.EndObject();
@@ -1178,27 +1067,13 @@ int Main(int argc, char** argv) {
   // checker pops this block (environment-dependent, like "serving").
   const std::string repl_scope = ReplicationScope(server_json);
   if (!repl_scope.empty()) {
-    w.Key("replication");
-    w.BeginObject();
-    w.Key("role");
-    w.String(ExtractJsonString(repl_scope, "role"));
-    w.Key("next_seq");
-    w.Int(static_cast<int64_t>(ExtractJsonNumber(repl_scope, "next_seq")));
-    w.Key("lag_batches");
-    w.Int(static_cast<int64_t>(ExtractJsonNumber(repl_scope, "lag_batches")));
-    w.Key("lag_segments");
-    w.Int(
-        static_cast<int64_t>(ExtractJsonNumber(repl_scope, "lag_segments")));
-    w.Key("snapshots_written");
-    w.Int(static_cast<int64_t>(
-        ExtractJsonNumber(repl_scope, "snapshots_written")));
-    w.Key("last_base_seq");
-    w.Int(
-        static_cast<int64_t>(ExtractJsonNumber(repl_scope, "last_base_seq")));
-    w.Key("promotions");
-    w.Int(static_cast<int64_t>(ExtractJsonNumber(repl_scope, "promotions")));
-    w.Key("resharded");
-    w.Int(static_cast<int64_t>(ExtractJsonNumber(repl_scope, "resharded")));
+    w.BeginObject("replication");
+    w.String("role", ExtractJsonString(repl_scope, "role"));
+    for (const char* key :
+         {"next_seq", "lag_batches", "lag_segments", "snapshots_written",
+          "last_base_seq", "promotions", "resharded"}) {
+      w.Int(key, stats_int(repl_scope, key));
+    }
     w.EndObject();
   }
   w.EndObject();
@@ -1206,7 +1081,7 @@ int Main(int argc, char** argv) {
   const std::string out_path = options.out_path.empty()
                                    ? "SERVE_" + options.scenario + ".json"
                                    : options.out_path;
-  if (!bench::WriteFile(out_path, w.Take())) {
+  if (!WriteFile(out_path, w.Take())) {
     std::fprintf(stderr, "loadgen: cannot write %s\n", out_path.c_str());
     return 1;
   }
