@@ -94,16 +94,6 @@ void JsonWriter::AppendEscaped(std::string_view value) {
   out_ += '"';
 }
 
-void JsonWriter::AppendDouble(double value) {
-  if (!std::isfinite(value)) {
-    out_ += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  out_ += buf;
-}
-
 void JsonWriter::String(std::string_view key, std::string_view value) {
   Prefix(&key);
   AppendEscaped(value);
@@ -121,22 +111,18 @@ void JsonWriter::Uint(std::string_view key, uint64_t value) {
 
 void JsonWriter::Double(std::string_view key, double value) {
   Prefix(&key);
-  AppendDouble(value);
+  if (!std::isfinite(value)) {
+    out_ += "null";
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  out_ += buf;
 }
 
 void JsonWriter::Bool(std::string_view key, bool value) {
   Prefix(&key);
   out_ += value ? "true" : "false";
-}
-
-void JsonWriter::Int(int64_t value) {
-  Prefix(nullptr);
-  out_ += std::to_string(value);
-}
-
-void JsonWriter::Double(double value) {
-  Prefix(nullptr);
-  AppendDouble(value);
 }
 
 std::string JsonWriter::Take() {

@@ -6,7 +6,7 @@
 // tooling — they are written as null instead).
 //
 // Object members are written by keyed calls (key and value in one call);
-// the unkeyed forms write array elements. Usage:
+// arrays hold objects and arrays. Usage:
 //   JsonWriter w;
 //   w.BeginObject();
 //   w.Double("ops_per_sec", 123456.7);
@@ -39,17 +39,12 @@ class JsonWriter {
   void BeginArray(std::string_view key);
   void EndArray();
 
-  // Object members.
   void String(std::string_view key, std::string_view value);
   void Int(std::string_view key, int64_t value);
   void Uint(std::string_view key, uint64_t value);
   // Finite values render with up to 6 significant decimals; NaN/Inf as null.
   void Double(std::string_view key, double value);
   void Bool(std::string_view key, bool value);
-
-  // Array elements.
-  void Int(int64_t value);
-  void Double(double value);
 
   // Returns the finished document. All containers must be closed.
   std::string Take();
@@ -62,7 +57,6 @@ class JsonWriter {
   void Prefix(const std::string_view* key);
   void Open(const std::string_view* key, char bracket, Scope scope);
   void Close(char bracket, Scope scope);
-  void AppendDouble(double value);
   void AppendEscaped(std::string_view value);
 
   bool single_line_;

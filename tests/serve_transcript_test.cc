@@ -5,7 +5,8 @@
 // ids, BATCH acks, an aborted frame, the queries, the keyed verbs, VERIFY,
 // REPL STATUS, QUIT, and the STATS key sequence with its values masked —
 // is compared with the constants below. Other tests check fragments; this
-// one holds the whole surface still while the server is refactored.
+// one holds the whole surface still, so a change inside the server cannot
+// alter a reply unnoticed.
 //
 // Determinism: the flush deadline and batch cap are far out of reach, so a
 // batch closes only at a barrier (a query verb) and its boundaries follow
