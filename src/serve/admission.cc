@@ -120,7 +120,7 @@ bool Admission::ExpireDue(uint64_t tick_ms, size_t batch_max) {
       update.u = u;
       update.v = v;
       pending_.push_back(std::move(update));
-      ++pending_expiries_;
+      pending_expired_.emplace_back(u, v);
       if (pending_.size() >= batch_max) return false;
     }
     if (wheel_->now() >= tick_ms) return true;
@@ -133,14 +133,14 @@ bool Admission::ExpireDue(uint64_t tick_ms, size_t batch_max) {
 void Admission::Applied(const UpdateResult& result) {
   // A mismatch means the replica has diverged from the backend.
   DYNMIS_CHECK(result.new_vertices == insv_ids_);
-  expired_ops_ += pending_expiries_;
+  expired_ops_ += static_cast<int64_t>(pending_expired_.size());
   ClearPending();
 }
 
 void Admission::ClearPending() {
   pending_.clear();
   insv_ids_.clear();
-  pending_expiries_ = 0;
+  pending_expired_.clear();
   released_keys_.clear();
   released_lens_.clear();
 }
@@ -164,6 +164,7 @@ void Admission::Refuse(DynamicGraph backend_graph) {
       released_keys_.resize(at);
     }
   }
+  for (const auto& [u, v] : pending_expired_) wheel_->Schedule(u, v);
   ClearPending();
 }
 

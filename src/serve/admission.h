@@ -61,8 +61,9 @@ class Admission {
   void Applied(const UpdateResult& result);
 
   // The pending batch will never apply: drops it and undoes its effects.
-  // `backend_graph` (the backend's ExportGraph()) replaces the replica, and
-  // the key effects are undone in reverse order.
+  // `backend_graph` (the backend's ExportGraph()) replaces the replica, the
+  // key effects are undone in reverse order, and its TTL expiries go back
+  // on the wheel.
   void Refuse(DynamicGraph backend_graph);
 
   // Follower: takes the effects of one replicated batch, in order, before
@@ -100,10 +101,10 @@ class Admission {
 
   std::vector<GraphUpdate> pending_;
   // Undo and check data of the pending batch: the replica's vertex-insert
-  // ids, the number of TTL expiries, and per unkeyed vertex delete the key
-  // it released (concatenated; a length of 0 means none).
+  // ids, the edges it expires, and per unkeyed vertex delete the key it
+  // released (concatenated; a length of 0 means none).
   std::vector<VertexId> insv_ids_;
-  int64_t pending_expiries_ = 0;
+  std::vector<std::pair<VertexId, VertexId>> pending_expired_;
   std::string released_keys_;
   std::vector<size_t> released_lens_;
 };

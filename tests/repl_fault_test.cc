@@ -404,6 +404,40 @@ TEST(ReplFaultTest, RefusedBatchLeavesNoTraceSharded) {
   ExpectRefusedBatchLeavesNoTrace("sharded");
 }
 
+// A TTL expiry refused at fencing time goes back on the wheel: after
+// PROMOTE the edge still expires instead of living forever.
+TEST(ReplFaultTest, RefusedExpiryExpiresAfterPromote) {
+  const std::string dir = FreshDir("fault_refused_expiry");
+  ServeOptions options;
+  options.change_log_dir = dir;
+  options.window_ttl_ms = 30;
+  TestServer server(options);
+  TestClient client(server.port());
+  // Two solution members, so the inserted edge is new.
+  const std::string solution = client.Ask("SOLUTION");
+  long long count = 0, u = 0, v = 0;
+  ASSERT_EQ(std::sscanf(solution.c_str(), "OK %lld %lld %lld", &count, &u,
+                        &v),
+            3)
+      << solution;
+  const std::string insert =
+      "INS " + std::to_string(u) + " " + std::to_string(v);
+  int64_t head = 0, epoch = 0;
+  ReplStatus(&client, &head, &epoch);
+  ASSERT_EQ(client.Ask(insert), "OK");
+  std::string error;
+  ASSERT_TRUE(repl::WriteEpochFile(dir, epoch + 1, &error)) << error;
+  // The expiry's own flush (or the idle epoch probe) fences the server.
+  ASSERT_TRUE(WaitUntil([&] {
+    return client.Ask("STATS").find("\"role\":\"fenced\"") !=
+           std::string::npos;
+  }));
+  ASSERT_TRUE(client.Ask("PROMOTE").rfind("OK PROMOTED ", 0) == 0);
+  // Once the edge has expired, the same insert is admitted again.
+  EXPECT_TRUE(WaitUntil([&] { return client.Ask(insert) == "OK"; }));
+  ExpectVerifyOk(&client);
+}
+
 // Kill the primary, restart it on the same port from its change log: the
 // follower must reconnect on its own (exponential backoff against the dead
 // port), resubscribe from its last sequence, adopt the restarted primary's
