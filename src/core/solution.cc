@@ -69,11 +69,7 @@ void MisState::OwnersOf2(VertexId u, VertexId* a, VertexId* b) const {
 
 bool MisState::HasBar1(VertexId v) const {
   DYNMIS_DCHECK(InSolution(v));
-  for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
-       e = g_->NextIncident(e, v)) {
-    if (count_[g_->Other(e, v)] == 1) return true;
-  }
-  return false;
+  return g_->AnyIncident(v, [&](VertexId u, EdgeId) { return count_[u] == 1; });
 }
 
 void MisState::CollectBar1(VertexId v, std::vector<VertexId>* bar1) const {
@@ -117,13 +113,11 @@ void MisState::MoveIn(VertexId v) {
   if (status_observer_ != nullptr) {
     status_observer_(status_observer_ctx_, v, true);
   }
-  for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
-       e = g_->NextIncident(e, v)) {
-    const VertexId u = g_->Other(e, v);
+  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
     DYNMIS_DCHECK(!status_[u]);
     AddOwner(u, v);
     LogTransition(u);
-  }
+  });
 }
 
 void MisState::MoveOut(VertexId v) {
@@ -135,9 +129,7 @@ void MisState::MoveOut(VertexId v) {
   if (status_observer_ != nullptr) {
     status_observer_(status_observer_ctx_, v, false);
   }
-  for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
-       e = g_->NextIncident(e, v)) {
-    const VertexId u = g_->Other(e, v);
+  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
     if (status_[u]) {
       // Transient both-in-I situation (edge-insert handling): v gains u as
       // a solution neighbour.
@@ -146,7 +138,7 @@ void MisState::MoveOut(VertexId v) {
       RemoveOwner(u, v);
       LogTransition(u);
     }
-  }
+  });
   LogTransition(v);
 }
 
@@ -159,8 +151,7 @@ void MisState::OnEdgeAdded(EdgeId e) {
   LogTransition(other);
 }
 
-void MisState::OnEdgeRemoving(EdgeId e) {
-  const auto [a, b] = g_->Endpoints(e);
+void MisState::OnEdgeRemoving(VertexId a, VertexId b) {
   DYNMIS_DCHECK(!(status_[a] && status_[b]));
   if (status_[a] == status_[b]) return;
   const VertexId in_i = status_[a] ? a : b;

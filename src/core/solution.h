@@ -125,8 +125,10 @@ class MisState {
   // MoveOut one endpoint right after).
   void OnEdgeAdded(EdgeId e);
 
-  // Call immediately *before* g->RemoveEdge(e).
-  void OnEdgeRemoving(EdgeId e);
+  // Call immediately *before* the edge {u, v} leaves the graph. Takes the
+  // endpoints rather than the edge id, so the delete path never has to
+  // load the edge record just to name them.
+  void OnEdgeRemoving(VertexId u, VertexId v);
 
   // Call immediately before g->RemoveVertex(v) *after* the caller has moved
   // v out of the solution (if it was in). Clears v's count and sums; the

@@ -94,10 +94,8 @@ void SwapMaintainer::InsertEdge(VertexId u, VertexId v) {
 }
 
 void SwapMaintainer::DeleteEdge(VertexId u, VertexId v) {
-  const EdgeId e = g_->FindEdge(u, v);
-  DYNMIS_CHECK(e != kInvalidEdge);
-  state_.OnEdgeRemoving(e);
-  g_->RemoveEdge(e);
+  state_.OnEdgeRemoving(u, v);
+  DYNMIS_CHECK(g_->RemoveEdgeBetween(u, v));
   const bool u_in = state_.InSolution(u);
   const bool v_in = state_.InSolution(v);
   if (u_in || v_in) {

@@ -10,7 +10,7 @@
 // restores k-maximality (no j-swap for any j <= k). Each update handler
 // mutates the graph and the MisState in a fixed order - MisState's edge
 // hooks bracket the graph mutation: OnEdgeAdded after AddEdge,
-// OnEdgeRemoving before RemoveEdge, OnVertexRemoving before RemoveVertex
+// OnEdgeRemoving before RemoveEdgeBetween, OnVertexRemoving before RemoveVertex
 // and a slot reset after it, since the id may be recycled - then calls the
 // instance's Restore() exactly once. Restore drains MisState's transition
 // log, handing each still j-tight vertex (1 <= j <= k) to OnTight, and

@@ -1,15 +1,53 @@
 #include "src/graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "src/util/memory.h"
 
 namespace dynmis {
+namespace {
+
+// Slab size classes: capacities 2..16, then each ~1/8 above the last up to
+// 64, so the short arrays that share pages carry little slack; then powers
+// of two up to the largest possible degree, so a long array (a chunk of its
+// own) rarely changes class and its class's free chunks get reused.
+struct ClassTable {
+  int32_t cap[53] = {};
+  int count = 0;
+};
+
+constexpr ClassTable MakeClassTable() {
+  ClassTable t;
+  int64_t cap = 2;
+  while (true) {
+    t.cap[t.count++] = static_cast<int32_t>(cap);
+    if (cap == std::numeric_limits<int32_t>::max()) break;
+    cap = std::min<int64_t>(
+        cap < 64 ? cap + std::max<int64_t>(1, cap >> 3) : 2 * cap,
+        std::numeric_limits<int32_t>::max());
+  }
+  return t;
+}
+
+constexpr ClassTable kClasses = MakeClassTable();
+
+int32_t ClassCap(int cls) { return kClasses.cap[cls]; }
+
+// The smallest class holding `n` >= 1 entries.
+int ClassFor(int32_t n) {
+  return static_cast<int>(
+      std::lower_bound(kClasses.cap, kClasses.cap + kClasses.count, n) -
+      kClasses.cap);
+}
+
+}  // namespace
 
 DynamicGraph::DynamicGraph(int n) {
   DYNMIS_CHECK_GE(n, 0);
-  vertices_.resize(n);
-  for (auto& rec : vertices_) rec.degree = 0;
+  vertices_.resize(static_cast<size_t>(n));
+  for (VertexRec& rec : vertices_) rec.degree = 0;
   num_vertices_ = n;
   degree_count_.assign(1, n);
 }
@@ -20,10 +58,32 @@ void DynamicGraph::Reserve(int n, int64_t m) {
     free_vertices_.reserve(static_cast<size_t>(n));
   }
   if (m > 0) {
-    edges_.reserve(static_cast<size_t>(m));
-    edge_prev_.reserve(2 * static_cast<size_t>(m));
-    free_edges_.reserve(static_cast<size_t>(m));
+    const size_t edge_pages =
+        static_cast<size_t>((m + kEdgePageRecords - 1) >> kEdgePageShift);
+    edge_pages_.reserve(edge_pages);
+    while (edge_pages_.size() < edge_pages) {
+      edge_pages_.emplace_back(kEdgePageRecords);
+    }
+    // Adjacency pages for 2m entries, waiting in the free-page pool.
+    const size_t wanted =
+        static_cast<size_t>((2 * m + kPageEntries - 1) >> kPageShift);
+    for (; shared_pages_ < wanted; ++shared_pages_) {
+      free_pages_.push_back(static_cast<uint32_t>(pages_.size()));
+      pages_.emplace_back(kPageEntries);
+      page_info_.emplace_back();
+    }
   }
+}
+
+void DynamicGraph::ReserveDegree(VertexId v, int degree) {
+  DYNMIS_CHECK(IsVertexAlive(v));
+  const VertexRec& rec = vertices_[v];
+  const int32_t need = rec.len + (degree - rec.degree);
+  if (need <= rec.len) return;
+  if (rec.cls != kNoBlock && need <= ClassCap(rec.cls)) return;
+  DYNMIS_CHECK_LE(need, kMaxLen);
+  Move(v, ClassFor(need));
+  if (!evac_queue_.empty()) Evacuate();
 }
 
 void DynamicGraph::DegreeChanged(int old_degree, int new_degree) {
@@ -83,12 +143,10 @@ VertexId DynamicGraph::AddVertex() {
     v = free_vertices_.back();
     free_vertices_.pop_back();
   } else {
-    v = static_cast<VertexId>(vertices_.size());
+    v = VertexCapacity();
     vertices_.emplace_back();
   }
-  VertexRec& rec = vertices_[v];
-  rec.head = kInvalidEdge;
-  rec.degree = 0;
+  vertices_[v].degree = 0;
   ++num_vertices_;
   if (degree_count_.empty()) degree_count_.assign(1, 0);
   ++degree_count_[0];
@@ -97,17 +155,36 @@ VertexId DynamicGraph::AddVertex() {
 
 void DynamicGraph::RemoveVertex(VertexId v) {
   DYNMIS_CHECK(IsVertexAlive(v));
-  EdgeId e = vertices_[v].head;
-  while (e != kInvalidEdge) {
-    EdgeId next = NextIncident(e, v);
-    RemoveEdge(e);
-    e = next;
+  // Frees v's edges most recent first, as deleting them one by one from the
+  // front of a linked incidence list would. v's own array is left as it is
+  // until the end (never compacted while being walked); only the far
+  // endpoints drop their entries. Arrays move only in Evacuate(), after
+  // the walk, so `entries` stays valid.
+  if (vertices_[v].cls != kNoBlock) {
+    const Entry* entries = Entries(v);
+    for (int32_t i = vertices_[v].len - 1; i >= 0; --i) {
+      const Entry entry = entries[i];
+      if (entry.nbr == kInvalidVertex) continue;
+      const EdgeRec& rec = Rec(entry.edge);
+      const VertexId w = entry.nbr;
+      const int32_t pos_w = rec.u == w ? rec.pos[0] : rec.pos[1];
+      PushFreeEdge(entry.edge);
+      --num_edges_;
+      --vertices_[v].degree;
+      DegreeChanged(vertices_[v].degree + 1, vertices_[v].degree);
+      DropEntry(w, pos_w);
+    }
+    FreeBlock(vertices_[v].block, vertices_[v].cls);
+    vertices_[v].block = 0;
+    vertices_[v].len = 0;
+    vertices_[v].cls = kNoBlock;
   }
   DYNMIS_DCHECK(vertices_[v].degree == 0);
   --degree_count_[0];
   vertices_[v].degree = -1;
   free_vertices_.push_back(v);
   --num_vertices_;
+  if (!evac_queue_.empty()) Evacuate();
 }
 
 EdgeId DynamicGraph::AddEdge(VertexId u, VertexId v) {
@@ -117,77 +194,292 @@ EdgeId DynamicGraph::AddEdge(VertexId u, VertexId v) {
   DYNMIS_DCHECK(!HasEdge(u, v));
 
   EdgeId e;
-  if (!free_edges_.empty()) {
-    e = free_edges_.back();
-    free_edges_.pop_back();
+  if (free_edge_ != kInvalidEdge) {
+    e = free_edge_;
+    free_edge_ = Rec(e).pos[0];
   } else {
-    e = static_cast<EdgeId>(edges_.size());
-    edges_.emplace_back();
-    edge_prev_.resize(edge_prev_.size() + 2, kInvalidEdge);
-  }
-  EdgeRec& rec = edges_[e];
-  rec.endpoint[0] = u;
-  rec.endpoint[1] = v;
-  for (int s = 0; s < 2; ++s) {
-    VertexId x = rec.endpoint[s];
-    VertexRec& vx = vertices_[x];
-    edge_prev_[2 * e + s] = kInvalidEdge;
-    rec.next[s] = vx.head;
-    if (vx.head != kInvalidEdge) {
-      edge_prev_[2 * vx.head + SideOf(vx.head, x)] = e;
+    DYNMIS_CHECK_LT(edge_capacity_, std::numeric_limits<EdgeId>::max());
+    e = edge_capacity_++;
+    if (static_cast<size_t>(e >> kEdgePageShift) == edge_pages_.size()) {
+      edge_pages_.emplace_back(kEdgePageRecords);
     }
-    vx.head = e;
-    ++vx.degree;
-    DegreeChanged(vx.degree - 1, vx.degree);
   }
+  const int32_t pos_u = Append(u, v, e);
+  const int32_t pos_v = Append(v, u, e);
+  EdgeRec& rec = Rec(e);
+  rec.u = u;
+  rec.pos[0] = pos_u;
+  rec.pos[1] = pos_v;
   ++num_edges_;
+  if (!evac_queue_.empty()) Evacuate();
   return e;
-}
-
-void DynamicGraph::UnlinkFrom(EdgeId e, VertexId v) {
-  EdgeRec& rec = edges_[e];
-  const int s = SideOf(e, v);
-  const EdgeId prev = edge_prev_[2 * e + s];
-  const EdgeId next = rec.next[s];
-  if (prev != kInvalidEdge) {
-    edges_[prev].next[SideOf(prev, v)] = next;
-  } else {
-    vertices_[v].head = next;
-  }
-  if (next != kInvalidEdge) {
-    edge_prev_[2 * next + SideOf(next, v)] = prev;
-  }
-  VertexRec& vrec = vertices_[v];
-  --vrec.degree;
-  DegreeChanged(vrec.degree + 1, vrec.degree);
 }
 
 void DynamicGraph::RemoveEdge(EdgeId e) {
   DYNMIS_CHECK(IsEdgeAlive(e));
-  EdgeRec& rec = edges_[e];
-  UnlinkFrom(e, rec.endpoint[0]);
-  UnlinkFrom(e, rec.endpoint[1]);
-  rec.endpoint[0] = kInvalidVertex;  // Marks the edge dead.
-  rec.endpoint[1] = kInvalidVertex;
-  free_edges_.push_back(e);
-  --num_edges_;
+  const EdgeRec& rec = Rec(e);
+  Detach(e, rec.u, Entries(rec.u)[rec.pos[0]].nbr);
 }
 
 bool DynamicGraph::RemoveEdgeBetween(VertexId u, VertexId v) {
-  EdgeId e = FindEdge(u, v);
+  const EdgeId e = FindEdge(u, v);
   if (e == kInvalidEdge) return false;
-  RemoveEdge(e);
+  Detach(e, u, v);
   return true;
 }
 
+void DynamicGraph::Detach(EdgeId e, VertexId a, VertexId b) {
+  const EdgeRec& rec = Rec(e);
+  const VertexId u = rec.u;
+  const VertexId v = u == a ? b : a;
+  const int32_t pos_u = rec.pos[0];
+  const int32_t pos_v = rec.pos[1];
+  PushFreeEdge(e);
+  --num_edges_;
+  DropEntry(u, pos_u);
+  DropEntry(v, pos_v);
+  if (!evac_queue_.empty()) Evacuate();
+}
+
 EdgeId DynamicGraph::FindEdge(VertexId u, VertexId v) const {
-  if (!IsVertexAlive(u) || !IsVertexAlive(v)) return kInvalidEdge;
-  // Scan the endpoint with the smaller degree.
-  if (Degree(v) < Degree(u)) std::swap(u, v);
-  for (EdgeId e = FirstIncident(u); e != kInvalidEdge; e = NextIncident(e, u)) {
-    if (Other(e, u) == v) return e;
+  // A dead vertex has an empty array, like an isolated one.
+  if (u < 0 || v < 0 || u >= VertexCapacity() || v >= VertexCapacity()) {
+    return kInvalidEdge;
+  }
+  // Scan the shorter array, most recent entry first: recent edges are the
+  // likeliest to be deleted, and a simple graph has at most one match.
+  if (vertices_[v].len < vertices_[u].len) std::swap(u, v);
+  if (vertices_[u].len == 0) return kInvalidEdge;
+  const Entry* entries = Entries(u);
+  for (int32_t i = vertices_[u].len - 1; i >= 0; --i) {
+    if (entries[i].nbr == v) return entries[i].edge;
   }
   return kInvalidEdge;
+}
+
+void DynamicGraph::PushFreeEdge(EdgeId e) {
+  EdgeRec& rec = Rec(e);
+  rec.u = kInvalidVertex;
+  rec.pos[0] = free_edge_;
+  free_edge_ = e;
+}
+
+int32_t DynamicGraph::Append(VertexId x, VertexId nbr, EdgeId e) {
+  VertexRec& a = vertices_[x];
+  if (a.cls == kNoBlock || a.len == ClassCap(a.cls)) {
+    DYNMIS_CHECK_LT(a.len, kMaxLen);
+    Move(x, ClassFor(a.len + 1));
+  }
+  Entries(x)[a.len] = Entry{nbr, e};
+  ++a.degree;
+  DegreeChanged(a.degree - 1, a.degree);
+  return a.len++;
+}
+
+void DynamicGraph::DropEntry(VertexId x, int32_t pos) {
+  VertexRec& a = vertices_[x];
+  Entry* entries = Entries(x);
+  entries[pos].nbr = kInvalidVertex;
+  const int32_t degree = --a.degree;
+  DegreeChanged(degree + 1, degree);
+  if (degree == 0) {
+    Compact(x);  // Frees the block.
+    return;
+  }
+  // Tombstones at the end are dropped for free, so deleting recent edges
+  // keeps an array tight without compacting it.
+  if (pos == a.len - 1) {
+    while (entries[a.len - 1].nbr == kInvalidVertex) --a.len;
+  }
+  // Short arrays share pages, where every entry counts; a chunk tolerates
+  // more tombstones, since compacting patches a record per moved entry.
+  const int32_t dead = a.len - degree;
+  if ((ClassCap(a.cls) > kMaxSharedCap ? 4 : 8) * dead >= a.len) Compact(x);
+}
+
+void DynamicGraph::Move(VertexId x, int cls) {
+  VertexRec& a = vertices_[x];
+  const uint32_t block = AllocBlock(cls);
+  if (a.cls != kNoBlock) {
+    std::copy(Entries(x), Entries(x) + a.len, EntryAt(block));
+    FreeBlock(a.block, a.cls);
+  }
+  if (a.len == 0) *EntryAt(block) = Entry{kOwnerMark, x};
+  a.block = block;
+  a.cls = static_cast<uint32_t>(cls);
+}
+
+void DynamicGraph::Compact(VertexId x) {
+  VertexRec& a = vertices_[x];
+  const int old_cls = a.cls;
+  int new_cls = a.degree == 0 ? kNoBlock : ClassFor(a.degree);
+  // A chunk is kept until it is less than half full, so that an array
+  // whose degree hovers does not trade chunks back and forth.
+  if (new_cls != kNoBlock && ClassCap(old_cls) > kMaxSharedCap &&
+      2 * a.degree > ClassCap(old_cls)) {
+    new_cls = old_cls;
+  }
+  const uint32_t block =
+      new_cls == old_cls || new_cls == kNoBlock ? a.block : AllocBlock(new_cls);
+  const Entry* src = Entries(x);
+  Entry* dst = EntryAt(block);
+  int32_t kept = 0;
+  for (int32_t i = 0; i < a.len; ++i) {
+    const Entry entry = src[i];
+    if (entry.nbr == kInvalidVertex) continue;
+    if (kept != i) {
+      EdgeRec& rec = Rec(entry.edge);
+      rec.pos[rec.u == x ? 0 : 1] = kept;
+    }
+    dst[kept++] = entry;
+  }
+  DYNMIS_DCHECK(kept == a.degree);
+  if (new_cls != old_cls) FreeBlock(a.block, old_cls);
+  a.block = new_cls == kNoBlock ? 0 : block;
+  a.len = kept;
+  a.cls = static_cast<uint32_t>(new_cls);
+}
+
+uint32_t DynamicGraph::AllocBlock(int cls) {
+  static_assert(kClasses.count == kNumClasses);
+  static_assert(kMaxSharedCap == 64);  // Where MakeClassTable's steps widen.
+  const int32_t cap = ClassCap(cls);
+  if (free_[cls] != 0) {
+    const uint32_t offset = free_[cls] - 1;
+    if (cap > kMaxSharedCap) {
+      free_[cls] = static_cast<uint32_t>(EntryAt(offset)->edge);
+    } else {
+      Unlink(offset, cls);
+      page_info_[offset >> kPageShift].live += cap;
+    }
+    return offset;
+  }
+  if (cap > kMaxSharedCap) {
+    const auto slot = static_cast<uint32_t>(pages_.size());
+    DYNMIS_CHECK_LT(slot, uint32_t{1} << (32 - kPageShift));
+    pages_.emplace_back(static_cast<size_t>(cap));
+    page_info_.emplace_back();
+    return slot << kPageShift;
+  }
+  if (bump_used_ + cap > kPageEntries) NextBumpPage();
+  const uint32_t offset =
+      (static_cast<uint32_t>(bump_page_) << kPageShift) + bump_used_;
+  PageInfo& info = page_info_[bump_page_];
+  info.live += cap;
+  info.starts[bump_used_ >> 6] |= uint64_t{1} << (bump_used_ & 63);
+  bump_used_ += cap;
+  return offset;
+}
+
+void DynamicGraph::FreeBlock(uint32_t offset, int cls) {
+  Entry* block = EntryAt(offset);
+  const uint32_t next = free_[cls];
+  if (ClassCap(cls) > kMaxSharedCap) {
+    block[0] = Entry{kInvalidVertex, static_cast<EdgeId>(next)};
+    free_[cls] = offset + 1;
+    return;
+  }
+  const uint32_t page = offset >> kPageShift;
+  PageInfo& info = page_info_[page];
+  info.live -= ClassCap(cls);
+  if (info.queued) {
+    // Evacuation reclaims the page whole: the block just stops being one.
+    const uint32_t index = offset & (kPageEntries - 1);
+    info.starts[index >> 6] &= ~(uint64_t{1} << (index & 63));
+    return;
+  }
+  block[0] = Entry{kFreeMark, static_cast<EdgeId>(next)};
+  block[1] = Entry{0, cls};
+  if (next != 0) EntryAt(next - 1)[1].nbr = static_cast<VertexId>(offset + 1);
+  free_[cls] = offset + 1;
+  MaybeQueue(page);
+}
+
+void DynamicGraph::Unlink(uint32_t offset, int cls) {
+  const Entry* block = EntryAt(offset);
+  const auto next = static_cast<uint32_t>(block[0].edge);
+  const auto prev = static_cast<uint32_t>(block[1].nbr);
+  if (prev != 0) {
+    EntryAt(prev - 1)[0].edge = static_cast<EdgeId>(next);
+  } else {
+    free_[cls] = next;
+  }
+  if (next != 0) EntryAt(next - 1)[1].nbr = static_cast<VertexId>(prev);
+}
+
+void DynamicGraph::MaybeQueue(uint32_t page) {
+  PageInfo& info = page_info_[page];
+  if (static_cast<int64_t>(page) == bump_page_ || info.queued ||
+      8 * info.live >= 7 * info.used) {
+    return;
+  }
+  info.queued = true;
+  evac_queue_.push_back(page);
+}
+
+void DynamicGraph::NextBumpPage() {
+  const int64_t old = bump_page_;
+  const int32_t used = bump_used_;
+  if (!free_pages_.empty()) {
+    bump_page_ = free_pages_.back();
+    free_pages_.pop_back();
+  } else {
+    bump_page_ = static_cast<int64_t>(pages_.size());
+    DYNMIS_CHECK_LT(bump_page_, int64_t{1} << (32 - kPageShift));
+    pages_.emplace_back(kPageEntries);
+    page_info_.emplace_back();
+    ++shared_pages_;
+  }
+  bump_used_ = 0;
+  if (old >= 0) {
+    page_info_[old].used = used;
+    MaybeQueue(static_cast<uint32_t>(old));
+  }
+}
+
+void DynamicGraph::Evacuate() {
+  while (!evac_queue_.empty()) {
+    const uint32_t page = evac_queue_.back();
+    evac_queue_.pop_back();
+    // First take the page's free blocks off their lists, so that moving
+    // its arrays cannot land in them; while the page is marked queued, the
+    // blocks its arrays leave are not listed either. (Moving may add a
+    // page, so page_info_ is indexed afresh each time.)
+    const Entry* entries = EntryAt(page << kPageShift);
+    for (int word = 0; word < kPageEntries / 64; ++word) {
+      for (uint64_t bits = page_info_[page].starts[word]; bits != 0;
+           bits &= bits - 1) {
+        const int index = word * 64 + std::countr_zero(bits);
+        if (entries[index].nbr == kFreeMark) {
+          Unlink((page << kPageShift) + index, entries[index + 1].edge);
+        }
+      }
+    }
+    for (int word = 0; word < kPageEntries / 64; ++word) {
+      for (uint64_t bits = page_info_[page].starts[word]; bits != 0;
+           bits &= bits - 1) {
+        const uint32_t offset =
+            (page << kPageShift) + word * 64 + std::countr_zero(bits);
+        if (EntryAt(offset)->nbr == kFreeMark) continue;
+        const VertexId owner = OwnerOf(offset);
+        DYNMIS_DCHECK(vertices_[owner].block == offset);
+        Move(owner, vertices_[owner].cls);
+      }
+    }
+    page_info_[page] = PageInfo{};
+    free_pages_.push_back(page);
+  }
+}
+
+VertexId DynamicGraph::OwnerOf(uint32_t offset) const {
+  // A live array has a live entry before any unused slot, or is empty and
+  // carries its owner mark.
+  for (const Entry* entry = EntryAt(offset);; ++entry) {
+    if (entry->nbr == kOwnerMark) return entry->edge;
+    if (entry->nbr == kInvalidVertex) continue;
+    const EdgeRec& rec = Rec(entry->edge);
+    return rec.u != entry->nbr ? rec.u : Entries(rec.u)[rec.pos[0]].nbr;
+  }
 }
 
 std::vector<VertexId> DynamicGraph::Neighbors(VertexId v) const {
@@ -210,9 +502,8 @@ std::vector<std::pair<VertexId, VertexId>> DynamicGraph::EdgeList() const {
   std::vector<std::pair<VertexId, VertexId>> result;
   result.reserve(static_cast<size_t>(num_edges_));
   for (EdgeId e = 0; e < EdgeCapacity(); ++e) {
-    if (edges_[e].endpoint[0] == kInvalidVertex) continue;
-    VertexId u = edges_[e].endpoint[0];
-    VertexId v = edges_[e].endpoint[1];
+    if (!IsEdgeAlive(e)) continue;
+    auto [u, v] = Endpoints(e);
     if (u > v) std::swap(u, v);
     result.emplace_back(u, v);
   }
@@ -220,9 +511,11 @@ std::vector<std::pair<VertexId, VertexId>> DynamicGraph::EdgeList() const {
 }
 
 size_t DynamicGraph::MemoryUsageBytes() const {
-  return VectorBytes(vertices_) + VectorBytes(edges_) +
-         VectorBytes(edge_prev_) + VectorBytes(free_vertices_) +
-         VectorBytes(free_edges_) + VectorBytes(degree_count_) +
+  return VectorBytes(vertices_) +
+         NestedVectorBytes(pages_) + VectorBytes(page_info_) +
+         VectorBytes(free_pages_) + VectorBytes(evac_queue_) +
+         NestedVectorBytes(edge_pages_) +
+         VectorBytes(free_vertices_) + VectorBytes(degree_count_) +
          VectorBytes(queued_ids_);
 }
 
@@ -232,24 +525,48 @@ void DynamicGraph::SaveTo(SnapshotWriter* w) const {
   w->PutI64(num_edges_);
   w->PutI32(VertexCapacity());
   w->PutI32(EdgeCapacity());
-  std::vector<int32_t> scratch;
-  scratch.reserve(4 * static_cast<size_t>(EdgeCapacity()));
-  for (const VertexRec& rec : vertices_) scratch.push_back(rec.head);
-  w->PutI32Array(scratch);
-  scratch.clear();
-  for (const VertexRec& rec : vertices_) scratch.push_back(rec.degree);
-  w->PutI32Array(scratch);
-  scratch.clear();
-  for (const EdgeRec& rec : edges_) {
-    scratch.push_back(rec.endpoint[0]);
-    scratch.push_back(rec.endpoint[1]);
-    scratch.push_back(rec.next[0]);
-    scratch.push_back(rec.next[1]);
+  // Derive the v1 chains: walking an array back to front visits v's list
+  // head to tail. Slot s of an edge belongs to endpoint s (s = 0 for the
+  // endpoint AddEdge received first).
+  const size_t ecap = static_cast<size_t>(EdgeCapacity());
+  std::vector<int32_t> heads(static_cast<size_t>(VertexCapacity()),
+                             kInvalidEdge);
+  std::vector<int32_t> edge_recs(4 * ecap, kInvalidEdge);
+  std::vector<int32_t> prev(2 * ecap, kInvalidEdge);
+  for (VertexId v = 0; v < VertexCapacity(); ++v) {
+    if (vertices_[v].degree <= 0) continue;
+    EdgeId newer = kInvalidEdge;
+    int newer_side = 0;
+    ForEachIncident(v, [&](VertexId u, EdgeId e) {
+      const int side = Rec(e).u == v ? 0 : 1;
+      edge_recs[4 * e + side] = v;
+      edge_recs[4 * e + 1 - side] = u;
+      if (newer == kInvalidEdge) {
+        heads[v] = e;
+      } else {
+        edge_recs[4 * newer + 2 + newer_side] = e;
+      }
+      prev[2 * e + side] = newer;
+      newer = e;
+      newer_side = side;
+    });
   }
-  w->PutI32Array(scratch);
-  w->PutI32Array(edge_prev_);
+  w->PutI32Array(heads);
+  std::vector<int32_t> degrees(static_cast<size_t>(VertexCapacity()));
+  for (VertexId v = 0; v < VertexCapacity(); ++v) {
+    degrees[v] = vertices_[v].degree;
+  }
+  w->PutI32Array(degrees);
+  w->PutI32Array(edge_recs);
+  w->PutI32Array(prev);
   w->PutI32Array(free_vertices_);
-  w->PutI32Array(free_edges_);
+  std::vector<int32_t> free_edges;
+  free_edges.reserve(ecap - static_cast<size_t>(num_edges_));
+  for (EdgeId e = free_edge_; e != kInvalidEdge; e = Rec(e).pos[0]) {
+    free_edges.push_back(e);
+  }
+  std::reverse(free_edges.begin(), free_edges.end());  // Bottom first.
+  w->PutI32Array(free_edges);
   w->EndSection();
 }
 
@@ -286,6 +603,7 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   int64_t degree_sum = 0;
   for (int32_t v = 0; v < vcap; ++v) {
     if (degrees[v] < -1) return fail("vertex degree below -1");
+    if (degrees[v] > kMaxLen) return fail("vertex degree above the limit");
     if (degrees[v] >= 0) {
       ++alive_vertices;
       degree_sum += degrees[v];
@@ -399,24 +717,34 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
     if (e != kInvalidEdge) return fail("adjacency chain longer than degree");
   }
 
-  // --- Adopt: rebuild the flat arrays (Reserve avoids growth churn). --------
+  // --- Adopt: size every array once, in vertex order. -----------------------
   DynamicGraph loaded;
-  loaded.Reserve(vcap, ecap);
   loaded.vertices_.resize(static_cast<size_t>(vcap));
+  for (int32_t v = 0; v < vcap; ++v) loaded.vertices_[v].degree = degrees[v];
+  loaded.edge_capacity_ = ecap;
+  loaded.edge_pages_.resize(
+      (static_cast<size_t>(ecap) + kEdgePageRecords - 1) >> kEdgePageShift,
+      std::vector<EdgeRec>(kEdgePageRecords));
+  for (int32_t e = 0; e < ecap; ++e) loaded.Rec(e).u = edge_recs[4 * e];
   for (int32_t v = 0; v < vcap; ++v) {
-    loaded.vertices_[v].head = heads[v];
-    loaded.vertices_[v].degree = degrees[v];
+    if (degrees[v] <= 0) continue;
+    const int cls = ClassFor(degrees[v]);
+    VertexRec& rec = loaded.vertices_[v];
+    rec.block = loaded.AllocBlock(cls);
+    rec.len = static_cast<uint32_t>(degrees[v]);
+    rec.cls = static_cast<uint32_t>(cls);
+    // The chain runs most recent first: fill the array from the back.
+    Entry* entries = loaded.Entries(v);
+    int32_t e = heads[v];
+    for (int32_t i = degrees[v] - 1; i >= 0; --i) {
+      const int s = side_of(e, v);
+      entries[i] = Entry{edge_recs[4 * e + 1 - s], e};
+      loaded.Rec(e).pos[s] = i;
+      e = edge_recs[4 * e + 2 + s];
+    }
   }
-  loaded.edges_.resize(static_cast<size_t>(ecap));
-  for (int32_t e = 0; e < ecap; ++e) {
-    loaded.edges_[e].endpoint[0] = edge_recs[4 * e + 0];
-    loaded.edges_[e].endpoint[1] = edge_recs[4 * e + 1];
-    loaded.edges_[e].next[0] = edge_recs[4 * e + 2];
-    loaded.edges_[e].next[1] = edge_recs[4 * e + 3];
-  }
-  loaded.edge_prev_ = std::move(prev);
+  for (const int32_t e : free_e) loaded.PushFreeEdge(e);
   loaded.free_vertices_ = std::move(free_v);
-  loaded.free_edges_ = std::move(free_e);
   loaded.num_vertices_ = static_cast<int>(nv);
   loaded.num_edges_ = ne;
   // The degree histogram is derived state: rebuild it in O(n) rather than
@@ -435,3 +763,4 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
 }
 
 }  // namespace dynmis
+

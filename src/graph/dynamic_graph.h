@@ -1,23 +1,43 @@
-// DynamicGraph: an undirected graph supporting O(1) edge insertion/deletion
-// and vertex insertion/deletion in time proportional to the vertex degree.
+// DynamicGraph: an undirected graph supporting amortized O(1) edge
+// insertion, amortized O(1) edge deletion once the edge is found, and vertex
+// deletion in time proportional to the vertex degree.
 //
-// This is the substrate every dynamic algorithm in the library runs on. Two
-// properties matter to the algorithm layers:
+// This is the substrate every dynamic algorithm in the library runs on.
+// Three properties matter to the algorithm layers:
 //
 //  * Vertex ids and edge ids are *stable*: an id never moves while the
 //    vertex/edge is alive, so algorithm layers can keep their per-vertex and
 //    per-edge state in flat arrays indexed by id (no hashing on hot paths).
-//    Ids of deleted elements are recycled via free lists.
-//  * Adjacency is an intrusive doubly-linked list threaded through the edge
-//    records themselves, which is what makes deletion O(1). This mirrors the
-//    paper's "I(v) can be updated in constant time if it is implemented by a
-//    doubly-linked list and a pointer ... is recorded in edge (v, u)".
+//    Ids of deleted elements are recycled last-freed-first.
+//  * Incidence order is most recent first, and a delete removes in place.
+//    The maintainers' tie-breaks follow this order, so it is part of the
+//    behaviour contract that tests/determinism_test.cc pins.
+//  * Adjacency is contiguous. Each vertex owns an array of 8-byte
+//    (neighbour, edge id) entries, appended in insertion order and read
+//    back to front, so FindEdge and every neighbourhood scan read memory in
+//    sequence. The paper keeps I(v) as a doubly-linked list with a pointer
+//    stored in each edge, for O(1) deletion; here each edge record holds
+//    its entry's position in both endpoints' arrays instead. A delete
+//    leaves a tombstone (one at the end is simply dropped), and once an
+//    eighth of a short array's entries, or a quarter of a long one's, are
+//    dead, an order-preserving compaction drops them and patches the
+//    positions of the entries it moved.
+//
+// Memory comes in fixed-size pieces, so no insert ever reallocates an
+// edge-indexed array. Adjacency arrays live in size-class blocks. Short
+// ones (capacities ~1/8 apart, up to 64 entries) share 4 KB slab pages,
+// and a page that loses 1/8 of its contents is evacuated and reused, so
+// fragmentation stays bounded; a longer array has a chunk of its own (a
+// power of two), recycled through a free list per class. Edge records live
+// in 3 KB pages, and the free edge ids form a stack threaded through the
+// dead records. Bulk loaders size each array once (ReserveDegree).
 //
 // The graph is not thread-safe; a single maintainer mutates it.
 
 #ifndef DYNMIS_SRC_GRAPH_DYNAMIC_GRAPH_H_
 #define DYNMIS_SRC_GRAPH_DYNAMIC_GRAPH_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -87,10 +107,16 @@ class DynamicGraph {
   // may have decreased).
   int MaxDegree() const { return max_degree_; }
 
-  // Pre-sizes the internal arrays for `n` vertices and `m` edges, so bulk
-  // loaders and generators do not growth-reallocate edge by edge. Purely an
-  // optimization; never shrinks.
+  // Pre-sizes the per-vertex arrays for `n` vertices and allocates the
+  // edge-record pages for ids below `m` and shared adjacency pages for 2m
+  // entries, as headroom for churn. Purely an optimization; never shrinks.
   void Reserve(int n, int64_t m);
+
+  // Sizes alive vertex `v`'s adjacency array once, so that it can reach
+  // `degree` without relocating. Bulk loaders call it for every vertex
+  // before inserting (see EdgeListGraph::ToDynamic): growing an array edge
+  // by edge leaves a trail of outgrown blocks in the slabs.
+  void ReserveDegree(VertexId v, int degree);
 
   // Dead vertex ids in recycling order (AddVertex pops from the back).
   // Consumers that rebuild an id-space-exact copy of this graph — the
@@ -102,7 +128,8 @@ class DynamicGraph {
 
   // Inserts undirected edge {u, v} and returns its id. Requirements: u != v,
   // both alive, and the edge must not already exist (checked in debug builds;
-  // use HasEdge() first when the input may contain duplicates).
+  // use HasEdge() first when the input may contain duplicates). A vertex's
+  // adjacency array holds at most 2^26 - 1 entries (checked).
   EdgeId AddEdge(VertexId u, VertexId v);
 
   // Removes the edge with id `e`. `e` must be alive.
@@ -119,53 +146,60 @@ class DynamicGraph {
   }
 
   bool IsEdgeAlive(EdgeId e) const {
-    return e >= 0 && e < EdgeCapacity() &&
-           edges_[e].endpoint[0] != kInvalidVertex;
+    return e >= 0 && e < edge_capacity_ && Rec(e).u != kInvalidVertex;
   }
 
   int64_t NumEdges() const { return num_edges_; }
 
   // One past the largest edge id ever allocated.
-  int EdgeCapacity() const { return static_cast<int>(edges_.size()); }
+  int EdgeCapacity() const { return edge_capacity_; }
 
-  // Endpoints of alive edge `e` (unordered).
+  // Endpoints of alive edge `e`, in the order AddEdge received them.
   std::pair<VertexId, VertexId> Endpoints(EdgeId e) const {
     DYNMIS_DCHECK(IsEdgeAlive(e));
-    return {edges_[e].endpoint[0], edges_[e].endpoint[1]};
+    const EdgeRec& rec = Rec(e);
+    return {rec.u, Entries(rec.u)[rec.pos[0]].nbr};
   }
 
   // The endpoint of `e` opposite to `v`.
   VertexId Other(EdgeId e, VertexId v) const {
     DYNMIS_DCHECK(IsEdgeAlive(e));
-    const EdgeRec& rec = edges_[e];
-    DYNMIS_DCHECK(rec.endpoint[0] == v || rec.endpoint[1] == v);
-    return rec.endpoint[0] == v ? rec.endpoint[1] : rec.endpoint[0];
+    const EdgeRec& rec = Rec(e);
+    if (rec.u != v) {
+      DYNMIS_DCHECK(Entries(rec.u)[rec.pos[0]].nbr == v);
+      return rec.u;
+    }
+    return Entries(v)[rec.pos[0]].nbr;
   }
 
   // --- Incidence iteration ---------------------------------------------------
 
-  // First incident edge of `v`, or kInvalidEdge.
-  EdgeId FirstIncident(VertexId v) const {
+  // Calls pred(neighbor, edge_id) for the edges incident to `v`, most
+  // recently inserted first, until it returns true; returns whether it did.
+  // The predicate must not mutate the graph.
+  template <typename Pred>
+  bool AnyIncident(VertexId v, Pred&& pred) const {
     DYNMIS_DCHECK(IsVertexAlive(v));
-    return vertices_[v].head;
+    const auto len = static_cast<int32_t>(vertices_[v].len);
+    if (len == 0) return false;
+    const Entry* entries = Entries(v);
+    for (int32_t i = len - 1; i >= 0; --i) {
+      if (entries[i].nbr != kInvalidVertex &&
+          pred(entries[i].nbr, entries[i].edge)) {
+        return true;
+      }
+    }
+    return false;
   }
 
-  // Incident edge following `e` in v's adjacency list, or kInvalidEdge.
-  // Touches only the 16-byte hot edge record (endpoints + forward links),
-  // so adjacency scans fetch four records per cache line.
-  EdgeId NextIncident(EdgeId e, VertexId v) const {
-    DYNMIS_DCHECK(IsEdgeAlive(e));
-    return edges_[e].next[SideOf(e, v)];
-  }
-
-  // Calls fn(neighbor, edge_id) for every edge incident to `v`. The callback
-  // must not mutate the graph.
+  // Calls fn(neighbor, edge_id) for every edge incident to `v`, most
+  // recently inserted first. The callback must not mutate the graph.
   template <typename Fn>
   void ForEachIncident(VertexId v, Fn&& fn) const {
-    for (EdgeId e = FirstIncident(v); e != kInvalidEdge;
-         e = NextIncident(e, v)) {
-      fn(Other(e, v), e);
-    }
+    AnyIncident(v, [&](VertexId u, EdgeId e) {
+      fn(u, e);
+      return false;
+    });
   }
 
   // Returns v's neighbors as a fresh vector (convenience; O(deg)).
@@ -182,58 +216,153 @@ class DynamicGraph {
 
   // --- Snapshots -------------------------------------------------------------
 
-  // Writes the graph's flat arrays verbatim as the snapshot section "graph".
-  // Ids (vertex, edge, adjacency links, free lists) are preserved exactly,
-  // so algorithm layers can persist their id-indexed side arrays alongside.
+  // Writes the snapshot section "graph" in its v1 encoding: per vertex an
+  // adjacency head and degree, per edge id its endpoints plus the
+  // doubly-linked incidence chain links (derived from the arrays on save;
+  // a dead record is all -1), and the free lists. Ids and incidence order
+  // are preserved exactly, so algorithm layers can persist their id-indexed
+  // side arrays alongside.
   void SaveTo(SnapshotWriter* w) const;
 
   // Replaces this graph with the section "graph" of `r`. Runs a full O(n+m)
-  // structural validation (bounds, degree sums, doubly-linked adjacency
+  // structural validation (bounds, degree sums, doubly-linked chain
   // integrity, free-list exactness) before any data is adopted, so a
   // corrupted or crafted payload yields a structured reader error — never
-  // out-of-bounds access or a cyclic adjacency walk. Returns false (with
-  // the reader failed) on any violation.
+  // out-of-bounds access or a cyclic chain walk. Returns false (with the
+  // reader failed) on any violation.
   bool LoadFrom(SnapshotReader* r);
 
  private:
-  // 8 bytes. A negative degree encodes "dead" (the former bool padded the
-  // record to 12 bytes); alive vertices always have degree >= 0.
-  struct VertexRec {
-    EdgeId head = kInvalidEdge;  // First edge of the adjacency list.
-    int32_t degree = -1;
+  // One side of an edge in an adjacency array. A tombstone (deleted edge)
+  // has nbr == kInvalidVertex. An array with no entries yet keeps its owner
+  // in slot 0 as {kOwnerMark, owner}, so a page can always name the owner
+  // of each array it holds. A free shared block starts with
+  // {kFreeMark, next + 1} and {prev + 1, class}, linking its class's free
+  // list both ways (every class holds at least two entries).
+  struct Entry {
+    VertexId nbr;
+    EdgeId edge;
   };
+  static constexpr VertexId kOwnerMark = -2;
+  static constexpr VertexId kFreeMark = -3;
+  static constexpr uint32_t kNoBlock = 63;  // The class of "no array".
 
-  // An undirected edge threaded into both endpoints' adjacency lists.
-  // Slot s in {0,1} stores the linkage for endpoint[s]'s list. Only the
-  // forward direction lives here: this is the hot record that adjacency
-  // scans (FindEdge, ForEachIncident, the MIS state's neighborhood walks)
-  // chase, and at exactly 16 bytes four of them share a cache line — the
-  // former 28-byte layout (prev links + alive bool) fit barely two. The
-  // prev links, needed only on unlink, live in the cold side array
-  // edge_prev_; "alive" is encoded as endpoint[0] != kInvalidVertex.
+  // 12 bytes: the first endpoint as AddEdge received it, and the edge's
+  // entry position in each endpoint's array (pos[0] in u's, pos[1] in the
+  // other's). The second endpoint is read from u's entry; the delete path
+  // gets it from its caller instead (see Detach). A dead record has u ==
+  // kInvalidVertex, and its pos[0] links the free-id stack.
   struct EdgeRec {
-    VertexId endpoint[2] = {kInvalidVertex, kInvalidVertex};
-    EdgeId next[2] = {kInvalidEdge, kInvalidEdge};
+    VertexId u = kInvalidVertex;
+    int32_t pos[2] = {0, 0};
   };
 
-  // Which slot of edge `e` belongs to endpoint `v`.
-  int SideOf(EdgeId e, VertexId v) const {
-    const EdgeRec& rec = edges_[e];
-    DYNMIS_DCHECK(rec.endpoint[0] == v || rec.endpoint[1] == v);
-    return rec.endpoint[0] == v ? 0 : 1;
+  // 12 bytes per vertex, so that an update touches one line per endpoint:
+  // the degree (negative = dead), where its array lives (`block`, a slab
+  // offset: page index << kPageShift | entry index), the entries in use
+  // (`len`, tombstones included) and the block's size class.
+  struct VertexRec {
+    int32_t degree = -1;
+    uint32_t block = 0;
+    uint32_t len : 26 = 0;
+    uint32_t cls : 6 = kNoBlock;
+  };
+  // The longest array (and so the highest degree) a vertex may have.
+  static constexpr int32_t kMaxLen = (1 << 26) - 1;
+
+  static constexpr int kPageShift = 9;  // 512 entries = 4 KB.
+  static constexpr int32_t kPageEntries = 1 << kPageShift;
+  // Arrays up to this capacity share slab pages; a larger one has a chunk
+  // of its own, recycled through a free list per class.
+  static constexpr int32_t kMaxSharedCap = kPageEntries / 8;
+  static constexpr int kNumClasses = 53;
+  static constexpr int kEdgePageShift = 8;  // 256 records = 3 KB.
+  static constexpr int32_t kEdgePageRecords = 1 << kEdgePageShift;
+
+  // Per shared page: entries bumped into it while it was the bump page, the
+  // entries of its blocks in use, whether the page waits in evac_queue_,
+  // and a bitmap of its blocks' first entries (in use or free).
+  struct PageInfo {
+    int32_t used = 0;
+    int32_t live = 0;
+    bool queued = false;
+    std::array<uint64_t, kPageEntries / 64> starts{};
+  };
+
+  const Entry* EntryAt(uint32_t offset) const {
+    return pages_[offset >> kPageShift].data() + (offset & (kPageEntries - 1));
+  }
+  Entry* EntryAt(uint32_t offset) {
+    return pages_[offset >> kPageShift].data() + (offset & (kPageEntries - 1));
+  }
+  // v's array. Valid only while v holds a block (cls != kNoBlock).
+  const Entry* Entries(VertexId v) const {
+    return EntryAt(vertices_[v].block);
+  }
+  Entry* Entries(VertexId v) { return EntryAt(vertices_[v].block); }
+
+  const EdgeRec& Rec(EdgeId e) const {
+    return edge_pages_[e >> kEdgePageShift][e & (kEdgePageRecords - 1)];
+  }
+  EdgeRec& Rec(EdgeId e) {
+    return edge_pages_[e >> kEdgePageShift][e & (kEdgePageRecords - 1)];
   }
 
-  void UnlinkFrom(EdgeId e, VertexId v);
+  // Removes alive edge e, whose endpoints are {a, b} in either order.
+  void Detach(EdgeId e, VertexId a, VertexId b);
+  // Appends (nbr, e) to x's array, moving it to the next class first if it
+  // is full, and returns the entry's position.
+  int32_t Append(VertexId x, VertexId nbr, EdgeId e);
+  // Leaves a tombstone at x's entry `pos`, dropping trailing tombstones and
+  // compacting the array once enough of its entries are dead.
+  void DropEntry(VertexId x, int32_t pos);
+  // Moves x's array verbatim (tombstones too, so no position changes) into
+  // a new block of class `cls`.
+  void Move(VertexId x, int cls);
+  // Drops x's tombstones, keeping the order, into a block of the smallest
+  // class that holds its degree (in place if that is x's class, or if x
+  // has a chunk it still fills over half; no block at degree 0), and
+  // patches the positions of the entries that moved.
+  void Compact(VertexId x);
+
+  // Slab allocation. A shared block comes from its class's free list, else
+  // is bumped from the current page. Once more than 1/8 of what a page's
+  // blocks held is free, the page is queued, and Evacuate(), run at the end
+  // of every mutation, unlinks its free blocks, moves its live arrays
+  // elsewhere (positions are relative to the block, so a move patches
+  // nothing) and recycles the page. Free space thus stays under 1/8 of the
+  // shared pages, and no page or chunk ever goes back to the heap.
+  uint32_t AllocBlock(int cls);
+  void FreeBlock(uint32_t offset, int cls);
+  void Unlink(uint32_t offset, int cls);
+  void NextBumpPage();
+  void MaybeQueue(uint32_t page);
+  void Evacuate();
+  // The vertex whose array starts at live block `offset`.
+  VertexId OwnerOf(uint32_t offset) const;
+
+  void PushFreeEdge(EdgeId e);
 
   // Degree histogram bookkeeping for the O(1) exact MaxDegree().
   void DegreeChanged(int old_degree, int new_degree);
 
   std::vector<VertexRec> vertices_;
-  std::vector<EdgeRec> edges_;
-  // Cold per-edge backward links, indexed 2 * e + side.
-  std::vector<EdgeId> edge_prev_;
+  // Slab pages: shared pages of kPageEntries entries, and chunks holding
+  // one array of a class above kMaxSharedCap. free_pages_ holds recycled
+  // and reserved shared pages. free_[cls] heads the free list of class cls
+  // (offset + 1, 0 = empty): shared blocks, or chunks (singly linked).
+  std::vector<std::vector<Entry>> pages_;
+  std::vector<PageInfo> page_info_;
+  int64_t bump_page_ = -1;
+  int32_t bump_used_ = kPageEntries;
+  size_t shared_pages_ = 0;
+  std::vector<uint32_t> free_pages_;
+  std::vector<uint32_t> evac_queue_;
+  std::array<uint32_t, kNumClasses> free_{};
+  std::vector<std::vector<EdgeRec>> edge_pages_;
+  int edge_capacity_ = 0;
+  EdgeId free_edge_ = kInvalidEdge;  // Top of the free-id stack.
   std::vector<VertexId> free_vertices_;
-  std::vector<EdgeId> free_edges_;
   // Forced ids queued by QueueVertexId, consumed FIFO by AddVertex
   // (queued_head_ indexes the next unconsumed entry; the vector is cleared
   // once drained). Transient routing state: empty at every quiescent point,

@@ -5,6 +5,7 @@
 #ifndef DYNMIS_SRC_GRAPH_EDGE_LIST_H_
 #define DYNMIS_SRC_GRAPH_EDGE_LIST_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,11 +27,17 @@ struct EdgeListGraph {
     return n == 0 ? 0.0 : 2.0 * static_cast<double>(edges.size()) / n;
   }
 
-  // Materializes a DynamicGraph with vertices 0..n-1, pre-sized so the bulk
-  // edge insertion never growth-reallocates.
+  // Materializes a DynamicGraph with vertices 0..n-1 and edge i as edge id
+  // i. Degrees are counted first, so every adjacency array is sized once
+  // and the bulk insertion never relocates one.
   DynamicGraph ToDynamic() const {
+    std::vector<int32_t> degree(static_cast<size_t>(n), 0);
+    for (const auto& [u, v] : edges) {
+      ++degree[u];
+      ++degree[v];
+    }
     DynamicGraph g(n);
-    g.Reserve(n, NumEdges());
+    for (VertexId v = 0; v < n; ++v) g.ReserveDegree(v, degree[v]);
     for (const auto& [u, v] : edges) g.AddEdge(u, v);
     return g;
   }

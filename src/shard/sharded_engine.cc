@@ -20,6 +20,21 @@ std::string ShardPrefix(int shard) {
   return "shard" + std::to_string(shard) + "/";
 }
 
+// Each vertex's degree inside its own shard, so every shard graph sizes its
+// arrays once before the bulk insert (see DynamicGraph::ReserveDegree).
+std::vector<int32_t> ShardDegrees(
+    const PartitionPlan& plan, int n,
+    const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  std::vector<int32_t> degree(static_cast<size_t>(n), 0);
+  for (const auto& [u, v] : edges) {
+    if (plan.ShardOf(u) == plan.ShardOf(v)) {
+      ++degree[u];
+      ++degree[v];
+    }
+  }
+  return degree;
+}
+
 }  // namespace
 
 ShardedMisEngine::ShardedMisEngine(MaintainerConfig config,
@@ -67,10 +82,12 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Create(
 
   // Shard graphs host their vertices at the global ids (foreign ids stay
   // dead gaps — no id translation exists anywhere in the subsystem).
+  const std::vector<int32_t> degree = ShardDegrees(plan, base.n, base.edges);
   for (VertexId v = 0; v < base.n; ++v) {
     DynamicGraph& g = engine->shards_[plan.ShardOf(v)]->graph();
     g.QueueVertexId(v);
     g.AddVertex();
+    g.ReserveDegree(v, degree[v]);
   }
   for (const auto& [u, v] : base.edges) {
     const int su = plan.ShardOf(u);
@@ -123,13 +140,16 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
   for (const VertexId v : global.FreeVertexIds()) {
     engine->resolver_.RemoveVertex(v);
   }
+  const std::vector<std::pair<VertexId, VertexId>> edges = global.EdgeList();
+  const std::vector<int32_t> degree = ShardDegrees(plan, capacity, edges);
   for (VertexId v = 0; v < capacity; ++v) {
     if (!global.IsVertexAlive(v)) continue;
     DynamicGraph& g = engine->shards_[plan.ShardOf(v)]->graph();
     g.QueueVertexId(v);
     g.AddVertex();
+    g.ReserveDegree(v, degree[v]);
   }
-  for (const auto& [u, v] : global.EdgeList()) {
+  for (const auto& [u, v] : edges) {
     const int su = plan.ShardOf(u);
     if (su == plan.ShardOf(v)) {
       engine->shards_[su]->graph().AddEdge(u, v);
@@ -403,14 +423,16 @@ EngineStats ShardedMisEngine::Stats() {
 
 DynamicGraph ShardedMisEngine::BuildGlobalGraph() {
   Flush();
-  int64_t total_edges = resolver_.NumCutEdges();
-  for (const auto& shard : shards_) total_edges += shard->graph().NumEdges();
   DynamicGraph g(resolver_.VertexCapacity());
-  g.Reserve(resolver_.VertexCapacity(), total_edges);
   // Dead ids are removed in the resolver's recycle order, so the copy's
   // LIFO free list matches element for element and future AddVertex()
   // calls agree with this engine's global allocation.
   for (const VertexId v : resolver_.FreeVertexIds()) g.RemoveVertex(v);
+  for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
+    if (!g.IsVertexAlive(v)) continue;
+    g.ReserveDegree(v, shards_[plan_.ShardOf(v)]->graph().Degree(v) +
+                           resolver_.CutDegree(v));
+  }
   for (const auto& shard : shards_) {
     for (const auto& [u, v] : shard->graph().EdgeList()) g.AddEdge(u, v);
   }

@@ -1,14 +1,23 @@
-// Unit tests for the DynamicGraph substrate: id stability, O(1) list
-// integrity across insert/delete cascades, and recycling behaviour.
+// Unit tests for the DynamicGraph substrate: id stability, adjacency
+// integrity across insert/delete cascades, recycling behaviour, and the
+// observable order contract (incidence order, edge-id reuse, snapshot
+// encoding) that the maintainers' tie-breaks and the stream samplers rely
+// on.
 
 #include "src/graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/graph/edge_list.h"
+#include "src/graph/generators.h"
+#include "src/io/snapshot.h"
 #include "src/util/random.h"
 
 namespace dynmis {
@@ -282,6 +291,300 @@ TEST(DynamicGraphTest, RandomizedMatchesReferenceModel) {
     }
     EXPECT_EQ(g.Degree(v), expected_degree);
   }
+}
+
+using Incidence = std::vector<std::pair<VertexId, EdgeId>>;
+
+Incidence IncidenceOf(const DynamicGraph& g, VertexId v) {
+  Incidence out;
+  g.ForEachIncident(v, [&](VertexId u, EdgeId e) { out.emplace_back(u, e); });
+  return out;
+}
+
+// Reference model of the graph's observable order contract: incidence lists
+// most recent first, a delete removing in place, edge and vertex ids
+// recycled LIFO, and RemoveVertex freeing its edges most recent first.
+class OrderedModel {
+ public:
+  explicit OrderedModel(int n) : adj_(n), alive_(n, 1) {}
+
+  bool Alive(VertexId v) const {
+    return v >= 0 && v < static_cast<VertexId>(alive_.size()) && alive_[v];
+  }
+  const Incidence& Adj(VertexId v) const { return adj_[v]; }
+  int Capacity() const { return static_cast<int>(alive_.size()); }
+  const std::vector<EdgeId>& FreeEdges() const { return free_edges_; }
+  const std::vector<VertexId>& FreeVertices() const { return free_vertices_; }
+
+  bool HasEdge(VertexId u, VertexId v) const {
+    for (const auto& [w, e] : adj_[u]) {
+      if (w == v) return true;
+    }
+    return false;
+  }
+  EdgeId NextEdgeId() const {
+    return free_edges_.empty() ? edge_capacity_ : free_edges_.back();
+  }
+  VertexId NextVertexId() const {
+    return free_vertices_.empty() ? Capacity() : free_vertices_.back();
+  }
+
+  void AddEdge(VertexId u, VertexId v) {
+    const EdgeId e = NextEdgeId();
+    if (free_edges_.empty()) {
+      ++edge_capacity_;
+    } else {
+      free_edges_.pop_back();
+    }
+    adj_[u].insert(adj_[u].begin(), {v, e});
+    adj_[v].insert(adj_[v].begin(), {u, e});
+  }
+  void RemoveEdge(VertexId u, VertexId v) {
+    for (const auto& [w, e] : adj_[u]) {
+      if (w != v) continue;
+      const EdgeId dead = e;
+      Erase(u, dead);
+      Erase(v, dead);
+      free_edges_.push_back(dead);
+      return;
+    }
+  }
+  void AddVertex() {
+    const VertexId v = NextVertexId();
+    if (free_vertices_.empty()) {
+      adj_.emplace_back();
+      alive_.push_back(1);
+    } else {
+      free_vertices_.pop_back();
+      alive_[v] = 1;
+    }
+  }
+  void RemoveVertex(VertexId v) {
+    for (const auto& [w, e] : adj_[v]) {
+      Erase(w, e);
+      free_edges_.push_back(e);
+    }
+    adj_[v].clear();
+    alive_[v] = 0;
+    free_vertices_.push_back(v);
+  }
+
+ private:
+  void Erase(VertexId v, EdgeId e) {
+    for (auto it = adj_[v].begin(); it != adj_[v].end(); ++it) {
+      if (it->second == e) {
+        adj_[v].erase(it);
+        return;
+      }
+    }
+  }
+
+  std::vector<Incidence> adj_;
+  std::vector<uint8_t> alive_;
+  std::vector<EdgeId> free_edges_;
+  std::vector<VertexId> free_vertices_;
+  EdgeId edge_capacity_ = 0;
+};
+
+// The decoded "graph" snapshot section (see DynamicGraph::SaveTo).
+struct GraphSection {
+  std::vector<int32_t> heads, degrees, edge_recs, prev, free_v, free_e;
+};
+
+std::string SaveGraph(const DynamicGraph& g) {
+  SnapshotWriter w;
+  g.SaveTo(&w);
+  std::ostringstream out;
+  EXPECT_TRUE(w.WriteTo(out).ok);
+  return std::move(out).str();
+}
+
+bool OpenGraph(const std::string& blob, SnapshotReader* r) {
+  std::istringstream in(blob);
+  return r->ReadFrom(in).ok && r->OpenSection("graph");
+}
+
+GraphSection DecodeGraph(const std::string& blob) {
+  GraphSection s;
+  SnapshotReader r;
+  EXPECT_TRUE(OpenGraph(blob, &r));
+  r.GetI64();
+  r.GetI64();
+  r.GetI32();
+  r.GetI32();
+  EXPECT_TRUE(r.GetI32Array(&s.heads) && r.GetI32Array(&s.degrees) &&
+              r.GetI32Array(&s.edge_recs) && r.GetI32Array(&s.prev) &&
+              r.GetI32Array(&s.free_v) && r.GetI32Array(&s.free_e));
+  return s;
+}
+
+// Random churn with vertex ops, in phases that first densify the graph
+// (degrees in the tens, so long arrays see many deletes between
+// compactions) and then thin it out. After every step the returned ids and
+// every touched vertex's incidence order must match the model; at the end
+// the snapshot's free lists must equal the model's, which pins the order in
+// which RemoveVertex freed its edges.
+TEST(DynamicGraphTest, ChurnMatchesOrderedReferenceModel) {
+  Rng rng(2024);
+  const int n = 48;
+  DynamicGraph g(n);
+  OrderedModel model(n);
+  auto pick_alive = [&]() {
+    VertexId v;
+    do {
+      v = static_cast<VertexId>(rng.NextBounded(model.Capacity()));
+    } while (!model.Alive(v));
+    return v;
+  };
+  auto check_vertex = [&](VertexId v) {
+    ASSERT_EQ(IncidenceOf(g, v), model.Adj(v)) << "vertex " << v;
+    ASSERT_EQ(g.Degree(v), static_cast<int>(model.Adj(v).size()));
+  };
+  for (int step = 0; step < 12000; ++step) {
+    // Phases of 3000 steps: insert-heavy, delete-heavy, and so on.
+    const bool densify = (step / 3000) % 2 == 0;
+    const int roll = static_cast<int>(rng.NextBounded(100));
+    if (roll < 2 && g.NumVertices() < 64) {
+      const VertexId expected = model.NextVertexId();
+      ASSERT_EQ(g.AddVertex(), expected) << "step " << step;
+      model.AddVertex();
+    } else if (roll < 4 && g.NumVertices() > 8) {
+      const VertexId v = pick_alive();
+      const Incidence before = model.Adj(v);
+      g.RemoveVertex(v);
+      model.RemoveVertex(v);
+      for (const auto& [w, e] : before) check_vertex(w);
+    } else if (roll < (densify ? 70 : 30)) {
+      const VertexId u = pick_alive();
+      const VertexId v = pick_alive();
+      if (u == v || model.HasEdge(u, v)) continue;
+      const EdgeId expected = model.NextEdgeId();
+      ASSERT_EQ(g.AddEdge(u, v), expected) << "step " << step;
+      model.AddEdge(u, v);
+      ASSERT_EQ(g.Endpoints(expected), std::make_pair(u, v));
+      check_vertex(u);
+      check_vertex(v);
+    } else {
+      const VertexId u = pick_alive();
+      if (model.Adj(u).empty()) continue;
+      const auto [v, e] =
+          model.Adj(u)[rng.NextBounded(model.Adj(u).size())];
+      ASSERT_EQ(g.FindEdge(u, v), e);
+      ASSERT_TRUE(g.RemoveEdgeBetween(v, u));
+      model.RemoveEdge(u, v);
+      ASSERT_FALSE(g.IsEdgeAlive(e));
+      check_vertex(u);
+      check_vertex(v);
+    }
+  }
+  for (VertexId v = 0; v < model.Capacity(); ++v) {
+    ASSERT_EQ(g.IsVertexAlive(v), model.Alive(v));
+    if (model.Alive(v)) check_vertex(v);
+  }
+  const GraphSection section = DecodeGraph(SaveGraph(g));
+  EXPECT_EQ(section.free_e, model.FreeEdges());
+  EXPECT_EQ(section.free_v, model.FreeVertices());
+}
+
+// A churned graph survives a snapshot round trip with its incidence order
+// and id recycling intact: both copies then answer an identical op
+// sequence with identical ids and orders.
+TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
+  Rng rng(77);
+  Rng build_rng(5);
+  DynamicGraph g = ChungLuPowerLaw(300, 2.3, 12.0, &build_rng).ToDynamic();
+  auto churn = [&](DynamicGraph* a, DynamicGraph* b, int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const int cap = a->VertexCapacity();
+      const auto u = static_cast<VertexId>(rng.NextBounded(cap));
+      const auto v = static_cast<VertexId>(rng.NextBounded(cap));
+      if (!a->IsVertexAlive(u) || !a->IsVertexAlive(v) || u == v) continue;
+      if (step % 97 == 0) {
+        a->RemoveVertex(u);
+        if (b != nullptr) b->RemoveVertex(u);
+      } else if (a->HasEdge(u, v)) {
+        a->RemoveEdgeBetween(u, v);
+        if (b != nullptr) ASSERT_TRUE(b->RemoveEdgeBetween(u, v));
+      } else {
+        const EdgeId e = a->AddEdge(u, v);
+        if (b != nullptr) ASSERT_EQ(b->AddEdge(u, v), e);
+      }
+    }
+  };
+  churn(&g, nullptr, 20000);
+  DynamicGraph loaded;
+  {
+    SnapshotReader r;
+    ASSERT_TRUE(OpenGraph(SaveGraph(g), &r));
+    ASSERT_TRUE(loaded.LoadFrom(&r)) << r.error();
+  }
+  auto expect_same = [](const DynamicGraph& a, const DynamicGraph& b) {
+    ASSERT_EQ(a.VertexCapacity(), b.VertexCapacity());
+    ASSERT_EQ(a.EdgeCapacity(), b.EdgeCapacity());
+    ASSERT_EQ(a.NumEdges(), b.NumEdges());
+    ASSERT_EQ(a.MaxDegree(), b.MaxDegree());
+    for (VertexId v = 0; v < a.VertexCapacity(); ++v) {
+      ASSERT_EQ(a.IsVertexAlive(v), b.IsVertexAlive(v));
+      if (a.IsVertexAlive(v)) ASSERT_EQ(IncidenceOf(a, v), IncidenceOf(b, v));
+    }
+  };
+  expect_same(g, loaded);
+  EXPECT_EQ(SaveGraph(g), SaveGraph(loaded));
+  churn(&g, &loaded, 20000);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(g.AddVertex(), loaded.AddVertex());
+  expect_same(g, loaded);
+}
+
+// FNV-1a, for pinning serialized bytes.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The v1 "graph" section is a stable on-disk encoding: a graph that never
+// deleted an edge serializes to exactly these bytes (dead vertices
+// included). Pinned from the intrusive-list implementation that defined
+// the encoding.
+TEST(DynamicGraphTest, GraphSectionBytesArePinned) {
+  Rng rng(11);
+  DynamicGraph g = ChungLuPowerLaw(400, 2.2, 9.0, &rng).ToDynamic();
+  for (int i = 0; i < 10; ++i) g.AddVertex();
+  g.RemoveVertex(403);
+  g.RemoveVertex(401);
+  for (int i = 0; i < 3000; ++i) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(g.VertexCapacity()));
+    const auto v = static_cast<VertexId>(rng.NextBounded(g.VertexCapacity()));
+    if (g.IsVertexAlive(u) && g.IsVertexAlive(v) && u != v &&
+        !g.HasEdge(u, v)) {
+      g.AddEdge(u, v);
+    }
+  }
+  const std::string blob = SaveGraph(g);
+  EXPECT_EQ(blob.size(), size_t{108107});
+  EXPECT_EQ(Fnv1a(blob), uint64_t{13018652582391650294u});
+}
+
+// Loading a graph sizes every adjacency exactly once, so the first inserts
+// after a load do not reallocate anything edge-indexed: bytes stay within
+// 5% of the loaded size (a doubling vector of edge records would add ~60%).
+TEST(DynamicGraphTest, FirstInsertsAfterLoadDoNotGrowMemory) {
+  Rng rng(3);
+  const EdgeListGraph base = ChungLuPowerLaw(20000, 2.3, 10.0, &rng);
+  DynamicGraph g = base.ToDynamic();
+  const size_t loaded = g.MemoryUsageBytes();
+  int inserted = 0;
+  while (inserted < 16) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(base.n));
+    const auto v = static_cast<VertexId>(rng.NextBounded(base.n));
+    if (u == v || g.HasEdge(u, v)) continue;
+    g.AddEdge(u, v);
+    ++inserted;
+  }
+  EXPECT_LE(static_cast<double>(g.MemoryUsageBytes()),
+            1.05 * static_cast<double>(loaded));
 }
 
 }  // namespace

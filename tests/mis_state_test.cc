@@ -98,7 +98,7 @@ TEST(MisStateTest, EdgeHooksMaintainCounts) {
   EXPECT_EQ(state.Count(2), 2);
   state.CheckConsistency(false);
   // Remove one: back to 1-tight, relinked into bar1.
-  state.OnEdgeRemoving(e2);
+  state.OnEdgeRemoving(1, 2);
   g.RemoveEdge(e2);
   EXPECT_EQ(state.Count(2), 1);
   EXPECT_EQ(state.OwnerOf(2), 0);
@@ -191,7 +191,7 @@ TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
     } else {
       const EdgeId e = g.FindEdge(u, v);
       if (e != kInvalidEdge) {
-        state.OnEdgeRemoving(e);
+        state.OnEdgeRemoving(u, v);
         g.RemoveEdge(e);
       }
     }
