@@ -142,8 +142,8 @@ void MisState::MoveOut(VertexId v) {
   LogTransition(v);
 }
 
-void MisState::OnEdgeAdded(EdgeId e) {
-  const auto [a, b] = g_->Endpoints(e);
+void MisState::OnEdgeAdded(VertexId a, VertexId b) {
+  DYNMIS_DCHECK(g_->HasEdge(a, b));
   if (status_[a] == status_[b]) return;  // Both in I: caller must MoveOut.
   const VertexId in_i = status_[a] ? a : b;
   const VertexId other = status_[a] ? b : a;

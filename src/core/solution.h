@@ -120,10 +120,11 @@ class MisState {
 
   // --- Edge event hooks ------------------------------------------------------
 
-  // Call immediately after g->AddEdge(e). Handles the at-most-one-endpoint-
-  // in-I cases; with both endpoints in I it is a no-op (the caller must
-  // MoveOut one endpoint right after).
-  void OnEdgeAdded(EdgeId e);
+  // Call immediately after g->AddEdge(u, v). Handles the at-most-one-
+  // endpoint-in-I cases; with both endpoints in I it is a no-op (the caller
+  // must MoveOut one endpoint right after). Takes the endpoints, like
+  // OnEdgeRemoving, so an insert never reloads the new edge's record.
+  void OnEdgeAdded(VertexId u, VertexId v);
 
   // Call immediately *before* the edge {u, v} leaves the graph. Takes the
   // endpoints rather than the edge id, so the delete path never has to

@@ -68,8 +68,8 @@ void SwapMaintainer::ExtendSolution(std::vector<VertexId>* candidates) {
 void SwapMaintainer::InsertEdge(VertexId u, VertexId v) {
   const bool u_in = state_.InSolution(u);
   const bool v_in = state_.InSolution(v);
-  const EdgeId e = g_->AddEdge(u, v);
-  state_.OnEdgeAdded(e);
+  g_->AddEdge(u, v);
+  state_.OnEdgeAdded(u, v);
   if (u_in && v_in) {
     // One endpoint must leave. Prefer the one with 1-tight neighbours (a
     // replacement is then guaranteed); otherwise drop the higher degree.
@@ -114,8 +114,8 @@ VertexId SwapMaintainer::InsertVertex(const std::vector<VertexId>& neighbors) {
   ResetVertexSlots(v);
   for (VertexId u : neighbors) {
     DYNMIS_CHECK_NE(u, v);
-    const EdgeId e = g_->AddEdge(u, v);
-    state_.OnEdgeAdded(e);
+    g_->AddEdge(u, v);
+    state_.OnEdgeAdded(u, v);
   }
   if (state_.Count(v) == 0) state_.MoveIn(v);
   Restore();

@@ -266,6 +266,13 @@ void DynamicGraph::PushFreeEdge(EdgeId e) {
 
 int32_t DynamicGraph::Append(VertexId x, VertexId nbr, EdgeId e) {
   VertexRec& a = vertices_[x];
+  // A full short array that holds tombstones drops them in place instead
+  // of moving up a class: it is over half live (see DropEntry), so Compact
+  // keeps its block, and a window of expiring edges reuses the same slots.
+  if (a.cls != kNoBlock && a.len == ClassCap(a.cls) && a.degree < a.len &&
+      a.len <= kMaxSharedCap) {
+    Compact(x);
+  }
   if (a.cls == kNoBlock || a.len == ClassCap(a.cls)) {
     DYNMIS_CHECK_LT(a.len, kMaxLen);
     Move(x, ClassFor(a.len + 1));
@@ -291,13 +298,17 @@ void DynamicGraph::DropEntry(VertexId x, int32_t pos) {
   if (pos == a.len - 1) {
     while (entries[a.len - 1].nbr == kInvalidVertex) --a.len;
   }
-  // Short arrays share pages, where every entry counts; a chunk tolerates
-  // more tombstones, since compacting patches a record per moved entry.
+  // A short array waits until half of it is dead, or until an append
+  // finds it full (see Append), so an array whose oldest entries expire one
+  // by one is not rewritten on every delete. A chunk compacts once a
+  // quarter is dead, since an append that finds it full moves it up a
+  // class instead.
   const int32_t dead = a.len - degree;
-  if ((ClassCap(a.cls) > kMaxSharedCap ? 4 : 8) * dead >= a.len) Compact(x);
+  if ((ClassCap(a.cls) > kMaxSharedCap ? 4 : 2) * dead >= a.len) Compact(x);
 }
 
 void DynamicGraph::Move(VertexId x, int cls) {
+  ++relocations_;
   VertexRec& a = vertices_[x];
   const uint32_t block = AllocBlock(cls);
   if (a.cls != kNoBlock) {
@@ -310,13 +321,13 @@ void DynamicGraph::Move(VertexId x, int cls) {
 }
 
 void DynamicGraph::Compact(VertexId x) {
+  ++relocations_;
   VertexRec& a = vertices_[x];
   const int old_cls = a.cls;
   int new_cls = a.degree == 0 ? kNoBlock : ClassFor(a.degree);
-  // A chunk is kept until it is less than half full, so that an array
-  // whose degree hovers does not trade chunks back and forth.
-  if (new_cls != kNoBlock && ClassCap(old_cls) > kMaxSharedCap &&
-      2 * a.degree > ClassCap(old_cls)) {
+  // A block is kept until it is less than half full, so that an array
+  // whose degree hovers does not trade blocks back and forth.
+  if (new_cls != kNoBlock && 2 * a.degree > ClassCap(old_cls)) {
     new_cls = old_cls;
   }
   const uint32_t block =

@@ -18,10 +18,13 @@
 //    sequence. The paper keeps I(v) as a doubly-linked list with a pointer
 //    stored in each edge, for O(1) deletion; here each edge record holds
 //    its entry's position in both endpoints' arrays instead. A delete
-//    leaves a tombstone (one at the end is simply dropped), and once an
-//    eighth of a short array's entries, or a quarter of a long one's, are
-//    dead, an order-preserving compaction drops them and patches the
-//    positions of the entries it moved.
+//    leaves a tombstone (one at the end is simply dropped). An
+//    order-preserving compaction drops the tombstones and patches the
+//    positions of the entries it moved: in a short array once half of it
+//    is dead, or when an append finds it full with dead entries; in a long
+//    one once a quarter is dead. A compaction keeps the array's block while
+//    the array stays over half full, so under sliding-window churn (each
+//    delete hits an array's oldest entry) an array keeps reusing its block.
 //
 // Memory comes in fixed-size pieces, so no insert ever reallocates an
 // edge-indexed array. Adjacency arrays live in size-class blocks. Short
@@ -214,6 +217,10 @@ class DynamicGraph {
   // Bytes held by the graph's internal arrays (capacity-based accounting).
   size_t MemoryUsageBytes() const;
 
+  // Adjacency arrays relocated since construction or load: every move to
+  // another block (growth, evacuation) and every compaction.
+  int64_t Relocations() const { return relocations_; }
+
   // --- Snapshots -------------------------------------------------------------
 
   // Writes the snapshot section "graph" in its v1 encoding: per vertex an
@@ -310,8 +317,9 @@ class DynamicGraph {
 
   // Removes alive edge e, whose endpoints are {a, b} in either order.
   void Detach(EdgeId e, VertexId a, VertexId b);
-  // Appends (nbr, e) to x's array, moving it to the next class first if it
-  // is full, and returns the entry's position.
+  // Appends (nbr, e) to x's array, first compacting a full short array
+  // that holds tombstones, else moving a full array to the next class, and
+  // returns the entry's position.
   int32_t Append(VertexId x, VertexId nbr, EdgeId e);
   // Leaves a tombstone at x's entry `pos`, dropping trailing tombstones and
   // compacting the array once enough of its entries are dead.
@@ -321,8 +329,8 @@ class DynamicGraph {
   void Move(VertexId x, int cls);
   // Drops x's tombstones, keeping the order, into a block of the smallest
   // class that holds its degree (in place if that is x's class, or if x
-  // has a chunk it still fills over half; no block at degree 0), and
-  // patches the positions of the entries that moved.
+  // still fills its block over half; no block at degree 0), and patches
+  // the positions of the entries that moved.
   void Compact(VertexId x);
 
   // Slab allocation. A shared block comes from its class's free list, else
@@ -375,6 +383,7 @@ class DynamicGraph {
   // for d <= max_degree_; the vector never shrinks).
   std::vector<int32_t> degree_count_;
   int max_degree_ = 0;
+  int64_t relocations_ = 0;
 };
 
 }  // namespace dynmis

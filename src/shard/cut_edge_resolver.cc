@@ -347,6 +347,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   Resolution result;
   const int capacity = VertexCapacity();
   if (capacity > 0) EnsureCutCapacity(capacity - 1);
+  FillDegrees(plan, shards);
 
   // Overlay membership: the union of the shards' local solutions. Every
   // member is alive in its shard graph, and intra-shard independence holds
@@ -380,12 +381,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   // min-degree greedy would pick — win their conflicts; per-edge eviction
   // in arbitrary order costs several percent of solution quality.
   for (const VertexId v : conflicted_) in_sol_[v] = 0;
-  std::sort(conflicted_.begin(), conflicted_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
+  SortByDegree(&conflicted_);
   RepairAndPolish(plan, shards, /*restrict_polish=*/false, &result);
   return result;
 }
@@ -398,6 +394,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::ResolveIncremental(
   Resolution result;
   const int capacity = VertexCapacity();
   if (capacity > 0) EnsureCutCapacity(capacity - 1);
+  FillDegrees(plan, shards);
 
   // The worker already holds the overlay (base_) and its exact conflict
   // set; the barrier starts from them instead of re-deriving either. The
@@ -418,14 +415,27 @@ CutEdgeResolver::Resolution CutEdgeResolver::ResolveIncremental(
   result.conflicts = conflict_edges;
 
   for (const VertexId v : conflicted_) in_sol_[v] = 0;
-  std::sort(conflicted_.begin(), conflicted_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
+  SortByDegree(&conflicted_);
   RepairAndPolish(plan, shards, /*restrict_polish=*/true, &result);
   return result;
+}
+
+void CutEdgeResolver::FillDegrees(
+    const PartitionPlan& plan,
+    const std::vector<std::unique_ptr<Shard>>& shards) {
+  const int capacity = VertexCapacity();
+  degree_.resize(static_cast<size_t>(capacity));
+  for (VertexId v = 0; v < capacity; ++v) {
+    degree_[v] = alive_[v] ? shards[plan.ShardOf(v)]->graph().Degree(v) +
+                                 CutDegree(v)
+                           : 0;
+  }
+}
+
+void CutEdgeResolver::SortByDegree(std::vector<VertexId>* vertices) const {
+  std::sort(vertices->begin(), vertices->end(), [&](VertexId a, VertexId b) {
+    return degree_[a] != degree_[b] ? degree_[a] < degree_[b] : a < b;
+  });
 }
 
 void CutEdgeResolver::RepairAndPolish(
@@ -470,12 +480,7 @@ void CutEdgeResolver::RepairAndPolish(
   // Greedy re-add in min-degree order (the same preference as the greedy
   // quality reference). The overlay only grows here, so one pass suffices:
   // a rejected candidate's blocking neighbor stays in the solution.
-  std::sort(candidates_.begin(), candidates_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
+  SortByDegree(&candidates_);
   readded_.clear();
   for (const VertexId c : candidates_) {
     if (in_sol_[c]) continue;
@@ -613,11 +618,7 @@ void CutEdgeResolver::RepairAndPolish(
         // cover when v leaves and must get the chance to rejoin below —
         // dropping the tail here would leave it uncovered and break the
         // maximality guarantee.
-        std::sort(bar1_.begin(), bar1_.end(), [&](VertexId a, VertexId b) {
-          const int da = TotalDegree(plan, shards, a);
-          const int db = TotalDegree(plan, shards, b);
-          return da != db ? da < db : a < b;
-        });
+        SortByDegree(&bar1_);
         const size_t pool = std::min(bar1_.size(), kPairPool);
         VertexId first = kInvalidVertex;
         VertexId second = kInvalidVertex;
@@ -762,7 +763,7 @@ size_t CutEdgeResolver::MemoryUsageBytes() const {
          VectorBytes(candidates_) + VectorBytes(polish_members_) +
          VectorBytes(count_) + VectorBytes(seeded_) + VectorBytes(expanded_) +
          VectorBytes(dirty_) + VectorBytes(dirty_flag_) +
-         VectorBytes(active_) + VectorBytes(bar1_);
+         VectorBytes(active_) + VectorBytes(bar1_) + VectorBytes(degree_);
 }
 
 }  // namespace dynmis

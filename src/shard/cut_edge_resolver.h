@@ -60,7 +60,10 @@
 // swaps cannot hide elsewhere). Every working set is sorted before use, so
 // the result is a pure function of the overlay and the edge sets — thread
 // scheduling, flush and block boundaries provably don't matter, exactly as
-// for the sequential Resolve().
+// for the sequential Resolve(). The min-degree orders (the conflicted set,
+// the re-extension candidates, each polished member's bar1) sort by
+// (total degree, id), with every total degree read once per pass into a
+// flat array, since the graphs stay fixed while a pass runs.
 
 #ifndef DYNMIS_SRC_SHARD_CUT_EDGE_RESOLVER_H_
 #define DYNMIS_SRC_SHARD_CUT_EDGE_RESOLVER_H_
@@ -294,20 +297,24 @@ class CutEdgeResolver {
   // entry moved into the hole.
   void SwapRemoveHalf(VertexId owner, int32_t index);
 
-  // Degree of `v` in the global graph: intra-shard + cut.
-  int TotalDegree(const PartitionPlan& plan,
-                  const std::vector<std::unique_ptr<Shard>>& shards,
-                  VertexId v) const {
-    return shards[plan.ShardOf(v)]->graph().Degree(v) + CutDegree(v);
-  }
+  // Fills degree_[v] with v's degree in the global graph (intra-shard +
+  // cut) for every alive id. Both barrier passes call it once, at their
+  // start, so that no sort comparator asks the plan, a shard graph and the
+  // cut store.
+  void FillDegrees(const PartitionPlan& plan,
+                   const std::vector<std::unique_ptr<Shard>>& shards);
 
-  // Shared repair tail of both barrier passes. Expects in_sol_ to hold the
-  // overlay with `conflicted_` unmarked and sorted by (TotalDegree, id):
-  // greedy confirm, re-extension of the evicted neighborhoods, 1-swap
-  // polish, solution collection. With `restrict_polish` the polish only
-  // visits members the repair could have affected (cut-incident members
-  // plus distance-<=2 neighborhoods of evictions/re-additions); without
-  // it, every member.
+  // Sorts `vertices` by ascending (degree_, id), the min-degree greedy's
+  // order. Ids are distinct, so the order is total.
+  void SortByDegree(std::vector<VertexId>* vertices) const;
+
+  // Shared repair tail of both barrier passes. Expects degree_ filled and
+  // in_sol_ to hold the overlay with `conflicted_` unmarked and sorted by
+  // (degree, id): greedy confirm, re-extension of the evicted
+  // neighborhoods, 1-swap polish, solution collection. With
+  // `restrict_polish` the polish only visits members the repair could have
+  // affected (cut-incident members plus distance-<=2 neighborhoods of
+  // evictions/re-additions); without it, every member.
   void RepairAndPolish(const PartitionPlan& plan,
                        const std::vector<std::unique_ptr<Shard>>& shards,
                        bool restrict_polish, Resolution* result);
@@ -352,6 +359,7 @@ class CutEdgeResolver {
   std::atomic<int64_t> transitions_consumed_{0};
 
   // Reusable scratch (sized to vertex capacity / pass volume).
+  std::vector<int32_t> degree_;
   std::vector<uint8_t> in_sol_;
   std::vector<uint8_t> considered_;
   std::vector<VertexId> members_;

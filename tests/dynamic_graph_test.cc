@@ -535,6 +535,51 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
   expect_same(g, loaded);
 }
 
+// A TTL sliding window, as in the temporal workloads: each inserted edge is
+// deleted, oldest first, a fixed number of inserts later, so every delete
+// hits the oldest window entry of both endpoints' arrays. Arrays keep their
+// blocks under this churn: after one window fills them, compactions and
+// moves stay under one per op. The arrays take a few windows to settle
+// into their classes; from then on the graph's bytes stay flat.
+TEST(DynamicGraphTest, SlidingWindowChurnRarelyRelocatesArrays) {
+  Rng rng(19);
+  DynamicGraph g = ChungLuPowerLaw(400, 2.3, 8.0, &rng).ToDynamic();
+  const int n = g.VertexCapacity();
+  constexpr size_t kWindow = 1600;
+  std::vector<std::pair<VertexId, VertexId>> window(kWindow);
+  size_t inserted = 0;
+  int64_t ops = 0;
+  auto run_windows = [&](size_t windows) {
+    const size_t end = inserted + windows * kWindow;
+    while (inserted < end) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(n));
+      const auto v = static_cast<VertexId>(rng.NextBounded(n));
+      if (u == v || g.HasEdge(u, v)) continue;
+      if (inserted >= kWindow) {
+        const auto [a, b] = window[inserted % kWindow];
+        ASSERT_TRUE(g.RemoveEdgeBetween(a, b));
+        ++ops;
+      }
+      g.AddEdge(u, v);
+      window[inserted++ % kWindow] = {u, v};
+      ++ops;
+    }
+  };
+  run_windows(1);
+  const int64_t warm_ops = ops;
+  const int64_t warm_relocations = g.Relocations();
+  run_windows(3);
+  const size_t settled_bytes = g.MemoryUsageBytes();
+  for (int i = 0; i < 17; ++i) {
+    run_windows(1);
+    EXPECT_LE(static_cast<double>(g.MemoryUsageBytes()),
+              1.05 * static_cast<double>(settled_bytes))
+        << "window " << i;
+  }
+  EXPECT_LT(static_cast<double>(g.Relocations() - warm_relocations),
+            1.0 * static_cast<double>(ops - warm_ops));
+}
+
 // FNV-1a, for pinning serialized bytes.
 uint64_t Fnv1a(const std::string& bytes) {
   uint64_t h = 14695981039346656037ull;

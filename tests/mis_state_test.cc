@@ -90,11 +90,11 @@ TEST(MisStateTest, EdgeHooksMaintainCounts) {
   state.MoveIn(0);
   state.MoveIn(1);
   // Connect 2 to both solution vertices.
-  EdgeId e1 = g.AddEdge(0, 2);
-  state.OnEdgeAdded(e1);
+  g.AddEdge(0, 2);
+  state.OnEdgeAdded(0, 2);
   EXPECT_EQ(state.Count(2), 1);
   EdgeId e2 = g.AddEdge(1, 2);
-  state.OnEdgeAdded(e2);
+  state.OnEdgeAdded(1, 2);
   EXPECT_EQ(state.Count(2), 2);
   state.CheckConsistency(false);
   // Remove one: back to 1-tight, relinked into bar1.
@@ -124,8 +124,8 @@ TEST(MisStateTest, BothEndpointsInSolutionTransient) {
   MisState state(&g, 1);
   state.MoveIn(0);
   state.MoveIn(1);
-  const EdgeId e = g.AddEdge(0, 1);
-  state.OnEdgeAdded(e);  // No-op: caller must resolve.
+  g.AddEdge(0, 1);
+  state.OnEdgeAdded(0, 1);  // No-op: caller must resolve.
   state.MoveOut(1);      // Handles the neighbour-in-solution case.
   EXPECT_EQ(state.Count(1), 1);
   EXPECT_EQ(state.OwnerOf(1), 0);
@@ -185,7 +185,8 @@ TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
     } else if (op == 2) {
       if (u != v && !g.HasEdge(u, v)) {
         const bool both_in = state.InSolution(u) && state.InSolution(v);
-        state.OnEdgeAdded(g.AddEdge(u, v));
+        g.AddEdge(u, v);
+        state.OnEdgeAdded(u, v);
         if (both_in) state.MoveOut(u);
       }
     } else {
@@ -220,7 +221,8 @@ TEST(MisStateTest, MemoryIsFlatWhenEdgeCapacityDoubles) {
     const VertexId v = static_cast<VertexId>(rng.NextInRange(0, n - 1));
     if (u == v || g.HasEdge(u, v)) continue;
     const bool both_in = state.InSolution(u) && state.InSolution(v);
-    state.OnEdgeAdded(g.AddEdge(u, v));
+    g.AddEdge(u, v);
+    state.OnEdgeAdded(u, v);
     if (both_in) state.MoveOut(u);
     state.DiscardTransitions();
   }

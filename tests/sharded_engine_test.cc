@@ -7,6 +7,7 @@
 #include "dynmis/sharded_engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -16,6 +17,8 @@
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
+#include "src/ingest/temporal.h"
+#include "src/serve/workload.h"
 #include "src/util/random.h"
 #include "tests/verifiers.h"
 
@@ -464,6 +467,45 @@ TEST(ShardedEngineTest, SequentialResolverFallbackMatchesInvariants) {
     solutions[async ? 1 : 0] = engine->Solution();
   }
   EXPECT_EQ(solutions[0], solutions[1]);
+}
+
+// At S > 1 the barrier pass repairs real conflicts, and both resolvers must
+// repair them identically: on a TTL stream over the serve layer's smoke
+// graph, every 512-op barrier returns the same solution from the async and
+// the sequential resolver, under hash and range plans alike.
+TEST(ShardedEngineTest, AsyncAndSequentialResolversAgreeOnWindowStream) {
+  const EdgeListGraph base = serve::BuildServeWorkloadGraph("smoke");
+  ingest::TemporalStreamOptions window = serve::ServeWorkloadWindow("temporal");
+  window.ttl_ticks = 512;
+  const std::vector<GraphUpdate> stream =
+      ingest::MakeTemporalSequence(base.ToDynamic(), 40000, window, nullptr);
+  constexpr size_t kBarrier = 512;
+  for (const int shards : {2, 4}) {
+    for (const PartitionStrategy strategy :
+         {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
+      std::vector<std::vector<VertexId>> barriers[2];
+      for (const bool async : {false, true}) {
+        ShardedEngineOptions options = Opts(shards, strategy);
+        options.async_resolver = async;
+        auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+        ASSERT_NE(engine, nullptr);
+        engine->Initialize();
+        for (size_t begin = 0; begin < stream.size(); begin += kBarrier) {
+          const size_t end = std::min(stream.size(), begin + kBarrier);
+          engine->ApplyBatch(std::vector<GraphUpdate>(
+              stream.begin() + static_cast<std::ptrdiff_t>(begin),
+              stream.begin() + static_cast<std::ptrdiff_t>(end)));
+          barriers[async ? 1 : 0].push_back(engine->Solution());
+        }
+      }
+      ASSERT_EQ(barriers[0].size(), barriers[1].size());
+      for (size_t i = 0; i < barriers[0].size(); ++i) {
+        ASSERT_EQ(barriers[0][i], barriers[1][i])
+            << "S=" << shards << " plan " << static_cast<int>(strategy)
+            << " barrier " << i;
+      }
+    }
+  }
 }
 
 // Replay determinism extends to the locality plan under the asynchronous
