@@ -429,18 +429,14 @@ std::vector<VertexId> SortedSolution(const MisEngine& engine) {
 struct ShardedRunResult {
   int shards = 0;
   std::string partition;
-  bool async_resolver = false;
   int64_t updates = 0;
   double total_seconds = 0;
   double ops_per_sec = 0;
   // Number of CollectSolution barriers in the timed region (one per
   // kBarrierEveryOps chunk, like a served workload's periodic queries).
   int64_t barriers = 0;
-  // Cumulative wall time across those barriers (drain every shard and
-  // the resolver, then run the resolution pass) — the number the
-  // asynchronous resolver exists to shrink: the sequential resolver
-  // recomputes the full cut-edge conflict scan at every barrier, the
-  // asynchronous one only finalizes its standing conflict set.
+  // Cumulative wall time across those barriers (drain every shard, then
+  // run the resolution pass).
   double barrier_seconds = 0;
   // Engine-reported time inside resolution passes only (both barriers:
   // the post-Initialize one and the final one).
@@ -451,7 +447,6 @@ struct ShardedRunResult {
   int64_t conflicts = 0;
   int64_t evictions = 0;
   int64_t readded = 0;
-  int64_t transitions_consumed = 0;
   bool verified_independent = false;
 };
 
@@ -475,8 +470,7 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
                             const std::vector<GraphUpdate>& updates,
                             const DynamicGraph& final_graph, int shards,
                             int batch_size, int64_t greedy_reference,
-                            PartitionStrategy partition,
-                            bool async_resolver) {
+                            PartitionStrategy partition) {
   ShardedRunResult result;
   result.shards = shards;
   result.partition = PartitionStrategyName(partition);
@@ -486,7 +480,6 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
   options.num_shards = shards;
   options.block_ops = batch_size;
   options.partition = partition;
-  options.async_resolver = async_resolver;
   auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
   DYNMIS_CHECK(engine != nullptr);
   engine->Initialize();
@@ -495,11 +488,7 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
   // pass, so the repair cost is charged to the throughput number. The
   // sequence is applied in chunks with a CollectSolution barrier after
   // each one — the cadence a served workload imposes through periodic
-  // queries, and the regime the asynchronous resolver exists for: the
-  // sequential resolver recomputes the full cut-edge conflict scan at
-  // every barrier, while the asynchronous worker keeps a standing
-  // conflict set so each barrier only drains a tail and finalizes.
-  // barrier_seconds accumulates the wall time of all barriers.
+  // queries. barrier_seconds accumulates the wall time of all barriers.
   constexpr size_t kBarrierEveryOps = 8192;
   Timer timer;
   std::vector<VertexId> solution;
@@ -527,13 +516,11 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
                 static_cast<double>(greedy_reference)
           : 0;
   const ShardedStats stats = engine->ShardStats();
-  result.async_resolver = stats.async_resolver;
   result.cut_edge_fraction = stats.cut_edge_fraction;
   result.resolve_seconds = stats.resolve_seconds;
   result.conflicts = stats.conflicts;
   result.evictions = stats.evictions;
   result.readded = stats.readded;
-  result.transitions_consumed = stats.transitions_consumed;
   result.verified_independent = VerifyIndependent(final_graph, solution);
   return result;
 }
@@ -789,13 +776,9 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   // Sharded measurement: the identical sequence through a vertex-
   // partitioned multi-threaded engine — at 1 shard (the degenerate
   // single-worker baseline), at the requested count under every partition
-  // plan (cut fraction and resolve cost are per-plan numbers), and once
-  // more under the selected plan with the sequential barrier-recompute
-  // resolver, which isolates what the asynchronous resolver buys at the
-  // final barrier.
+  // plan (cut fraction and resolve cost are per-plan numbers).
   ShardedRunResult sharded_base;
   ShardedRunResult sharded;
-  ShardedRunResult sharded_sequential;
   std::vector<ShardedRunResult> plan_runs;
   // Worker-block granularity for the sharded runs. Larger than the
   // single-engine batch regime on purpose: each posted block wakes a
@@ -806,42 +789,31 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   if (sharded_shards > 1) {
     auto print_sharded = [&](const ShardedRunResult& r) {
       std::printf(
-          "  sharded x%-3d %-8s %-5s %9.0f ops/s  cut=%4.1f%%  "
+          "  sharded x%-3d %-8s %9.0f ops/s  cut=%4.1f%%  "
           "barrier=%6.1fms  |I|=%lld (%.3f of greedy)  %s\n",
-          r.shards, r.partition.c_str(), r.async_resolver ? "async" : "seq",
-          r.ops_per_sec, r.cut_edge_fraction * 100, r.barrier_seconds * 1e3,
+          r.shards, r.partition.c_str(), r.ops_per_sec, r.cut_edge_fraction * 100, r.barrier_seconds * 1e3,
           static_cast<long long>(r.final_solution_size), r.quality_vs_greedy,
           r.verified_independent ? "verified" : "NOT INDEPENDENT");
     };
     sharded_base = RunSharded(base, updates, scratch, 1, sharded_batch,
-                              greedy_reference, partition,
-                              /*async_resolver=*/true);
+                              greedy_reference, partition);
     print_sharded(sharded_base);
     for (const PartitionStrategy strategy :
          {PartitionStrategy::kHash, PartitionStrategy::kRange,
           PartitionStrategy::kLocality}) {
       ShardedRunResult run =
           RunSharded(base, updates, scratch, sharded_shards, sharded_batch,
-                     greedy_reference, strategy, /*async_resolver=*/true);
+                     greedy_reference, strategy);
       print_sharded(run);
       if (strategy == partition) sharded = run;
       plan_runs.push_back(std::move(run));
     }
-    sharded_sequential =
-        RunSharded(base, updates, scratch, sharded_shards, sharded_batch,
-                   greedy_reference, partition, /*async_resolver=*/false);
-    print_sharded(sharded_sequential);
     std::printf("  sharded scaling x%d vs x1: %.2fx (%u hardware threads)\n",
                 sharded.shards,
                 sharded_base.ops_per_sec > 0
                     ? sharded.ops_per_sec / sharded_base.ops_per_sec
                     : 0,
                 std::thread::hardware_concurrency());
-    std::printf(
-        "  barrier total over %lld barriers: async %.1fms vs sequential "
-        "%.1fms (%s plan)\n",
-        static_cast<long long>(sharded.barriers), sharded.barrier_seconds * 1e3,
-        sharded_sequential.barrier_seconds * 1e3, sharded.partition.c_str());
   }
 
   w.Int("updates", num_updates);
@@ -910,7 +882,6 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
     auto emit_sharded_run = [&](const ShardedRunResult& r) {
       w.Int("shards", r.shards);
       w.String("partition", r.partition);
-      w.Bool("async_resolver", r.async_resolver);
       w.Int("updates", r.updates);
       w.Double("total_seconds", r.total_seconds);
       w.Double("ops_per_sec", r.ops_per_sec);
@@ -923,7 +894,6 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
       w.Int("barriers", r.barriers);
       w.Double("barrier_seconds", r.barrier_seconds);
       w.Double("resolve_seconds", r.resolve_seconds);
-      w.Int("transitions_consumed", r.transitions_consumed);
       w.Bool("verified_independent", r.verified_independent);
     };
     w.BeginObject("sharded");
@@ -937,14 +907,8 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
     w.BeginObject("one_shard");
     emit_sharded_run(sharded_base);
     w.EndObject();
-    // Same shard count + plan, sequential barrier-recompute resolver: the
-    // barrier_seconds delta against the headline run is the asynchronous
-    // resolver's payoff.
-    w.BeginObject("sequential_resolver");
-    emit_sharded_run(sharded_sequential);
-    w.EndObject();
-    // One async run per partition plan at the requested shard count, so
-    // cut-edge fraction and resolve cost are comparable across plans.
+    // One run per partition plan at the requested shard count, so cut-edge
+    // fraction and resolve cost are comparable across plans.
     w.BeginArray("plans");
     for (const ShardedRunResult& r : plan_runs) {
       w.BeginObject();

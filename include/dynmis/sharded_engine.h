@@ -10,26 +10,16 @@
 // so CollectSolution() always returns a verified independent set — in
 // fact a maximal one — of the global graph.
 //
-// The resolver runs in one of two modes. Asynchronously (the default,
-// when the maintainer can report status transitions): every shard ships
-// its maintainer's MoveIn/MoveOut transitions as it applies blocks, the
-// engine ships cut-edge mutations, and the resolver's own worker thread
-// folds both streams into a standing overlay + conflict set continuously —
-// a barrier drains the worker and finalizes the (mostly clean) frontier
-// instead of recomputing conflicts from scratch. Sequentially (baselines
-// that rebuild solutions wholesale): cut-edge ops apply inline and every
-// barrier recomputes the overlay.
-//
 // Calls route updates asynchronously: Apply/ApplyBatch classify each op in
-// O(1), forward cut-edge ops to the resolver, and append intra-shard ops
-// to per-shard pending blocks that are posted to the workers as they fill.
-// Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier — drain
-// every queue and the resolver, then resolve. The final solution is a pure
-// function of the update sequence: neither thread scheduling nor block
-// boundaries affect it, so seeded runs replay identically (see
-// tests/sharded_engine_test.cc) — in async mode because each vertex's
-// transition stream has a single ordered producer (its owner shard) and
-// the drained overlay is therefore exact, and the barrier finalize sorts
+// O(1), buffer cut-edge ops for the resolver in op order, and append
+// intra-shard ops to per-shard pending blocks that are posted to the
+// workers as they fill. Queries (Solution, Stats, SaveSnapshot, ...) impose
+// a barrier — post every pending block, apply the buffered cut ops while
+// the shards drain, wait for every queue, then resolve from the shards'
+// solutions. The final solution is a pure function of the update sequence:
+// neither thread scheduling nor block or barrier boundaries affect it, so
+// seeded runs replay identically (see tests/sharded_engine_test.cc),
+// because each shard applies its ops in order and the barrier pass sorts
 // every working set into a canonical order.
 //
 // With S = 1 every edge is intra-shard and the single worker replays
@@ -66,14 +56,9 @@ struct ShardedEngineOptions {
   // worker. A throughput knob only: the maintained solution is independent
   // of block boundaries.
   int block_ops = 1024;
-  // Run the CutEdgeResolver on its own worker thread, fed by shipped
-  // status transitions and cut-edge ops, so barriers finalize the standing
-  // conflict set instead of recomputing it. Falls back to the sequential
-  // resolver automatically when the maintainer cannot report transitions
-  // (the wholesale-rebuild baselines). A scheduling knob only: the
-  // maintained solution is identical in both modes for the same mode —
-  // i.e. replay-deterministic — though the two modes' polish passes may
-  // pick different (equally valid) verified-maximal solutions.
+  // Ignored: the resolver has one mode, a pass over the shards' solutions
+  // at each barrier. The field stays because existing callers assign it,
+  // and snapshots still carry its byte.
   bool async_resolver = true;
 };
 
@@ -91,11 +76,6 @@ struct ShardedStats {
   int64_t readded = 0;
   int64_t swaps = 0;            // Polish-pass 1-swaps.
   double resolve_seconds = 0;   // Wall time inside barrier resolutions.
-  // Asynchronous-resolver instrumentation (zeros in sequential mode).
-  bool async_resolver = false;      // Worker thread active.
-  int64_t resolver_backlog = 0;     // Unconsumed shipped ops right now.
-  int64_t resolver_conflicts = 0;   // Standing conflict-set size right now.
-  int64_t transitions_consumed = 0; // Lifetime transitions folded in.
   // Local (pre-resolution) solution size per shard at the last barrier.
   std::vector<int64_t> shard_solution_sizes;
 };
@@ -142,8 +122,9 @@ class ShardedMisEngine {
   VertexId InsertVertex(const std::vector<VertexId>& neighbors);
   UpdateResult DeleteVertex(VertexId v);
 
-  // Posts all pending blocks and blocks until every worker drained its
-  // queue (a barrier without a resolution pass).
+  // Posts all pending blocks, applies the buffered cut-edge ops, and blocks
+  // until every worker drained its queue (a barrier without a resolution
+  // pass).
   void Flush();
 
   // --- Queries (impose a barrier + resolution when updates are pending) ----
@@ -226,12 +207,6 @@ class ShardedMisEngine {
   void Barrier();
   // Barrier + resolution pass (cached until the next routed update).
   void EnsureResolved();
-  // Engages the asynchronous resolver when options allow and the
-  // maintainer supports status transitions: installs per-shard transition
-  // sinks, seeds the standing overlay from the current shard solutions,
-  // and starts the resolver worker. Call after every shard's maintainer
-  // exists (and has restored any state), before any shard Start().
-  void EnableAsyncResolver();
   bool LoadShards(SnapshotReader* reader);
   // Cross-structure consistency of freshly loaded shard/cut graphs.
   bool ValidateLoaded(SnapshotReader* reader) const;
@@ -244,7 +219,6 @@ class ShardedMisEngine {
   std::vector<Shard::Block> pending_;
 
   bool resolved_ = false;
-  bool async_active_ = false;
   CutEdgeResolver::Resolution resolution_;
 
   UpdateObserver observer_;

@@ -2073,11 +2073,9 @@ struct Server::Impl {
       w.EndArray();
     }
     if (ShardedMisEngine* engine = backend->Sharded()) {
-      // Cut-edge resolver health: `resolver_backlog` (shipped ops the
-      // resolver worker has not yet consumed) and `resolver_conflicts`
-      // (standing conflict-set depth) are the two fields an operator
-      // should watch — a backlog that grows without bound means the
-      // resolver thread cannot keep up with update ingest.
+      // Cut-edge resolver health: `conflicts` per `barriers` is the cut
+      // conflicts each barrier repairs, and `resolve_seconds` per
+      // `barriers` its cost.
       const ShardedStats sharded = engine->ShardStats();
       w.BeginObject("sharded");
       w.String("partition", sharded.partition);
@@ -2090,10 +2088,6 @@ struct Server::Impl {
       w.Int("readded", sharded.readded);
       w.Int("swaps", sharded.swaps);
       w.Double("resolve_seconds", sharded.resolve_seconds);
-      w.Int("async_resolver", sharded.async_resolver ? 1 : 0);
-      w.Int("resolver_backlog", sharded.resolver_backlog);
-      w.Int("resolver_conflicts", sharded.resolver_conflicts);
-      w.Int("transitions_consumed", sharded.transitions_consumed);
       w.EndObject();
     }
     w.BeginObject("serving");

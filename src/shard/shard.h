@@ -16,9 +16,7 @@
 #define DYNMIS_SRC_SHARD_SHARD_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -30,16 +28,6 @@
 #include "src/graph/update_stream.h"
 
 namespace dynmis {
-
-// One maintainer solution-status transition (`in` is the absolute
-// membership after the flip, so replaying a stream is idempotent and only
-// per-vertex ordering matters). Shards batch these per executed command and
-// ship them to the asynchronous CutEdgeResolver.
-struct StatusTransition {
-  VertexId v;
-  uint8_t in;
-};
-using StatusTransitionBatch = std::vector<StatusTransition>;
 
 class Shard {
  public:
@@ -68,16 +56,6 @@ class Shard {
   // construct the maintainer over it. Returns false when the registry does
   // not know `config.algorithm`.
   bool BuildMaintainer(const MaintainerConfig& config);
-
-  // Routes the maintainer's status transitions to `sink`, called on the
-  // worker thread with the batch each executed command produced (one call
-  // per non-empty command, after the command's last op — so a WaitIdle()
-  // that follows the sink's downstream processing sees every transition of
-  // every posted block). Install before Start(); engine thread only.
-  // Returns false — leaving no sink installed — when the maintainer cannot
-  // report transitions (the wholesale-rebuild baselines), in which case the
-  // caller must fall back to barrier-time solution collection.
-  bool SetTransitionSink(std::function<void(StatusTransitionBatch&&)> sink);
 
   // Spawns the worker thread. Requires BuildMaintainer() to have succeeded.
   void Start();
@@ -111,17 +89,8 @@ class Shard {
   void Loop();
   void Execute(Command& command);
 
-  // Maintainer status-observer trampoline: appends to outgoing_. Fires on
-  // whichever thread applies updates — the worker after Start(), the
-  // engine thread during pre-start initialization (both race-free: thread
-  // creation orders pre-start writes before the worker's reads).
-  static void BufferTransition(void* ctx, VertexId v, bool in);
-
   DynamicGraph graph_;
   std::unique_ptr<DynamicMisMaintainer> maintainer_;
-
-  std::function<void(StatusTransitionBatch&&)> transition_sink_;
-  StatusTransitionBatch outgoing_;
 
   std::thread thread_;
   std::mutex mutex_;

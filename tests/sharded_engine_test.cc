@@ -403,7 +403,7 @@ EdgeListGraph ClusteredGraph(int clusters, int cluster_size,
 // conflicts the shards' solutions accumulate meet the resolver all at once:
 // the one barrier at the end must repair them into a maximal independent
 // set of the global graph.
-TEST(ShardedEngineTest, AsyncResolverDrainsBacklogBeforeBarrier) {
+TEST(ShardedEngineTest, OneBarrierRepairsUnbrokenStream) {
   const EdgeListGraph base = SmallGraph(47);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 600, 53);
 
@@ -424,42 +424,6 @@ TEST(ShardedEngineTest, AsyncResolverDrainsBacklogBeforeBarrier) {
   EXPECT_GT(engine->ShardStats().conflicts, 0);
 }
 
-// Both resolver modes maintain the verified-maximal invariant on the same
-// trace, and at S=1 (no cut edges, so the resolver never repairs anything)
-// they reproduce the single engine's solution bit-for-bit.
-TEST(ShardedEngineTest, SequentialResolverFallbackMatchesInvariants) {
-  const EdgeListGraph base = SmallGraph(59);
-  const std::vector<GraphUpdate> trace = ChurnTrace(base, 400, 61);
-
-  for (const bool async : {false, true}) {
-    ShardedEngineOptions options = Opts(4);
-    options.async_resolver = async;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    ASSERT_NE(engine, nullptr);
-    engine->Initialize();
-    DynamicGraph replica = base.ToDynamic();
-    for (const GraphUpdate& update : trace) {
-      engine->Apply(update);
-      ApplyUpdate(&replica, update);
-    }
-    EXPECT_TRUE(IsMaximalIndependentSet(replica, engine->Solution()))
-        << (async ? "async" : "sequential");
-    EXPECT_EQ(engine->ShardStats().async_resolver, async);
-  }
-
-  std::vector<VertexId> solutions[2];
-  for (const bool async : {false, true}) {
-    ShardedEngineOptions options = Opts(1);
-    options.async_resolver = async;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    ASSERT_NE(engine, nullptr);
-    engine->Initialize();
-    for (const GraphUpdate& update : trace) engine->Apply(update);
-    solutions[async ? 1 : 0] = engine->Solution();
-  }
-  EXPECT_EQ(solutions[0], solutions[1]);
-}
-
 // FNV-1a over the four little-endian bytes of `word`.
 uint64_t Fold(uint64_t h, uint32_t word) {
   for (int i = 0; i < 4; ++i) {
@@ -472,9 +436,8 @@ uint64_t Fold(uint64_t h, uint32_t word) {
 // Pins the barrier pass at S > 1, where it repairs real conflicts: on a TTL
 // stream over the serve layer's smoke graph, every 512-op barrier's
 // solution (its size, then its ids) folds into one FNV-1a chain per
-// configuration, under hash and range plans at S = 2 and 4. Both resolver
-// modes reproduce the same chains.
-TEST(ShardedEngineTest, AsyncAndSequentialResolversAgreeOnWindowStream) {
+// configuration, under hash and range plans at S = 2 and 4.
+TEST(ShardedEngineTest, WindowStreamBarrierSolutionsArePinned) {
   const EdgeListGraph base = serve::BuildServeWorkloadGraph("smoke");
   ingest::TemporalStreamOptions window = serve::ServeWorkloadWindow("temporal");
   window.ttl_ticks = 512;
@@ -493,37 +456,33 @@ TEST(ShardedEngineTest, AsyncAndSequentialResolversAgreeOnWindowStream) {
       {4, PartitionStrategy::kRange, 0x6271926eed754ad1ULL},
   };
   for (const Pin& pin : pins) {
-    for (const bool async : {false, true}) {
-      ShardedEngineOptions options = Opts(pin.shards, pin.strategy);
-      options.async_resolver = async;
-      auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-      ASSERT_NE(engine, nullptr);
-      engine->Initialize();
-      uint64_t h = 0xcbf29ce484222325ULL;
-      int barriers = 0;
-      for (size_t begin = 0; begin < stream.size(); begin += kBarrier) {
-        const size_t end = std::min(stream.size(), begin + kBarrier);
-        engine->ApplyBatch(std::vector<GraphUpdate>(
-            stream.begin() + static_cast<std::ptrdiff_t>(begin),
-            stream.begin() + static_cast<std::ptrdiff_t>(end)));
-        const std::vector<VertexId> solution = engine->Solution();
-        h = Fold(h, static_cast<uint32_t>(solution.size()));
-        for (const VertexId v : solution) h = Fold(h, static_cast<uint32_t>(v));
-        ++barriers;
-      }
-      EXPECT_EQ(barriers, 79);
-      EXPECT_EQ(h, pin.hash)
-          << "S=" << pin.shards << " plan " << static_cast<int>(pin.strategy)
-          << (async ? " async" : " sequential") << ": 0x" << std::hex << h;
+    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"},
+                                           Opts(pin.shards, pin.strategy));
+    ASSERT_NE(engine, nullptr);
+    engine->Initialize();
+    uint64_t h = 0xcbf29ce484222325ULL;
+    int barriers = 0;
+    for (size_t begin = 0; begin < stream.size(); begin += kBarrier) {
+      const size_t end = std::min(stream.size(), begin + kBarrier);
+      engine->ApplyBatch(std::vector<GraphUpdate>(
+          stream.begin() + static_cast<std::ptrdiff_t>(begin),
+          stream.begin() + static_cast<std::ptrdiff_t>(end)));
+      const std::vector<VertexId> solution = engine->Solution();
+      h = Fold(h, static_cast<uint32_t>(solution.size()));
+      for (const VertexId v : solution) h = Fold(h, static_cast<uint32_t>(v));
+      ++barriers;
     }
+    EXPECT_EQ(barriers, 79);
+    EXPECT_EQ(h, pin.hash) << "S=" << pin.shards << " plan "
+                           << static_cast<int>(pin.strategy) << ": 0x"
+                           << std::hex << h;
   }
 }
 
-// Replay determinism extends to the locality plan under the asynchronous
-// resolver: block size, batch chopping, and mid-stream barriers must not
-// change the final solution (the plan assigns ids in stream order, which
-// is identical across runs).
-TEST(ShardedEngineTest, LocalityPlanDeterministicReplayWithAsyncResolver) {
+// Replay determinism extends to the locality plan: block size, batch
+// chopping, and mid-stream barriers must not change the final solution
+// (the plan assigns ids in stream order, which is identical across runs).
+TEST(ShardedEngineTest, LocalityPlanDeterministicReplay) {
   const EdgeListGraph base = SmallGraph(67);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 71);
 
