@@ -49,7 +49,6 @@ DynamicGraph::DynamicGraph(int n) {
   vertices_.resize(static_cast<size_t>(n));
   for (VertexRec& rec : vertices_) rec.degree = 0;
   num_vertices_ = n;
-  degree_count_.assign(1, n);
 }
 
 void DynamicGraph::Reserve(int n, int64_t m) {
@@ -86,19 +85,12 @@ void DynamicGraph::ReserveDegree(VertexId v, int degree) {
   if (!evac_queue_.empty()) Evacuate();
 }
 
-void DynamicGraph::DegreeChanged(int old_degree, int new_degree) {
-  --degree_count_[old_degree];
-  if (new_degree >= static_cast<int>(degree_count_.size())) {
-    degree_count_.resize(new_degree + 1, 0);
+int DynamicGraph::MaxDegree() const {
+  int max_degree = 0;
+  for (const VertexRec& rec : vertices_) {
+    max_degree = std::max(max_degree, static_cast<int>(rec.degree));
   }
-  ++degree_count_[new_degree];
-  if (new_degree > max_degree_) {
-    max_degree_ = new_degree;
-  } else if (old_degree == max_degree_ && degree_count_[old_degree] == 0) {
-    // Amortized O(1): every decrement of max_degree_ is paid for by an
-    // earlier unit increment in the branch above.
-    while (max_degree_ > 0 && degree_count_[max_degree_] == 0) --max_degree_;
-  }
+  return max_degree;
 }
 
 void DynamicGraph::QueueVertexId(VertexId v) {
@@ -148,8 +140,6 @@ VertexId DynamicGraph::AddVertex() {
   }
   vertices_[v].degree = 0;
   ++num_vertices_;
-  if (degree_count_.empty()) degree_count_.assign(1, 0);
-  ++degree_count_[0];
   return v;
 }
 
@@ -171,7 +161,6 @@ void DynamicGraph::RemoveVertex(VertexId v) {
       PushFreeEdge(entry.edge);
       --num_edges_;
       --vertices_[v].degree;
-      DegreeChanged(vertices_[v].degree + 1, vertices_[v].degree);
       DropEntry(w, pos_w);
     }
     FreeBlock(vertices_[v].block, vertices_[v].cls);
@@ -180,7 +169,6 @@ void DynamicGraph::RemoveVertex(VertexId v) {
     vertices_[v].cls = kNoBlock;
   }
   DYNMIS_DCHECK(vertices_[v].degree == 0);
-  --degree_count_[0];
   vertices_[v].degree = -1;
   free_vertices_.push_back(v);
   --num_vertices_;
@@ -279,7 +267,6 @@ int32_t DynamicGraph::Append(VertexId x, VertexId nbr, EdgeId e) {
   }
   Entries(x)[a.len] = Entry{nbr, e};
   ++a.degree;
-  DegreeChanged(a.degree - 1, a.degree);
   return a.len++;
 }
 
@@ -288,7 +275,6 @@ void DynamicGraph::DropEntry(VertexId x, int32_t pos) {
   Entry* entries = Entries(x);
   entries[pos].nbr = kInvalidVertex;
   const int32_t degree = --a.degree;
-  DegreeChanged(degree + 1, degree);
   if (degree == 0) {
     Compact(x);  // Frees the block.
     return;
@@ -526,8 +512,7 @@ size_t DynamicGraph::MemoryUsageBytes() const {
          NestedVectorBytes(pages_) + VectorBytes(page_info_) +
          VectorBytes(free_pages_) + VectorBytes(evac_queue_) +
          NestedVectorBytes(edge_pages_) +
-         VectorBytes(free_vertices_) + VectorBytes(degree_count_) +
-         VectorBytes(queued_ids_);
+         VectorBytes(free_vertices_) + VectorBytes(queued_ids_);
 }
 
 void DynamicGraph::SaveTo(SnapshotWriter* w) const {
@@ -758,17 +743,6 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   loaded.free_vertices_ = std::move(free_v);
   loaded.num_vertices_ = static_cast<int>(nv);
   loaded.num_edges_ = ne;
-  // The degree histogram is derived state: rebuild it in O(n) rather than
-  // trusting (and having to cross-validate) a persisted copy.
-  int max_degree = 0;
-  for (int32_t v = 0; v < vcap; ++v) {
-    if (degrees[v] > max_degree) max_degree = degrees[v];
-  }
-  loaded.degree_count_.assign(static_cast<size_t>(max_degree) + 1, 0);
-  for (int32_t v = 0; v < vcap; ++v) {
-    if (degrees[v] >= 0) ++loaded.degree_count_[degrees[v]];
-  }
-  loaded.max_degree_ = max_degree;
   *this = std::move(loaded);
   return true;
 }

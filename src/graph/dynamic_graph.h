@@ -104,11 +104,9 @@ class DynamicGraph {
     return vertices_[v].degree;
   }
 
-  // Maximum degree over alive vertices. O(1) and always exact: a degree
-  // histogram is maintained incrementally (the former implementation kept a
-  // lazy upper bound and recomputed with an O(n) scan whenever the bound
-  // may have decreased).
-  int MaxDegree() const { return max_degree_; }
+  // Maximum degree over alive vertices: an exact O(n) scan of the vertex
+  // records (a dead record's degree is -1).
+  int MaxDegree() const;
 
   // Pre-sizes the per-vertex arrays for `n` vertices and allocates the
   // edge-record pages for ids below `m` and shared adjacency pages for 2m
@@ -351,9 +349,6 @@ class DynamicGraph {
 
   void PushFreeEdge(EdgeId e);
 
-  // Degree histogram bookkeeping for the O(1) exact MaxDegree().
-  void DegreeChanged(int old_degree, int new_degree);
-
   std::vector<VertexRec> vertices_;
   // Slab pages: shared pages of kPageEntries entries, and chunks holding
   // one array of a class above kMaxSharedCap. free_pages_ holds recycled
@@ -379,10 +374,6 @@ class DynamicGraph {
   size_t queued_head_ = 0;
   int num_vertices_ = 0;
   int64_t num_edges_ = 0;
-  // degree_count_[d]: number of alive vertices with degree d (maintained
-  // for d <= max_degree_; the vector never shrinks).
-  std::vector<int32_t> degree_count_;
-  int max_degree_ = 0;
   int64_t relocations_ = 0;
 };
 

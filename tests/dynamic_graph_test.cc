@@ -168,8 +168,8 @@ TEST(DynamicGraphTest, MaxDegreeTracksChanges) {
 }
 
 TEST(DynamicGraphTest, MaxDegreeMatchesBruteForceUnderChurn) {
-  // The degree histogram behind the O(1) MaxDegree() must stay exact
-  // through arbitrary interleavings of edge and vertex churn.
+  // MaxDegree() must stay exact through arbitrary interleavings of edge
+  // and vertex churn.
   Rng rng(31);
   DynamicGraph g(40);
   for (int step = 0; step < 3000; ++step) {
