@@ -791,7 +791,8 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
       std::printf(
           "  sharded x%-3d %-8s %9.0f ops/s  cut=%4.1f%%  "
           "barrier=%6.1fms  |I|=%lld (%.3f of greedy)  %s\n",
-          r.shards, r.partition.c_str(), r.ops_per_sec, r.cut_edge_fraction * 100, r.barrier_seconds * 1e3,
+          r.shards, r.partition.c_str(), r.ops_per_sec,
+          r.cut_edge_fraction * 100, r.barrier_seconds * 1e3,
           static_cast<long long>(r.final_solution_size), r.quality_vs_greedy,
           r.verified_independent ? "verified" : "NOT INDEPENDENT");
     };

@@ -63,9 +63,9 @@ class DynamicMisMaintainer {
   // immediately after the membership flip, on whatever thread applies the
   // update. Passing nullptr uninstalls. Returns false when the maintainer
   // cannot report transitions (the baselines, which rebuild solutions
-  // wholesale); callers must then fall back to polling Solution(). The
-  // sharded engine uses this to ship MoveIn/MoveOut events to its
-  // asynchronous cut-edge resolver as they happen.
+  // wholesale); callers must then fall back to polling Solution(). Its
+  // user is perfbench's layer ladder, which counts transitions per update
+  // (`core.transitions_per_update`).
   using StatusObserverFn = void (*)(void* ctx, VertexId v, bool in);
   virtual bool SetStatusObserver(StatusObserverFn fn, void* ctx) {
     (void)fn;

@@ -141,8 +141,8 @@ class MisState {
   // Called on every MoveIn (`in` = true) / MoveOut (`in` = false), after the
   // membership flip. A plain function pointer + context rather than a
   // std::function: the hook sits on the hottest path in the library and must
-  // cost one predictable branch when unset. The sharded engine's shards use
-  // it to ship status transitions to the asynchronous cut-edge resolver.
+  // cost one predictable branch when unset. Its user is perfbench's layer
+  // ladder, which counts transitions per update.
   using StatusObserverFn = void (*)(void* ctx, VertexId v, bool in);
   void SetStatusObserver(StatusObserverFn fn, void* ctx) {
     status_observer_ = fn;
