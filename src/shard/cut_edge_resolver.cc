@@ -184,36 +184,6 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   // in arbitrary order costs several percent of solution quality.
   for (const VertexId v : conflicted_) in_sol_[v] = 0;
   SortByDegree(&conflicted_);
-  RepairAndPolish(plan, shards, &result);
-  return result;
-}
-
-void CutEdgeResolver::FillDegrees(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards) {
-  const int capacity = VertexCapacity();
-  degree_.resize(static_cast<size_t>(capacity));
-  for (VertexId v = 0; v < capacity; ++v) {
-    degree_[v] = alive_[v] ? shards[plan.ShardOf(v)]->graph().Degree(v) +
-                                 CutDegree(v)
-                           : 0;
-  }
-}
-
-void CutEdgeResolver::SortByDegree(std::vector<VertexId>* vertices) const {
-  std::sort(vertices->begin(), vertices->end(), [&](VertexId a, VertexId b) {
-    return degree_[a] != degree_[b] ? degree_[a] < degree_[b] : a < b;
-  });
-}
-
-void CutEdgeResolver::RepairAndPolish(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards, Resolution* result) {
-  const int capacity = VertexCapacity();
-
-  // Confirm pass (conflicted_ sorted ascending by total degree, all
-  // unmarked): a vertex re-enters when no already-confirmed cut neighbor
-  // blocks it, so low-degree vertices win their conflicts.
   evicted_.clear();
   for (const VertexId v : conflicted_) {
     bool free = true;
@@ -224,7 +194,7 @@ void CutEdgeResolver::RepairAndPolish(
       evicted_.push_back(v);
     }
   }
-  result->evictions = static_cast<int64_t>(evicted_.size());
+  result.evictions = static_cast<int64_t>(evicted_.size());
 
   // Re-extension candidates: each eviction plus its full neighborhood
   // (intra neighbors come from the owning shard's graph, cut neighbors
@@ -258,108 +228,135 @@ void CutEdgeResolver::RepairAndPolish(
     }
     if (!free) continue;
     in_sol_[c] = 1;
-    ++result->readded;
+    ++result.readded;
   }
 
-  // Polish: 1-swap restoration over the stitched solution (the move behind
-  // paper Algorithm 2). The overlay is maximal, but stitching per-shard
-  // views can leave a member v whose exclusively-covered neighborhood
-  // bar1(v) = {u : N(u) cap I = {v}} holds an independent pair — swapping
-  // v out for the pair grows the solution by one. A few passes recover the
-  // quality the shard-local view gave up to cut-edge blindness (measured
-  // on the hard scenario: 0.95 -> 0.99+ of the greedy reference). Skipped
-  // when no cut edges exist: every shard solution is then already
-  // k-maximal on its full graph, so no 1-swap can exist — which also keeps
-  // the S=1 degenerate engine bit-identical to the single engine.
-  if (num_edges_ > 0) {
-    auto for_each_neighbor = [&](VertexId v, auto&& fn) {
-      shards[plan.ShardOf(v)]->graph().ForEachIncident(
-          v, [&](VertexId u, EdgeId) { fn(u); });
-      for (const Half& h : adjacency_[v]) fn(h.to);
-    };
-    auto adjacent = [&](VertexId a, VertexId b) {
-      const int sa = plan.ShardOf(a);
-      if (sa == plan.ShardOf(b)) return shards[sa]->graph().HasEdge(a, b);
-      return HasCutEdge(a, b);
-    };
-    // count_[u]: solution neighbors of u (members have 0 by
-    // independence). One eager pass over the members' neighborhoods
-    // materializes every count, and each polish mutation keeps them
-    // exact — so the bar1 collection below reads counts in O(1) instead
-    // of rescanning the neighborhood of every vertex it visits, which
-    // was the dominant barrier cost (deg^2 per polished member).
-    count_.assign(static_cast<size_t>(capacity), 0);
-    for (VertexId v = 0; v < capacity; ++v) {
-      if (!in_sol_[v]) continue;
-      for_each_neighbor(v, [&](VertexId u) { ++count_[u]; });
-    }
-    auto bump = [&](VertexId u, int32_t delta) { count_[u] += delta; };
-    auto add = [&](VertexId a) {
-      in_sol_[a] = 1;
-      for_each_neighbor(a, [&](VertexId u) { bump(u, 1); });
-    };
+  result.swaps = Polish(plan, shards);
 
-    constexpr int kMaxPasses = 3;
-    constexpr size_t kPairPool = 16;
-    for (int pass = 0; pass < kMaxPasses; ++pass) {
-      // Each pass visits the members it starts with in ascending id order;
-      // vertices a swap adds wait for the next pass.
-      members_.clear();
-      for (VertexId v = 0; v < capacity; ++v) {
-        if (in_sol_[v]) members_.push_back(v);
-      }
-      int64_t swaps_this_pass = 0;
-      for (const VertexId v : members_) {
-        if (!in_sol_[v]) continue;  // Swapped out earlier this pass.
-        bar1_.clear();
-        for_each_neighbor(v, [&](VertexId u) {
-          // count == 1 and adjacent to the member v: v is u's only
-          // solution neighbor.
-          if (count_[u] == 1) bar1_.push_back(u);
-        });
-        if (bar1_.size() < 2) continue;
-        // Min-degree order: the swap prefers the vertices a min-degree
-        // greedy would keep. Only the first kPairPool entries enter the
-        // quadratic pair search (bounding hub-sized bar1 sets), but the
-        // FULL list stays: every exclusively-covered neighbor loses its
-        // cover when v leaves and must get the chance to rejoin below —
-        // dropping the tail here would leave it uncovered and break the
-        // maximality guarantee.
-        SortByDegree(&bar1_);
-        const size_t pool = std::min(bar1_.size(), kPairPool);
-        VertexId first = kInvalidVertex;
-        VertexId second = kInvalidVertex;
-        for (size_t i = 0; i < pool && second == kInvalidVertex; ++i) {
-          for (size_t j = i + 1; j < pool; ++j) {
-            if (!adjacent(bar1_[i], bar1_[j])) {
-              first = bar1_[i];
-              second = bar1_[j];
-              break;
-            }
+  result.solution.reserve(static_cast<size_t>(num_vertices_));
+  for (VertexId v = 0; v < capacity; ++v) {
+    if (in_sol_[v]) result.solution.push_back(v);
+  }
+  return result;
+}
+
+void CutEdgeResolver::FillDegrees(
+    const PartitionPlan& plan,
+    const std::vector<std::unique_ptr<Shard>>& shards) {
+  const int capacity = VertexCapacity();
+  degree_.resize(static_cast<size_t>(capacity));
+  for (VertexId v = 0; v < capacity; ++v) {
+    degree_[v] = alive_[v] ? shards[plan.ShardOf(v)]->graph().Degree(v) +
+                                 CutDegree(v)
+                           : 0;
+  }
+}
+
+void CutEdgeResolver::SortByDegree(std::vector<VertexId>* vertices) const {
+  std::sort(vertices->begin(), vertices->end(), [&](VertexId a, VertexId b) {
+    return degree_[a] != degree_[b] ? degree_[a] < degree_[b] : a < b;
+  });
+}
+
+// Polish: 1-swap restoration over the stitched solution (the move behind
+// paper Algorithm 2). The overlay is maximal, but stitching per-shard
+// views can leave a member v whose exclusively-covered neighborhood
+// bar1(v) = {u : N(u) cap I = {v}} holds an independent pair — swapping
+// v out for the pair grows the solution by one. A few passes recover the
+// quality the shard-local view gave up to cut-edge blindness (measured
+// on the hard scenario: 0.95 -> 0.99+ of the greedy reference). Skipped
+// when no cut edges exist: every shard solution is then already
+// k-maximal on its full graph, so no 1-swap can exist — which also keeps
+// the S=1 degenerate engine bit-identical to the single engine.
+int64_t CutEdgeResolver::Polish(
+    const PartitionPlan& plan,
+    const std::vector<std::unique_ptr<Shard>>& shards) {
+  if (num_edges_ == 0) return 0;
+  const int capacity = VertexCapacity();
+  auto for_each_neighbor = [&](VertexId v, auto&& fn) {
+    shards[plan.ShardOf(v)]->graph().ForEachIncident(
+        v, [&](VertexId u, EdgeId) { fn(u); });
+    for (const Half& h : adjacency_[v]) fn(h.to);
+  };
+  auto adjacent = [&](VertexId a, VertexId b) {
+    const int sa = plan.ShardOf(a);
+    if (sa == plan.ShardOf(b)) return shards[sa]->graph().HasEdge(a, b);
+    return HasCutEdge(a, b);
+  };
+  // count_[u]: solution neighbors of u (members have 0 by
+  // independence). One eager pass over the members' neighborhoods
+  // materializes every count, and each polish mutation keeps them
+  // exact — so the bar1 collection below reads counts in O(1) instead
+  // of rescanning the neighborhood of every vertex it visits, which
+  // was the dominant barrier cost (deg^2 per polished member).
+  count_.assign(static_cast<size_t>(capacity), 0);
+  for (VertexId v = 0; v < capacity; ++v) {
+    if (!in_sol_[v]) continue;
+    for_each_neighbor(v, [&](VertexId u) { ++count_[u]; });
+  }
+  auto bump = [&](VertexId u, int32_t delta) { count_[u] += delta; };
+  auto add = [&](VertexId a) {
+    in_sol_[a] = 1;
+    for_each_neighbor(a, [&](VertexId u) { bump(u, 1); });
+  };
+
+  constexpr int kMaxPasses = 3;
+  constexpr size_t kPairPool = 16;
+  int64_t swaps = 0;
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
+    // Each pass visits the members it starts with in ascending id order;
+    // vertices a swap adds wait for the next pass.
+    members_.clear();
+    for (VertexId v = 0; v < capacity; ++v) {
+      if (in_sol_[v]) members_.push_back(v);
+    }
+    int64_t swaps_this_pass = 0;
+    for (const VertexId v : members_) {
+      if (!in_sol_[v]) continue;  // Swapped out earlier this pass.
+      bar1_.clear();
+      for_each_neighbor(v, [&](VertexId u) {
+        // count == 1 and adjacent to the member v: v is u's only
+        // solution neighbor.
+        if (count_[u] == 1) bar1_.push_back(u);
+      });
+      if (bar1_.size() < 2) continue;
+      // Min-degree order: the swap prefers the vertices a min-degree
+      // greedy would keep. Only the first kPairPool entries enter the
+      // quadratic pair search (bounding hub-sized bar1 sets), but the
+      // FULL list stays: every exclusively-covered neighbor loses its
+      // cover when v leaves and must get the chance to rejoin below —
+      // dropping the tail here would leave it uncovered and break the
+      // maximality guarantee.
+      SortByDegree(&bar1_);
+      const size_t pool = std::min(bar1_.size(), kPairPool);
+      VertexId first = kInvalidVertex;
+      VertexId second = kInvalidVertex;
+      for (size_t i = 0; i < pool && second == kInvalidVertex; ++i) {
+        for (size_t j = i + 1; j < pool; ++j) {
+          if (!adjacent(bar1_[i], bar1_[j])) {
+            first = bar1_[i];
+            second = bar1_[j];
+            break;
           }
         }
-        if (second == kInvalidVertex) continue;  // The pool is a clique.
-        in_sol_[v] = 0;
-        for_each_neighbor(v, [&](VertexId u) { bump(u, -1); });
-        add(first);
-        add(second);
-        // Every other exclusively-covered neighbor freed by v's departure
-        // and not blocked by the pair joins too (full list, not the pool:
-        // anything left at count 0 would make the result non-maximal).
-        for (const VertexId w : bar1_) {
-          if (!in_sol_[w] && count_[w] == 0) add(w);
-        }
-        ++swaps_this_pass;
       }
-      result->swaps += swaps_this_pass;
-      if (swaps_this_pass == 0) break;
+      if (second == kInvalidVertex) continue;  // The pool is a clique.
+      in_sol_[v] = 0;
+      for_each_neighbor(v, [&](VertexId u) { bump(u, -1); });
+      add(first);
+      add(second);
+      // Every other exclusively-covered neighbor freed by v's departure
+      // and not blocked by the pair joins too (full list, not the pool:
+      // anything left at count 0 would make the result non-maximal).
+      for (const VertexId w : bar1_) {
+        if (!in_sol_[w] && count_[w] == 0) add(w);
+      }
+      ++swaps_this_pass;
     }
+    swaps += swaps_this_pass;
+    if (swaps_this_pass == 0) break;
   }
-
-  result->solution.reserve(static_cast<size_t>(num_vertices_));
-  for (VertexId v = 0; v < capacity; ++v) {
-    if (in_sol_[v]) result->solution.push_back(v);
-  }
+  return swaps;
 }
 
 // --- Snapshots ---------------------------------------------------------------

@@ -192,13 +192,10 @@ class CutEdgeResolver {
   // order. Ids are distinct, so the order is total.
   void SortByDegree(std::vector<VertexId>* vertices) const;
 
-  // Repair tail of Resolve(). Expects degree_ filled and in_sol_ to hold
-  // the overlay with `conflicted_` unmarked and sorted by (degree, id):
-  // greedy confirm, re-extension of the evicted neighborhoods, 1-swap
-  // polish over every member, solution collection.
-  void RepairAndPolish(const PartitionPlan& plan,
-                       const std::vector<std::unique_ptr<Shard>>& shards,
-                       Resolution* result);
+  // The 1-swap polish over the repaired solution in in_sol_ (degree_
+  // filled); returns the swaps made.
+  int64_t Polish(const PartitionPlan& plan,
+                 const std::vector<std::unique_ptr<Shard>>& shards);
 
   // --- Id space -------------------------------------------------------------
   std::vector<uint8_t> alive_;
