@@ -478,7 +478,6 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
 
   ShardedEngineOptions options;
   options.num_shards = shards;
-  options.block_ops = batch_size;
   options.partition = partition;
   auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
   DYNMIS_CHECK(engine != nullptr);
@@ -486,14 +485,15 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
 
   // Timed region: routing + shard work + every barrier and resolution
   // pass, so the repair cost is charged to the throughput number. The
-  // sequence is applied in chunks with a CollectSolution barrier after
-  // each one — the cadence a served workload imposes through periodic
-  // queries. barrier_seconds accumulates the wall time of all barriers.
-  constexpr size_t kBarrierEveryOps = 8192;
+  // sequence is applied in chunks of `batch_size` ops with a
+  // CollectSolution barrier after each one — the cadence a served workload
+  // imposes through periodic queries. barrier_seconds accumulates the wall
+  // time of all barriers.
   Timer timer;
   std::vector<VertexId> solution;
   for (size_t begin = 0; begin < updates.size();) {
-    const size_t end = std::min(updates.size(), begin + kBarrierEveryOps);
+    const size_t end =
+        std::min(updates.size(), begin + static_cast<size_t>(batch_size));
     engine->ApplyBatch({updates.begin() + static_cast<ptrdiff_t>(begin),
                         updates.begin() + static_cast<ptrdiff_t>(end)});
     Timer barrier_timer;
@@ -774,17 +774,13 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   }
 
   // Sharded measurement: the identical sequence through a vertex-
-  // partitioned multi-threaded engine — at 1 shard (the degenerate
-  // single-worker baseline), at the requested count under every partition
-  // plan (cut fraction and resolve cost are per-plan numbers).
+  // partitioned engine — at 1 shard (the degenerate baseline), at the
+  // requested count under every partition plan (cut fraction and resolve
+  // cost are per-plan numbers).
   ShardedRunResult sharded_base;
   ShardedRunResult sharded;
   std::vector<ShardedRunResult> plan_runs;
-  // Worker-block granularity for the sharded runs. Larger than the
-  // single-engine batch regime on purpose: each posted block wakes a
-  // worker, and on machines with few hardware threads the wakeup
-  // ping-pong between the routing thread and the workers costs more than
-  // block-level pipelining wins back.
+  // Ops per ApplyBatch chunk, and so per barrier, in the sharded runs.
   const int sharded_batch = 8192;
   if (sharded_shards > 1) {
     auto print_sharded = [&](const ShardedRunResult& r) {

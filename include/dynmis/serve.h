@@ -33,7 +33,7 @@
 // engine traffic.
 //
 // The server runs over either backend behind the ServingBackend adapter: a
-// single MisEngine, or a ShardedMisEngine with N worker shards. STATS
+// single MisEngine, or a ShardedMisEngine with N shards. STATS
 // reports the same EngineStats fields for both (plus a per-shard breakdown
 // for the sharded backend), wired from the same counters the bench driver's
 // observer hook uses. SNAPSHOT writes the PR-3 container online;
@@ -89,7 +89,7 @@ struct ServeOptions {
 
   // "engine" (single MisEngine) or "sharded" (ShardedMisEngine).
   std::string backend = "engine";
-  // Worker shards for the sharded backend (ignored by "engine").
+  // Shards of the sharded backend (ignored by "engine").
   int shards = 2;
   MaintainerConfig algo;
 
@@ -179,7 +179,7 @@ class ServingBackend {
 
   // "engine" or "sharded".
   virtual std::string Kind() const = 0;
-  // Worker shards (1 for the single engine).
+  // Shards (1 for the single engine).
   virtual int NumShards() const = 0;
   virtual UpdateResult ApplyBatch(const std::vector<GraphUpdate>& updates) = 0;
   virtual bool InSolution(VertexId v) = 0;

@@ -1,8 +1,7 @@
-// ShardedMisEngine: the multi-threaded, vertex-partitioned counterpart of
-// MisEngine. Vertices are split across S shards by a PartitionPlan (hash,
+// ShardedMisEngine: the vertex-partitioned counterpart of MisEngine.
+// Vertices are split across S shards by a PartitionPlan (hash,
 // contiguous-range, or streaming-greedy locality); each shard owns a
-// DynamicGraph of its intra-shard edges plus a registry maintainer, and
-// runs on a dedicated worker thread fed by a per-shard update queue.
+// DynamicGraph of its intra-shard edges plus a registry maintainer.
 // Cross-shard edges never enter a shard graph: the CutEdgeResolver tracks
 // them and repairs the conflicts they cause — evicting one endpoint of
 // each conflicting cut edge (deterministic lower-degree-wins rule),
@@ -10,24 +9,24 @@
 // so CollectSolution() always returns a verified independent set — in
 // fact a maximal one — of the global graph.
 //
-// Calls route updates asynchronously: Apply/ApplyBatch classify each op in
-// O(1), buffer cut-edge ops for the resolver in op order, and append
-// intra-shard ops to per-shard pending blocks that are posted to the
-// workers as they fill. Queries (Solution, Stats, SaveSnapshot, ...) impose
-// a barrier — post every pending block, apply the buffered cut ops while
-// the shards drain, wait for every queue, then resolve from the shards'
-// solutions. The final solution is a pure function of the update sequence:
-// neither thread scheduling nor block or barrier boundaries affect it, so
-// seeded runs replay identically (see tests/sharded_engine_test.cc),
-// because each shard applies its ops in order and the barrier pass sorts
-// every working set into a canonical order.
+// Everything runs on the caller's thread. Apply/ApplyBatch only route:
+// they classify each op in O(1), buffer cut-edge ops for the resolver in
+// op order, and append intra-shard ops to per-shard pending blocks.
+// Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier — apply
+// each shard's pending block, then the buffered cut ops, then resolve from
+// the shards' solutions. A shard whose pending block reaches a fixed cap
+// (1 << 16 ops) applies it during routing, so a caller that never queries
+// stays bounded. The final solution is a pure function of the update
+// sequence: neither block nor barrier boundaries affect it, so seeded runs
+// replay identically (see tests/sharded_engine_test.cc), because each
+// shard applies its ops in order and the barrier pass sorts every working
+// set into a canonical order.
 //
-// With S = 1 every edge is intra-shard and the single worker replays
-// exactly what a MisEngine would: the degenerate case reproduces the
+// With S = 1 every edge is intra-shard and the one shard applies exactly
+// the op sequence a MisEngine would: the degenerate case reproduces the
 // single-engine solution verbatim.
 //
-// The engine's own API is not thread-safe: one caller thread drives it
-// (the workers it owns are an implementation detail).
+// The engine is not thread-safe: one caller thread drives it.
 
 #ifndef DYNMIS_INCLUDE_DYNMIS_SHARDED_ENGINE_H_
 #define DYNMIS_INCLUDE_DYNMIS_SHARDED_ENGINE_H_
@@ -52,10 +51,6 @@ namespace dynmis {
 struct ShardedEngineOptions {
   int num_shards = 1;
   PartitionStrategy partition = PartitionStrategy::kHash;
-  // Pending intra-shard ops per shard before a block is posted to its
-  // worker. A throughput knob only: the maintained solution is independent
-  // of block boundaries.
-  int block_ops = 1024;
   // Ignored: the resolver has one mode, a pass over the shards' solutions
   // at each barrier. The field stays because existing callers assign it,
   // and snapshots still carry its byte.
@@ -84,7 +79,7 @@ class ShardedMisEngine {
  public:
   // Builds a sharded engine over `base` with the maintainer named by
   // `config.algorithm` in every shard. Returns nullptr when the name is
-  // not registered. Workers are running on return; call Initialize()
+  // not registered or the shard count is out of range. Call Initialize()
   // before applying updates.
   static std::unique_ptr<ShardedMisEngine> Create(
       const EdgeListGraph& base, MaintainerConfig config = {},
@@ -95,23 +90,21 @@ class ShardedMisEngine {
   // continues exactly where `global`'s would (future vertex inserts assign
   // identical ids). This is the online-resharding primitive: restore a
   // checkpoint, BuildGlobalGraph(), re-partition into a different shard
-  // count, replay the tail. Workers are running on return; call
-  // Initialize() before applying updates.
+  // count, replay the tail. Call Initialize() before applying updates.
   static std::unique_ptr<ShardedMisEngine> CreateFromGraph(
       const DynamicGraph& global, MaintainerConfig config = {},
       ShardedEngineOptions options = {});
 
   ~ShardedMisEngine();
 
-  // Initializes every shard's maintainer from the empty set (in parallel)
-  // and runs the first resolution.
+  // Initializes every shard's maintainer from the empty set, one shard
+  // after another, and runs the first resolution.
   void Initialize();
 
-  // --- Updates (asynchronous routing) ---------------------------------------
+  // --- Updates (routed; shard work runs at the next barrier) ----------------
 
-  // `seconds` in the returned UpdateResult measures routing/enqueue time on
-  // the calling thread; shard work proceeds concurrently until the next
-  // barrier.
+  // `seconds` in the returned UpdateResult measures routing, which includes
+  // shard work only when a pending block reaches the cap.
   UpdateResult Apply(const GraphUpdate& update);
   UpdateResult ApplyBatch(const std::vector<GraphUpdate>& updates);
 
@@ -122,9 +115,8 @@ class ShardedMisEngine {
   VertexId InsertVertex(const std::vector<VertexId>& neighbors);
   UpdateResult DeleteVertex(VertexId v);
 
-  // Posts all pending blocks, applies the buffered cut-edge ops, and blocks
-  // until every worker drained its queue (a barrier without a resolution
-  // pass).
+  // Applies every shard's pending block and the buffered cut-edge ops (a
+  // barrier without a resolution pass).
   void Flush();
 
   // --- Queries (impose a barrier + resolution when updates are pending) ----
@@ -147,8 +139,8 @@ class ShardedMisEngine {
   std::vector<EngineStats> PerShardStats();
 
   // Called once per Apply/ApplyBatch with the op count and the routing wall
-  // time (batch-latency semantics; per-op timing would serialize the very
-  // work the shards parallelize).
+  // time (batch-latency semantics: shard work is not timed per op, since
+  // it runs at the barrier).
   using UpdateObserver = std::function<void(int64_t applied, double seconds)>;
   void SetUpdateObserver(UpdateObserver observer) {
     observer_ = std::move(observer);
@@ -203,7 +195,8 @@ class ShardedMisEngine {
   // Classifies and routes one update; returns the assigned id for
   // kInsertVertex ops. Invalidates the cached resolution.
   VertexId Route(const GraphUpdate& update);
-  void PostPending(int shard);
+  // Applies the shard's pending block once it reaches the cap.
+  void ApplyIfFull(int shard);
   void Barrier();
   // Barrier + resolution pass (cached until the next routed update).
   void EnsureResolved();

@@ -14,7 +14,7 @@ CutEdgeResolver::CutEdgeResolver(int initial_vertices) {
   adjacency_.resize(static_cast<size_t>(initial_vertices));
 }
 
-// --- Id space (engine thread) ------------------------------------------------
+// --- Id space ----------------------------------------------------------------
 
 VertexId CutEdgeResolver::AddVertex() {
   VertexId v;

@@ -22,23 +22,25 @@
 // order-insensitive function of the edge set and the shard states.
 //
 // Cut-edge mutations from routed updates are buffered in op order and
-// applied by ApplyCutOps() at each barrier, after the engine has posted the
-// shards' blocks, so on several cores the store's upkeep overlaps the
-// shards' drain. Bulk loads (engine creation, snapshot restore) insert
-// directly.
+// applied by ApplyCutOps() at each barrier, after the shards' pending
+// blocks. Buffering keeps routing O(1) and the store's upkeep out of
+// ApplyBatch, whose latency callers time: applied at routing, the upkeep
+// put window-sharded's median write at 1.30x (bench/EXPERIMENTS.md, "One
+// cut-edge resolver"). Bulk loads (engine creation, snapshot restore)
+// insert directly.
 //
-// Resolve() is the barrier pass: with every shard worker idle and the
+// Resolve() is the barrier pass: with every shard's pending block and the
 // buffered ops applied, it repairs the union of the shards' local
 // solutions into a verified maximal independent set of the global graph —
 // min-degree greedy confirm over the vertices on conflicting cut edges,
 // re-extension of the evicted neighborhoods, and a bounded 1-swap polish
 // (paper Algorithm 2's move) over every member. Every working set is sorted
 // before use, so the result is a pure function of the shard solutions and
-// the edge sets — thread scheduling, barrier and block boundaries don't
-// matter. The min-degree orders (the conflicted set, the re-extension
-// candidates, each polished member's bar1) sort by (total degree, id), with
-// every total degree read once per pass into a flat array, since the
-// graphs stay fixed while a pass runs.
+// the edge sets — barrier and block boundaries don't matter. The
+// min-degree orders (the conflicted set, the re-extension candidates, each
+// polished member's bar1) sort by (total degree, id), with every total
+// degree read once per pass into a flat array, since the graphs stay fixed
+// while a pass runs.
 
 #ifndef DYNMIS_SRC_SHARD_CUT_EDGE_RESOLVER_H_
 #define DYNMIS_SRC_SHARD_CUT_EDGE_RESOLVER_H_
@@ -63,7 +65,7 @@ class CutEdgeResolver {
   CutEdgeResolver(const CutEdgeResolver&) = delete;
   CutEdgeResolver& operator=(const CutEdgeResolver&) = delete;
 
-  // --- Global id space (engine thread, applied in global op order) ---------
+  // --- Global id space (applied in global op order) -------------------------
 
   VertexId AddVertex();
   // Frees the id for recycling at once and buffers the drop of its cut
@@ -86,7 +88,7 @@ class CutEdgeResolver {
   void FreeVertexId(VertexId v);
   void InsertCutEdge(VertexId u, VertexId v);
 
-  // --- Cut-graph reads (engine thread; exact once ApplyCutOps() ran) -------
+  // --- Cut-graph reads (exact once ApplyCutOps() ran) -----------------------
 
   bool HasCutEdge(VertexId u, VertexId v) const {
     if (CutDegree(v) < CutDegree(u)) std::swap(u, v);
@@ -132,8 +134,8 @@ class CutEdgeResolver {
   };
 
   // The barrier pass: collects the overlay (the union of the shards' local
-  // solutions) and repairs it. Every worker in `shards` must be idle and
-  // ApplyCutOps() must have run since the last routed op.
+  // solutions) and repairs it. Every shard's pending block must have been
+  // applied, and ApplyCutOps() run, since the last routed op.
   Resolution Resolve(const PartitionPlan& plan,
                      const std::vector<std::unique_ptr<Shard>>& shards);
 

@@ -1,7 +1,7 @@
 // PartitionPlan: maps every vertex id to one of S shards. For the hash and
 // range strategies the mapping is a pure function of the id — O(1) routing
 // with zero lookup state, and a recycled id always lands back in the shard
-// that owned it, so per-shard update queues never need ownership hand-offs.
+// that owned it, so every op on one id goes to one shard's op sequence.
 //
 // Three strategies:
 //  * kHash: Fibonacci-hash the id, then mod S. Spreads any id distribution
@@ -14,12 +14,11 @@
 //    created, to the shard holding the plurality of its already-placed
 //    neighbors, subject to a balance cap; the assignment is recorded in an
 //    owner table, so the plan is stateful but lookup stays O(1). A recycled
-//    id keeps its previous owner: the id may still have in-flight ops in
-//    the old owner's queue, and reassigning it would split one vertex's
-//    status-transition stream across two shard producers (the asynchronous
-//    resolver relies on a single ordered producer per vertex). The owner
-//    table travels in snapshots (PartitionPlan::RestoreLocality), so a
-//    restored engine maps ids exactly as the saved one did.
+//    id keeps its previous owner and casts no second vote, so each id's
+//    placement is fixed at its first arrival and, as under hash and range,
+//    every op on the id goes to one shard's op sequence. The owner table
+//    travels in snapshots (PartitionPlan::RestoreLocality), so a restored
+//    engine maps ids exactly as the saved one did.
 
 #ifndef DYNMIS_SRC_SHARD_PARTITION_PLAN_H_
 #define DYNMIS_SRC_SHARD_PARTITION_PLAN_H_

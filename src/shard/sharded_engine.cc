@@ -12,9 +12,17 @@
 namespace dynmis {
 namespace {
 
-// A five-digit shard count in a snapshot is certainly corruption, and every
-// shard costs a thread.
+// A five-digit shard count in a snapshot is certainly corruption.
 constexpr int kMaxShards = 1024;
+
+// Pending ops a shard holds before routing applies them (about 4.7 MB of
+// GraphUpdates), so a caller that never queries stays bounded. A barrier
+// per admission batch or per 8192-op chunk never reaches it.
+constexpr size_t kMaxPendingOps = size_t{1} << 16;
+
+// The snapshot slot of the deleted block_ops option: written as its old
+// default and checked >= 1 on load, so snapshots load in both directions.
+constexpr int32_t kLegacyBlockOps = 1024;
 
 std::string ShardPrefix(int shard) {
   return "shard" + std::to_string(shard) + "/";
@@ -56,8 +64,7 @@ ShardedMisEngine::~ShardedMisEngine() = default;
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Create(
     const EdgeListGraph& base, MaintainerConfig config,
     ShardedEngineOptions options) {
-  if (options.num_shards < 1 || options.num_shards > kMaxShards ||
-      options.block_ops < 1) {
+  if (options.num_shards < 1 || options.num_shards > kMaxShards) {
     return nullptr;
   }
   PartitionPlan plan =
@@ -100,15 +107,13 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Create(
   for (auto& shard : engine->shards_) {
     if (!shard->BuildMaintainer(engine->config_)) return nullptr;
   }
-  for (auto& shard : engine->shards_) shard->Start();
   return engine;
 }
 
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
     const DynamicGraph& global, MaintainerConfig config,
     ShardedEngineOptions options) {
-  if (options.num_shards < 1 || options.num_shards > kMaxShards ||
-      options.block_ops < 1) {
+  if (options.num_shards < 1 || options.num_shards > kMaxShards) {
     return nullptr;
   }
   const int capacity = global.VertexCapacity();
@@ -159,12 +164,11 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
   for (auto& shard : engine->shards_) {
     if (!shard->BuildMaintainer(engine->config_)) return nullptr;
   }
-  for (auto& shard : engine->shards_) shard->Start();
   return engine;
 }
 
 void ShardedMisEngine::Initialize() {
-  for (auto& shard : shards_) shard->PostInitialize();
+  for (auto& shard : shards_) shard->maintainer().Initialize({});
   resolved_ = false;
   EnsureResolved();
 }
@@ -172,13 +176,13 @@ void ShardedMisEngine::Initialize() {
 VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
   // Edge ops are appended field-wise rather than copied: the GraphUpdate
   // copy constructor drags the (empty) neighbors vector along, and this
-  // append runs for every intra-shard op on the engine thread.
+  // append runs for every intra-shard op.
   auto append_edge_op = [&](int shard) {
     GraphUpdate& slot = pending_[shard].updates.emplace_back();
     slot.kind = update.kind;
     slot.u = update.u;
     slot.v = update.v;
-    PostPending(shard);
+    ApplyIfFull(shard);
   };
   switch (update.kind) {
     case UpdateKind::kInsertEdge: {
@@ -206,7 +210,7 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
       const VertexId id = resolver_.AddVertex();
       // A locality plan places a never-before-seen id now, voting with the
       // vertex's current neighbors; a recycled id keeps its previous owner
-      // (in-flight queue consistency depends on it).
+      // (see PartitionPlan).
       if (plan_.assigns_on_insert() && !plan_.HasOwner(id)) {
         plan_.AssignVertex(id, update.neighbors);
       }
@@ -223,15 +227,14 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
       }
       pending_[s].updates.push_back(std::move(local));
       pending_[s].insert_ids.push_back(id);
-      PostPending(s);
+      ApplyIfFull(s);
       return id;
     }
     case UpdateKind::kDeleteVertex: {
       const int s = plan_.ShardOf(update.u);
       // Frees the global id for recycling at once and buffers the drop of
       // its cut edges (a recycled id maps back to the same shard, so the
-      // shard's queue order keeps delete-then-reinsert sequences
-      // consistent).
+      // shard's op order keeps delete-then-reinsert sequences consistent).
       resolver_.RemoveVertex(update.u);
       plan_.OnVertexRemoved(update.u);
       append_edge_op(s);
@@ -241,11 +244,11 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
   return kInvalidVertex;
 }
 
-void ShardedMisEngine::PostPending(int shard) {
+void ShardedMisEngine::ApplyIfFull(int shard) {
   Shard::Block& block = pending_[shard];
-  if (static_cast<int>(block.updates.size()) < options_.block_ops) return;
-  shards_[shard]->Post(std::move(block));
-  block = Shard::Block();
+  if (block.updates.size() < kMaxPendingOps) return;
+  shards_[shard]->Apply(block);
+  block.clear();
 }
 
 UpdateResult ShardedMisEngine::Apply(const GraphUpdate& update) {
@@ -319,16 +322,13 @@ UpdateResult ShardedMisEngine::DeleteVertex(VertexId v) {
 }
 
 void ShardedMisEngine::Barrier() {
+  // Cleared blocks keep their capacity, so steady-state rounds do not
+  // allocate for them.
   for (int s = 0; s < plan_.num_shards(); ++s) {
-    if (!pending_[s].empty()) {
-      shards_[s]->Post(std::move(pending_[s]));
-      pending_[s] = Shard::Block();
-    }
+    shards_[s]->Apply(pending_[s]);
+    pending_[s].clear();
   }
-  // The cut store is the engine thread's own, so its buffered ops apply
-  // while the shards drain the blocks just posted.
   resolver_.ApplyCutOps();
-  for (auto& shard : shards_) shard->WaitIdle();
 }
 
 void ShardedMisEngine::Flush() { Barrier(); }
@@ -454,7 +454,7 @@ SnapshotStatus ShardedMisEngine::SaveSnapshot(std::ostream& out) {
 }
 
 void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
-  EnsureResolved();  // Quiescent: every queue drained, workers idle.
+  EnsureResolved();  // Every pending and cut op applied.
   writer->BeginSection("sharded");
   writer->PutString(config_.algorithm);
   writer->PutString(shards_[0]->maintainer().Name());
@@ -465,7 +465,7 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   writer->PutI32(plan_.num_shards());
   writer->PutU8(static_cast<uint8_t>(plan_.strategy()));
   writer->PutI32(plan_.block_size());
-  writer->PutI32(options_.block_ops);
+  writer->PutI32(kLegacyBlockOps);
   // Former resolver-mode flag (ShardedEngineOptions::async_resolver),
   // kept so snapshots load in both directions.
   writer->PutU8(options_.async_resolver ? 1 : 0);
@@ -594,7 +594,7 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   const int block_size = reader.GetI32();
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.block_ops = reader.GetI32();
+  const int block_ops = reader.GetI32();
   const uint8_t async_resolver = reader.GetU8();
   const int64_t updates_applied = reader.GetI64();
   const double update_seconds = reader.GetDouble();
@@ -625,7 +625,7 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   if (config.k < 1 || config.k > kMaxKSwapOrder ||
       config.recompute_every < 1 || num_shards < 1 ||
       num_shards > kMaxShards || strategy > 2 || block_size < 1 ||
-      options.block_ops < 1 || async_resolver > 1) {
+      block_ops < 1 || async_resolver > 1) {
     report(SnapshotStatus::Error(
         "snapshot: sharded configuration out of range"));
     return nullptr;
@@ -665,7 +665,10 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
       if (engine->resolver_.IsVertexAlive(v)) engine->plan_.OnVertexAdded(v);
     }
   }
-  for (auto& shard : engine->shards_) shard->Start();
+  // The saved engine resolved before it wrote its totals, so the restored
+  // one resolves once here and then takes the saved totals over: its
+  // first query runs no pass that the saved engine would not have run.
+  engine->EnsureResolved();
   engine->updates_applied_ = updates_applied;
   engine->update_seconds_ = update_seconds;
   engine->resolve_seconds_ = resolve_seconds;
@@ -674,7 +677,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   engine->total_evictions_ = evictions;
   engine->total_readded_ = readded;
   engine->total_swaps_ = swaps;
-  engine->resolved_ = false;
   return engine;
 }
 

@@ -1,14 +1,16 @@
 // ShardedMisEngine: independence + maximality of the resolved solution
 // under churn, hash vs range partition plans, deterministic replay (both
-// across runs and across flush/block boundaries), S=1 degeneration to the
-// single engine, vertex inserts landing in the plan's shard, and snapshot
-// round-trips including empty shards.
+// across runs and across batch/barrier boundaries), S=1 degeneration to the
+// single engine (also past the pending-block cap), vertex inserts landing
+// in the plan's shard, snapshot round-trips including empty shards and the
+// resolution counters, and an engine that starts no thread.
 
 #include "dynmis/sharded_engine.h"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -52,11 +54,55 @@ ShardedEngineOptions Opts(int shards, PartitionStrategy strategy =
   return options;
 }
 
+// The cumulative resolution counters of ShardStats().
+std::vector<int64_t> ResolutionCounters(ShardedMisEngine* engine) {
+  const ShardedStats stats = engine->ShardStats();
+  return {stats.barriers, stats.conflicts, stats.evictions, stats.readded,
+          stats.swaps};
+}
+
+// Threads of this process: one entry each in /proc/self/task.
+int ThreadCount() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
 TEST(ShardedEngineTest, CreateRejectsBadConfiguration) {
   const EdgeListGraph base = SmallGraph();
   EXPECT_EQ(ShardedMisEngine::Create(base, {"NoSuchAlgorithm"}, Opts(2)),
             nullptr);
   EXPECT_EQ(ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(0)), nullptr);
+}
+
+// The engine runs on its caller's thread: creating, initializing,
+// updating, querying, saving and restoring a 4-shard engine starts none.
+TEST(ShardedEngineTest, StartsNoThreads) {
+  const int threads = ThreadCount();
+  const EdgeListGraph base = SmallGraph(59);
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(4));
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(ThreadCount(), threads) << "Create";
+  engine->Initialize();
+  EXPECT_EQ(ThreadCount(), threads) << "Initialize";
+  engine->ApplyBatch(ChurnTrace(base, 300, 61));
+  EXPECT_EQ(ThreadCount(), threads) << "ApplyBatch";
+  const std::vector<VertexId> solution = engine->Solution();
+  EXPECT_FALSE(solution.empty());
+  EXPECT_EQ(ThreadCount(), threads) << "Solution";
+  std::ostringstream sink;
+  ASSERT_TRUE(engine->SaveSnapshot(sink).ok);
+  EXPECT_EQ(ThreadCount(), threads) << "SaveSnapshot";
+  std::istringstream source(sink.str());
+  SnapshotStatus status;
+  auto restored = ShardedMisEngine::LoadSnapshot(source, &status);
+  ASSERT_NE(restored, nullptr) << status.message;
+  EXPECT_EQ(ThreadCount(), threads) << "LoadSnapshot";
+  EXPECT_EQ(restored->Solution(), solution);
 }
 
 TEST(ShardedEngineTest, PartitionPlanCoversAllShards) {
@@ -142,16 +188,14 @@ TEST(ShardedEngineTest, HashAndRangePlansBothMaintainInvariants) {
 }
 
 // The final solution is a pure function of the update sequence: replaying
-// with a different block size, a different batch chopping, and extra
-// mid-stream barriers must reproduce it exactly.
+// with a different batch chopping and extra mid-stream barriers must
+// reproduce it exactly.
 TEST(ShardedEngineTest, DeterministicReplayAcrossFlushBoundaries) {
   const EdgeListGraph base = SmallGraph(23);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 29);
 
-  auto run = [&](int block_ops, int chunk, int query_every) {
-    ShardedEngineOptions options = Opts(3);
-    options.block_ops = block_ops;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+  auto run = [&](int chunk, int query_every) {
+    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(3));
     EXPECT_NE(engine, nullptr);
     engine->Initialize();
     size_t i = 0;
@@ -170,41 +214,82 @@ TEST(ShardedEngineTest, DeterministicReplayAcrossFlushBoundaries) {
     return engine->Solution();
   };
 
-  const std::vector<VertexId> a = run(1024, 97, 0);
-  const std::vector<VertexId> b = run(7, 1, 3);
-  const std::vector<VertexId> c = run(256, 500, 1);
+  const std::vector<VertexId> a = run(97, 0);
+  const std::vector<VertexId> b = run(1, 3);
+  const std::vector<VertexId> c = run(500, 1);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }
 
-// S=1 is the degenerate case: every edge is intra-shard and the single
-// worker replays exactly the single engine's op sequence, so the solutions
-// agree verbatim.
+// S=1 is the degenerate case: every edge is intra-shard and the one shard
+// applies exactly the single engine's op sequence, op by op, so the
+// solutions agree verbatim. Two inputs: a trace sent op by op, and one
+// longer than the 1 << 16 ops a shard's pending block holds, sent to the
+// sharded engine in one ApplyBatch before the first query, so routing
+// applies the block when it fills.
 TEST(ShardedEngineTest, SingleShardMatchesSingleEngine) {
   const EdgeListGraph base = SmallGraph(31);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 400, 37);
+  // A larger graph, so that the long trace's vertex churn does not drain
+  // it.
+  const EdgeListGraph long_base = SmallGraph(31, 2000, 6000);
+  constexpr size_t kCap = size_t{1} << 16;
+  const std::vector<GraphUpdate> long_trace =
+      ChurnTrace(long_base, static_cast<int>(kCap) + 4000, 41);
+  // The edges after the first kCap ops of the long trace, sorted.
+  auto sorted_edges = [](const DynamicGraph& g) {
+    std::vector<std::pair<VertexId, VertexId>> edges = g.EdgeList();
+    std::sort(edges.begin(), edges.end());
+    return edges;
+  };
+  DynamicGraph at_cap = long_base.ToDynamic();
+  for (size_t i = 0; i < kCap; ++i) ApplyUpdate(&at_cap, long_trace[i]);
+  const std::vector<std::pair<VertexId, VertexId>> edges_at_cap =
+      sorted_edges(at_cap);
+
   for (const PartitionStrategy strategy :
        {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
-    auto sharded =
-        ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(1, strategy));
-    ASSERT_NE(sharded, nullptr);
-    sharded->Initialize();
-    auto single = MisEngine::Create(base, {"DyTwoSwap"});
-    ASSERT_NE(single, nullptr);
-    single->Initialize();
+    for (const bool batched : {false, true}) {
+      const EdgeListGraph& start = batched ? long_base : base;
+      auto sharded =
+          ShardedMisEngine::Create(start, {"DyTwoSwap"}, Opts(1, strategy));
+      ASSERT_NE(sharded, nullptr);
+      sharded->Initialize();
+      auto single = MisEngine::Create(start, {"DyTwoSwap"});
+      ASSERT_NE(single, nullptr);
+      single->Initialize();
 
-    for (const GraphUpdate& update : trace) {
-      const UpdateResult a = sharded->Apply(update);
-      const UpdateResult b = single->Apply(update);
-      // Global id allocation mirrors the single engine exactly.
-      EXPECT_EQ(a.new_vertices, b.new_vertices);
+      if (batched) {
+        const UpdateResult a = sharded->ApplyBatch(long_trace);
+        // Op by op: MisEngine::ApplyBatch defers swap restoration to the
+        // end of the batch, which the shards never do.
+        std::vector<VertexId> new_vertices;
+        for (const GraphUpdate& update : long_trace) {
+          const UpdateResult b = single->Apply(update);
+          new_vertices.insert(new_vertices.end(), b.new_vertices.begin(),
+                              b.new_vertices.end());
+        }
+        EXPECT_EQ(a.new_vertices, new_vertices);
+        // Routing applied the first kCap ops when the block filled; the
+        // rest wait for the barrier.
+        EXPECT_EQ(sharded->shard_graph(0).NumVertices(),
+                  at_cap.NumVertices());
+        EXPECT_EQ(sorted_edges(sharded->shard_graph(0)), edges_at_cap);
+      } else {
+        for (const GraphUpdate& update : trace) {
+          const UpdateResult a = sharded->Apply(update);
+          const UpdateResult b = single->Apply(update);
+          // Global id allocation mirrors the single engine exactly.
+          EXPECT_EQ(a.new_vertices, b.new_vertices);
+        }
+      }
+      std::vector<VertexId> expected = single->Solution();
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(sharded->Solution(), expected)
+          << PartitionStrategyName(strategy) << (batched ? " batched" : "");
+      EXPECT_EQ(sharded->ShardStats().cut_edges, 0);
+      EXPECT_EQ(sharded->Stats().num_edges, single->Stats().num_edges);
     }
-    std::vector<VertexId> expected = single->Solution();
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(sharded->Solution(), expected)
-        << PartitionStrategyName(strategy);
-    EXPECT_EQ(sharded->ShardStats().cut_edges, 0);
-    EXPECT_EQ(sharded->Stats().num_edges, single->Stats().num_edges);
   }
 }
 
@@ -269,18 +354,24 @@ TEST(ShardedEngineTest, SnapshotRoundTripAndDeterministicContinuation) {
   auto restored = ShardedMisEngine::LoadSnapshot(source, &status);
   ASSERT_NE(restored, nullptr) << status.message;
   EXPECT_EQ(restored->num_shards(), 3);
+  // The restored engine counts the passes the saved one ran, no more.
+  EXPECT_EQ(ResolutionCounters(restored.get()),
+            ResolutionCounters(engine.get()));
   EXPECT_EQ(restored->Solution(), engine->Solution());
   EXPECT_EQ(restored->Stats().updates_applied,
             engine->Stats().updates_applied);
 
   // The restored engine continues deterministically: the suffix replays to
-  // the identical final solution, including recycled vertex ids.
+  // the identical final solution, including recycled vertex ids, and the
+  // counters stay equal.
   for (size_t i = 300; i < trace.size(); ++i) {
     const UpdateResult a = engine->Apply(trace[i]);
     const UpdateResult b = restored->Apply(trace[i]);
     EXPECT_EQ(a.new_vertices, b.new_vertices);
   }
   EXPECT_EQ(restored->Solution(), engine->Solution());
+  EXPECT_EQ(ResolutionCounters(restored.get()),
+            ResolutionCounters(engine.get()));
 
   // Corruption anywhere in the container is detected, never mis-parsed.
   std::string corrupt = bytes;
@@ -551,17 +642,16 @@ TEST(ShardedEngineTest, WindowStreamBarrierSolutionsArePinned) {
   }
 }
 
-// Replay determinism extends to the locality plan: block size, batch
-// chopping, and mid-stream barriers must not change the final solution
-// (the plan assigns ids in stream order, which is identical across runs).
+// Replay determinism extends to the locality plan: batch chopping and
+// mid-stream barriers must not change the final solution (the plan assigns
+// ids in stream order, which is identical across runs).
 TEST(ShardedEngineTest, LocalityPlanDeterministicReplay) {
   const EdgeListGraph base = SmallGraph(67);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 71);
 
-  auto run = [&](int block_ops, int chunk, int query_every) {
-    ShardedEngineOptions options = Opts(3, PartitionStrategy::kLocality);
-    options.block_ops = block_ops;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+  auto run = [&](int chunk, int query_every) {
+    auto engine = ShardedMisEngine::Create(
+        base, {"DyTwoSwap"}, Opts(3, PartitionStrategy::kLocality));
     EXPECT_NE(engine, nullptr);
     engine->Initialize();
     size_t i = 0;
@@ -580,9 +670,9 @@ TEST(ShardedEngineTest, LocalityPlanDeterministicReplay) {
     return engine->Solution();
   };
 
-  const std::vector<VertexId> a = run(1024, 97, 0);
-  const std::vector<VertexId> b = run(7, 1, 3);
-  const std::vector<VertexId> c = run(256, 500, 1);
+  const std::vector<VertexId> a = run(97, 0);
+  const std::vector<VertexId> b = run(1, 3);
+  const std::vector<VertexId> c = run(500, 1);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }
