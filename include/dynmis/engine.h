@@ -144,6 +144,13 @@ class MisEngine {
   static std::unique_ptr<MisEngine> LoadSnapshot(
       std::istream& in, SnapshotStatus* status = nullptr);
 
+  // LoadSnapshot minus the read: rebuilds an engine from a container that
+  // `reader` has already read, so a caller that also inspects the container
+  // (the serving layer's restore, which loads its key map from it) reads
+  // the bytes once.
+  static std::unique_ptr<MisEngine> LoadFrom(SnapshotReader* reader,
+                                             SnapshotStatus* status = nullptr);
+
   // Decodes the "engine" section of an already-parsed snapshot (the
   // reader's cursor is repositioned). Returns false, failing the reader,
   // on malformed contents. LoadSnapshot and `dynmis_cli snapshot info`

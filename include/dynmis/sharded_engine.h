@@ -9,18 +9,19 @@
 // so CollectSolution() always returns a verified independent set — in
 // fact a maximal one — of the global graph.
 //
-// Everything runs on the caller's thread. Apply/ApplyBatch only route:
-// they classify each op in O(1), buffer cut-edge ops for the resolver in
-// op order, and append intra-shard ops to per-shard pending blocks.
-// Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier — apply
-// each shard's pending block, then the buffered cut ops, then resolve from
-// the shards' solutions. A shard whose pending block reaches a fixed cap
-// (1 << 16 ops) applies it during routing, so a caller that never queries
-// stays bounded. The final solution is a pure function of the update
-// sequence: neither block nor barrier boundaries affect it, so seeded runs
-// replay identically (see tests/sharded_engine_test.cc), because each
-// shard applies its ops in order and the barrier pass sorts every working
-// set into a canonical order.
+// Everything runs on the caller's thread. Apply/ApplyBatch classify each
+// op in O(1). An edge op, intra-shard or cut, is appended to one edge-op
+// log in op order. A vertex insert or delete first applies the log and
+// then applies itself at once: to the global id space, the cut store and
+// its shard's maintainer. The log holds at most 1 << 16 ops; routing
+// applies it when it fills, so a caller that never queries stays bounded.
+// Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier: apply the
+// log, then resolve from the shards' solutions. Each shard and the cut
+// store receive their ops in op order whenever the log is applied, so the
+// final solution is a pure function of the update sequence: neither log
+// nor barrier boundaries affect it, and seeded runs replay identically
+// (see tests/sharded_engine_test.cc), because the barrier pass also sorts
+// every working set into a canonical order.
 //
 // With S = 1 every edge is intra-shard and the one shard applies exactly
 // the op sequence a MisEngine would: the degenerate case reproduces the
@@ -36,6 +37,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynmis/config.h"
@@ -44,7 +46,6 @@
 #include "src/graph/edge_list.h"
 #include "src/shard/cut_edge_resolver.h"
 #include "src/shard/partition_plan.h"
-#include "src/shard/shard.h"
 
 namespace dynmis {
 
@@ -101,10 +102,11 @@ class ShardedMisEngine {
   // after another, and runs the first resolution.
   void Initialize();
 
-  // --- Updates (routed; shard work runs at the next barrier) ----------------
+  // --- Updates (edge ops logged until the next barrier) ---------------------
 
-  // `seconds` in the returned UpdateResult measures routing, which includes
-  // shard work only when a pending block reaches the cap.
+  // `seconds` in the returned UpdateResult measures the call: routing, plus
+  // the log's application when a vertex op or a full log triggers it, plus
+  // any vertex op itself.
   UpdateResult Apply(const GraphUpdate& update);
   UpdateResult ApplyBatch(const std::vector<GraphUpdate>& updates);
 
@@ -115,8 +117,8 @@ class ShardedMisEngine {
   VertexId InsertVertex(const std::vector<VertexId>& neighbors);
   UpdateResult DeleteVertex(VertexId v);
 
-  // Applies every shard's pending block and the buffered cut-edge ops (a
-  // barrier without a resolution pass).
+  // Applies the edge-op log in op order and empties it (a barrier without
+  // a resolution pass).
   void Flush();
 
   // --- Queries (impose a barrier + resolution when updates are pending) ----
@@ -138,9 +140,9 @@ class ShardedMisEngine {
   // backend as for a single engine, plus this breakdown.
   std::vector<EngineStats> PerShardStats();
 
-  // Called once per Apply/ApplyBatch with the op count and the routing wall
-  // time (batch-latency semantics: shard work is not timed per op, since
-  // it runs at the barrier).
+  // Called once per Apply/ApplyBatch with the op count and the call's wall
+  // time (batch-latency semantics: logged edge ops are not timed per op,
+  // since they apply later).
   using UpdateObserver = std::function<void(int64_t applied, double seconds)>;
   void SetUpdateObserver(UpdateObserver observer) {
     observer_ = std::move(observer);
@@ -165,6 +167,10 @@ class ShardedMisEngine {
   // plan says is cut, ...). Never aborts on malformed input.
   static std::unique_ptr<ShardedMisEngine> LoadSnapshot(
       std::istream& in, SnapshotStatus* status = nullptr);
+  // LoadSnapshot minus the read, from a container `reader` already read
+  // (see MisEngine::LoadFrom).
+  static std::unique_ptr<ShardedMisEngine> LoadFrom(
+      SnapshotReader* reader, SnapshotStatus* status = nullptr);
 
   const MaintainerConfig& config() const { return config_; }
   const ShardedEngineOptions& options() const { return options_; }
@@ -176,7 +182,7 @@ class ShardedMisEngine {
   // resolver holds every vertex plus the cut edges. Only meaningful at a
   // barrier (call Flush() or a query first).
   const DynamicGraph& shard_graph(int shard) const {
-    return shards_[shard]->graph();
+    return shards_[shard].graph;
   }
   const CutEdgeResolver& resolver() const { return resolver_; }
 
@@ -189,16 +195,33 @@ class ShardedMisEngine {
   DynamicGraph BuildGlobalGraph();
 
  private:
+  // One routed edge op, held in the log until the log is applied.
+  struct EdgeOp {
+    VertexId u;
+    VertexId v;
+    int16_t shard;  // The owning shard, or kCutShard for a cut edge.
+    bool insert;
+  };
+  static constexpr int16_t kCutShard = -1;
+
   ShardedMisEngine(MaintainerConfig config, ShardedEngineOptions options,
                    PartitionPlan plan, int initial_vertices);
 
-  // Classifies and routes one update; returns the assigned id for
-  // kInsertVertex ops. Invalidates the cached resolution.
+  // The builder behind Create and CreateFromGraph: ids 0..capacity-1, of
+  // which `free_ids` (in recycle order) are dead, plus `edges`. Each edge
+  // goes straight into its shard graph or the cut store; no global graph
+  // is built.
+  static std::unique_ptr<ShardedMisEngine> Build(
+      int capacity, const std::vector<VertexId>& free_ids,
+      const std::vector<std::pair<VertexId, VertexId>>& edges,
+      MaintainerConfig config, ShardedEngineOptions options);
+  // Creates each shard's maintainer over its populated graph. Returns false
+  // when the registry does not know `config_.algorithm`.
+  bool BuildMaintainers();
+
+  // Routes one update; returns the assigned id for kInsertVertex ops.
   VertexId Route(const GraphUpdate& update);
-  // Applies the shard's pending block once it reaches the cap.
-  void ApplyIfFull(int shard);
-  void Barrier();
-  // Barrier + resolution pass (cached until the next routed update).
+  // Flush + resolution pass (cached until the next routed update).
   void EnsureResolved();
   bool LoadShards(SnapshotReader* reader);
   // Cross-structure consistency of freshly loaded shard/cut graphs.
@@ -208,8 +231,11 @@ class ShardedMisEngine {
   ShardedEngineOptions options_;
   PartitionPlan plan_;
   CutEdgeResolver resolver_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Shard::Block> pending_;
+  // Sized once at construction: each maintainer points at its shard's graph.
+  std::vector<Shard> shards_;
+  // Edge ops routed since the log was last applied, in op order. Cleared
+  // with its capacity kept, so steady-state rounds do not allocate for it.
+  std::vector<EdgeOp> log_;
 
   bool resolved_ = false;
   CutEdgeResolver::Resolution resolution_;

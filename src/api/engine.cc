@@ -127,19 +127,24 @@ bool MisEngine::ReadEngineMeta(SnapshotReader* r, SnapshotEngineMeta* meta) {
 
 std::unique_ptr<MisEngine> MisEngine::LoadSnapshot(std::istream& in,
                                                    SnapshotStatus* status) {
+  SnapshotReader reader;
+  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
+    if (status != nullptr) *status = read;
+    return nullptr;
+  }
+  return LoadFrom(&reader, status);
+}
+
+std::unique_ptr<MisEngine> MisEngine::LoadFrom(SnapshotReader* reader,
+                                               SnapshotStatus* status) {
   auto report = [&](const SnapshotStatus& s) {
     if (status != nullptr) *status = s;
   };
   report(SnapshotStatus::Ok());
 
-  SnapshotReader reader;
-  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
-    report(read);
-    return nullptr;
-  }
   SnapshotEngineMeta meta;
-  if (!ReadEngineMeta(&reader, &meta)) {
-    report(reader.status());
+  if (!ReadEngineMeta(reader, &meta)) {
+    report(reader->status());
     return nullptr;
   }
   const MaintainerConfig& config = meta.config;
@@ -156,8 +161,8 @@ std::unique_ptr<MisEngine> MisEngine::LoadSnapshot(std::istream& in,
   }
 
   DynamicGraph graph;
-  if (!graph.LoadFrom(&reader)) {
-    report(reader.status());
+  if (!graph.LoadFrom(reader)) {
+    report(reader->status());
     return nullptr;
   }
   std::unique_ptr<MisEngine> engine = Create(std::move(graph), config);
@@ -165,10 +170,10 @@ std::unique_ptr<MisEngine> MisEngine::LoadSnapshot(std::istream& in,
     report(SnapshotStatus::Error("snapshot: maintainer construction failed"));
     return nullptr;
   }
-  if (!engine->maintainer_->LoadState(&reader, *engine->graph_)) {
-    report(reader.ok() ? SnapshotStatus::Error(
-                             "snapshot: maintainer state restore failed")
-                       : reader.status());
+  if (!engine->maintainer_->LoadState(reader, *engine->graph_)) {
+    report(reader->ok() ? SnapshotStatus::Error(
+                              "snapshot: maintainer state restore failed")
+                        : reader->status());
     return nullptr;
   }
   engine->updates_applied_ = meta.updates_applied;

@@ -96,17 +96,15 @@ int DynamicGraph::MaxDegree() const {
 void DynamicGraph::QueueVertexId(VertexId v) {
   DYNMIS_CHECK_GE(v, 0);
   DYNMIS_CHECK(!IsVertexAlive(v));
-  queued_ids_.push_back(v);
+  DYNMIS_CHECK(queued_id_ == kInvalidVertex);
+  queued_id_ = v;
 }
 
 VertexId DynamicGraph::AddVertex() {
   VertexId v;
-  if (queued_head_ < queued_ids_.size()) {
-    v = queued_ids_[queued_head_];
-    if (++queued_head_ == queued_ids_.size()) {
-      queued_ids_.clear();
-      queued_head_ = 0;
-    }
+  if (queued_id_ != kInvalidVertex) {
+    v = queued_id_;
+    queued_id_ = kInvalidVertex;
     if (v >= VertexCapacity()) {
       // Ids skipped while growing stay dead but join the free list, so the
       // free list keeps covering exactly the dead ids (the snapshot loader
@@ -118,8 +116,8 @@ VertexId DynamicGraph::AddVertex() {
     } else {
       // Recycled id: pull it out of the free list. Scan from the back —
       // recycling is LIFO, so a just-freed id sits near the end. A queued
-      // id absent from the free list means it is alive by consumption time
-      // (queued twice, or never freed): crash rather than corrupt.
+      // id absent from the free list means it was never freed: crash rather
+      // than corrupt.
       bool found = false;
       for (size_t i = free_vertices_.size(); i-- > 0;) {
         if (free_vertices_[i] == v) {
@@ -512,7 +510,7 @@ size_t DynamicGraph::MemoryUsageBytes() const {
          NestedVectorBytes(pages_) + VectorBytes(page_info_) +
          VectorBytes(free_pages_) + VectorBytes(evac_queue_) +
          NestedVectorBytes(edge_pages_) +
-         VectorBytes(free_vertices_) + VectorBytes(queued_ids_);
+         VectorBytes(free_vertices_);
 }
 
 void DynamicGraph::SaveTo(SnapshotWriter* w) const {

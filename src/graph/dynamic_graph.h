@@ -72,17 +72,16 @@ class DynamicGraph {
   // --- Vertices -------------------------------------------------------------
 
   // Adds an isolated vertex and returns its id. Recycles ids of previously
-  // removed vertices before growing the id space — unless ids have been
-  // queued with QueueVertexId, in which case the oldest queued id is used.
+  // removed vertices before growing the id space — unless an id has been
+  // queued with QueueVertexId, in which case that id is used.
   VertexId AddVertex();
 
-  // Directs upcoming AddVertex() calls: each queued id is consumed in FIFO
-  // order, and the consuming AddVertex() returns exactly that id (growing
-  // the id space or pulling the id out of the free list as needed; ids
-  // skipped while growing join the free list, keeping it exact). This lets
-  // an owner that allocates ids externally — the sharded engine's global id
-  // space — route vertex inserts through maintainers unchanged. Queued ids
-  // must be dead and distinct from one another.
+  // Directs the next AddVertex() call: it returns exactly `v` (growing the
+  // id space or pulling `v` out of the free list as needed; ids skipped
+  // while growing join the free list, keeping it exact). This lets an owner
+  // that allocates ids externally — the sharded engine's global id space —
+  // route vertex inserts through maintainers unchanged. `v` must be dead,
+  // and at most one id is queued at a time.
   void QueueVertexId(VertexId v);
 
   // Removes `v` and all its incident edges. `v` must be alive.
@@ -366,12 +365,10 @@ class DynamicGraph {
   int edge_capacity_ = 0;
   EdgeId free_edge_ = kInvalidEdge;  // Top of the free-id stack.
   std::vector<VertexId> free_vertices_;
-  // Forced ids queued by QueueVertexId, consumed FIFO by AddVertex
-  // (queued_head_ indexes the next unconsumed entry; the vector is cleared
-  // once drained). Transient routing state: empty at every quiescent point,
-  // never snapshotted.
-  std::vector<VertexId> queued_ids_;
-  size_t queued_head_ = 0;
+  // The id queued by QueueVertexId for the next AddVertex, or
+  // kInvalidVertex. Transient: unset at every quiescent point, never
+  // snapshotted.
+  VertexId queued_id_ = kInvalidVertex;
   int num_vertices_ = 0;
   int64_t num_edges_ = 0;
   int64_t relocations_ = 0;

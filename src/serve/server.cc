@@ -176,38 +176,30 @@ std::unique_ptr<ServingBackend> MakeServingBackend(const EdgeListGraph& base,
 std::unique_ptr<ServingBackend> RestoreServingBackend(
     std::istream& in, std::string* error, ingest::KeyMap* keymap) {
   error->clear();
-  // Buffer the container once: the flavour probe and the engine loader each
-  // need to read it from the top.
-  std::ostringstream buffered;
-  buffered << in.rdbuf();
-  const std::string bytes = buffered.str();
-  SnapshotReader probe;
-  {
-    std::istringstream stream(bytes);
-    const SnapshotStatus status = probe.ReadFrom(stream);
-    if (!status.ok) {
-      *error = "restore failed: " + status.message;
-      return nullptr;
-    }
+  // One read of the container serves the key map, the flavour check and
+  // the engine loader.
+  SnapshotReader reader;
+  if (const SnapshotStatus status = reader.ReadFrom(in); !status.ok) {
+    *error = "restore failed: " + status.message;
+    return nullptr;
   }
   if (keymap != nullptr) {
     *keymap = ingest::KeyMap();
-    if (probe.HasSection("keymap") && !keymap->LoadFrom(&probe)) {
-      *error = "restore failed: " + probe.status().message;
+    if (reader.HasSection("keymap") && !keymap->LoadFrom(&reader)) {
+      *error = "restore failed: " + reader.status().message;
       return nullptr;
     }
   }
   SnapshotStatus status;
-  std::istringstream stream(bytes);
-  if (probe.HasSection("sharded")) {
-    auto engine = ShardedMisEngine::LoadSnapshot(stream, &status);
+  if (reader.HasSection("sharded")) {
+    auto engine = ShardedMisEngine::LoadFrom(&reader, &status);
     if (engine == nullptr) {
       *error = "restore failed: " + status.message;
       return nullptr;
     }
     return std::make_unique<ShardedBackend>(std::move(engine));
   }
-  auto engine = MisEngine::LoadSnapshot(stream, &status);
+  auto engine = MisEngine::LoadFrom(&reader, &status);
   if (engine == nullptr) {
     *error = "restore failed: " + status.message;
     return nullptr;

@@ -6,6 +6,12 @@
 #include "src/util/memory.h"
 
 namespace dynmis {
+namespace {
+
+// Capacity up to which a cut-store array is never shrunk (SwapRemoveHalf).
+constexpr size_t kKeptCapacity = 4;
+
+}  // namespace
 
 CutEdgeResolver::CutEdgeResolver(int initial_vertices) {
   DYNMIS_CHECK_GE(initial_vertices, 0);
@@ -31,49 +37,11 @@ VertexId CutEdgeResolver::AddVertex() {
 }
 
 void CutEdgeResolver::RemoveVertex(VertexId v) {
-  FreeVertexId(v);
-  cut_ops_.push_back(CutOp{CutOp::Kind::kDropVertex, v, v});
-}
-
-void CutEdgeResolver::AddCutEdge(VertexId u, VertexId v) {
-  DYNMIS_DCHECK(IsVertexAlive(u));
   DYNMIS_DCHECK(IsVertexAlive(v));
-  cut_ops_.push_back(CutOp{CutOp::Kind::kAddEdge, u, v});
-}
-
-void CutEdgeResolver::RemoveCutEdge(VertexId u, VertexId v) {
-  cut_ops_.push_back(CutOp{CutOp::Kind::kRemoveEdge, u, v});
-}
-
-void CutEdgeResolver::ApplyCutOps() {
-  for (const CutOp& op : cut_ops_) {
-    switch (op.kind) {
-      case CutOp::Kind::kAddEdge:
-        InsertCutEdge(op.u, op.v);
-        break;
-      case CutOp::Kind::kRemoveEdge:
-        RemoveEdgeHalves(op.u, op.v);
-        break;
-      case CutOp::Kind::kDropVertex:
-        if (op.u < static_cast<VertexId>(adjacency_.size())) {
-          DropVertexEdges(op.u);
-        }
-        break;
-    }
-  }
-  cut_ops_.clear();
-}
-
-void CutEdgeResolver::FreeVertexId(VertexId v) {
-  DYNMIS_DCHECK(IsVertexAlive(v));
+  if (v < static_cast<VertexId>(adjacency_.size())) DropVertexEdges(v);
   alive_[v] = 0;
   free_vertices_.push_back(v);
   --num_vertices_;
-}
-
-void CutEdgeResolver::InsertCutEdge(VertexId u, VertexId v) {
-  EnsureCutCapacity(u > v ? u : v);
-  InsertEdgeHalves(u, v);
 }
 
 // --- Cut store ---------------------------------------------------------------
@@ -83,7 +51,10 @@ void CutEdgeResolver::EnsureCutCapacity(VertexId v) {
   adjacency_.resize(static_cast<size_t>(v) + 1);
 }
 
-void CutEdgeResolver::InsertEdgeHalves(VertexId u, VertexId v) {
+void CutEdgeResolver::InsertCutEdge(VertexId u, VertexId v) {
+  DYNMIS_DCHECK(IsVertexAlive(u));
+  DYNMIS_DCHECK(IsVertexAlive(v));
+  EnsureCutCapacity(u > v ? u : v);
   DYNMIS_DCHECK(!HasCutEdge(u, v));
   adjacency_[u].push_back(Half{v, static_cast<int32_t>(adjacency_[v].size())});
   adjacency_[v].push_back(
@@ -91,7 +62,7 @@ void CutEdgeResolver::InsertEdgeHalves(VertexId u, VertexId v) {
   ++num_edges_;
 }
 
-void CutEdgeResolver::RemoveEdgeHalves(VertexId u, VertexId v) {
+void CutEdgeResolver::RemoveCutEdge(VertexId u, VertexId v) {
   // Scan the smaller endpoint's contiguous array; its mirror locates the
   // far entry without touching the (possibly much longer) far array.
   if (CutDegree(v) < CutDegree(u)) std::swap(u, v);
@@ -116,6 +87,7 @@ void CutEdgeResolver::DropVertexEdges(VertexId v) {
     --num_edges_;
   }
   adjacency_[v].clear();
+  adjacency_[v].shrink_to_fit();
 }
 
 void CutEdgeResolver::SwapRemoveHalf(VertexId owner, int32_t index) {
@@ -125,6 +97,13 @@ void CutEdgeResolver::SwapRemoveHalf(VertexId owner, int32_t index) {
   if (index != static_cast<int32_t>(list.size())) {
     list[index] = moved;
     adjacency_[moved.to][moved.mirror].mirror = index;
+  }
+  // Give back slack once the array is a quarter full (mirrors are indices,
+  // so the array may move). Small arrays keep their capacity: on
+  // window-sharded's stream, freeing and regrowing them made the barrier's
+  // drain 3-7% slower and saved 80 bytes of the store's 263 KB.
+  if (list.capacity() > kKeptCapacity && list.size() <= list.capacity() / 4) {
+    list.shrink_to_fit();
   }
 }
 
@@ -144,8 +123,7 @@ std::vector<std::pair<VertexId, VertexId>> CutEdgeResolver::CutEdgeList()
 // --- Barrier resolution ------------------------------------------------------
 
 CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards) {
+    const PartitionPlan& plan, const std::vector<Shard>& shards) {
   Resolution result;
   const int capacity = VertexCapacity();
   if (capacity > 0) EnsureCutCapacity(capacity - 1);
@@ -156,7 +134,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   // by shard-local invariant; only cut edges can conflict.
   members_.clear();
   for (const auto& shard : shards) {
-    shard->maintainer().CollectSolution(&members_);
+    shard.maintainer->CollectSolution(&members_);
   }
   in_sol_.assign(static_cast<size_t>(capacity), 0);
   for (const VertexId v : members_) in_sol_[v] = 1;
@@ -209,7 +187,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   };
   for (const VertexId v : evicted_) {
     consider(v);
-    shards[plan.ShardOf(v)]->graph().ForEachIncident(
+    shards[plan.ShardOf(v)].graph.ForEachIncident(
         v, [&](VertexId u, EdgeId) { consider(u); });
     for (const Half& h : adjacency_[v]) consider(h.to);
   }
@@ -221,7 +199,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   for (const VertexId c : candidates_) {
     if (in_sol_[c]) continue;
     bool free = true;
-    shards[plan.ShardOf(c)]->graph().ForEachIncident(
+    shards[plan.ShardOf(c)].graph.ForEachIncident(
         c, [&](VertexId u, EdgeId) { free = free && !in_sol_[u]; });
     if (free) {
       for (const Half& h : adjacency_[c]) free = free && !in_sol_[h.to];
@@ -240,13 +218,12 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   return result;
 }
 
-void CutEdgeResolver::FillDegrees(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards) {
+void CutEdgeResolver::FillDegrees(const PartitionPlan& plan,
+                                  const std::vector<Shard>& shards) {
   const int capacity = VertexCapacity();
   degree_.resize(static_cast<size_t>(capacity));
   for (VertexId v = 0; v < capacity; ++v) {
-    degree_[v] = alive_[v] ? shards[plan.ShardOf(v)]->graph().Degree(v) +
+    degree_[v] = alive_[v] ? shards[plan.ShardOf(v)].graph.Degree(v) +
                                  CutDegree(v)
                            : 0;
   }
@@ -268,19 +245,18 @@ void CutEdgeResolver::SortByDegree(std::vector<VertexId>* vertices) const {
 // when no cut edges exist: every shard solution is then already
 // k-maximal on its full graph, so no 1-swap can exist — which also keeps
 // the S=1 degenerate engine bit-identical to the single engine.
-int64_t CutEdgeResolver::Polish(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards) {
+int64_t CutEdgeResolver::Polish(const PartitionPlan& plan,
+                                const std::vector<Shard>& shards) {
   if (num_edges_ == 0) return 0;
   const int capacity = VertexCapacity();
   auto for_each_neighbor = [&](VertexId v, auto&& fn) {
-    shards[plan.ShardOf(v)]->graph().ForEachIncident(
+    shards[plan.ShardOf(v)].graph.ForEachIncident(
         v, [&](VertexId u, EdgeId) { fn(u); });
     for (const Half& h : adjacency_[v]) fn(h.to);
   };
   auto adjacent = [&](VertexId a, VertexId b) {
     const int sa = plan.ShardOf(a);
-    if (sa == plan.ShardOf(b)) return shards[sa]->graph().HasEdge(a, b);
+    if (sa == plan.ShardOf(b)) return shards[sa].graph.HasEdge(a, b);
     return HasCutEdge(a, b);
   };
   // count_[u]: solution neighbors of u (members have 0 by
@@ -435,7 +411,6 @@ bool CutEdgeResolver::LoadFrom(SnapshotReader* r) {
 
   // Adopt and rebuild the adjacency.
   adjacency_.assign(static_cast<size_t>(capacity), {});
-  cut_ops_.clear();
   alive_ = std::move(alive);
   free_vertices_ = std::move(free_list);
   num_vertices_ = nv;

@@ -15,28 +15,32 @@
 // each 8-byte entry carries the edge's position in the other endpoint's
 // array ("mirror index"). A deletion scans only the smaller endpoint's
 // contiguous array and finds the far side's entry through the mirror in
-// O(1); every mutation is allocation-free in steady state and involves no
-// hashing. Neighbor iteration order is NOT canonical (swap-remove
+// O(1); no mutation hashes, and one allocates only when an array grows
+// past its capacity or falls to a quarter of it (below). Neighbor
+// iteration order is NOT canonical (swap-remove
 // reorders), which is safe because the barrier pass sorts every
 // order-sensitive working set before use — its output is a pure,
 // order-insensitive function of the edge set and the shard states.
 //
-// Cut-edge mutations from routed updates are buffered in op order and
-// applied by ApplyCutOps() at each barrier, after the shards' pending
-// blocks. Buffering keeps routing O(1) and the store's upkeep out of
+// Every mutation applies at once. The sharded engine logs routed cut-edge
+// ops with its intra-shard ones and feeds them here in op order when it
+// applies its edge-op log (at a barrier, when the log fills, or before a
+// vertex op), which keeps routing O(1) and the store's upkeep out of
 // ApplyBatch, whose latency callers time: applied at routing, the upkeep
 // put window-sharded's median write at 1.30x (bench/EXPERIMENTS.md, "One
-// cut-edge resolver"). Bulk loads (engine creation, snapshot restore)
-// insert directly.
+// cut-edge resolver"). Vertex ops and bulk loads reach the store directly.
+// An array of more than four entries' capacity that falls to a quarter of
+// it is shrunk to fit, so the store's bytes follow the live cut edges
+// rather than each vertex's highest cut degree ever.
 //
-// Resolve() is the barrier pass: with every shard's pending block and the
-// buffered ops applied, it repairs the union of the shards' local
-// solutions into a verified maximal independent set of the global graph —
+// Resolve() is the barrier pass: with every routed op applied, it repairs
+// the union of the shards' local solutions into a verified maximal
+// independent set of the global graph —
 // min-degree greedy confirm over the vertices on conflicting cut edges,
 // re-extension of the evicted neighborhoods, and a bounded 1-swap polish
 // (paper Algorithm 2's move) over every member. Every working set is sorted
 // before use, so the result is a pure function of the shard solutions and
-// the edge sets — barrier and block boundaries don't matter. The
+// the edge sets — barrier and log boundaries don't matter. The
 // min-degree orders (the conflicted set, the re-extension candidates, each
 // polished member's bar1) sort by (total degree, id), with every total
 // degree read once per pass into a flat array, since the graphs stay fixed
@@ -50,12 +54,21 @@
 #include <utility>
 #include <vector>
 
+#include "dynmis/maintainer.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/io/snapshot.h"
 #include "src/shard/partition_plan.h"
-#include "src/shard/shard.h"
 
 namespace dynmis {
+
+// One vertex partition of a ShardedMisEngine: a graph holding the shard's
+// vertices *at their global ids* (foreign ids stay dead gaps, so no id
+// translation exists anywhere) plus the intra-shard edges, and the
+// registry maintainer running over it.
+struct Shard {
+  DynamicGraph graph;
+  std::unique_ptr<DynamicMisMaintainer> maintainer;
+};
 
 class CutEdgeResolver {
  public:
@@ -68,27 +81,18 @@ class CutEdgeResolver {
   // --- Global id space (applied in global op order) -------------------------
 
   VertexId AddVertex();
-  // Frees the id for recycling at once and buffers the drop of its cut
-  // edges.
+  // Drops the vertex's cut edges and frees its id for recycling.
   void RemoveVertex(VertexId v);
   bool IsVertexAlive(VertexId v) const {
     return v >= 0 && v < VertexCapacity() && alive_[v];
   }
 
-  // Cut-edge mutations, buffered in op order until ApplyCutOps().
-  void AddCutEdge(VertexId u, VertexId v);
+  // Cut-edge mutations. Both endpoints must be alive; an inserted edge must
+  // be absent and a removed one present.
+  void InsertCutEdge(VertexId u, VertexId v);
   void RemoveCutEdge(VertexId u, VertexId v);
 
-  // Applies the buffered cut-edge mutations in op order. The buffer keeps
-  // its capacity, so steady-state barriers do not allocate for it.
-  void ApplyCutOps();
-
-  // Bulk loading (engine creation, nothing buffered): frees the id of a
-  // vertex that has no cut edges, and inserts a cut edge at once.
-  void FreeVertexId(VertexId v);
-  void InsertCutEdge(VertexId u, VertexId v);
-
-  // --- Cut-graph reads (exact once ApplyCutOps() ran) -----------------------
+  // --- Cut-graph reads ------------------------------------------------------
 
   bool HasCutEdge(VertexId u, VertexId v) const {
     if (CutDegree(v) < CutDegree(u)) std::swap(u, v);
@@ -134,17 +138,15 @@ class CutEdgeResolver {
   };
 
   // The barrier pass: collects the overlay (the union of the shards' local
-  // solutions) and repairs it. Every shard's pending block must have been
-  // applied, and ApplyCutOps() run, since the last routed op.
+  // solutions) and repairs it. Every routed op must have been applied.
   Resolution Resolve(const PartitionPlan& plan,
-                     const std::vector<std::unique_ptr<Shard>>& shards);
+                     const std::vector<Shard>& shards);
 
   // --- Snapshots ------------------------------------------------------------
 
   // Persists the id space and cut edges as section "state" (the caller
   // scopes it with a section prefix). The free list travels verbatim so a
-  // restored engine recycles ids in the identical order. Call with no ops
-  // buffered.
+  // restored engine recycles ids in the identical order.
   void SaveTo(SnapshotWriter* w) const;
   // Restores from "state" after full validation (bounds, aliveness,
   // duplicate edges, free-list exactness). On success the adjacency and
@@ -152,9 +154,7 @@ class CutEdgeResolver {
   // on any violation.
   bool LoadFrom(SnapshotReader* r);
 
-  // The id space, the cut store and the barrier scratch. The op buffer is
-  // transient routing state, like the shards' pending blocks, and is not
-  // counted.
+  // The id space, the cut store and the barrier scratch.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -165,30 +165,20 @@ class CutEdgeResolver {
     int32_t mirror;
   };
 
-  // One buffered cut-graph mutation.
-  struct CutOp {
-    enum class Kind : uint8_t { kAddEdge, kRemoveEdge, kDropVertex };
-    Kind kind;
-    VertexId u;
-    VertexId v;
-  };
-
   // Grows the per-vertex adjacency to cover id `v`.
   void EnsureCutCapacity(VertexId v);
 
-  void InsertEdgeHalves(VertexId u, VertexId v);
-  void RemoveEdgeHalves(VertexId u, VertexId v);
   void DropVertexEdges(VertexId v);
 
   // Swap-removes adjacency_[owner][index], repairing the mirror of the
-  // entry moved into the hole.
+  // entry moved into the hole, and shrinks a large array once it is a
+  // quarter full.
   void SwapRemoveHalf(VertexId owner, int32_t index);
 
   // Fills degree_[v] with v's degree in the global graph (intra-shard +
   // cut) for every alive id, once per pass, so that no sort comparator
   // asks the plan, a shard graph and the cut store.
-  void FillDegrees(const PartitionPlan& plan,
-                   const std::vector<std::unique_ptr<Shard>>& shards);
+  void FillDegrees(const PartitionPlan& plan, const std::vector<Shard>& shards);
 
   // Sorts `vertices` by ascending (degree_, id), the min-degree greedy's
   // order. Ids are distinct, so the order is total.
@@ -196,8 +186,7 @@ class CutEdgeResolver {
 
   // The 1-swap polish over the repaired solution in in_sol_ (degree_
   // filled); returns the swaps made.
-  int64_t Polish(const PartitionPlan& plan,
-                 const std::vector<std::unique_ptr<Shard>>& shards);
+  int64_t Polish(const PartitionPlan& plan, const std::vector<Shard>& shards);
 
   // --- Id space -------------------------------------------------------------
   std::vector<uint8_t> alive_;
@@ -207,9 +196,6 @@ class CutEdgeResolver {
   // --- Cut store ------------------------------------------------------------
   std::vector<std::vector<Half>> adjacency_;
   int64_t num_edges_ = 0;
-
-  // Mutations routed since the last ApplyCutOps(), in op order.
-  std::vector<CutOp> cut_ops_;
 
   // Reusable scratch (sized to vertex capacity / pass volume).
   std::vector<int32_t> degree_;

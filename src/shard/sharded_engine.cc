@@ -15,10 +15,10 @@ namespace {
 // A five-digit shard count in a snapshot is certainly corruption.
 constexpr int kMaxShards = 1024;
 
-// Pending ops a shard holds before routing applies them (about 4.7 MB of
-// GraphUpdates), so a caller that never queries stays bounded. A barrier
-// per admission batch or per 8192-op chunk never reaches it.
-constexpr size_t kMaxPendingOps = size_t{1} << 16;
+// Edge ops the log holds before routing applies them (768 KB), so a
+// caller that never queries stays bounded. A barrier per admission batch or
+// per 8192-op chunk never reaches it.
+constexpr size_t kMaxLoggedOps = size_t{1} << 16;
 
 // The snapshot slot of the deleted block_ops option: written as its old
 // default and checked >= 1 on load, so snapshots load in both directions.
@@ -26,21 +26,6 @@ constexpr int32_t kLegacyBlockOps = 1024;
 
 std::string ShardPrefix(int shard) {
   return "shard" + std::to_string(shard) + "/";
-}
-
-// Each vertex's degree inside its own shard, so every shard graph sizes its
-// arrays once before the bulk insert (see DynamicGraph::ReserveDegree).
-std::vector<int32_t> ShardDegrees(
-    const PartitionPlan& plan, int n,
-    const std::vector<std::pair<VertexId, VertexId>>& edges) {
-  std::vector<int32_t> degree(static_cast<size_t>(n), 0);
-  for (const auto& [u, v] : edges) {
-    if (plan.ShardOf(u) == plan.ShardOf(v)) {
-      ++degree[u];
-      ++degree[v];
-    }
-  }
-  return degree;
 }
 
 }  // namespace
@@ -51,104 +36,75 @@ ShardedMisEngine::ShardedMisEngine(MaintainerConfig config,
     : config_(std::move(config)),
       options_(options),
       plan_(plan),
-      resolver_(initial_vertices) {
-  shards_.reserve(static_cast<size_t>(plan_.num_shards()));
-  for (int s = 0; s < plan_.num_shards(); ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  pending_.resize(static_cast<size_t>(plan_.num_shards()));
-}
+      resolver_(initial_vertices),
+      shards_(static_cast<size_t>(plan_.num_shards())) {}
 
 ShardedMisEngine::~ShardedMisEngine() = default;
 
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Create(
     const EdgeListGraph& base, MaintainerConfig config,
     ShardedEngineOptions options) {
-  if (options.num_shards < 1 || options.num_shards > kMaxShards) {
-    return nullptr;
-  }
-  PartitionPlan plan =
-      PartitionPlan::Make(options.partition, options.num_shards, base.n);
-  if (plan.assigns_on_insert()) {
-    // Stream the base vertices through the greedy placement in id order,
-    // each voting with its already-placed neighbors — the same rule later
-    // vertex inserts follow, so creation is just the stream's prefix.
-    std::vector<std::vector<VertexId>> neighbors(
-        static_cast<size_t>(base.n));
-    for (const auto& [u, v] : base.edges) {
-      neighbors[u].push_back(v);
-      neighbors[v].push_back(u);
-    }
-    for (VertexId v = 0; v < base.n; ++v) {
-      plan.AssignVertex(v, neighbors[v]);
-      plan.OnVertexAdded(v);
-    }
-  }
-  std::unique_ptr<ShardedMisEngine> engine(
-      new ShardedMisEngine(std::move(config), options, plan, base.n));
-
-  // Shard graphs host their vertices at the global ids (foreign ids stay
-  // dead gaps — no id translation exists anywhere in the subsystem).
-  const std::vector<int32_t> degree = ShardDegrees(plan, base.n, base.edges);
-  for (VertexId v = 0; v < base.n; ++v) {
-    DynamicGraph& g = engine->shards_[plan.ShardOf(v)]->graph();
-    g.QueueVertexId(v);
-    g.AddVertex();
-    g.ReserveDegree(v, degree[v]);
-  }
-  for (const auto& [u, v] : base.edges) {
-    const int su = plan.ShardOf(u);
-    if (su == plan.ShardOf(v)) {
-      engine->shards_[su]->graph().AddEdge(u, v);
-    } else {
-      engine->resolver_.InsertCutEdge(u, v);
-    }
-  }
-  for (auto& shard : engine->shards_) {
-    if (!shard->BuildMaintainer(engine->config_)) return nullptr;
-  }
-  return engine;
+  return Build(base.n, {}, base.edges, std::move(config), options);
 }
 
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
     const DynamicGraph& global, MaintainerConfig config,
     ShardedEngineOptions options) {
+  return Build(global.VertexCapacity(), global.FreeVertexIds(),
+               global.EdgeList(), std::move(config), options);
+}
+
+std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Build(
+    int capacity, const std::vector<VertexId>& free_ids,
+    const std::vector<std::pair<VertexId, VertexId>>& edges,
+    MaintainerConfig config, ShardedEngineOptions options) {
   if (options.num_shards < 1 || options.num_shards > kMaxShards) {
     return nullptr;
   }
-  const int capacity = global.VertexCapacity();
-  PartitionPlan plan =
-      PartitionPlan::Make(options.partition, options.num_shards, capacity);
+  std::unique_ptr<ShardedMisEngine> engine(new ShardedMisEngine(
+      std::move(config), options,
+      PartitionPlan::Make(options.partition, options.num_shards, capacity),
+      capacity));
+  CutEdgeResolver& resolver = engine->resolver_;
+  PartitionPlan& plan = engine->plan_;
+
+  // The resolver starts with 0..capacity-1 alive; removing the dead ids in
+  // their recycle order makes its free list — the global id allocator —
+  // match the source's element for element, so vertex inserts assign the
+  // ids a single engine over the same graph would.
+  for (const VertexId v : free_ids) resolver.RemoveVertex(v);
   if (plan.assigns_on_insert()) {
-    // Stream the alive vertices in id order; dead ids stay unowned and get
-    // assigned if their id is ever recycled.
-    std::vector<VertexId> neighbors;
+    // Stream the alive vertices through the greedy placement in id order,
+    // each voting with its already-placed neighbors — the same rule later
+    // vertex inserts follow, so creation is just the stream's prefix. Dead
+    // ids stay unowned and get assigned if their id is ever recycled.
+    std::vector<std::vector<VertexId>> neighbors(
+        static_cast<size_t>(capacity));
+    for (const auto& [u, v] : edges) {
+      neighbors[u].push_back(v);
+      neighbors[v].push_back(u);
+    }
     for (VertexId v = 0; v < capacity; ++v) {
-      if (!global.IsVertexAlive(v)) continue;
-      neighbors.clear();
-      global.ForEachIncident(v,
-                             [&](VertexId u, EdgeId) {
-                               neighbors.push_back(u);
-                             });
-      plan.AssignVertex(v, neighbors);
+      if (!resolver.IsVertexAlive(v)) continue;
+      plan.AssignVertex(v, neighbors[v]);
       plan.OnVertexAdded(v);
     }
   }
-  std::unique_ptr<ShardedMisEngine> engine(
-      new ShardedMisEngine(std::move(config), options, plan, capacity));
 
-  // The resolver starts with 0..capacity-1 alive; replaying the source
-  // graph's removals in its recycle order makes the resolver's free list —
-  // the global id allocator — match element for element, so vertex inserts
-  // after the swap assign the ids the old backend would have.
-  for (const VertexId v : global.FreeVertexIds()) {
-    engine->resolver_.FreeVertexId(v);
+  // Shard graphs host their vertices at the global ids (foreign ids stay
+  // dead gaps — no id translation exists anywhere in the subsystem), and
+  // each array is sized once to the vertex's degree inside its own shard
+  // before the bulk insert (see DynamicGraph::ReserveDegree).
+  std::vector<int32_t> degree(static_cast<size_t>(capacity), 0);
+  for (const auto& [u, v] : edges) {
+    if (plan.ShardOf(u) == plan.ShardOf(v)) {
+      ++degree[u];
+      ++degree[v];
+    }
   }
-  const std::vector<std::pair<VertexId, VertexId>> edges = global.EdgeList();
-  const std::vector<int32_t> degree = ShardDegrees(plan, capacity, edges);
   for (VertexId v = 0; v < capacity; ++v) {
-    if (!global.IsVertexAlive(v)) continue;
-    DynamicGraph& g = engine->shards_[plan.ShardOf(v)]->graph();
+    if (!resolver.IsVertexAlive(v)) continue;
+    DynamicGraph& g = engine->shards_[plan.ShardOf(v)].graph;
     g.QueueVertexId(v);
     g.AddVertex();
     g.ReserveDegree(v, degree[v]);
@@ -156,57 +112,47 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
   for (const auto& [u, v] : edges) {
     const int su = plan.ShardOf(u);
     if (su == plan.ShardOf(v)) {
-      engine->shards_[su]->graph().AddEdge(u, v);
+      engine->shards_[su].graph.AddEdge(u, v);
     } else {
-      engine->resolver_.InsertCutEdge(u, v);
+      resolver.InsertCutEdge(u, v);
     }
   }
-  for (auto& shard : engine->shards_) {
-    if (!shard->BuildMaintainer(engine->config_)) return nullptr;
-  }
+  if (!engine->BuildMaintainers()) return nullptr;
   return engine;
 }
 
+bool ShardedMisEngine::BuildMaintainers() {
+  for (Shard& shard : shards_) {
+    shard.maintainer =
+        MaintainerRegistry::Global().Create(config_, &shard.graph);
+    if (shard.maintainer == nullptr) return false;
+  }
+  return true;
+}
+
 void ShardedMisEngine::Initialize() {
-  for (auto& shard : shards_) shard->maintainer().Initialize({});
+  for (Shard& shard : shards_) shard.maintainer->Initialize({});
   resolved_ = false;
   EnsureResolved();
 }
 
 VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
-  // Edge ops are appended field-wise rather than copied: the GraphUpdate
-  // copy constructor drags the (empty) neighbors vector along, and this
-  // append runs for every intra-shard op.
-  auto append_edge_op = [&](int shard) {
-    GraphUpdate& slot = pending_[shard].updates.emplace_back();
-    slot.kind = update.kind;
-    slot.u = update.u;
-    slot.v = update.v;
-    ApplyIfFull(shard);
-  };
   switch (update.kind) {
-    case UpdateKind::kInsertEdge: {
-      const int su = plan_.ShardOf(update.u);
-      if (su == plan_.ShardOf(update.v)) {
-        append_edge_op(su);
-      } else {
-        resolver_.AddCutEdge(update.u, update.v);
-      }
-      return kInvalidVertex;
-    }
+    case UpdateKind::kInsertEdge:
     case UpdateKind::kDeleteEdge: {
       const int su = plan_.ShardOf(update.u);
-      if (su == plan_.ShardOf(update.v)) {
-        append_edge_op(su);
-      } else {
-        resolver_.RemoveCutEdge(update.u, update.v);
-      }
+      const bool intra = su == plan_.ShardOf(update.v);
+      log_.push_back(EdgeOp{update.u, update.v,
+                            intra ? static_cast<int16_t>(su) : kCutShard,
+                            update.kind == UpdateKind::kInsertEdge});
+      if (log_.size() == kMaxLoggedOps) Flush();
       return kInvalidVertex;
     }
     case UpdateKind::kInsertVertex: {
-      // The global id is allocated synchronously (so callers see it at
-      // once, and allocation order matches a single engine); the op the
-      // shard receives carries only the intra-shard neighbor edges.
+      // A vertex op applies at once, after every op routed before it.
+      Flush();
+      // The global id is allocated here, in op order, so allocation
+      // matches a single engine's; the shard's graph is told to use it.
       const VertexId id = resolver_.AddVertex();
       // A locality plan places a never-before-seen id now, voting with the
       // vertex's current neighbors; a recycled id keeps its previous owner
@@ -216,39 +162,47 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
       }
       plan_.OnVertexAdded(id);
       const int s = plan_.ShardOf(id);
-      GraphUpdate local;
-      local.kind = UpdateKind::kInsertVertex;
+      std::vector<VertexId> local;
       for (const VertexId n : update.neighbors) {
         if (plan_.ShardOf(n) == s) {
-          local.neighbors.push_back(n);
+          local.push_back(n);
         } else {
-          resolver_.AddCutEdge(id, n);
+          resolver_.InsertCutEdge(id, n);
         }
       }
-      pending_[s].updates.push_back(std::move(local));
-      pending_[s].insert_ids.push_back(id);
-      ApplyIfFull(s);
+      shards_[s].graph.QueueVertexId(id);
+      const VertexId v = shards_[s].maintainer->InsertVertex(local);
+      DYNMIS_DCHECK(v == id);
+      (void)v;
       return id;
     }
     case UpdateKind::kDeleteVertex: {
+      Flush();
       const int s = plan_.ShardOf(update.u);
-      // Frees the global id for recycling at once and buffers the drop of
-      // its cut edges (a recycled id maps back to the same shard, so the
-      // shard's op order keeps delete-then-reinsert sequences consistent).
       resolver_.RemoveVertex(update.u);
       plan_.OnVertexRemoved(update.u);
-      append_edge_op(s);
+      shards_[s].maintainer->DeleteVertex(update.u);
       return kInvalidVertex;
     }
   }
   return kInvalidVertex;
 }
 
-void ShardedMisEngine::ApplyIfFull(int shard) {
-  Shard::Block& block = pending_[shard];
-  if (block.updates.size() < kMaxPendingOps) return;
-  shards_[shard]->Apply(block);
-  block.clear();
+void ShardedMisEngine::Flush() {
+  for (const EdgeOp& op : log_) {
+    if (op.shard == kCutShard) {
+      if (op.insert) {
+        resolver_.InsertCutEdge(op.u, op.v);
+      } else {
+        resolver_.RemoveCutEdge(op.u, op.v);
+      }
+    } else if (op.insert) {
+      shards_[op.shard].maintainer->InsertEdge(op.u, op.v);
+    } else {
+      shards_[op.shard].maintainer->DeleteEdge(op.u, op.v);
+    }
+  }
+  log_.clear();
 }
 
 UpdateResult ShardedMisEngine::Apply(const GraphUpdate& update) {
@@ -321,21 +275,9 @@ UpdateResult ShardedMisEngine::DeleteVertex(VertexId v) {
   return Apply(update);
 }
 
-void ShardedMisEngine::Barrier() {
-  // Cleared blocks keep their capacity, so steady-state rounds do not
-  // allocate for them.
-  for (int s = 0; s < plan_.num_shards(); ++s) {
-    shards_[s]->Apply(pending_[s]);
-    pending_[s].clear();
-  }
-  resolver_.ApplyCutOps();
-}
-
-void ShardedMisEngine::Flush() { Barrier(); }
-
 void ShardedMisEngine::EnsureResolved() {
   if (resolved_) return;
-  Barrier();
+  Flush();
   Timer resolve_timer;
   resolution_ = resolver_.Resolve(plan_, shards_);
   resolve_seconds_ += resolve_timer.ElapsedSeconds();
@@ -372,14 +314,14 @@ void ShardedMisEngine::CollectSolution(std::vector<VertexId>* out) {
 EngineStats ShardedMisEngine::Stats() {
   EnsureResolved();
   EngineStats stats;
-  stats.algorithm = shards_[0]->maintainer().Name();
+  stats.algorithm = shards_[0].maintainer->Name();
   stats.solution_size = static_cast<int64_t>(resolution_.solution.size());
   stats.num_vertices = resolver_.NumVertices();
   stats.num_edges = resolver_.NumCutEdges();
-  for (const auto& shard : shards_) {
-    stats.num_edges += shard->graph().NumEdges();
-    stats.structure_memory_bytes += shard->maintainer().MemoryUsageBytes();
-    stats.graph_memory_bytes += shard->graph().MemoryUsageBytes();
+  for (const Shard& shard : shards_) {
+    stats.num_edges += shard.graph.NumEdges();
+    stats.structure_memory_bytes += shard.maintainer->MemoryUsageBytes();
+    stats.graph_memory_bytes += shard.graph.MemoryUsageBytes();
   }
   stats.graph_memory_bytes += resolver_.MemoryUsageBytes();
   stats.updates_applied = updates_applied_;
@@ -396,11 +338,11 @@ DynamicGraph ShardedMisEngine::BuildGlobalGraph() {
   for (const VertexId v : resolver_.FreeVertexIds()) g.RemoveVertex(v);
   for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
     if (!g.IsVertexAlive(v)) continue;
-    g.ReserveDegree(v, shards_[plan_.ShardOf(v)]->graph().Degree(v) +
+    g.ReserveDegree(v, shards_[plan_.ShardOf(v)].graph.Degree(v) +
                            resolver_.CutDegree(v));
   }
-  for (const auto& shard : shards_) {
-    for (const auto& [u, v] : shard->graph().EdgeList()) g.AddEdge(u, v);
+  for (const Shard& shard : shards_) {
+    for (const auto& [u, v] : shard.graph.EdgeList()) g.AddEdge(u, v);
   }
   for (const auto& [u, v] : resolver_.CutEdgeList()) g.AddEdge(u, v);
   return g;
@@ -410,14 +352,14 @@ std::vector<EngineStats> ShardedMisEngine::PerShardStats() {
   EnsureResolved();
   std::vector<EngineStats> stats;
   stats.reserve(shards_.size());
-  for (const auto& shard : shards_) {
+  for (const Shard& shard : shards_) {
     EngineStats s;
-    s.algorithm = shard->maintainer().Name();
-    s.solution_size = shard->maintainer().SolutionSize();
-    s.num_vertices = shard->graph().NumVertices();
-    s.num_edges = shard->graph().NumEdges();
-    s.structure_memory_bytes = shard->maintainer().MemoryUsageBytes();
-    s.graph_memory_bytes = shard->graph().MemoryUsageBytes();
+    s.algorithm = shard.maintainer->Name();
+    s.solution_size = shard.maintainer->SolutionSize();
+    s.num_vertices = shard.graph.NumVertices();
+    s.num_edges = shard.graph.NumEdges();
+    s.structure_memory_bytes = shard.maintainer->MemoryUsageBytes();
+    s.graph_memory_bytes = shard.graph.MemoryUsageBytes();
     stats.push_back(std::move(s));
   }
   return stats;
@@ -428,9 +370,9 @@ ShardedStats ShardedMisEngine::ShardStats() {
   ShardedStats stats;
   stats.num_shards = plan_.num_shards();
   stats.partition = PartitionStrategyName(plan_.strategy());
-  for (const auto& shard : shards_) {
-    stats.intra_edges += shard->graph().NumEdges();
-    stats.shard_solution_sizes.push_back(shard->maintainer().SolutionSize());
+  for (const Shard& shard : shards_) {
+    stats.intra_edges += shard.graph.NumEdges();
+    stats.shard_solution_sizes.push_back(shard.maintainer->SolutionSize());
   }
   stats.cut_edges = resolver_.NumCutEdges();
   const int64_t total = stats.intra_edges + stats.cut_edges;
@@ -454,10 +396,10 @@ SnapshotStatus ShardedMisEngine::SaveSnapshot(std::ostream& out) {
 }
 
 void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
-  EnsureResolved();  // Every pending and cut op applied.
+  EnsureResolved();  // Every logged op applied.
   writer->BeginSection("sharded");
   writer->PutString(config_.algorithm);
-  writer->PutString(shards_[0]->maintainer().Name());
+  writer->PutString(shards_[0].maintainer->Name());
   writer->PutI32(config_.k);
   writer->PutU8(1);  // Former lazy-collection flag, kept for older readers.
   writer->PutU8(config_.perturb ? 1 : 0);
@@ -485,8 +427,8 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   resolver_.SaveTo(writer);
   for (int s = 0; s < plan_.num_shards(); ++s) {
     writer->SetSectionPrefix(ShardPrefix(s));
-    shards_[s]->graph().SaveTo(writer);
-    shards_[s]->maintainer().SaveState(writer);
+    shards_[s].graph.SaveTo(writer);
+    shards_[s].maintainer->SaveState(writer);
   }
   writer->SetSectionPrefix("");
 }
@@ -496,17 +438,17 @@ bool ShardedMisEngine::LoadShards(SnapshotReader* reader) {
   if (!resolver_.LoadFrom(reader)) return false;
   for (int s = 0; s < plan_.num_shards(); ++s) {
     reader->SetSectionPrefix(ShardPrefix(s));
-    if (!shards_[s]->graph().LoadFrom(reader)) return false;
+    if (!shards_[s].graph.LoadFrom(reader)) return false;
   }
   reader->SetSectionPrefix("");
   if (!ValidateLoaded(reader)) return false;
+  if (!BuildMaintainers()) {
+    reader->Fail("snapshot: sharded: maintainer construction failed");
+    return false;
+  }
   for (int s = 0; s < plan_.num_shards(); ++s) {
-    if (!shards_[s]->BuildMaintainer(config_)) {
-      reader->Fail("snapshot: sharded: maintainer construction failed");
-      return false;
-    }
     reader->SetSectionPrefix(ShardPrefix(s));
-    if (!shards_[s]->maintainer().LoadState(reader, shards_[s]->graph())) {
+    if (!shards_[s].maintainer->LoadState(reader, shards_[s].graph)) {
       if (reader->ok()) {
         reader->Fail("snapshot: sharded: maintainer state restore failed");
       }
@@ -525,7 +467,7 @@ bool ShardedMisEngine::ValidateLoaded(SnapshotReader* reader) const {
   // Every alive vertex lives in exactly its plan shard (and nowhere else),
   // and the cut structure knows exactly the alive vertices.
   for (int s = 0; s < plan_.num_shards(); ++s) {
-    const DynamicGraph& g = shards_[s]->graph();
+    const DynamicGraph& g = shards_[s].graph;
     if (g.VertexCapacity() > resolver_.VertexCapacity()) {
       return fail("shard id space exceeds the global id space");
     }
@@ -543,8 +485,8 @@ bool ShardedMisEngine::ValidateLoaded(SnapshotReader* reader) const {
     }
   }
   int64_t shard_vertices = 0;
-  for (const auto& shard : shards_) {
-    shard_vertices += shard->graph().NumVertices();
+  for (const Shard& shard : shards_) {
+    shard_vertices += shard.graph.NumVertices();
   }
   if (shard_vertices != resolver_.NumVertices()) {
     return fail("vertex alive in the cut structure but missing from its "
@@ -552,7 +494,7 @@ bool ShardedMisEngine::ValidateLoaded(SnapshotReader* reader) const {
   }
   // Edge placement matches the plan on both sides.
   for (int s = 0; s < plan_.num_shards(); ++s) {
-    for (const auto& [u, v] : shards_[s]->graph().EdgeList()) {
+    for (const auto& [u, v] : shards_[s].graph.EdgeList()) {
       if (plan_.ShardOf(u) != s || plan_.ShardOf(v) != s) {
         return fail("shard edge with a foreign endpoint");
       }
@@ -568,52 +510,57 @@ bool ShardedMisEngine::ValidateLoaded(SnapshotReader* reader) const {
 
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
     std::istream& in, SnapshotStatus* status) {
+  SnapshotReader reader;
+  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
+    if (status != nullptr) *status = read;
+    return nullptr;
+  }
+  return LoadFrom(&reader, status);
+}
+
+std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
+    SnapshotReader* reader, SnapshotStatus* status) {
   auto report = [&](const SnapshotStatus& s) {
     if (status != nullptr) *status = s;
   };
   report(SnapshotStatus::Ok());
 
-  SnapshotReader reader;
-  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
-    report(read);
-    return nullptr;
-  }
-  if (!reader.OpenSection("sharded")) {
-    report(reader.status());
+  if (!reader->OpenSection("sharded")) {
+    report(reader->status());
     return nullptr;
   }
   MaintainerConfig config;
-  config.algorithm = reader.GetString();
-  reader.GetString();  // Display name: informational only.
-  config.k = reader.GetI32();
-  reader.GetU8();  // Former lazy-collection flag: ignored.
-  config.perturb = reader.GetU8() != 0;
-  config.recompute_every = reader.GetI32();
-  const int num_shards = reader.GetI32();
-  const uint8_t strategy = reader.GetU8();
-  const int block_size = reader.GetI32();
+  config.algorithm = reader->GetString();
+  reader->GetString();  // Display name: informational only.
+  config.k = reader->GetI32();
+  reader->GetU8();  // Former lazy-collection flag: ignored.
+  config.perturb = reader->GetU8() != 0;
+  config.recompute_every = reader->GetI32();
+  const int num_shards = reader->GetI32();
+  const uint8_t strategy = reader->GetU8();
+  const int block_size = reader->GetI32();
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  const int block_ops = reader.GetI32();
-  const uint8_t async_resolver = reader.GetU8();
-  const int64_t updates_applied = reader.GetI64();
-  const double update_seconds = reader.GetDouble();
-  const double resolve_seconds = reader.GetDouble();
-  const int64_t barriers = reader.GetI64();
-  const int64_t conflicts = reader.GetI64();
-  const int64_t evictions = reader.GetI64();
-  const int64_t readded = reader.GetI64();
-  const int64_t swaps = reader.GetI64();
+  const int block_ops = reader->GetI32();
+  const uint8_t async_resolver = reader->GetU8();
+  const int64_t updates_applied = reader->GetI64();
+  const double update_seconds = reader->GetDouble();
+  const double resolve_seconds = reader->GetDouble();
+  const int64_t barriers = reader->GetI64();
+  const int64_t conflicts = reader->GetI64();
+  const int64_t evictions = reader->GetI64();
+  const int64_t readded = reader->GetI64();
+  const int64_t swaps = reader->GetI64();
   std::vector<int32_t> owners;
-  if (!reader.GetI32Array(&owners)) {
-    report(reader.status());
+  if (!reader->GetI32Array(&owners)) {
+    report(reader->status());
     return nullptr;
   }
-  if (reader.ok() && !reader.AtSectionEnd()) {
-    reader.Fail("snapshot: sharded: trailing bytes after the last field");
+  if (reader->ok() && !reader->AtSectionEnd()) {
+    reader->Fail("snapshot: sharded: trailing bytes after the last field");
   }
-  if (!reader.ok()) {
-    report(reader.status());
+  if (!reader->ok()) {
+    report(reader->status());
     return nullptr;
   }
   if (!MaintainerRegistry::Global().Has(config.algorithm)) {
@@ -653,10 +600,10 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
 
   std::unique_ptr<ShardedMisEngine> engine(new ShardedMisEngine(
       std::move(config), options, plan, /*initial_vertices=*/0));
-  if (!engine->LoadShards(&reader)) {
-    report(reader.ok() ? SnapshotStatus::Error(
-                             "snapshot: sharded: shard restore failed")
-                       : reader.status());
+  if (!engine->LoadShards(reader)) {
+    report(reader->ok() ? SnapshotStatus::Error(
+                              "snapshot: sharded: shard restore failed")
+                        : reader->status());
     return nullptr;
   }
   if (locality) {

@@ -1,9 +1,10 @@
 // ShardedMisEngine: independence + maximality of the resolved solution
 // under churn, hash vs range partition plans, deterministic replay (both
 // across runs and across batch/barrier boundaries), S=1 degeneration to the
-// single engine (also past the pending-block cap), vertex inserts landing
-// in the plan's shard, snapshot round-trips including empty shards and the
-// resolution counters, and an engine that starts no thread.
+// single engine (also with ops still in the edge-op log), the log's cap,
+// the cut store giving back slack, vertex inserts landing in the plan's
+// shard, snapshot round-trips including empty shards and the resolution
+// counters, and an engine that starts no thread.
 
 #include "dynmis/sharded_engine.h"
 
@@ -224,9 +225,9 @@ TEST(ShardedEngineTest, DeterministicReplayAcrossFlushBoundaries) {
 // S=1 is the degenerate case: every edge is intra-shard and the one shard
 // applies exactly the single engine's op sequence, op by op, so the
 // solutions agree verbatim. Two inputs: a trace sent op by op, and one
-// longer than the 1 << 16 ops a shard's pending block holds, sent to the
-// sharded engine in one ApplyBatch before the first query, so routing
-// applies the block when it fills.
+// longer than the 1 << 16 ops the edge-op log holds, sent to the sharded
+// engine in one ApplyBatch before the first query, so routing applies the
+// log before each vertex op (and would when it fills).
 TEST(ShardedEngineTest, SingleShardMatchesSingleEngine) {
   const EdgeListGraph base = SmallGraph(31);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 400, 37);
@@ -236,16 +237,31 @@ TEST(ShardedEngineTest, SingleShardMatchesSingleEngine) {
   constexpr size_t kCap = size_t{1} << 16;
   const std::vector<GraphUpdate> long_trace =
       ChurnTrace(long_base, static_cast<int>(kCap) + 4000, 41);
-  // The edges after the first kCap ops of the long trace, sorted.
+  // The prefix of the long trace that routing has applied when the batch
+  // returns: the log is applied when it reaches kCap edge ops and before
+  // each vertex op, which then applies itself at once.
+  size_t applied = 0;
+  size_t logged = 0;
+  for (size_t i = 0; i < long_trace.size(); ++i) {
+    const UpdateKind kind = long_trace[i].kind;
+    const bool vertex_op = kind == UpdateKind::kInsertVertex ||
+                           kind == UpdateKind::kDeleteVertex;
+    if (vertex_op || ++logged == kCap) {
+      applied = i + 1;
+      logged = 0;
+    }
+  }
+  ASSERT_LT(applied, long_trace.size()) << "some edge ops stay logged";
+  // The edges after the applied prefix of the long trace, sorted.
   auto sorted_edges = [](const DynamicGraph& g) {
     std::vector<std::pair<VertexId, VertexId>> edges = g.EdgeList();
     std::sort(edges.begin(), edges.end());
     return edges;
   };
-  DynamicGraph at_cap = long_base.ToDynamic();
-  for (size_t i = 0; i < kCap; ++i) ApplyUpdate(&at_cap, long_trace[i]);
-  const std::vector<std::pair<VertexId, VertexId>> edges_at_cap =
-      sorted_edges(at_cap);
+  DynamicGraph at_prefix = long_base.ToDynamic();
+  for (size_t i = 0; i < applied; ++i) ApplyUpdate(&at_prefix, long_trace[i]);
+  const std::vector<std::pair<VertexId, VertexId>> edges_at_prefix =
+      sorted_edges(at_prefix);
 
   for (const PartitionStrategy strategy :
        {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
@@ -270,11 +286,11 @@ TEST(ShardedEngineTest, SingleShardMatchesSingleEngine) {
                               b.new_vertices.end());
         }
         EXPECT_EQ(a.new_vertices, new_vertices);
-        // Routing applied the first kCap ops when the block filled; the
-        // rest wait for the barrier.
+        // Routing applied the prefix; the edge ops after the last vertex
+        // op wait in the log for the barrier.
         EXPECT_EQ(sharded->shard_graph(0).NumVertices(),
-                  at_cap.NumVertices());
-        EXPECT_EQ(sorted_edges(sharded->shard_graph(0)), edges_at_cap);
+                  at_prefix.NumVertices());
+        EXPECT_EQ(sorted_edges(sharded->shard_graph(0)), edges_at_prefix);
       } else {
         for (const GraphUpdate& update : trace) {
           const UpdateResult a = sharded->Apply(update);
@@ -291,6 +307,74 @@ TEST(ShardedEngineTest, SingleShardMatchesSingleEngine) {
       EXPECT_EQ(sharded->Stats().num_edges, single->Stats().num_edges);
     }
   }
+}
+
+// Routing more new cut edges than the edge-op log holds, with no query in
+// between, applies the log when it fills: the cut store already holds the
+// first 1 << 16 edges, and the rest wait in the log for the barrier.
+TEST(ShardedEngineTest, FullLogAppliesCutEdgesBeforeAnyQuery) {
+  constexpr size_t kCap = size_t{1} << 16;
+  constexpr size_t kOps = kCap + 100;
+  EdgeListGraph base;
+  base.n = 1024;
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(2));
+  ASSERT_NE(engine, nullptr);
+  engine->Initialize();
+  const PartitionPlan& plan = engine->plan();
+  std::vector<GraphUpdate> ops;
+  for (VertexId u = 0; u < base.n && ops.size() < kOps; ++u) {
+    for (VertexId v = u + 1; v < base.n && ops.size() < kOps; ++v) {
+      if (plan.ShardOf(u) == plan.ShardOf(v)) continue;
+      GraphUpdate& op = ops.emplace_back();
+      op.kind = UpdateKind::kInsertEdge;
+      op.u = u;
+      op.v = v;
+    }
+  }
+  ASSERT_EQ(ops.size(), kOps);
+  engine->ApplyBatch(ops);
+  const CutEdgeResolver& resolver = engine->resolver();
+  EXPECT_EQ(resolver.NumCutEdges(), static_cast<int64_t>(kCap));
+  for (size_t i = 0; i < kOps; ++i) {
+    ASSERT_EQ(resolver.HasCutEdge(ops[i].u, ops[i].v), i < kCap) << i;
+  }
+  EXPECT_EQ(engine->ShardStats().cut_edges, static_cast<int64_t>(kOps));
+}
+
+// The cut store gives back slack: after one vertex's cut degree grows and
+// is deleted back, its array keeps at most a few entries' capacity rather
+// than its highest cut degree ever.
+TEST(ShardedEngineTest, CutStoreGivesBackSlack) {
+  EdgeListGraph base;
+  base.n = 512;
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(2));
+  ASSERT_NE(engine, nullptr);
+  engine->Initialize();
+  const PartitionPlan& plan = engine->plan();
+  std::vector<GraphUpdate> inserts;
+  std::vector<GraphUpdate> deletes;
+  for (VertexId v = 1; v < base.n; ++v) {
+    if (plan.ShardOf(v) == plan.ShardOf(0)) continue;
+    GraphUpdate op;
+    op.kind = UpdateKind::kInsertEdge;
+    op.u = 0;
+    op.v = v;
+    inserts.push_back(op);
+    op.kind = UpdateKind::kDeleteEdge;
+    deletes.push_back(op);
+  }
+  const CutEdgeResolver& resolver = engine->resolver();
+  engine->ApplyBatch(inserts);
+  engine->Flush();
+  ASSERT_EQ(resolver.CutDegree(0), static_cast<int>(inserts.size()));
+  const size_t peak = resolver.MemoryUsageBytes();
+  engine->ApplyBatch(deletes);
+  engine->Flush();
+  EXPECT_EQ(resolver.NumCutEdges(), 0);
+  // Vertex 0's array held inserts.size() 8-byte entries at the peak; all
+  // but four entries' worth has been given back. (Each far endpoint's
+  // one-entry array is small enough to keep its capacity.)
+  EXPECT_LE(resolver.MemoryUsageBytes() + 8 * (inserts.size() - 4), peak);
 }
 
 // Vertex inserts that grow the id space land in the shard the plan names,
