@@ -53,8 +53,8 @@ struct ShardedEngineOptions {
   int num_shards = 1;
   PartitionStrategy partition = PartitionStrategy::kHash;
   // Ignored: the resolver has one mode, a pass over the shards' solutions
-  // at each barrier. The field stays because existing callers assign it,
-  // and snapshots still carry its byte.
+  // at each barrier. The field stays because existing callers assign it;
+  // snapshots do not record it.
   bool async_resolver = true;
 };
 
@@ -150,9 +150,14 @@ class ShardedMisEngine {
 
   // --- Snapshots ------------------------------------------------------------
 
-  // Barrier, then writes one versioned container holding the engine
-  // section, the cut structure, and each shard section-wise ("shard<i>/"
-  // prefixed graph + maintainer state). Restoring is O(state) per shard.
+  // Barrier, then writes one versioned container. Its "sharded" section
+  // holds the algorithm key and display name, k, perturb, recompute_every,
+  // the shard count, partition strategy and block size, the lifetime
+  // counters (updates, update and resolve seconds, barriers, conflicts,
+  // evictions, re-adds, swaps) and the locality owner table (empty for
+  // hash and range). Then come "cut/state" (the cut edges and the global
+  // id space) and, per shard, "shard<i>/graph" and the maintainer's state
+  // under the same prefix. Restoring is O(state) per shard.
   SnapshotStatus SaveSnapshot(std::ostream& out);
 
   // Appends the engine's sections to an open writer (barrier included);

@@ -99,7 +99,6 @@ void MisEngine::SaveTo(SnapshotWriter* writer) const {
   writer->PutString(config_.algorithm);
   writer->PutString(maintainer_->Name());
   writer->PutI32(config_.k);
-  writer->PutU8(1);  // Former lazy-collection flag, kept for older readers.
   writer->PutU8(config_.perturb ? 1 : 0);
   writer->PutI32(config_.recompute_every);
   writer->PutI64(updates_applied_);
@@ -114,7 +113,6 @@ bool MisEngine::ReadEngineMeta(SnapshotReader* r, SnapshotEngineMeta* meta) {
   meta->config.algorithm = r->GetString();
   meta->display_name = r->GetString();
   meta->config.k = r->GetI32();
-  r->GetU8();  // Former lazy-collection flag: ignored.
   meta->config.perturb = r->GetU8() != 0;
   meta->config.recompute_every = r->GetI32();
   meta->updates_applied = r->GetI64();

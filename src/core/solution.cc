@@ -170,10 +170,8 @@ void MisState::SaveTo(SnapshotWriter* w) const {
   DYNMIS_CHECK(transitions_.empty());  // Quiescent-point contract.
   w->BeginSection("mis");
   w->PutI32(k_);
-  w->PutU8(1);  // No tightness lists follow (see LoadFrom).
   w->PutI64(solution_size_);
   w->PutU8Array(status_);
-  w->PutI32Array(count_);
   w->EndSection();
 }
 
@@ -185,7 +183,6 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   };
 
   const int32_t k = r->GetI32();
-  const bool legacy_lists = r->GetU8() == 0;
   const int64_t solution_size = r->GetI64();
   if (!r->ok()) return false;
   if (k != k_) {
@@ -193,10 +190,10 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   }
   const size_t vcap = static_cast<size_t>(g_->VertexCapacity());
   std::vector<uint8_t> status;
-  std::vector<int32_t> count;
-  if (!r->GetU8Array(&status) || !r->GetI32Array(&count)) return false;
-  if (status.size() != vcap || count.size() != vcap) {
-    return fail("per-vertex array sizes do not match the graph");
+  if (!r->GetU8Array(&status)) return false;
+  if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
+  if (status.size() != vcap) {
+    return fail("status array size does not match the graph");
   }
   int64_t counted = 0;
   for (size_t v = 0; v < vcap; ++v) {
@@ -207,15 +204,15 @@ bool MisState::LoadFrom(SnapshotReader* r) {
       }
       ++counted;
     }
-    if (count[v] < 0) return fail("negative solution-neighbour count");
   }
   if (counted != solution_size) return fail("solution size mismatch");
 
-  // Independence and count correctness against the restored topology:
-  // status/count are trusted by every update handler (MoveIn aborts on a
-  // violated precondition), so a CRC-valid but semantically corrupt
-  // section must be rejected here, not discovered mid-update. The same
-  // O(n + m) pass rebuilds the owner sums.
+  // Independence and maximality against the restored topology: status is
+  // trusted by every update handler (MoveIn aborts on a violated
+  // precondition), so a CRC-valid but semantically corrupt section must be
+  // rejected here, not discovered mid-update. The same O(n + m) pass
+  // derives the counts and owner sums.
+  std::vector<int32_t> count(vcap, 0);
   std::vector<OwnerSums> owners(vcap);
   for (size_t v = 0; v < vcap; ++v) {
     if (!g_->IsVertexAlive(static_cast<VertexId>(v))) continue;
@@ -228,28 +225,15 @@ bool MisState::LoadFrom(SnapshotReader* r) {
     });
     if (status[v] != 0) {
       if (solution_neighbors != 0) return fail("solution is not independent");
-      if (count[v] != 0) return fail("solution vertex with nonzero count");
-    } else if (count[v] != solution_neighbors) {
-      return fail("count does not match solution neighbourhood");
     } else if (solution_neighbors == 0) {
       // Every maintainer keeps its solution maximal at quiescent points; an
       // uncovered vertex would never be repaired after load (updates only
       // react to changes) and hard-aborts a later CheckConsistency.
       return fail("solution is not maximal");
+    } else {
+      count[v] = solution_neighbors;
     }
   }
-  if (legacy_lists) {
-    // The former eager encoding: inb_head, bar1_head, bar1_size, bar1_edge,
-    // inb_links, bar1_links, then for k >= 2 bar2_head, bar2_edge0,
-    // bar2_edge1, bar2_links. Everything they held follows from status and
-    // count, validated above.
-    std::vector<int32_t> skipped;
-    const int arrays = k_ >= 2 ? 10 : 6;
-    for (int i = 0; i < arrays; ++i) {
-      if (!r->GetI32Array(&skipped)) return false;
-    }
-  }
-  if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
 
   status_ = std::move(status);
   count_ = std::move(count);

@@ -169,24 +169,19 @@ class MisState {
 
   // --- Snapshots -------------------------------------------------------------
 
-  // Writes k, status, count and the solution size as the snapshot section
-  // "mis". Vertex ids refer to the owning graph's id space, so the graph
-  // must be saved (and restored) alongside. Requires a quiescent state: the
-  // transition log must be drained. The section keeps the byte that once
-  // selected lazy collection, always 1 (no lists follow), so older readers
-  // still accept it.
+  // Writes k, the solution size and status as the snapshot section "mis".
+  // Vertex ids refer to the owning graph's id space, so the graph must be
+  // saved (and restored) alongside. Requires a quiescent state: the
+  // transition log must be drained.
   void SaveTo(SnapshotWriter* w) const;
 
   // Restores the state from the section "mis". The graph must already hold
   // the snapshot's topology. Runs a full O(n + m) validation before any
-  // data is adopted — parameter match (k), array sizes, independence,
-  // count correctness and maximality against the graph — so a CRC-valid
-  // but semantically corrupt payload is rejected with a structured error
-  // instead of aborting in a later update; the same pass rebuilds the
-  // owner sums. A legacy section whose byte is 0 carries the former
-  // intrusive tightness lists after the counts; they are read past
-  // unexamined. Returns false (failing the reader) on any violation.
-  // Performs no MoveIn/MoveOut, which status_ops() lets callers verify.
+  // data is adopted — parameter match (k), array size, independence and
+  // maximality against the graph — so a CRC-valid but semantically corrupt
+  // payload is rejected with a structured error instead of aborting in a
+  // later update; the same pass derives the counts and owner sums. Returns
+  // false (failing the reader) on any violation.
   bool LoadFrom(SnapshotReader* r);
 
   // --- Introspection ---------------------------------------------------------

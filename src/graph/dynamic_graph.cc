@@ -517,50 +517,20 @@ void DynamicGraph::SaveTo(SnapshotWriter* w) const {
   w->BeginSection("graph");
   w->PutI64(num_vertices_);
   w->PutI64(num_edges_);
-  w->PutI32(VertexCapacity());
-  w->PutI32(EdgeCapacity());
-  // Derive the v1 chains: walking an array back to front visits v's list
-  // head to tail. Slot s of an edge belongs to endpoint s (s = 0 for the
-  // endpoint AddEdge received first).
-  const size_t ecap = static_cast<size_t>(EdgeCapacity());
-  std::vector<int32_t> heads(static_cast<size_t>(VertexCapacity()),
-                             kInvalidEdge);
-  std::vector<int32_t> edge_recs(4 * ecap, kInvalidEdge);
-  std::vector<int32_t> prev(2 * ecap, kInvalidEdge);
-  for (VertexId v = 0; v < VertexCapacity(); ++v) {
-    if (vertices_[v].degree <= 0) continue;
-    EdgeId newer = kInvalidEdge;
-    int newer_side = 0;
-    ForEachIncident(v, [&](VertexId u, EdgeId e) {
-      const int side = Rec(e).u == v ? 0 : 1;
-      edge_recs[4 * e + side] = v;
-      edge_recs[4 * e + 1 - side] = u;
-      if (newer == kInvalidEdge) {
-        heads[v] = e;
-      } else {
-        edge_recs[4 * newer + 2 + newer_side] = e;
-      }
-      prev[2 * e + side] = newer;
-      newer = e;
-      newer_side = side;
-    });
-  }
-  w->PutI32Array(heads);
   std::vector<int32_t> degrees(static_cast<size_t>(VertexCapacity()));
+  std::vector<int32_t> neighbours;
+  neighbours.reserve(2 * static_cast<size_t>(num_edges_));
   for (VertexId v = 0; v < VertexCapacity(); ++v) {
     degrees[v] = vertices_[v].degree;
+    if (degrees[v] <= 0) continue;
+    const Entry* entries = Entries(v);
+    for (int32_t i = 0; i < vertices_[v].len; ++i) {
+      if (entries[i].nbr != kInvalidVertex) neighbours.push_back(entries[i].nbr);
+    }
   }
   w->PutI32Array(degrees);
-  w->PutI32Array(edge_recs);
-  w->PutI32Array(prev);
+  w->PutI32Array(neighbours);
   w->PutI32Array(free_vertices_);
-  std::vector<int32_t> free_edges;
-  free_edges.reserve(ecap - static_cast<size_t>(num_edges_));
-  for (EdgeId e = free_edge_; e != kInvalidEdge; e = Rec(e).pos[0]) {
-    free_edges.push_back(e);
-  }
-  std::reverse(free_edges.begin(), free_edges.end());  // Bottom first.
-  w->PutI32Array(free_edges);
   w->EndSection();
 }
 
@@ -573,171 +543,123 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
 
   const int64_t nv = r->GetI64();
   const int64_t ne = r->GetI64();
-  const int32_t vcap = r->GetI32();
-  const int32_t ecap = r->GetI32();
-  std::vector<int32_t> heads, degrees, edge_recs, prev, free_v, free_e;
-  if (!r->GetI32Array(&heads) || !r->GetI32Array(&degrees) ||
-      !r->GetI32Array(&edge_recs) || !r->GetI32Array(&prev) ||
-      !r->GetI32Array(&free_v) || !r->GetI32Array(&free_e)) {
+  std::vector<int32_t> degrees, neighbours, free_v;
+  if (!r->GetI32Array(&degrees) || !r->GetI32Array(&neighbours) ||
+      !r->GetI32Array(&free_v)) {
     return false;
   }
   if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
-  if (vcap < 0 || ecap < 0) return fail("negative capacity");
-  if (nv < 0 || nv > vcap) return fail("vertex count out of range");
-  if (ne < 0 || ne > ecap) return fail("edge count out of range");
-  if (heads.size() != static_cast<size_t>(vcap) ||
-      degrees.size() != static_cast<size_t>(vcap) ||
-      edge_recs.size() != 4 * static_cast<size_t>(ecap) ||
-      prev.size() != 2 * static_cast<size_t>(ecap)) {
-    return fail("array sizes do not match declared capacities");
+  if (degrees.size() >
+      static_cast<size_t>(std::numeric_limits<VertexId>::max())) {
+    return fail("vertex capacity above the limit");
   }
+  const auto vcap = static_cast<int32_t>(degrees.size());
 
-  // --- Validation pass 1: scalar bounds and aggregate counts. ---------------
+  // --- Validation: counts, neighbour ids and the free list. -----------------
   int64_t alive_vertices = 0;
   int64_t degree_sum = 0;
-  for (int32_t v = 0; v < vcap; ++v) {
-    if (degrees[v] < -1) return fail("vertex degree below -1");
-    if (degrees[v] > kMaxLen) return fail("vertex degree above the limit");
-    if (degrees[v] >= 0) {
+  for (const int32_t degree : degrees) {
+    if (degree < -1) return fail("vertex degree below -1");
+    if (degree > kMaxLen) return fail("vertex degree above the limit");
+    if (degree >= 0) {
       ++alive_vertices;
-      degree_sum += degrees[v];
-      if (heads[v] < kInvalidEdge || heads[v] >= ecap) {
-        return fail("adjacency head out of range");
-      }
-      if ((heads[v] == kInvalidEdge) != (degrees[v] == 0)) {
-        return fail("adjacency head inconsistent with degree");
-      }
+      degree_sum += degree;
     }
   }
   if (alive_vertices != nv) return fail("alive-vertex count mismatch");
-
-  int64_t alive_edges = 0;
-  for (int32_t e = 0; e < ecap; ++e) {
-    const int32_t u = edge_recs[4 * e + 0];
-    const int32_t v = edge_recs[4 * e + 1];
-    if (u == kInvalidVertex) continue;  // Dead: links may be stale.
-    ++alive_edges;
-    if (u < 0 || u >= vcap || v < 0 || v >= vcap || u == v) {
-      return fail("edge endpoint out of range");
-    }
-    if (degrees[u] < 0 || degrees[v] < 0) {
-      return fail("edge incident to a dead vertex");
-    }
-    for (int s = 0; s < 2; ++s) {
-      if (edge_recs[4 * e + 2 + s] < kInvalidEdge ||
-          edge_recs[4 * e + 2 + s] >= ecap) {
-        return fail("adjacency link out of range");
-      }
-      if (prev[2 * e + s] < kInvalidEdge || prev[2 * e + s] >= ecap) {
-        return fail("adjacency back-link out of range");
-      }
+  if (ne < 0 || ne > std::numeric_limits<EdgeId>::max() ||
+      degree_sum != 2 * ne) {
+    return fail("degree sum does not equal 2m");
+  }
+  if (neighbours.size() != static_cast<size_t>(degree_sum)) {
+    return fail("neighbour list length does not match the degrees");
+  }
+  // mark[w] is the last vertex seen listing w: a second sighting from the
+  // same vertex is a parallel edge (counts in the algorithm layers are per
+  // neighbour, not per edge).
+  std::vector<int32_t> mark(static_cast<size_t>(vcap), kInvalidVertex);
+  size_t at = 0;
+  for (int32_t v = 0; v < vcap; ++v) {
+    for (int32_t i = 0; i < degrees[v]; ++i) {
+      const int32_t w = neighbours[at++];
+      if (w < 0 || w >= vcap) return fail("neighbour id out of range");
+      if (degrees[w] < 0) return fail("neighbour is a dead vertex");
+      if (w == v) return fail("self loop");
+      if (mark[w] == v) return fail("parallel edge");
+      mark[w] = v;
     }
   }
-  if (alive_edges != ne) return fail("alive-edge count mismatch");
-  if (degree_sum != 2 * ne) return fail("degree sum does not equal 2m");
-
-  // The graph is simple: no two alive edges may share an endpoint pair
-  // (counts in the algorithm layers are per neighbour, not per edge).
-  {
-    std::vector<uint64_t> pairs;
-    pairs.reserve(static_cast<size_t>(ne));
-    for (int32_t e = 0; e < ecap; ++e) {
-      const int32_t u = edge_recs[4 * e + 0];
-      if (u == kInvalidVertex) continue;
-      const int32_t v = edge_recs[4 * e + 1];
-      const uint64_t lo = static_cast<uint32_t>(u < v ? u : v);
-      const uint64_t hi = static_cast<uint32_t>(u < v ? v : u);
-      pairs.push_back((lo << 32) | hi);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    if (std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end()) {
-      return fail("parallel edges");
-    }
-  }
-
-  // --- Validation pass 2: free lists exactly cover the dead ids. ------------
-  if (free_v.size() != static_cast<size_t>(vcap) - static_cast<size_t>(nv)) {
+  if (free_v.size() != static_cast<size_t>(vcap - nv)) {
     return fail("free-vertex list size mismatch");
   }
-  if (free_e.size() != static_cast<size_t>(ecap) - static_cast<size_t>(ne)) {
-    return fail("free-edge list size mismatch");
-  }
-  std::vector<uint8_t> seen(static_cast<size_t>(vcap), 0);
-  for (int32_t v : free_v) {
-    if (v < 0 || v >= vcap || degrees[v] >= 0 || seen[v]) {
-      return fail("free-vertex list entry invalid or duplicated");
+  std::fill(mark.begin(), mark.end(), 0);
+  for (const int32_t v : free_v) {
+    if (v < 0 || v >= vcap || degrees[v] >= 0) {
+      return fail("free-vertex list names a vertex that is not dead");
     }
-    seen[v] = 1;
-  }
-  seen.assign(static_cast<size_t>(ecap), 0);
-  for (int32_t e : free_e) {
-    if (e < 0 || e >= ecap || edge_recs[4 * e] != kInvalidVertex || seen[e]) {
-      return fail("free-edge list entry invalid or duplicated");
-    }
-    seen[e] = 1;
+    if (mark[v]) return fail("free-vertex list repeats an id");
+    mark[v] = 1;
   }
 
-  // --- Validation pass 3: adjacency lists are proper doubly-linked chains. --
-  // Walk every alive vertex's list for exactly degree steps, checking that
-  // each visited edge is alive and incident, that back-links mirror the
-  // forward traversal, and that no edge side is visited twice. Together with
-  // degree_sum == 2m this proves each alive edge sits in exactly its two
-  // endpoints' lists and that no chain is cyclic or cross-linked.
-  std::vector<uint8_t> side_seen(2 * static_cast<size_t>(ecap), 0);
-  auto side_of = [&](int32_t e, int32_t v) {
-    return edge_recs[4 * e + 0] == v ? 0 : 1;
-  };
+  // --- Number the edges, checking symmetry. ---------------------------------
+  // An edge gets its id at its lower endpoint, vertices ascending, each in
+  // incidence order. Until the walk reaches w, pending[w] lists the edges
+  // from w's lower neighbours, threaded through their pos[1]; at w they
+  // must meet exactly the lower neighbours that w lists.
+  DynamicGraph loaded;
+  loaded.edge_capacity_ = static_cast<int>(ne);
+  loaded.edge_pages_.resize(
+      (static_cast<size_t>(ne) + kEdgePageRecords - 1) >> kEdgePageShift,
+      std::vector<EdgeRec>(kEdgePageRecords));
+  std::vector<EdgeId> pending(static_cast<size_t>(vcap), kInvalidEdge);
+  std::vector<EdgeId> below(static_cast<size_t>(vcap));
+  std::fill(mark.begin(), mark.end(), kInvalidVertex);
+  EdgeId next_id = 0;
+  at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
-    if (degrees[v] < 0) continue;
-    int32_t e = heads[v];
-    int32_t expected_prev = kInvalidEdge;
-    for (int32_t step = 0; step < degrees[v]; ++step) {
-      if (e == kInvalidEdge) return fail("adjacency chain shorter than degree");
-      if (edge_recs[4 * e + 0] != v && edge_recs[4 * e + 1] != v) {
-        return fail("adjacency chain visits a non-incident edge");
-      }
-      if (edge_recs[4 * e + 0] == kInvalidVertex) {
-        return fail("adjacency chain visits a dead edge");
-      }
-      const int s = side_of(e, v);
-      if (side_seen[2 * e + s]) return fail("adjacency chain revisits an edge");
-      side_seen[2 * e + s] = 1;
-      if (prev[2 * e + s] != expected_prev) {
-        return fail("adjacency back-link mismatch");
-      }
-      expected_prev = e;
-      e = edge_recs[4 * e + 2 + s];
+    int32_t unmatched = 0;
+    for (EdgeId e = pending[v]; e != kInvalidEdge; e = loaded.Rec(e).pos[1]) {
+      mark[loaded.Rec(e).u] = v;
+      below[loaded.Rec(e).u] = e;
+      ++unmatched;
     }
-    if (e != kInvalidEdge) return fail("adjacency chain longer than degree");
+    for (int32_t i = 0; i < degrees[v]; ++i) {
+      const int32_t w = neighbours[at++];
+      if (w < v) {
+        if (mark[w] != v) return fail("asymmetric adjacency");
+        loaded.Rec(below[w]).pos[1] = i;
+        --unmatched;
+      } else {
+        if (next_id == ne) return fail("asymmetric adjacency");
+        loaded.Rec(next_id) = EdgeRec{v, {i, pending[w]}};
+        pending[w] = next_id++;
+      }
+    }
+    if (unmatched != 0) return fail("asymmetric adjacency");
   }
 
   // --- Adopt: size every array once, in vertex order. -----------------------
-  DynamicGraph loaded;
   loaded.vertices_.resize(static_cast<size_t>(vcap));
-  for (int32_t v = 0; v < vcap; ++v) loaded.vertices_[v].degree = degrees[v];
-  loaded.edge_capacity_ = ecap;
-  loaded.edge_pages_.resize(
-      (static_cast<size_t>(ecap) + kEdgePageRecords - 1) >> kEdgePageShift,
-      std::vector<EdgeRec>(kEdgePageRecords));
-  for (int32_t e = 0; e < ecap; ++e) loaded.Rec(e).u = edge_recs[4 * e];
+  at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
+    VertexRec& rec = loaded.vertices_[v];
+    rec.degree = degrees[v];
     if (degrees[v] <= 0) continue;
     const int cls = ClassFor(degrees[v]);
-    VertexRec& rec = loaded.vertices_[v];
     rec.block = loaded.AllocBlock(cls);
     rec.len = static_cast<uint32_t>(degrees[v]);
     rec.cls = static_cast<uint32_t>(cls);
-    // The chain runs most recent first: fill the array from the back.
     Entry* entries = loaded.Entries(v);
-    int32_t e = heads[v];
-    for (int32_t i = degrees[v] - 1; i >= 0; --i) {
-      const int s = side_of(e, v);
-      entries[i] = Entry{edge_recs[4 * e + 1 - s], e};
-      loaded.Rec(e).pos[s] = i;
-      e = edge_recs[4 * e + 2 + s];
+    for (int32_t i = 0; i < degrees[v]; ++i) {
+      entries[i] = Entry{neighbours[at++], kInvalidEdge};
     }
   }
-  for (const int32_t e : free_e) loaded.PushFreeEdge(e);
+  for (EdgeId e = 0; e < ne; ++e) {
+    const EdgeRec& rec = loaded.Rec(e);
+    Entry& lower = loaded.Entries(rec.u)[rec.pos[0]];
+    lower.edge = e;
+    loaded.Entries(lower.nbr)[rec.pos[1]].edge = e;
+  }
   loaded.free_vertices_ = std::move(free_v);
   loaded.num_vertices_ = static_cast<int>(nv);
   loaded.num_edges_ = ne;

@@ -8,7 +8,9 @@
 //  * Vertex ids and edge ids are *stable*: an id never moves while the
 //    vertex/edge is alive, so algorithm layers can keep their per-vertex and
 //    per-edge state in flat arrays indexed by id (no hashing on hot paths).
-//    Ids of deleted elements are recycled last-freed-first.
+//    Ids of deleted elements are recycled last-freed-first. Snapshots keep
+//    vertex ids but not edge ids: a loaded graph numbers its edges densely
+//    afresh and has no free edge ids (see LoadFrom).
 //  * Incidence order is most recent first, and a delete removes in place.
 //    The maintainers' tie-breaks follow this order, so it is part of the
 //    behaviour contract that tests/determinism_test.cc pins.
@@ -209,6 +211,8 @@ class DynamicGraph {
   std::vector<VertexId> AliveVertices() const;
 
   // Returns all alive edges as endpoint pairs (u < v), in edge-id order.
+  // Right after LoadFrom that is ascending u, and each u's edges to higher
+  // neighbours in incidence order, oldest first.
   std::vector<std::pair<VertexId, VertexId>> EdgeList() const;
 
   // Bytes held by the graph's internal arrays (capacity-based accounting).
@@ -220,20 +224,23 @@ class DynamicGraph {
 
   // --- Snapshots -------------------------------------------------------------
 
-  // Writes the snapshot section "graph" in its v1 encoding: per vertex an
-  // adjacency head and degree, per edge id its endpoints plus the
-  // doubly-linked incidence chain links (derived from the arrays on save;
-  // a dead record is all -1), and the free lists. Ids and incidence order
-  // are preserved exactly, so algorithm layers can persist their id-indexed
-  // side arrays alongside.
+  // Writes the snapshot section "graph": the vertex and edge counts, every
+  // vertex's degree (-1 = dead), each live vertex's neighbour ids in
+  // incidence order (oldest first, one flat array), and the free-vertex
+  // list. Edge ids are not written. Vertex ids, incidence order and the
+  // vertex recycling order restore exactly, so algorithm layers can persist
+  // their vertex-indexed side arrays alongside.
   void SaveTo(SnapshotWriter* w) const;
 
-  // Replaces this graph with the section "graph" of `r`. Runs a full O(n+m)
-  // structural validation (bounds, degree sums, doubly-linked chain
-  // integrity, free-list exactness) before any data is adopted, so a
-  // corrupted or crafted payload yields a structured reader error — never
-  // out-of-bounds access or a cyclic chain walk. Returns false (with the
-  // reader failed) on any violation.
+  // Replaces this graph with the section "graph" of `r`. First validates
+  // the payload in O(n + m): degree bounds and sums, neighbour ids in range
+  // and alive, no self loop, no parallel edge, symmetric lists, and a free
+  // list of exactly the dead ids. A corrupted or crafted payload yields a
+  // structured reader error, never out-of-bounds access, and leaves this
+  // graph untouched. Edge ids are renumbered 0..m-1: an edge gets its id at
+  // its lower endpoint, vertices ascending, each in incidence order, and
+  // Endpoints(e) returns (lower, higher). The free-edge stack starts empty.
+  // Returns false (with the reader failed) on any violation.
   bool LoadFrom(SnapshotReader* r);
 
  private:

@@ -46,7 +46,7 @@ namespace dynmis {
 // Bumped when the section payload encodings change incompatibly. Readers
 // reject files written by a different version (see README "Snapshots" for
 // the compatibility policy).
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Outcome of a snapshot save/load. `ok` with an empty message on success;
 // on failure `message` names the section and the structural check that

@@ -304,14 +304,12 @@ bool OpenBaseSnapshot(const std::string& path, std::ifstream* in,
   if (!*in) return SetError(error, "cannot open base snapshot " + path);
   char prologue[kMagicBytes + 8];
   in->read(prologue, sizeof(prologue));
-  if (in->gcount() == static_cast<std::streamsize>(sizeof(prologue)) &&
-      std::memcmp(prologue, kBaseMagic, kMagicBytes) == 0) {
-    *epoch = static_cast<int64_t>(ReadU64(prologue + kMagicBytes));
-    return true;
+  if (in->gcount() != static_cast<std::streamsize>(sizeof(prologue)) ||
+      std::memcmp(prologue, kBaseMagic, kMagicBytes) != 0) {
+    return SetError(error, "base snapshot " + path +
+                               " has no epoch prologue");
   }
-  // Legacy base snapshot: the container starts at byte 0.
-  in->clear();
-  in->seekg(0);
+  *epoch = static_cast<int64_t>(ReadU64(prologue + kMagicBytes));
   return true;
 }
 

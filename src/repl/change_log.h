@@ -38,7 +38,7 @@
 //   per op: kind u8, u i32, v i32, num_neighbors u32, neighbors i32[]
 //
 // Base snapshot format: prologue "DMISBAS1" + epoch u64, then the engine
-// snapshot container (files without the prologue are legacy, epoch 0).
+// snapshot container.
 //
 // Writers use plain write(2) so records become visible to same-host readers
 // immediately (page cache), and fsync only on Sync() — the drain path and
@@ -115,9 +115,9 @@ bool ScanChangeLogDir(const std::string& dir, ChangeLogDirState* out,
 bool WriteBaseSnapshot(const std::string& dir, int64_t seq, int64_t epoch,
                        const std::string& bytes, std::string* error);
 
-// Opens a base snapshot, consumes its epoch prologue (legacy files without
-// one read as epoch 0), and leaves `in` positioned at the engine snapshot
-// container.
+// Opens a base snapshot, consumes its epoch prologue, and leaves `in`
+// positioned at the engine snapshot container. A file without the prologue
+// is an error: it predates the prologue, so its container is version 1.
 bool OpenBaseSnapshot(const std::string& path, std::ifstream* in,
                       int64_t* epoch, std::string* error);
 

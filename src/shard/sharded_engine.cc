@@ -20,10 +20,6 @@ constexpr int kMaxShards = 1024;
 // per 8192-op chunk never reaches it.
 constexpr size_t kMaxLoggedOps = size_t{1} << 16;
 
-// The snapshot slot of the deleted block_ops option: written as its old
-// default and checked >= 1 on load, so snapshots load in both directions.
-constexpr int32_t kLegacyBlockOps = 1024;
-
 std::string ShardPrefix(int shard) {
   return "shard" + std::to_string(shard) + "/";
 }
@@ -401,16 +397,11 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   writer->PutString(config_.algorithm);
   writer->PutString(shards_[0].maintainer->Name());
   writer->PutI32(config_.k);
-  writer->PutU8(1);  // Former lazy-collection flag, kept for older readers.
   writer->PutU8(config_.perturb ? 1 : 0);
   writer->PutI32(config_.recompute_every);
   writer->PutI32(plan_.num_shards());
   writer->PutU8(static_cast<uint8_t>(plan_.strategy()));
   writer->PutI32(plan_.block_size());
-  writer->PutI32(kLegacyBlockOps);
-  // Former resolver-mode flag (ShardedEngineOptions::async_resolver),
-  // kept so snapshots load in both directions.
-  writer->PutU8(options_.async_resolver ? 1 : 0);
   writer->PutI64(updates_applied_);
   writer->PutDouble(update_seconds_);
   writer->PutDouble(resolve_seconds_);
@@ -533,7 +524,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
   config.algorithm = reader->GetString();
   reader->GetString();  // Display name: informational only.
   config.k = reader->GetI32();
-  reader->GetU8();  // Former lazy-collection flag: ignored.
   config.perturb = reader->GetU8() != 0;
   config.recompute_every = reader->GetI32();
   const int num_shards = reader->GetI32();
@@ -541,8 +531,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
   const int block_size = reader->GetI32();
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  const int block_ops = reader->GetI32();
-  const uint8_t async_resolver = reader->GetU8();
   const int64_t updates_applied = reader->GetI64();
   const double update_seconds = reader->GetDouble();
   const double resolve_seconds = reader->GetDouble();
@@ -571,14 +559,12 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
   }
   if (config.k < 1 || config.k > kMaxKSwapOrder ||
       config.recompute_every < 1 || num_shards < 1 ||
-      num_shards > kMaxShards || strategy > 2 || block_size < 1 ||
-      block_ops < 1 || async_resolver > 1) {
+      num_shards > kMaxShards || strategy > 2 || block_size < 1) {
     report(SnapshotStatus::Error(
         "snapshot: sharded configuration out of range"));
     return nullptr;
   }
   options.partition = static_cast<PartitionStrategy>(strategy);
-  options.async_resolver = async_resolver != 0;
   const bool locality = options.partition == PartitionStrategy::kLocality;
   if (!locality && !owners.empty()) {
     report(SnapshotStatus::Error(

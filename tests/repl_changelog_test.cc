@@ -404,19 +404,17 @@ TEST(BaseSnapshotTest, ScanFindsNewestBaseAndPrologueCarriesEpoch) {
   EXPECT_EQ(bytes.str(), "twelve");
 }
 
-TEST(BaseSnapshotTest, LegacyFileWithoutPrologueReadsAsEpochZero) {
+TEST(BaseSnapshotTest, FileWithoutPrologueIsRejected) {
+  // Base snapshots without the epoch prologue predate it, so they hold a
+  // version-1 container that this build cannot read.
   const std::string dir = FreshDir("cl_base_v1");
-  { std::ofstream(dir + "/" + BaseSnapshotFileName(3)) << "legacy-bytes"; }
+  const std::string path = dir + "/" + BaseSnapshotFileName(3);
+  { std::ofstream(path) << "DYNMISSN-without-prologue"; }
   std::ifstream in;
   int64_t epoch = -1;
   std::string error;
-  ASSERT_TRUE(OpenBaseSnapshot(dir + "/" + BaseSnapshotFileName(3), &in,
-                               &epoch, &error))
-      << error;
-  EXPECT_EQ(epoch, 0);
-  std::stringstream bytes;
-  bytes << in.rdbuf();
-  EXPECT_EQ(bytes.str(), "legacy-bytes");
+  EXPECT_FALSE(OpenBaseSnapshot(path, &in, &epoch, &error));
+  EXPECT_EQ(error, "base snapshot " + path + " has no epoch prologue");
 }
 
 // Checkpoint = newest base snapshot + record tail: bootstrap must land on
@@ -475,6 +473,74 @@ TEST(BootstrapTest, BaseSnapshotPlusTailReplaysToProducerState) {
   std::vector<VertexId> got;
   boot.backend->CollectSolution(&got);
   EXPECT_EQ(want, got);
+}
+
+// The upgrade path from snapshot format 1: a base snapshot this build
+// cannot read stops bootstrap with the version message. Change-log
+// segments are never pruned, so with the base moved aside bootstrap
+// replays every segment from seq 0 and reaches the writer's solution.
+TEST(BootstrapTest, VersionOneBaseMovedAsideReplaysTheWholeLog) {
+  Rng rng(17);
+  const EdgeListGraph base = ErdosRenyiGnm(80, 160, &rng);
+  for (const char* backend : {"engine", "sharded"}) {
+    const std::string dir = FreshDir(std::string("cl_upgrade_") + backend);
+    serve::ServeOptions options;
+    options.backend = backend;
+    options.shards = 3;
+    std::string error;
+    auto primary = serve::MakeServingBackend(base, options, &error);
+    ASSERT_NE(primary, nullptr) << error;
+
+    ChangeLogWriter writer;
+    ASSERT_TRUE(writer.Open(dir, 1 << 12, 0, /*epoch=*/2, &error)) << error;
+    DynamicGraph mirror = base.ToDynamic();
+    UpdateStreamOptions stream;
+    stream.seed = 23;
+    UpdateStreamGenerator generator(stream);
+    for (int64_t seq = 0; seq < 30; ++seq) {
+      LogBatch batch;
+      batch.seq = seq;
+      for (int i = 0; i < 5; ++i) {
+        const GraphUpdate update = generator.Next(mirror);
+        ApplyUpdate(&mirror, update);
+        batch.updates.push_back(update);
+      }
+      primary->ApplyBatch(batch.updates);
+      ASSERT_TRUE(writer.Append(batch, &error)) << error;
+      if (seq == 19) {
+        // A base snapshot whose container header says version 1.
+        std::ostringstream snap;
+        ASSERT_TRUE(primary->SaveSnapshot(snap).ok);
+        std::string bytes = std::move(snap).str();
+        bytes[8] = 0x01;
+        ASSERT_TRUE(WriteBaseSnapshot(dir, 20, /*epoch=*/2, bytes, &error))
+            << error;
+      }
+    }
+    ASSERT_TRUE(writer.Sync(&error)) << error;
+
+    BootstrapResult boot;
+    EXPECT_FALSE(BootstrapFromChangeLog(dir, base, options, &boot, &error));
+    EXPECT_EQ(error,
+              "restore failed: snapshot: unsupported version 1 (this build "
+              "reads version 2)")
+        << backend;
+
+    const std::string aside = FreshDir(std::string("cl_aside_") + backend);
+    std::filesystem::rename(dir + "/" + BaseSnapshotFileName(20),
+                            aside + "/" + BaseSnapshotFileName(20));
+    BootstrapResult replayed;
+    ASSERT_TRUE(BootstrapFromChangeLog(dir, base, options, &replayed, &error))
+        << backend << ": " << error;
+    EXPECT_EQ(replayed.base_seq, -1) << backend;
+    EXPECT_EQ(replayed.tail_batches, 30) << backend;
+    EXPECT_EQ(replayed.next_seq, 30) << backend;
+    std::vector<VertexId> want;
+    primary->CollectSolution(&want);
+    std::vector<VertexId> got;
+    replayed.backend->CollectSolution(&got);
+    EXPECT_EQ(want, got) << backend;
+  }
 }
 
 // CreateFromGraph must reproduce the source graph's id space exactly —

@@ -544,44 +544,6 @@ TEST(ShardedEngineTest, EmptyShardsSurviveSnapshotRoundTrip) {
   EXPECT_TRUE(IsMaximalIndependentSet(replica, restored->Solution()));
 }
 
-// ShardedEngineOptions::async_resolver is ignored, but the sharded snapshot
-// section still carries its byte, so snapshots load in both directions:
-// engines saved with the byte at 0 and at 1 restore with the flag intact
-// and continue identically, barrier for barrier.
-TEST(ShardedEngineTest, SnapshotsWithEitherResolverByteContinueAlike) {
-  const EdgeListGraph base = SmallGraph(103);
-  const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 107);
-  constexpr size_t kSaveAt = 200;
-  std::vector<std::vector<VertexId>> continuations[2];
-  for (const bool flag : {false, true}) {
-    ShardedEngineOptions options = Opts(3);
-    options.async_resolver = flag;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    ASSERT_NE(engine, nullptr);
-    engine->Initialize();
-    for (size_t i = 0; i < kSaveAt; ++i) engine->Apply(trace[i]);
-    std::ostringstream sink;
-    ASSERT_TRUE(engine->SaveSnapshot(sink).ok);
-    std::istringstream source(sink.str());
-    SnapshotStatus status;
-    auto restored = ShardedMisEngine::LoadSnapshot(source, &status);
-    ASSERT_NE(restored, nullptr) << status.message;
-    EXPECT_EQ(restored->options().async_resolver, flag);
-    std::vector<std::vector<VertexId>>& out = continuations[flag ? 1 : 0];
-    out.push_back(restored->Solution());
-    for (size_t i = kSaveAt; i < trace.size(); ++i) {
-      const UpdateResult a = engine->Apply(trace[i]);
-      const UpdateResult b = restored->Apply(trace[i]);
-      EXPECT_EQ(a.new_vertices, b.new_vertices);
-      if ((i + 1) % 50 == 0) {
-        out.push_back(restored->Solution());
-        EXPECT_EQ(out.back(), engine->Solution()) << "op " << i;
-      }
-    }
-  }
-  EXPECT_EQ(continuations[0], continuations[1]);
-}
-
 // Every registered maintainer — the wholesale-rebuild baselines (DyARW,
 // DGOneDIS, DGTwoDIS, Recompute) included — goes through the one barrier
 // pass, which must return a maximal independent set of the global graph

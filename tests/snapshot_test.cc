@@ -159,31 +159,6 @@ TEST(SnapshotTest, CoreMaintainersResumeIdenticallyAfterRestore) {
   }
 }
 
-TEST(SnapshotTest, FormerLazyFlagIsWrittenAsOne) {
-  // The engine and mis sections keep the byte that once selected lazy
-  // collection, always 1 with no tightness lists after the counts: the
-  // encoding a reader from before the single-mode MisState accepts.
-  auto engine = MakeChurnedEngine("DyTwoSwap", /*seed=*/31, /*updates=*/300);
-  ASSERT_NE(engine, nullptr);
-  std::istringstream in(SaveToString(*engine));
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.ReadFrom(in).ok);
-  ASSERT_TRUE(reader.OpenSection("engine"));
-  reader.GetString();  // algorithm
-  reader.GetString();  // display name
-  reader.GetI32();     // k
-  EXPECT_EQ(reader.GetU8(), 1);
-  ASSERT_TRUE(reader.OpenSection("mis"));
-  EXPECT_EQ(reader.GetI32(), 2);  // k
-  EXPECT_EQ(reader.GetU8(), 1);
-  reader.GetI64();  // |I|
-  std::vector<uint8_t> status;
-  std::vector<int32_t> count;
-  ASSERT_TRUE(reader.GetU8Array(&status));
-  ASSERT_TRUE(reader.GetI32Array(&count));
-  EXPECT_TRUE(reader.AtSectionEnd());
-}
-
 TEST(SnapshotTest, EmptyEngineRoundTrips) {
   EdgeListGraph base;  // No vertices, no edges.
   auto engine = MisEngine::Create(base, "DyTwoSwap");
@@ -255,7 +230,6 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
     w.PutString("NoSuchMaintainer");
     w.PutI32(2);
     w.PutU8(0);
-    w.PutU8(0);
     w.PutI32(1);
     w.PutI64(0);
     w.PutDouble(0);
@@ -275,7 +249,6 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
     w.PutString("DyTwoSwap");
     w.PutI32(2);
     w.PutU8(0);
-    w.PutU8(0);
     w.PutI32(1);
     w.PutI64(0);
     w.PutDouble(0);
@@ -289,90 +262,95 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   }
 }
 
-// A hand-built snapshot of the graph 0 - 1 whose "mis" section uses the
-// former eager encoding (lazy byte 0): status/count followed by the
-// intrusive I(v)/bar1 (and, for k = 2, bar2) list arrays, filled in as the
-// eager maintainer laid them out for this graph.
-std::string EagerMisSnapshot(const std::vector<uint8_t>& status,
-                             const std::vector<int32_t>& count,
-                             const std::string& algorithm = "DyTwoSwap") {
-  const int k = algorithm == "DyOneSwap" ? 1 : 2;
-  SnapshotWriter w;
-  w.BeginSection("engine");
-  w.PutString(algorithm);
-  w.PutString(algorithm);
-  w.PutI32(2);
-  w.PutU8(0);
-  w.PutU8(0);
-  w.PutI32(1);
-  w.PutI64(0);
-  w.PutDouble(0);
-  w.EndSection();
-  w.BeginSection("graph");
-  w.PutI64(2);                    // num_vertices
-  w.PutI64(1);                    // num_edges
-  w.PutI32(2);                    // vertex capacity
-  w.PutI32(1);                    // edge capacity
-  w.PutI32Array({0, 0});          // heads
-  w.PutI32Array({1, 1});          // degrees
-  w.PutI32Array({0, 1, -1, -1});  // edge (0, 1), end of both chains
-  w.PutI32Array({-1, -1});        // edge_prev
-  w.PutI32Array({});              // free vertices
-  w.PutI32Array({});              // free edges
-  w.EndSection();
-  // Edge 0 sits in I(v) of a 1-tight v and in bar1 of its owner.
-  std::vector<int32_t> inb_head(2, -1), bar1_head(2, -1), bar1_size(2, 0),
-      bar1_edge(2, -1);
-  for (int v = 0; v < 2; ++v) {
-    if (status[v] == 0 && count[v] == 1) {
-      inb_head[v] = 0;
-      bar1_edge[v] = 0;
-      bar1_head[1 - v] = 0;
-      bar1_size[1 - v] = 1;
-    }
+TEST(SnapshotTest, VersionOneFilesAreRejectedByEveryLoader) {
+  // A file whose header says version 1 fails in the container reader,
+  // before any section is read, whichever loader reads it.
+  auto engine = MakeChurnedEngine("DyTwoSwap", /*seed=*/5, /*updates=*/50);
+  ASSERT_NE(engine, nullptr);
+  std::string blob = SaveToString(*engine);
+  blob[8] = 0x01;  // The version field, bytes 8..11, little-endian.
+  const std::string want =
+      "snapshot: unsupported version 1 (this build reads version 2)";
+  SnapshotStatus status;
+  EXPECT_EQ(LoadFromString(blob, &status), nullptr);
+  EXPECT_EQ(status.message, want);
+  {
+    std::istringstream in(blob);
+    EXPECT_EQ(ShardedMisEngine::LoadSnapshot(in, &status), nullptr);
+    EXPECT_EQ(status.message, want);
   }
+  {
+    std::istringstream in(blob);
+    std::string error;
+    EXPECT_EQ(serve::RestoreServingBackend(in, &error), nullptr);
+    EXPECT_EQ(error, "restore failed: " + want);
+  }
+}
+
+// The "engine" section of a hand-built DyTwoSwap snapshot.
+void PutEngineSection(SnapshotWriter* w) {
+  w->BeginSection("engine");
+  w->PutString("DyTwoSwap");
+  w->PutString("DyTwoSwap");
+  w->PutI32(2);     // k
+  w->PutU8(0);      // perturb
+  w->PutI32(1);     // recompute_every
+  w->PutI64(0);     // updates applied
+  w->PutDouble(0);  // update seconds
+  w->EndSection();
+}
+
+// The fields of a "graph" section (see DynamicGraph::SaveTo).
+struct GraphFields {
+  int64_t num_vertices = 0;
+  int64_t num_edges = 0;
+  std::vector<int32_t> degrees;
+  std::vector<int32_t> neighbours;
+  std::vector<int32_t> free_vertices;
+  bool trailing_byte = false;
+};
+
+// A hand-built DyTwoSwap snapshot of `graph` whose "mis" section holds
+// `status`.
+std::string HandBuiltSnapshot(const GraphFields& graph,
+                              const std::vector<uint8_t>& status) {
+  SnapshotWriter w;
+  PutEngineSection(&w);
+  w.BeginSection("graph");
+  w.PutI64(graph.num_vertices);
+  w.PutI64(graph.num_edges);
+  w.PutI32Array(graph.degrees);
+  w.PutI32Array(graph.neighbours);
+  w.PutI32Array(graph.free_vertices);
+  if (graph.trailing_byte) w.PutU8(0);
+  w.EndSection();
   int64_t size = 0;
-  for (uint8_t s : status) size += s;
+  for (const uint8_t s : status) size += s;
   w.BeginSection("mis");
-  w.PutI32(k);
-  w.PutU8(0);      // eager
+  w.PutI32(2);     // k
   w.PutI64(size);  // |I|
   w.PutU8Array(status);
-  w.PutI32Array(count);
-  w.PutI32Array(inb_head);
-  w.PutI32Array(bar1_head);
-  w.PutI32Array(bar1_size);
-  w.PutI32Array(bar1_edge);
-  w.PutI32Array({-1, -1, -1, -1});  // inb_links
-  w.PutI32Array({-1, -1, -1, -1});  // bar1_links
-  if (k == 2) {
-    w.PutI32Array({-1, -1});          // bar2_head
-    w.PutI32Array({-1, -1});          // bar2_edge0
-    w.PutI32Array({-1, -1});          // bar2_edge1
-    w.PutI32Array({-1, -1, -1, -1});  // bar2_links
-  }
   w.EndSection();
   std::ostringstream out;
   EXPECT_TRUE(w.WriteTo(out).ok);
   return std::move(out).str();
 }
 
-TEST(SnapshotTest, LoadsLegacyEagerMaintainerState) {
-  // The list arrays are read past; status/count validation accepts the
-  // state and the load rebuilds the owner sums without a MoveIn/MoveOut.
-  for (const std::string algorithm : {"DyOneSwap", "DyTwoSwap"}) {
-    const std::string blob = EagerMisSnapshot({1, 0}, {0, 1}, algorithm);
-    SnapshotStatus status;
-    auto loaded = LoadFromString(blob, &status);
-    ASSERT_NE(loaded, nullptr) << algorithm << ": " << status.message;
-    EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0}));
-    EXPECT_EQ(StateTransitionOps(loaded->maintainer()), 0) << algorithm;
-    CheckCoreConsistency(loaded->maintainer());
-    // The rebuilt sums drive the next update: deleting the edge frees 1.
-    loaded->DeleteEdge(0, 1);
-    EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0, 1}));
-    CheckCoreConsistency(loaded->maintainer());
-  }
+// The graph 0 - 1.
+const GraphFields kEdge = {2, 1, {1, 1}, {1, 0}, {}};
+
+TEST(SnapshotTest, HandBuiltStateLoadsAndDrivesUpdates) {
+  // The counts and owner sums are derived on load, without a MoveIn or
+  // MoveOut, and drive the next update: deleting the edge frees 1.
+  SnapshotStatus status;
+  auto loaded = LoadFromString(HandBuiltSnapshot(kEdge, {1, 0}), &status);
+  ASSERT_NE(loaded, nullptr) << status.message;
+  EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0}));
+  EXPECT_EQ(StateTransitionOps(loaded->maintainer()), 0);
+  CheckCoreConsistency(loaded->maintainer());
+  loaded->DeleteEdge(0, 1);
+  EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0, 1}));
+  CheckCoreConsistency(loaded->maintainer());
 }
 
 TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
@@ -380,11 +358,9 @@ TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
   // both endpoints of an edge as solution members: LoadSnapshot must reject
   // it during MisState validation, not abort (or loop) in a later update.
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(EagerMisSnapshot({1, 1}, {0, 0}), &status),
+  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(kEdge, {1, 1}), &status),
             nullptr);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("independent"), std::string::npos)
-      << status.message;
+  EXPECT_EQ(status.message, "snapshot: mis: solution is not independent");
 }
 
 TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
@@ -392,47 +368,102 @@ TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
   // ever saves a non-maximal state, and a restored engine would never
   // repair it (updates only react to changes), so load must reject it.
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(EagerMisSnapshot({0, 0}, {0, 0}), &status),
+  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(kEdge, {0, 0}), &status),
             nullptr);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("maximal"), std::string::npos)
-      << status.message;
+  EXPECT_EQ(status.message, "snapshot: mis: solution is not maximal");
 }
 
 TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
-  // A CRC-valid snapshot whose graph arrays are internally inconsistent
-  // (here: a degree sum that cannot match the edge count) must fail the
-  // structural validation, not crash.
-  SnapshotWriter w;
-  w.BeginSection("engine");
-  w.PutString("DyTwoSwap");
-  w.PutString("DyTwoSwap");
-  w.PutI32(2);
-  w.PutU8(0);
-  w.PutU8(0);
-  w.PutI32(1);
-  w.PutI64(0);
-  w.PutDouble(0);
-  w.EndSection();
-  w.BeginSection("graph");
-  w.PutI64(2);                          // num_vertices
-  w.PutI64(1);                          // num_edges
-  w.PutI32(2);                          // vertex capacity
-  w.PutI32(1);                          // edge capacity
-  w.PutI32Array({0, 0});                // heads: both claim edge 0
-  w.PutI32Array({5, 5});                // degrees: impossible sum
-  w.PutI32Array({0, 1, -1, -1});        // one edge (0, 1), no next links
-  w.PutI32Array({-1, -1});              // edge_prev
-  w.PutI32Array({});                    // free vertices
-  w.PutI32Array({});                    // free edges
-  w.EndSection();
-  std::ostringstream out;
-  ASSERT_TRUE(w.WriteTo(out).ok);
-  SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("graph"), std::string::npos)
-      << status.message;
+  // One CRC-valid graph section per validation rule, each a small edit of
+  // the path 0 - 1 - 2 with dead vertices 3 and 4, must fail with that
+  // rule's message.
+  const GraphFields path = {3, 2, {1, 2, 1, -1, -1}, {1, 0, 2, 1}, {4, 3}};
+  const std::vector<uint8_t> solution = {1, 0, 1, 0, 0};
+  {
+    SnapshotStatus status;
+    ASSERT_NE(LoadFromString(HandBuiltSnapshot(path, solution), &status),
+              nullptr)
+        << status.message;
+  }
+  struct Case {
+    const char* what;
+    GraphFields fields;
+    const char* message;
+  };
+  auto edit = [&](auto change) {
+    GraphFields fields = path;
+    change(&fields);
+    return fields;
+  };
+  const std::vector<Case> cases = {
+      {"degree below -1", edit([](GraphFields* g) { g->degrees[4] = -2; }),
+       "vertex degree below -1"},
+      {"degree above the cap",
+       edit([](GraphFields* g) { g->degrees[0] = 1 << 26; }),
+       "vertex degree above the limit"},
+      {"alive count", edit([](GraphFields* g) { g->num_vertices = 4; }),
+       "alive-vertex count mismatch"},
+      {"degree sum", edit([](GraphFields* g) { g->num_edges = 3; }),
+       "degree sum does not equal 2m"},
+      {"negative edge count",
+       edit([](GraphFields* g) { g->num_edges = -2; }),
+       "degree sum does not equal 2m"},
+      {"list length", edit([](GraphFields* g) { g->neighbours.push_back(0); }),
+       "neighbour list length does not match the degrees"},
+      {"neighbour too high",
+       edit([](GraphFields* g) { g->neighbours[0] = 5; }),
+       "neighbour id out of range"},
+      {"negative neighbour",
+       edit([](GraphFields* g) { g->neighbours[0] = -1; }),
+       "neighbour id out of range"},
+      {"dead neighbour", edit([](GraphFields* g) { g->neighbours[0] = 3; }),
+       "neighbour is a dead vertex"},
+      {"self loop", edit([](GraphFields* g) { g->neighbours[0] = 0; }),
+       "self loop"},
+      // 0 lists 2 and 1 lists 0, but neither is listed back.
+      {"asymmetric entry", edit([](GraphFields* g) { g->neighbours[0] = 2; }),
+       "asymmetric adjacency"},
+      // 1 lists only 2, so 0's edge to 1 finds no partner at 1.
+      {"asymmetric edge",
+       edit([](GraphFields* g) {
+         g->degrees = {1, 1, 2, -1, -1};
+         g->neighbours = {1, 2, 1, 0};
+       }),
+       "asymmetric adjacency"},
+      // Two copies of 0 - 1, both listed twice at the lower endpoint 0.
+      {"parallel edge at the lower end",
+       edit([](GraphFields* g) {
+         g->degrees = {2, 2, 0, -1, -1};
+         g->neighbours = {1, 1, 0, 0};
+       }),
+       "parallel edge"},
+      // 0 lists 1 once, but 1 lists 0 twice.
+      {"parallel edge at the higher end",
+       edit([](GraphFields* g) { g->neighbours = {1, 0, 0, 1}; }),
+       "parallel edge"},
+      {"free list size",
+       edit([](GraphFields* g) { g->free_vertices = {4}; }),
+       "free-vertex list size mismatch"},
+      {"free list names a live id",
+       edit([](GraphFields* g) { g->free_vertices = {4, 1}; }),
+       "free-vertex list names a vertex that is not dead"},
+      {"free list names an id out of range",
+       edit([](GraphFields* g) { g->free_vertices = {4, 5}; }),
+       "free-vertex list names a vertex that is not dead"},
+      {"free list repeats an id",
+       edit([](GraphFields* g) { g->free_vertices = {3, 3}; }),
+       "free-vertex list repeats an id"},
+      {"trailing bytes", edit([](GraphFields* g) { g->trailing_byte = true; }),
+       "trailing bytes after the last field"},
+  };
+  for (const Case& c : cases) {
+    SnapshotStatus status;
+    EXPECT_EQ(LoadFromString(HandBuiltSnapshot(c.fields, solution), &status),
+              nullptr)
+        << c.what;
+    EXPECT_EQ(status.message, std::string("snapshot: graph: ") + c.message)
+        << c.what;
+  }
 }
 
 // The SNAPSHOT verb publishes through io::WriteFileAtomic (tmp + fsync +
