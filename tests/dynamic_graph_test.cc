@@ -699,10 +699,9 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-// The v1 "graph" section is a stable on-disk encoding: a graph that never
-// deleted an edge serializes to exactly these bytes (dead vertices
-// included). Pinned from the intrusive-list implementation that defined
-// the encoding.
+// The "graph" section is a stable on-disk encoding: this graph (dead
+// vertices included) serializes to exactly these bytes. Pinned when
+// snapshot format 2 replaced the edge-id chains with neighbour lists.
 TEST(DynamicGraphTest, GraphSectionBytesArePinned) {
   Rng rng(11);
   DynamicGraph g = ChungLuPowerLaw(400, 2.2, 9.0, &rng).ToDynamic();
@@ -718,8 +717,8 @@ TEST(DynamicGraphTest, GraphSectionBytesArePinned) {
     }
   }
   const std::string blob = SaveGraph(g);
-  EXPECT_EQ(blob.size(), size_t{108107});
-  EXPECT_EQ(Fnv1a(blob), uint64_t{13018652582391650294u});
+  EXPECT_EQ(blob.size(), size_t{36627});
+  EXPECT_EQ(Fnv1a(blob), uint64_t{10312103567661107374u});
 }
 
 // Loading a graph sizes every adjacency exactly once, so the first inserts
