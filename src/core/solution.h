@@ -181,7 +181,8 @@ class MisState {
   // maximality against the graph — so a CRC-valid but semantically corrupt
   // payload is rejected with a structured error instead of aborting in a
   // later update; the same pass derives the counts and owner sums. Returns
-  // false (failing the reader) on any violation.
+  // false (failing the reader) on any violation. Performs no
+  // MoveIn/MoveOut, which status_ops() lets callers verify.
   bool LoadFrom(SnapshotReader* r);
 
   // --- Introspection ---------------------------------------------------------

@@ -525,7 +525,9 @@ void DynamicGraph::SaveTo(SnapshotWriter* w) const {
     if (degrees[v] <= 0) continue;
     const Entry* entries = Entries(v);
     for (int32_t i = 0; i < vertices_[v].len; ++i) {
-      if (entries[i].nbr != kInvalidVertex) neighbours.push_back(entries[i].nbr);
+      if (entries[i].nbr != kInvalidVertex) {
+        neighbours.push_back(entries[i].nbr);
+      }
     }
   }
   w->PutI32Array(degrees);
@@ -574,10 +576,11 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   if (neighbours.size() != static_cast<size_t>(degree_sum)) {
     return fail("neighbour list length does not match the degrees");
   }
-  // mark[w] is the last vertex seen listing w: a second sighting from the
-  // same vertex is a parallel edge (counts in the algorithm layers are per
-  // neighbour, not per edge).
-  std::vector<int32_t> mark(static_cast<size_t>(vcap), kInvalidVertex);
+  // lister[w] is the last vertex found listing w, so a vertex that lists w
+  // twice is caught (counts in the algorithm layers are per neighbour, not
+  // per edge). slots[v + 1] counts the lower neighbours that v lists.
+  std::vector<VertexId> lister(static_cast<size_t>(vcap), kInvalidVertex);
+  std::vector<int64_t> slots(static_cast<size_t>(vcap) + 1, 0);
   size_t at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
     for (int32_t i = 0; i < degrees[v]; ++i) {
@@ -585,60 +588,25 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
       if (w < 0 || w >= vcap) return fail("neighbour id out of range");
       if (degrees[w] < 0) return fail("neighbour is a dead vertex");
       if (w == v) return fail("self loop");
-      if (mark[w] == v) return fail("parallel edge");
-      mark[w] = v;
+      if (lister[w] == v) return fail("parallel edge");
+      lister[w] = v;
+      slots[v + 1] += w < v;
     }
   }
   if (free_v.size() != static_cast<size_t>(vcap - nv)) {
     return fail("free-vertex list size mismatch");
   }
-  std::fill(mark.begin(), mark.end(), 0);
+  std::vector<uint8_t> freed(static_cast<size_t>(vcap), 0);
   for (const int32_t v : free_v) {
     if (v < 0 || v >= vcap || degrees[v] >= 0) {
       return fail("free-vertex list names a vertex that is not dead");
     }
-    if (mark[v]) return fail("free-vertex list repeats an id");
-    mark[v] = 1;
+    if (freed[v]) return fail("free-vertex list repeats an id");
+    freed[v] = 1;
   }
 
-  // --- Number the edges, checking symmetry. ---------------------------------
-  // An edge gets its id at its lower endpoint, vertices ascending, each in
-  // incidence order. Until the walk reaches w, pending[w] lists the edges
-  // from w's lower neighbours, threaded through their pos[1]; at w they
-  // must meet exactly the lower neighbours that w lists.
+  // --- Size every array once, in vertex order. ------------------------------
   DynamicGraph loaded;
-  loaded.edge_capacity_ = static_cast<int>(ne);
-  loaded.edge_pages_.resize(
-      (static_cast<size_t>(ne) + kEdgePageRecords - 1) >> kEdgePageShift,
-      std::vector<EdgeRec>(kEdgePageRecords));
-  std::vector<EdgeId> pending(static_cast<size_t>(vcap), kInvalidEdge);
-  std::vector<EdgeId> below(static_cast<size_t>(vcap));
-  std::fill(mark.begin(), mark.end(), kInvalidVertex);
-  EdgeId next_id = 0;
-  at = 0;
-  for (int32_t v = 0; v < vcap; ++v) {
-    int32_t unmatched = 0;
-    for (EdgeId e = pending[v]; e != kInvalidEdge; e = loaded.Rec(e).pos[1]) {
-      mark[loaded.Rec(e).u] = v;
-      below[loaded.Rec(e).u] = e;
-      ++unmatched;
-    }
-    for (int32_t i = 0; i < degrees[v]; ++i) {
-      const int32_t w = neighbours[at++];
-      if (w < v) {
-        if (mark[w] != v) return fail("asymmetric adjacency");
-        loaded.Rec(below[w]).pos[1] = i;
-        --unmatched;
-      } else {
-        if (next_id == ne) return fail("asymmetric adjacency");
-        loaded.Rec(next_id) = EdgeRec{v, {i, pending[w]}};
-        pending[w] = next_id++;
-      }
-    }
-    if (unmatched != 0) return fail("asymmetric adjacency");
-  }
-
-  // --- Adopt: size every array once, in vertex order. -----------------------
   loaded.vertices_.resize(static_cast<size_t>(vcap));
   at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
@@ -654,11 +622,46 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
       entries[i] = Entry{neighbours[at++], kInvalidEdge};
     }
   }
-  for (EdgeId e = 0; e < ne; ++e) {
-    const EdgeRec& rec = loaded.Rec(e);
-    Entry& lower = loaded.Entries(rec.u)[rec.pos[0]];
-    lower.edge = e;
-    loaded.Entries(lower.nbr)[rec.pos[1]].edge = e;
+
+  // --- Number the edges, checking symmetry. ---------------------------------
+  // An edge gets its id at its lower endpoint, vertices ascending, each in
+  // incidence order, and waits in a slot of its higher endpoint w, which
+  // has one per lower neighbour it lists. At w, below[u] holds the edge
+  // from u, and each lower neighbour w lists must take one, so no list
+  // names a neighbour that does not list it back. Symmetry is checked here
+  // rather than before the arrays are sized, which would take another pass;
+  // a failure discards the half-built graph.
+  for (int32_t v = 0; v < vcap; ++v) slots[v + 1] += slots[v];
+  std::vector<int64_t> filled(slots.begin(), slots.end() - 1);
+  std::vector<EdgeId> waiting(static_cast<size_t>(slots[vcap]));
+  std::vector<EdgeId> below(static_cast<size_t>(vcap), kInvalidEdge);
+  loaded.edge_capacity_ = static_cast<int>(ne);
+  loaded.edge_pages_.resize(
+      (static_cast<size_t>(ne) + kEdgePageRecords - 1) >> kEdgePageShift,
+      std::vector<EdgeRec>(kEdgePageRecords));
+  EdgeId next_id = 0;
+  for (int32_t v = 0; v < vcap; ++v) {
+    if (degrees[v] <= 0) continue;
+    for (int64_t s = slots[v]; s < filled[v]; ++s) {
+      below[loaded.Rec(waiting[s]).u] = waiting[s];
+    }
+    Entry* entries = loaded.Entries(v);
+    for (int32_t i = 0; i < degrees[v]; ++i) {
+      const VertexId w = entries[i].nbr;
+      EdgeId e;
+      if (w < v) {
+        e = below[w];
+        if (e == kInvalidEdge) return fail("asymmetric adjacency");
+        below[w] = kInvalidEdge;
+        loaded.Rec(e).pos[1] = i;
+      } else {
+        if (filled[w] == slots[w + 1]) return fail("asymmetric adjacency");
+        e = next_id++;
+        loaded.Rec(e) = EdgeRec{v, {i, 0}};
+        waiting[filled[w]++] = e;
+      }
+      entries[i].edge = e;
+    }
   }
   loaded.free_vertices_ = std::move(free_v);
   loaded.num_vertices_ = static_cast<int>(nv);

@@ -45,7 +45,7 @@ namespace dynmis {
 
 // Bumped when the section payload encodings change incompatibly. Readers
 // reject files written by a different version (see README "Snapshots" for
-// the compatibility policy).
+// the section layouts and the compatibility policy).
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Outcome of a snapshot save/load. `ok` with an empty message on success;

@@ -306,8 +306,7 @@ bool OpenBaseSnapshot(const std::string& path, std::ifstream* in,
   in->read(prologue, sizeof(prologue));
   if (in->gcount() != static_cast<std::streamsize>(sizeof(prologue)) ||
       std::memcmp(prologue, kBaseMagic, kMagicBytes) != 0) {
-    return SetError(error, "base snapshot " + path +
-                               " has no epoch prologue");
+    return SetError(error, "base snapshot " + path + " has no epoch prologue");
   }
   *epoch = static_cast<int64_t>(ReadU64(prologue + kMagicBytes));
   return true;

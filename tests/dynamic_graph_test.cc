@@ -531,7 +531,9 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
     ASSERT_EQ(a.MaxDegree(), b.MaxDegree());
     for (VertexId v = 0; v < a.VertexCapacity(); ++v) {
       ASSERT_EQ(a.IsVertexAlive(v), b.IsVertexAlive(v));
-      if (a.IsVertexAlive(v)) ASSERT_EQ(a.Neighbors(v), b.Neighbors(v));
+      if (a.IsVertexAlive(v)) {
+        ASSERT_EQ(a.Neighbors(v), b.Neighbors(v));
+      }
     }
   };
   expect_same(g, loaded);
