@@ -576,39 +576,43 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   if (neighbours.size() != static_cast<size_t>(degree_sum)) {
     return fail("neighbour list length does not match the degrees");
   }
-  // lister[w] is the last vertex found listing w, so a vertex that lists w
-  // twice is caught (counts in the algorithm layers are per neighbour, not
-  // per edge). slots[v + 1] counts the lower neighbours that v lists.
-  std::vector<VertexId> lister(static_cast<size_t>(vcap), kInvalidVertex);
+  // slots[v + 1] counts the lower neighbours that v lists. lister[w] is the
+  // last vertex found listing w, so a vertex that lists w twice is caught
+  // (counts in the algorithm layers are per neighbour, not per edge).
   std::vector<int64_t> slots(static_cast<size_t>(vcap) + 1, 0);
-  size_t at = 0;
-  for (int32_t v = 0; v < vcap; ++v) {
-    for (int32_t i = 0; i < degrees[v]; ++i) {
-      const int32_t w = neighbours[at++];
-      if (w < 0 || w >= vcap) return fail("neighbour id out of range");
-      if (degrees[w] < 0) return fail("neighbour is a dead vertex");
-      if (w == v) return fail("self loop");
-      if (lister[w] == v) return fail("parallel edge");
-      lister[w] = v;
-      slots[v + 1] += w < v;
+  {
+    std::vector<VertexId> lister(static_cast<size_t>(vcap), kInvalidVertex);
+    size_t at = 0;
+    for (int32_t v = 0; v < vcap; ++v) {
+      for (int32_t i = 0; i < degrees[v]; ++i) {
+        const int32_t w = neighbours[at++];
+        if (w < 0 || w >= vcap) return fail("neighbour id out of range");
+        if (degrees[w] < 0) return fail("neighbour is a dead vertex");
+        if (w == v) return fail("self loop");
+        if (lister[w] == v) return fail("parallel edge");
+        lister[w] = v;
+        slots[v + 1] += w < v;
+      }
     }
   }
   if (free_v.size() != static_cast<size_t>(vcap - nv)) {
     return fail("free-vertex list size mismatch");
   }
-  std::vector<uint8_t> freed(static_cast<size_t>(vcap), 0);
-  for (const int32_t v : free_v) {
-    if (v < 0 || v >= vcap || degrees[v] >= 0) {
-      return fail("free-vertex list names a vertex that is not dead");
+  {
+    std::vector<uint8_t> freed(static_cast<size_t>(vcap), 0);
+    for (const int32_t v : free_v) {
+      if (v < 0 || v >= vcap || degrees[v] >= 0) {
+        return fail("free-vertex list names a vertex that is not dead");
+      }
+      if (freed[v]) return fail("free-vertex list repeats an id");
+      freed[v] = 1;
     }
-    if (freed[v]) return fail("free-vertex list repeats an id");
-    freed[v] = 1;
   }
 
   // --- Size every array once, in vertex order. ------------------------------
   DynamicGraph loaded;
   loaded.vertices_.resize(static_cast<size_t>(vcap));
-  at = 0;
+  size_t at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
     VertexRec& rec = loaded.vertices_[v];
     rec.degree = degrees[v];
@@ -622,6 +626,7 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
       entries[i] = Entry{neighbours[at++], kInvalidEdge};
     }
   }
+  std::vector<int32_t>().swap(neighbours);  // The arrays hold them now.
 
   // --- Number the edges, checking symmetry. ---------------------------------
   // An edge gets its id at its lower endpoint, vertices ascending, each in

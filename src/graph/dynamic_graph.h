@@ -232,15 +232,16 @@ class DynamicGraph {
   // their vertex-indexed side arrays alongside.
   void SaveTo(SnapshotWriter* w) const;
 
-  // Replaces this graph with the section "graph" of `r`. First validates
-  // the payload in O(n + m): degree bounds and sums, neighbour ids in range
-  // and alive, no self loop, no parallel edge, symmetric lists, and a free
-  // list of exactly the dead ids. A corrupted or crafted payload yields a
-  // structured reader error, never out-of-bounds access, and leaves this
-  // graph untouched. Edge ids are renumbered 0..m-1: an edge gets its id at
-  // its lower endpoint, vertices ascending, each in incidence order, and
-  // Endpoints(e) returns (lower, higher). The free-edge stack starts empty.
-  // Returns false (with the reader failed) on any violation.
+  // Replaces this graph with the section "graph" of `r`. Validates the
+  // payload in O(n + m) before adopting any of it: degree bounds and sums,
+  // neighbour ids in range and alive, no self loop, no parallel edge,
+  // symmetric lists, and a free list of exactly the dead ids. A corrupted
+  // or crafted payload yields a structured reader error, never
+  // out-of-bounds access, and leaves this graph untouched. Edge ids are
+  // renumbered 0..m-1: an edge gets its id at its lower endpoint, vertices
+  // ascending, each in incidence order, and Endpoints(e) returns (lower,
+  // higher). The free-edge stack starts empty. Returns false (with the
+  // reader failed) on any violation.
   bool LoadFrom(SnapshotReader* r);
 
  private:

@@ -222,6 +222,19 @@ TEST(SnapshotTest, RejectsCorruptedHeadersAndTruncatedFiles) {
   }
 }
 
+// The "engine" section of a hand-built DyTwoSwap snapshot.
+void PutEngineSection(SnapshotWriter* w) {
+  w->BeginSection("engine");
+  w->PutString("DyTwoSwap");
+  w->PutString("DyTwoSwap");
+  w->PutI32(2);     // k
+  w->PutU8(0);      // perturb
+  w->PutI32(1);     // recompute_every
+  w->PutI64(0);     // updates applied
+  w->PutDouble(0);  // update seconds
+  w->EndSection();
+}
+
 TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   {
     SnapshotWriter w;
@@ -244,15 +257,7 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   {
     // A valid engine section but no graph section.
     SnapshotWriter w;
-    w.BeginSection("engine");
-    w.PutString("DyTwoSwap");
-    w.PutString("DyTwoSwap");
-    w.PutI32(2);
-    w.PutU8(0);
-    w.PutI32(1);
-    w.PutI64(0);
-    w.PutDouble(0);
-    w.EndSection();
+    PutEngineSection(&w);
     std::ostringstream out;
     ASSERT_TRUE(w.WriteTo(out).ok);
     SnapshotStatus status;
@@ -285,19 +290,6 @@ TEST(SnapshotTest, VersionOneFilesAreRejectedByEveryLoader) {
     EXPECT_EQ(serve::RestoreServingBackend(in, &error), nullptr);
     EXPECT_EQ(error, "restore failed: " + want);
   }
-}
-
-// The "engine" section of a hand-built DyTwoSwap snapshot.
-void PutEngineSection(SnapshotWriter* w) {
-  w->BeginSection("engine");
-  w->PutString("DyTwoSwap");
-  w->PutString("DyTwoSwap");
-  w->PutI32(2);     // k
-  w->PutU8(0);      // perturb
-  w->PutI32(1);     // recompute_every
-  w->PutI64(0);     // updates applied
-  w->PutDouble(0);  // update seconds
-  w->EndSection();
 }
 
 // The fields of a "graph" section (see DynamicGraph::SaveTo).
@@ -337,13 +329,13 @@ std::string HandBuiltSnapshot(const GraphFields& graph,
 }
 
 // The graph 0 - 1.
-const GraphFields kEdge = {2, 1, {1, 1}, {1, 0}, {}};
+GraphFields OneEdge() { return {2, 1, {1, 1}, {1, 0}, {}}; }
 
 TEST(SnapshotTest, HandBuiltStateLoadsAndDrivesUpdates) {
   // The counts and owner sums are derived on load, without a MoveIn or
   // MoveOut, and drive the next update: deleting the edge frees 1.
   SnapshotStatus status;
-  auto loaded = LoadFromString(HandBuiltSnapshot(kEdge, {1, 0}), &status);
+  auto loaded = LoadFromString(HandBuiltSnapshot(OneEdge(), {1, 0}), &status);
   ASSERT_NE(loaded, nullptr) << status.message;
   EXPECT_EQ(SortedSolution(*loaded), (std::vector<VertexId>{0}));
   EXPECT_EQ(StateTransitionOps(loaded->maintainer()), 0);
@@ -358,7 +350,7 @@ TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
   // both endpoints of an edge as solution members: LoadSnapshot must reject
   // it during MisState validation, not abort (or loop) in a later update.
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(kEdge, {1, 1}), &status),
+  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(OneEdge(), {1, 1}), &status),
             nullptr);
   EXPECT_EQ(status.message, "snapshot: mis: solution is not independent");
 }
@@ -368,7 +360,7 @@ TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
   // ever saves a non-maximal state, and a restored engine would never
   // repair it (updates only react to changes), so load must reject it.
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(kEdge, {0, 0}), &status),
+  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(OneEdge(), {0, 0}), &status),
             nullptr);
   EXPECT_EQ(status.message, "snapshot: mis: solution is not maximal");
 }
@@ -379,91 +371,63 @@ TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
   // rule's message.
   const GraphFields path = {3, 2, {1, 2, 1, -1, -1}, {1, 0, 2, 1}, {4, 3}};
   const std::vector<uint8_t> solution = {1, 0, 1, 0, 0};
-  {
-    SnapshotStatus status;
-    ASSERT_NE(LoadFromString(HandBuiltSnapshot(path, solution), &status),
+  SnapshotStatus status;
+  ASSERT_NE(LoadFromString(HandBuiltSnapshot(path, solution), &status),
+            nullptr)
+      << status.message;
+  GraphFields g = path;
+  // Loads `g`, expects `message`, and resets `g` for the next case.
+  auto rejects = [&](const std::string& message) {
+    EXPECT_EQ(LoadFromString(HandBuiltSnapshot(g, solution), &status),
               nullptr)
-        << status.message;
-  }
-  struct Case {
-    const char* what;
-    GraphFields fields;
-    const char* message;
+        << message;
+    EXPECT_EQ(status.message, "snapshot: graph: " + message);
+    g = path;
   };
-  auto edit = [&](auto change) {
-    GraphFields fields = path;
-    change(&fields);
-    return fields;
-  };
-  const std::vector<Case> cases = {
-      {"degree below -1", edit([](GraphFields* g) { g->degrees[4] = -2; }),
-       "vertex degree below -1"},
-      {"degree above the cap",
-       edit([](GraphFields* g) { g->degrees[0] = 1 << 26; }),
-       "vertex degree above the limit"},
-      {"alive count", edit([](GraphFields* g) { g->num_vertices = 4; }),
-       "alive-vertex count mismatch"},
-      {"degree sum", edit([](GraphFields* g) { g->num_edges = 3; }),
-       "degree sum does not equal 2m"},
-      {"negative edge count",
-       edit([](GraphFields* g) { g->num_edges = -2; }),
-       "degree sum does not equal 2m"},
-      {"list length", edit([](GraphFields* g) { g->neighbours.push_back(0); }),
-       "neighbour list length does not match the degrees"},
-      {"neighbour too high",
-       edit([](GraphFields* g) { g->neighbours[0] = 5; }),
-       "neighbour id out of range"},
-      {"negative neighbour",
-       edit([](GraphFields* g) { g->neighbours[0] = -1; }),
-       "neighbour id out of range"},
-      {"dead neighbour", edit([](GraphFields* g) { g->neighbours[0] = 3; }),
-       "neighbour is a dead vertex"},
-      {"self loop", edit([](GraphFields* g) { g->neighbours[0] = 0; }),
-       "self loop"},
-      // 0 lists 2 and 1 lists 0, but neither is listed back.
-      {"asymmetric entry", edit([](GraphFields* g) { g->neighbours[0] = 2; }),
-       "asymmetric adjacency"},
-      // 1 lists only 2, so 0's edge to 1 finds no partner at 1.
-      {"asymmetric edge",
-       edit([](GraphFields* g) {
-         g->degrees = {1, 1, 2, -1, -1};
-         g->neighbours = {1, 2, 1, 0};
-       }),
-       "asymmetric adjacency"},
-      // Two copies of 0 - 1, both listed twice at the lower endpoint 0.
-      {"parallel edge at the lower end",
-       edit([](GraphFields* g) {
-         g->degrees = {2, 2, 0, -1, -1};
-         g->neighbours = {1, 1, 0, 0};
-       }),
-       "parallel edge"},
-      // 0 lists 1 once, but 1 lists 0 twice.
-      {"parallel edge at the higher end",
-       edit([](GraphFields* g) { g->neighbours = {1, 0, 0, 1}; }),
-       "parallel edge"},
-      {"free list size",
-       edit([](GraphFields* g) { g->free_vertices = {4}; }),
-       "free-vertex list size mismatch"},
-      {"free list names a live id",
-       edit([](GraphFields* g) { g->free_vertices = {4, 1}; }),
-       "free-vertex list names a vertex that is not dead"},
-      {"free list names an id out of range",
-       edit([](GraphFields* g) { g->free_vertices = {4, 5}; }),
-       "free-vertex list names a vertex that is not dead"},
-      {"free list repeats an id",
-       edit([](GraphFields* g) { g->free_vertices = {3, 3}; }),
-       "free-vertex list repeats an id"},
-      {"trailing bytes", edit([](GraphFields* g) { g->trailing_byte = true; }),
-       "trailing bytes after the last field"},
-  };
-  for (const Case& c : cases) {
-    SnapshotStatus status;
-    EXPECT_EQ(LoadFromString(HandBuiltSnapshot(c.fields, solution), &status),
-              nullptr)
-        << c.what;
-    EXPECT_EQ(status.message, std::string("snapshot: graph: ") + c.message)
-        << c.what;
-  }
+  g.degrees[4] = -2;
+  rejects("vertex degree below -1");
+  g.degrees[0] = 1 << 26;
+  rejects("vertex degree above the limit");
+  g.num_vertices = 4;
+  rejects("alive-vertex count mismatch");
+  g.num_edges = 3;
+  rejects("degree sum does not equal 2m");
+  g.num_edges = -2;
+  rejects("degree sum does not equal 2m");
+  g.neighbours.push_back(0);
+  rejects("neighbour list length does not match the degrees");
+  g.neighbours[0] = 5;
+  rejects("neighbour id out of range");
+  g.neighbours[0] = -1;
+  rejects("neighbour id out of range");
+  g.neighbours[0] = 3;
+  rejects("neighbour is a dead vertex");
+  g.neighbours[0] = 0;
+  rejects("self loop");
+  // 0 lists 2 and 1 lists 0, but neither is listed back.
+  g.neighbours[0] = 2;
+  rejects("asymmetric adjacency");
+  // 1 lists only 2, so 0's edge to 1 finds no partner at 1.
+  g.degrees = {1, 1, 2, -1, -1};
+  g.neighbours = {1, 2, 1, 0};
+  rejects("asymmetric adjacency");
+  // Two copies of 0 - 1: the lower endpoint 0 lists 1 twice.
+  g.degrees = {2, 2, 0, -1, -1};
+  g.neighbours = {1, 1, 0, 0};
+  rejects("parallel edge");
+  // 0 lists 1 once, but the higher endpoint 1 lists 0 twice.
+  g.neighbours = {1, 0, 0, 1};
+  rejects("parallel edge");
+  g.free_vertices = {4};
+  rejects("free-vertex list size mismatch");
+  g.free_vertices = {4, 1};
+  rejects("free-vertex list names a vertex that is not dead");
+  g.free_vertices = {4, 5};
+  rejects("free-vertex list names a vertex that is not dead");
+  g.free_vertices = {3, 3};
+  rejects("free-vertex list repeats an id");
+  g.trailing_byte = true;
+  rejects("trailing bytes after the last field");
 }
 
 // The SNAPSHOT verb publishes through io::WriteFileAtomic (tmp + fsync +
