@@ -383,6 +383,8 @@ class OrderedModel {
 
 // The decoded "graph" snapshot section (see DynamicGraph::SaveTo).
 struct GraphSection {
+  int64_t num_vertices = 0;
+  int64_t num_edges = 0;
   std::vector<int32_t> degrees, neighbours, free_v;
 };
 
@@ -403,8 +405,8 @@ GraphSection DecodeGraph(const std::string& blob) {
   GraphSection s;
   SnapshotReader r;
   EXPECT_TRUE(OpenGraph(blob, &r));
-  r.GetI64();
-  r.GetI64();
+  s.num_vertices = r.GetI64();
+  s.num_edges = r.GetI64();
   EXPECT_TRUE(r.GetI32Array(&s.degrees) && r.GetI32Array(&s.neighbours) &&
               r.GetI32Array(&s.free_v));
   EXPECT_TRUE(r.AtSectionEnd());
@@ -492,6 +494,26 @@ TEST(DynamicGraphTest, ChurnMatchesOrderedReferenceModel) {
   }
 }
 
+// Every incidence of `g` names a live edge whose endpoints are the vertex
+// and the neighbour, and the degrees add up to twice the edge count.
+void ExpectConsistent(const DynamicGraph& g) {
+  int64_t degree_sum = 0;
+  for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
+    if (!g.IsVertexAlive(v)) continue;
+    int incidences = 0;
+    g.ForEachIncident(v, [&](VertexId u, EdgeId e) {
+      ASSERT_TRUE(g.IsEdgeAlive(e)) << v << " " << u;
+      const auto [a, b] = g.Endpoints(e);
+      EXPECT_TRUE((a == v && b == u) || (a == u && b == v)) << v << " " << u;
+      ++incidences;
+    });
+    EXPECT_EQ(incidences, g.Degree(v));
+    degree_sum += g.Degree(v);
+  }
+  EXPECT_EQ(degree_sum, 2 * g.NumEdges());
+  EXPECT_EQ(static_cast<int64_t>(g.EdgeList().size()), g.NumEdges());
+}
+
 // A churned graph survives a snapshot round trip with its incidence order
 // and vertex id recycling intact: both copies then answer an identical op
 // sequence with identical vertex ids and neighbour orders. Edge ids are
@@ -537,31 +559,43 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
     }
   };
   expect_same(g, loaded);
+  ExpectConsistent(loaded);
   EXPECT_EQ(SaveGraph(g), SaveGraph(loaded));
+  // The load numbers the edges at their lower endpoints, vertices
+  // ascending, each in incidence order (oldest first), with no free ids.
+  std::vector<std::pair<VertexId, VertexId>> numbered;
+  for (VertexId v = 0; v < loaded.VertexCapacity(); ++v) {
+    if (!loaded.IsVertexAlive(v)) continue;
+    const std::vector<VertexId> newest_first = loaded.Neighbors(v);
+    for (auto it = newest_first.rbegin(); it != newest_first.rend(); ++it) {
+      if (*it > v) numbered.emplace_back(v, *it);
+    }
+  }
+  ASSERT_EQ(loaded.EdgeList(), numbered);
+  ASSERT_EQ(loaded.EdgeCapacity(), loaded.NumEdges());
+  for (EdgeId e = 0; e < loaded.EdgeCapacity(); ++e) {
+    ASSERT_EQ(loaded.Endpoints(e), numbered[e]);
+  }
   churn(&g, &loaded, 20000);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(g.AddVertex(), loaded.AddVertex());
   expect_same(g, loaded);
 }
 
-// The "graph" section of `blob` as the int32 words of its payload, and a
-// container holding a section made of `words`.
-std::vector<int32_t> GraphWords(const std::string& blob) {
-  SnapshotReader r;
-  EXPECT_TRUE(OpenGraph(blob, &r));
+// The payload of `section` as int32 words, and a container holding a
+// "graph" section made of `words`.
+std::vector<int32_t> PayloadWords(const GraphSection& section) {
   std::vector<int32_t> words;
   auto put64 = [&](uint64_t value) {
     words.push_back(static_cast<int32_t>(value));
     words.push_back(static_cast<int32_t>(value >> 32));
   };
-  put64(r.GetU64());
-  put64(r.GetU64());
-  for (int array = 0; array < 3; ++array) {
-    std::vector<int32_t> values;
-    EXPECT_TRUE(r.GetI32Array(&values));
-    put64(values.size());
-    words.insert(words.end(), values.begin(), values.end());
+  put64(section.num_vertices);
+  put64(section.num_edges);
+  for (const auto* array :
+       {&section.degrees, &section.neighbours, &section.free_v}) {
+    put64(array->size());
+    words.insert(words.end(), array->begin(), array->end());
   }
-  EXPECT_TRUE(r.AtSectionEnd());
   return words;
 }
 
@@ -576,9 +610,9 @@ std::string GraphBlob(const std::vector<int32_t>& words) {
 }
 
 // Hostile bytes: sections of a churned graph with one int32 changed (and a
-// valid CRC) either fail to load, or load a graph that saves exactly the
-// changed section. Under ASan/UBSan this also shows that no such payload
-// reads out of bounds.
+// valid CRC) either fail to load, or load a consistent graph that saves
+// exactly the changed section. Under ASan/UBSan this also shows that no
+// such payload reads out of bounds.
 TEST(DynamicGraphTest, MutatedGraphSectionsFailOrRoundTrip) {
   Rng rng(2309);
   DynamicGraph g = ChungLuPowerLaw(300, 2.3, 12.0, &rng).ToDynamic();
@@ -594,7 +628,7 @@ TEST(DynamicGraphTest, MutatedGraphSectionsFailOrRoundTrip) {
       g.AddEdge(u, v);
     }
   }
-  const std::vector<int32_t> words = GraphWords(SaveGraph(g));
+  const std::vector<int32_t> words = PayloadWords(DecodeGraph(SaveGraph(g)));
   const int32_t vcap = g.VertexCapacity();
   ASSERT_GT(g.NumVertices(), 0);
   ASSERT_LT(g.NumVertices(), vcap);
@@ -639,6 +673,7 @@ TEST(DynamicGraphTest, MutatedGraphSectionsFailOrRoundTrip) {
     DynamicGraph loaded;
     if (loaded.LoadFrom(&r)) {
       EXPECT_EQ(SaveGraph(loaded), blob) << "word " << at;
+      ExpectConsistent(loaded);
     } else {
       messages.insert(r.error());
     }

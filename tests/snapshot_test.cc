@@ -411,6 +411,11 @@ TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
   g.degrees = {1, 1, 2, -1, -1};
   g.neighbours = {1, 2, 1, 0};
   rejects("asymmetric adjacency");
+  // 1 and 2 list 0, which lists no one.
+  g.num_edges = 1;
+  g.degrees = {0, 1, 1, -1, -1};
+  g.neighbours = {0, 0};
+  rejects("asymmetric adjacency");
   // Two copies of 0 - 1: the lower endpoint 0 lists 1 twice.
   g.degrees = {2, 2, 0, -1, -1};
   g.neighbours = {1, 1, 0, 0};
