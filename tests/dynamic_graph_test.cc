@@ -642,7 +642,8 @@ TEST(DynamicGraphTest, MutatedGraphSectionsFailOrRoundTrip) {
       {0, words.size()},
       {degrees, neighbours - 2},
       {neighbours, free_list - 2},
-      {free_list, words.size()}};
+      {free_list, words.size()},
+  };
   std::set<std::string> messages;
   for (int built = 0; built < 1000;) {
     const auto [begin, end] = ranges[built % 4];
