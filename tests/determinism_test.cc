@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynmis/engine.h"
@@ -23,6 +25,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/update_stream.h"
 #include "src/ingest/temporal.h"
+#include "src/io/snapshot.h"
 #include "src/util/random.h"
 #include "tests/verifiers.h"
 
@@ -242,6 +245,65 @@ TEST(DeterminismTest, PinnedStreamGenerators) {
       ingest::MakeTemporalSequence(base.ToDynamic(), 1500, temporal, nullptr);
   const uint64_t t = FoldStream(kFnvOffset, windowed);
   EXPECT_EQ(t, 0x168129ada80e047bULL) << "temporal stream: 0x" << std::hex << t;
+
+  // massive-churn's input path: the sorted, deduplicated list an ingest
+  // yields, built into a graph and drawn with that workload's options.
+  Rng sorted_rng(61);
+  EdgeListGraph sorted = ChungLuPowerLaw(2000, 2.3, 10.0, &sorted_rng);
+  for (auto& [u, v] : sorted.edges) {
+    if (u > v) std::swap(u, v);
+  }
+  std::sort(sorted.edges.begin(), sorted.edges.end());
+  sorted.edges.erase(std::unique(sorted.edges.begin(), sorted.edges.end()),
+                     sorted.edges.end());
+  UpdateStreamOptions churn;
+  churn.edge_op_fraction = 1.0;
+  churn.insert_fraction = 0.5;
+  churn.bias = EndpointBias::kDegreeProportional;
+  churn.seed = 67;
+  const uint64_t s = FoldStream(
+      kFnvOffset, MakeUpdateSequence(sorted.ToDynamic(), 4000, churn));
+  EXPECT_EQ(s, 0xe2a76f9754aaa145ULL) << "sorted-list stream: 0x" << std::hex << s;
+
+  // `dynmis_cli snapshot load --random`'s path: a churned graph's
+  // snapshot-loaded copy, drawn op by op through Next.
+  Rng churn_rng(71);
+  DynamicGraph churned = ChungLuPowerLaw(600, 2.3, 8.0, &churn_rng).ToDynamic();
+  for (int step = 0; step < 6000; ++step) {
+    const int cap = churned.VertexCapacity();
+    const auto u = static_cast<VertexId>(churn_rng.NextBounded(cap));
+    const auto v = static_cast<VertexId>(churn_rng.NextBounded(cap));
+    if (!churned.IsVertexAlive(u) || !churned.IsVertexAlive(v) || u == v) {
+      continue;
+    }
+    if (step % 97 == 0) {
+      churned.RemoveVertex(u);
+    } else if (step % 89 == 0) {
+      churned.AddVertex();
+    } else if (!churned.RemoveEdgeBetween(u, v)) {
+      churned.AddEdge(u, v);
+    }
+  }
+  SnapshotWriter writer;
+  churned.SaveTo(&writer);
+  std::stringstream bytes;
+  ASSERT_TRUE(writer.WriteTo(bytes).ok);
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.ReadFrom(bytes).ok);
+  DynamicGraph loaded;
+  ASSERT_TRUE(loaded.LoadFrom(&reader)) << reader.error();
+  UpdateStreamOptions resume;
+  resume.edge_op_fraction = 0.8;
+  resume.bias = EndpointBias::kDegreeProportional;
+  resume.seed = 73;
+  UpdateStreamGenerator generator(resume);
+  std::vector<GraphUpdate> resumed;
+  for (int i = 0; i < 3000; ++i) {
+    resumed.push_back(generator.Next(loaded));
+    ApplyUpdate(&loaded, resumed.back());
+  }
+  const uint64_t l = FoldStream(kFnvOffset, resumed);
+  EXPECT_EQ(l, 0x0500313f8d7a6ad1ULL) << "snapshot-loaded stream: 0x" << std::hex << l;
 }
 
 }  // namespace
