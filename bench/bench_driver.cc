@@ -702,9 +702,9 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   ingest::TemporalStats temporal_stats;
   const std::vector<GraphUpdate> updates =
       scenario.temporal
-          ? ingest::MakeTemporalSequence(scratch, num_updates,
-                                         scenario.window, &temporal_stats)
-          : MakeUpdateSequence(scratch, num_updates, c.stream);
+          ? ingest::MakeTemporalSequence(base, num_updates, scenario.window,
+                                         &temporal_stats)
+          : MakeUpdateSequence(base, num_updates, c.stream);
   if (scenario.temporal) {
     std::printf(
         "  temporal: ttl=%u, %lld inserts / %lld expiries (%.0f%% "

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   stream.seed = 5;
   stream.edge_op_fraction = 0.85;  // Mostly friendship churn, some users.
   const std::vector<GraphUpdate> burst =
-      MakeUpdateSequence(base.ToDynamic(), updates, stream);
+      MakeUpdateSequence(base, updates, stream);
 
   TablePrinter table(
       {"maintainer", "final |I|", "total time", "per update", "memory"});

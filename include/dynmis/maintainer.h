@@ -122,7 +122,7 @@ class DynamicMisMaintainer {
     }
     for (VertexId v : solution) {
       bool independent = true;
-      g.ForEachIncident(v, [&](VertexId u, EdgeId) {
+      g.ForEachIncident(v, [&](VertexId u) {
         if (member[u]) independent = false;
       });
       if (!independent) {

@@ -32,7 +32,7 @@ void DgDis::ResetVertexSlots(VertexId v) {
 
 VertexId DgDis::OwnerOf(VertexId u) const {
   VertexId owner = kInvalidVertex;
-  g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
+  g_->ForEachIncident(u, [&](VertexId w) {
     if (owner == kInvalidVertex && status_[w]) owner = w;
   });
   return owner;
@@ -42,7 +42,7 @@ void DgDis::MoveIn(VertexId v) {
   DYNMIS_DCHECK(!status_[v] && count_[v] == 0);
   status_[v] = 1;
   ++size_;
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) { ++count_[u]; });
+  g_->ForEachIncident(v, [&](VertexId u) { ++count_[u]; });
 }
 
 void DgDis::MoveOut(VertexId v) {
@@ -50,7 +50,7 @@ void DgDis::MoveOut(VertexId v) {
   status_[v] = 0;
   --size_;
   int own = 0;
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId u) {
     if (status_[u]) {
       ++own;
     } else {
@@ -75,13 +75,13 @@ void DgDis::BuildIndex() {
     if (!g_->IsVertexAlive(v)) continue;
     alternatives_[v].clear();
     if (status_[v]) {
-      g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+      g_->ForEachIncident(v, [&](VertexId u) {
         if (count_[u] == 1 || (level_ == 2 && count_[u] == 2)) {
           alternatives_[v].push_back(u);
         }
       });
     } else {
-      g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+      g_->ForEachIncident(v, [&](VertexId u) {
         if (status_[u]) alternatives_[v].push_back(u);
       });
     }
@@ -121,7 +121,7 @@ bool DgDis::SearchComplementary(VertexId w, int depth) {
         MoveIn(r);
         // Freed leftovers around s keep the solution maximal.
         std::vector<VertexId> freed;
-        g_->ForEachIncident(s, [&](VertexId z, EdgeId) {
+        g_->ForEachIncident(s, [&](VertexId z) {
           if (!status_[z] && count_[z] == 0) freed.push_back(z);
         });
         MakeMaximalAround(freed);
@@ -167,7 +167,7 @@ void DgDis::InsertEdge(VertexId u, VertexId v) {
     const VertexId loser = g_->Degree(u) >= g_->Degree(v) ? u : v;
     MoveOut(loser);
     std::vector<VertexId> freed;
-    g_->ForEachIncident(loser, [&](VertexId w, EdgeId) {
+    g_->ForEachIncident(loser, [&](VertexId w) {
       if (!status_[w] && count_[w] == 0) freed.push_back(w);
     });
     MakeMaximalAround(freed);
@@ -193,7 +193,7 @@ void DgDis::RecordDependenciesAround(VertexId w) {
   // the current degree-one (and, for TwoDIS, degree-two) relations in the
   // index. Entries accumulate; stale ones are filtered at search time.
   if (!g_->IsVertexAlive(w)) return;
-  g_->ForEachIncident(w, [&](VertexId x, EdgeId) {
+  g_->ForEachIncident(w, [&](VertexId x) {
     if (status_[x] || count_[x] > level_) return;
     const VertexId owner = OwnerOf(x);
     if (owner == kInvalidVertex) return;
@@ -274,7 +274,7 @@ void DgDis::CheckConsistency() const {
   for (VertexId v = 0; v < g_->VertexCapacity(); ++v) {
     if (!g_->IsVertexAlive(v)) continue;
     int solution_neighbors = 0;
-    g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+    g_->ForEachIncident(v, [&](VertexId u) {
       if (status_[u]) ++solution_neighbors;
     });
     if (status_[v]) {

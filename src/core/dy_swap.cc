@@ -181,7 +181,7 @@ void DySwap::FindOneSwapStep() {
   for (VertexId u : kept) {
     // |N[u] cap bar1(v)| = 1 (u itself) + marked open neighbours.
     int inter = 1;
-    g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
+    g_->ForEachIncident(u, [&](VertexId w) {
       if (Marked(w)) ++inter;
     });
     if (inter < bar1_size) {
@@ -225,7 +225,7 @@ void DySwap::FindOneSwapStep() {
   const int kept_size = static_cast<int>(kept.size());
   for (VertexId x : bar2) {
     int inter = 0;
-    g_->ForEachIncident(x, [&](VertexId w, EdgeId) {
+    g_->ForEachIncident(x, [&](VertexId w) {
       if (Marked(w)) ++inter;
     });
     if (inter < kept_size) {
@@ -289,7 +289,7 @@ void DySwap::FindTwoSwapStep() {
     // Cy = bar1(x) u bar2(S) \ N[w];  Cz = bar1(y) u bar2(S) \ N[w].
     NewEpoch();
     Mark(w);
-    g_->ForEachIncident(w, [&](VertexId z, EdgeId) { Mark(z); });
+    g_->ForEachIncident(w, [&](VertexId z) { Mark(z); });
     cy.clear();
     cz.clear();
     for (VertexId z : bar1x) {
@@ -311,14 +311,14 @@ void DySwap::FindTwoSwapStep() {
     const int cz_size = static_cast<int>(cz.size());
     for (VertexId a : cy) {
       int inter = Marked(a) ? 1 : 0;  // a may itself lie in Cz.
-      g_->ForEachIncident(a, [&](VertexId z, EdgeId) {
+      g_->ForEachIncident(a, [&](VertexId z) {
         if (Marked(z)) ++inter;
       });
       if (inter >= cz_size) continue;
       // A witness exists; find it explicitly.
       NewEpoch();
       Mark(a);
-      g_->ForEachIncident(a, [&](VertexId z, EdgeId) { Mark(z); });
+      g_->ForEachIncident(a, [&](VertexId z) { Mark(z); });
       VertexId b = kInvalidVertex;
       for (VertexId z : cz) {
         if (!Marked(z)) {
@@ -384,8 +384,8 @@ void DySwap::OnFreedEdge(VertexId u, VertexId v) {
       NewEpoch();
       Mark(u);
       Mark(v);
-      g_->ForEachIncident(u, [&](VertexId z, EdgeId) { Mark(z); });
-      g_->ForEachIncident(v, [&](VertexId z, EdgeId) { Mark(z); });
+      g_->ForEachIncident(u, [&](VertexId z) { Mark(z); });
+      g_->ForEachIncident(v, [&](VertexId z) { Mark(z); });
       const VertexId low = g_->Degree(wu) <= g_->Degree(wv) ? wu : wv;
       const VertexId high = low == wu ? wv : wu;
       std::vector<VertexId>& pair_tight = bar2s_;

@@ -64,7 +64,7 @@ void KSwapMaintainer::CollectRegion(const std::vector<VertexId>& s,
   const int j = static_cast<int>(s.size());
   NewEpoch();
   for (VertexId x : s) {
-    g_->ForEachIncident(x, [&](VertexId w, EdgeId) {
+    g_->ForEachIncident(x, [&](VertexId w) {
       if (Marked(w) || state_.InSolution(w)) return;
       Mark(w);  // Dedup across the owners in S.
       const int c = state_.Count(w);
@@ -109,11 +109,11 @@ bool KSwapMaintainer::FindIndependentSubset(const std::vector<VertexId>& t,
       if (blocked[i] > 0) continue;
       const VertexId w = order[i];
       chosen.push_back(w);
-      g_->ForEachIncident(w, [&](VertexId z, EdgeId) {
+      g_->ForEachIncident(w, [&](VertexId z) {
         if (position[z] >= 0) ++blocked[position[z]];
       });
       if (self(self, i + 1)) return true;
-      g_->ForEachIncident(w, [&](VertexId z, EdgeId) {
+      g_->ForEachIncident(w, [&](VertexId z) {
         if (position[z] >= 0) --blocked[position[z]];
       });
       chosen.pop_back();
@@ -156,7 +156,7 @@ bool KSwapMaintainer::TrySwapOrExpand(std::vector<VertexId> s) {
   std::vector<std::vector<VertexId>> supersets;
   NewEpoch();
   for (VertexId x : s) {
-    g_->ForEachIncident(x, [&](VertexId y, EdgeId) {
+    g_->ForEachIncident(x, [&](VertexId y) {
       if (Marked(y) || state_.InSolution(y)) return;
       Mark(y);
       if (state_.Count(y) != next) return;

@@ -69,12 +69,12 @@ void MisState::OwnersOf2(VertexId u, VertexId* a, VertexId* b) const {
 
 bool MisState::HasBar1(VertexId v) const {
   DYNMIS_DCHECK(InSolution(v));
-  return g_->AnyIncident(v, [&](VertexId u, EdgeId) { return count_[u] == 1; });
+  return g_->AnyIncident(v, [&](VertexId u) { return count_[u] == 1; });
 }
 
 void MisState::CollectBar1(VertexId v, std::vector<VertexId>* bar1) const {
   DYNMIS_DCHECK(InSolution(v));
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId u) {
     if (count_[u] == 1) bar1->push_back(u);
   });
 }
@@ -86,7 +86,7 @@ void MisState::CollectBar1And2(VertexId v, VertexId pair,
   // For u in bar2(v), sum(u) - v is u's other solution neighbour.
   const uint64_t other_sum =
       static_cast<uint64_t>(v) + static_cast<uint64_t>(pair);
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId u) {
     const int c = count_[u];
     if (c == 1) {
       bar1->push_back(u);
@@ -113,7 +113,7 @@ void MisState::MoveIn(VertexId v) {
   if (status_observer_ != nullptr) {
     status_observer_(status_observer_ctx_, v, true);
   }
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId u) {
     DYNMIS_DCHECK(!status_[u]);
     AddOwner(u, v);
     LogTransition(u);
@@ -129,7 +129,7 @@ void MisState::MoveOut(VertexId v) {
   if (status_observer_ != nullptr) {
     status_observer_(status_observer_ctx_, v, false);
   }
-  g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId u) {
     if (status_[u]) {
       // Transient both-in-I situation (edge-insert handling): v gains u as
       // a solution neighbour.
@@ -217,7 +217,7 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   for (size_t v = 0; v < vcap; ++v) {
     if (!g_->IsVertexAlive(static_cast<VertexId>(v))) continue;
     int solution_neighbors = 0;
-    g_->ForEachIncident(static_cast<VertexId>(v), [&](VertexId u, EdgeId) {
+    g_->ForEachIncident(static_cast<VertexId>(v), [&](VertexId u) {
       if (status[u]) {
         ++solution_neighbors;
         owners[v].Add(u);
@@ -254,7 +254,7 @@ void MisState::CheckConsistency(bool expect_maximal) const {
     if (!g_->IsVertexAlive(v)) continue;
     int solution_neighbors = 0;
     OwnerSums sums;
-    g_->ForEachIncident(v, [&](VertexId u, EdgeId) {
+    g_->ForEachIncident(v, [&](VertexId u) {
       if (status_[u]) {
         ++solution_neighbors;
         sums.Add(u);

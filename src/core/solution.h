@@ -86,7 +86,7 @@ class MisState {
         return;
       }
       default:
-        g_->ForEachIncident(u, [&](VertexId w, EdgeId) {
+        g_->ForEachIncident(u, [&](VertexId w) {
           if (status_[w]) fn(w);
         });
     }

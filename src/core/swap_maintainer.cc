@@ -83,7 +83,7 @@ void SwapMaintainer::InsertEdge(VertexId u, VertexId v) {
     }
     state_.MoveOut(loser);
     extend_scratch_.clear();
-    g_->ForEachIncident(loser, [&](VertexId w, EdgeId) {
+    g_->ForEachIncident(loser, [&](VertexId w) {
       if (!state_.InSolution(w) && state_.Count(w) == 0) {
         extend_scratch_.push_back(w);
       }
@@ -125,7 +125,7 @@ VertexId SwapMaintainer::InsertVertex(const std::vector<VertexId>& neighbors) {
 void SwapMaintainer::DeleteVertex(VertexId v) {
   DYNMIS_CHECK(g_->IsVertexAlive(v));
   extend_scratch_.clear();
-  g_->ForEachIncident(v, [&](VertexId w, EdgeId) {
+  g_->ForEachIncident(v, [&](VertexId w) {
     extend_scratch_.push_back(w);
   });
   if (state_.InSolution(v)) state_.MoveOut(v);

@@ -57,12 +57,6 @@ void DynamicGraph::Reserve(int n, int64_t m) {
     free_vertices_.reserve(static_cast<size_t>(n));
   }
   if (m > 0) {
-    const size_t edge_pages =
-        static_cast<size_t>((m + kEdgePageRecords - 1) >> kEdgePageShift);
-    edge_pages_.reserve(edge_pages);
-    while (edge_pages_.size() < edge_pages) {
-      edge_pages_.emplace_back(kEdgePageRecords);
-    }
     // Adjacency pages for 2m entries, waiting in the free-page pool.
     const size_t wanted =
         static_cast<size_t>((2 * m + kPageEntries - 1) >> kPageShift);
@@ -143,23 +137,19 @@ VertexId DynamicGraph::AddVertex() {
 
 void DynamicGraph::RemoveVertex(VertexId v) {
   DYNMIS_CHECK(IsVertexAlive(v));
-  // Frees v's edges most recent first, as deleting them one by one from the
+  // Drops v's edges most recent first, as deleting them one by one from the
   // front of a linked incidence list would. v's own array is left as it is
   // until the end (never compacted while being walked); only the far
-  // endpoints drop their entries. Arrays move only in Evacuate(), after
-  // the walk, so `entries` stays valid.
+  // endpoints drop their entries, found through the mirrors. Arrays move
+  // only in Evacuate(), after the walk, so `entries` stays valid.
   if (vertices_[v].cls != kNoBlock) {
     const Entry* entries = Entries(v);
     for (int32_t i = vertices_[v].len - 1; i >= 0; --i) {
       const Entry entry = entries[i];
       if (entry.nbr == kInvalidVertex) continue;
-      const EdgeRec& rec = Rec(entry.edge);
-      const VertexId w = entry.nbr;
-      const int32_t pos_w = rec.u == w ? rec.pos[0] : rec.pos[1];
-      PushFreeEdge(entry.edge);
       --num_edges_;
       --vertices_[v].degree;
-      DropEntry(w, pos_w);
+      DropEntry(entry.nbr, entry.mirror);
     }
     FreeBlock(vertices_[v].block, vertices_[v].cls);
     vertices_[v].block = 0;
@@ -173,84 +163,54 @@ void DynamicGraph::RemoveVertex(VertexId v) {
   if (!evac_queue_.empty()) Evacuate();
 }
 
-EdgeId DynamicGraph::AddEdge(VertexId u, VertexId v) {
+void DynamicGraph::AddEdge(VertexId u, VertexId v) {
   DYNMIS_CHECK(IsVertexAlive(u));
   DYNMIS_CHECK(IsVertexAlive(v));
   DYNMIS_CHECK_NE(u, v);
   DYNMIS_DCHECK(!HasEdge(u, v));
-
-  EdgeId e;
-  if (free_edge_ != kInvalidEdge) {
-    e = free_edge_;
-    free_edge_ = Rec(e).pos[0];
-  } else {
-    DYNMIS_CHECK_LT(edge_capacity_, std::numeric_limits<EdgeId>::max());
-    e = edge_capacity_++;
-    if (static_cast<size_t>(e >> kEdgePageShift) == edge_pages_.size()) {
-      edge_pages_.emplace_back(kEdgePageRecords);
-    }
-  }
-  const int32_t pos_u = Append(u, v, e);
-  const int32_t pos_v = Append(v, u, e);
-  EdgeRec& rec = Rec(e);
-  rec.u = u;
-  rec.pos[0] = pos_u;
-  rec.pos[1] = pos_v;
+  // Appending to v's array may compact it, which patches mirrors in other
+  // arrays but moves no entry of u's, so pos_u stays valid.
+  const int32_t pos_u = Append(u, v);
+  const int32_t pos_v = Append(v, u);
+  Entries(u)[pos_u].mirror = pos_v;
+  Entries(v)[pos_v].mirror = pos_u;
   ++num_edges_;
   if (!evac_queue_.empty()) Evacuate();
-  return e;
-}
-
-void DynamicGraph::RemoveEdge(EdgeId e) {
-  DYNMIS_CHECK(IsEdgeAlive(e));
-  const EdgeRec& rec = Rec(e);
-  Detach(e, rec.u, Entries(rec.u)[rec.pos[0]].nbr);
 }
 
 bool DynamicGraph::RemoveEdgeBetween(VertexId u, VertexId v) {
-  const EdgeId e = FindEdge(u, v);
-  if (e == kInvalidEdge) return false;
-  Detach(e, u, v);
-  return true;
-}
-
-void DynamicGraph::Detach(EdgeId e, VertexId a, VertexId b) {
-  const EdgeRec& rec = Rec(e);
-  const VertexId u = rec.u;
-  const VertexId v = u == a ? b : a;
-  const int32_t pos_u = rec.pos[0];
-  const int32_t pos_v = rec.pos[1];
-  PushFreeEdge(e);
+  const int32_t pos_u = Locate(&u, &v);
+  if (pos_u < 0) return false;
+  const int32_t pos_v = Entries(u)[pos_u].mirror;
   --num_edges_;
   DropEntry(u, pos_u);
   DropEntry(v, pos_v);
   if (!evac_queue_.empty()) Evacuate();
+  return true;
 }
 
-EdgeId DynamicGraph::FindEdge(VertexId u, VertexId v) const {
+bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
+  return Locate(&u, &v) >= 0;
+}
+
+int32_t DynamicGraph::Locate(VertexId* u, VertexId* v) const {
   // A dead vertex has an empty array, like an isolated one.
-  if (u < 0 || v < 0 || u >= VertexCapacity() || v >= VertexCapacity()) {
-    return kInvalidEdge;
+  if (*u < 0 || *v < 0 || *u >= VertexCapacity() || *v >= VertexCapacity()) {
+    return -1;
   }
   // Scan the shorter array, most recent entry first: recent edges are the
   // likeliest to be deleted, and a simple graph has at most one match.
-  if (vertices_[v].len < vertices_[u].len) std::swap(u, v);
-  if (vertices_[u].len == 0) return kInvalidEdge;
-  const Entry* entries = Entries(u);
-  for (int32_t i = vertices_[u].len - 1; i >= 0; --i) {
-    if (entries[i].nbr == v) return entries[i].edge;
+  if (vertices_[*v].len < vertices_[*u].len) std::swap(*u, *v);
+  const auto len = static_cast<int32_t>(vertices_[*u].len);
+  if (len == 0) return -1;
+  const Entry* entries = Entries(*u);
+  for (int32_t i = len - 1; i >= 0; --i) {
+    if (entries[i].nbr == *v) return i;
   }
-  return kInvalidEdge;
+  return -1;
 }
 
-void DynamicGraph::PushFreeEdge(EdgeId e) {
-  EdgeRec& rec = Rec(e);
-  rec.u = kInvalidVertex;
-  rec.pos[0] = free_edge_;
-  free_edge_ = e;
-}
-
-int32_t DynamicGraph::Append(VertexId x, VertexId nbr, EdgeId e) {
+int32_t DynamicGraph::Append(VertexId x, VertexId nbr) {
   VertexRec& a = vertices_[x];
   // A full short array that holds tombstones drops them in place instead
   // of moving up a class: it is over half live (see DropEntry), so Compact
@@ -263,7 +223,7 @@ int32_t DynamicGraph::Append(VertexId x, VertexId nbr, EdgeId e) {
     DYNMIS_CHECK_LT(a.len, kMaxLen);
     Move(x, ClassFor(a.len + 1));
   }
-  Entries(x)[a.len] = Entry{nbr, e};
+  Entries(x)[a.len] = Entry{nbr, 0};
   ++a.degree;
   return a.len++;
 }
@@ -322,10 +282,7 @@ void DynamicGraph::Compact(VertexId x) {
   for (int32_t i = 0; i < a.len; ++i) {
     const Entry entry = src[i];
     if (entry.nbr == kInvalidVertex) continue;
-    if (kept != i) {
-      EdgeRec& rec = Rec(entry.edge);
-      rec.pos[rec.u == x ? 0 : 1] = kept;
-    }
+    if (kept != i) Entries(entry.nbr)[entry.mirror].mirror = kept;
     dst[kept++] = entry;
   }
   DYNMIS_DCHECK(kept == a.degree);
@@ -342,7 +299,7 @@ uint32_t DynamicGraph::AllocBlock(int cls) {
   if (free_[cls] != 0) {
     const uint32_t offset = free_[cls] - 1;
     if (cap > kMaxSharedCap) {
-      free_[cls] = static_cast<uint32_t>(EntryAt(offset)->edge);
+      free_[cls] = static_cast<uint32_t>(EntryAt(offset)->mirror);
     } else {
       Unlink(offset, cls);
       page_info_[offset >> kPageShift].live += cap;
@@ -370,7 +327,7 @@ void DynamicGraph::FreeBlock(uint32_t offset, int cls) {
   Entry* block = EntryAt(offset);
   const uint32_t next = free_[cls];
   if (ClassCap(cls) > kMaxSharedCap) {
-    block[0] = Entry{kInvalidVertex, static_cast<EdgeId>(next)};
+    block[0] = Entry{kInvalidVertex, static_cast<int32_t>(next)};
     free_[cls] = offset + 1;
     return;
   }
@@ -383,7 +340,7 @@ void DynamicGraph::FreeBlock(uint32_t offset, int cls) {
     info.starts[index >> 6] &= ~(uint64_t{1} << (index & 63));
     return;
   }
-  block[0] = Entry{kFreeMark, static_cast<EdgeId>(next)};
+  block[0] = Entry{kFreeMark, static_cast<int32_t>(next)};
   block[1] = Entry{0, cls};
   if (next != 0) EntryAt(next - 1)[1].nbr = static_cast<VertexId>(offset + 1);
   free_[cls] = offset + 1;
@@ -392,10 +349,10 @@ void DynamicGraph::FreeBlock(uint32_t offset, int cls) {
 
 void DynamicGraph::Unlink(uint32_t offset, int cls) {
   const Entry* block = EntryAt(offset);
-  const auto next = static_cast<uint32_t>(block[0].edge);
+  const auto next = static_cast<uint32_t>(block[0].mirror);
   const auto prev = static_cast<uint32_t>(block[1].nbr);
   if (prev != 0) {
-    EntryAt(prev - 1)[0].edge = static_cast<EdgeId>(next);
+    EntryAt(prev - 1)[0].mirror = static_cast<int32_t>(next);
   } else {
     free_[cls] = next;
   }
@@ -446,7 +403,7 @@ void DynamicGraph::Evacuate() {
            bits &= bits - 1) {
         const int index = word * 64 + std::countr_zero(bits);
         if (entries[index].nbr == kFreeMark) {
-          Unlink((page << kPageShift) + index, entries[index + 1].edge);
+          Unlink((page << kPageShift) + index, entries[index + 1].mirror);
         }
       }
     }
@@ -470,17 +427,16 @@ VertexId DynamicGraph::OwnerOf(uint32_t offset) const {
   // A live array has a live entry before any unused slot, or is empty and
   // carries its owner mark.
   for (const Entry* entry = EntryAt(offset);; ++entry) {
-    if (entry->nbr == kOwnerMark) return entry->edge;
+    if (entry->nbr == kOwnerMark) return entry->mirror;
     if (entry->nbr == kInvalidVertex) continue;
-    const EdgeRec& rec = Rec(entry->edge);
-    return rec.u != entry->nbr ? rec.u : Entries(rec.u)[rec.pos[0]].nbr;
+    return Entries(entry->nbr)[entry->mirror].nbr;
   }
 }
 
 std::vector<VertexId> DynamicGraph::Neighbors(VertexId v) const {
   std::vector<VertexId> result;
   result.reserve(Degree(v));
-  ForEachIncident(v, [&](VertexId u, EdgeId) { result.push_back(u); });
+  ForEachIncident(v, [&](VertexId u) { result.push_back(u); });
   return result;
 }
 
@@ -496,20 +452,63 @@ std::vector<VertexId> DynamicGraph::AliveVertices() const {
 std::vector<std::pair<VertexId, VertexId>> DynamicGraph::EdgeList() const {
   std::vector<std::pair<VertexId, VertexId>> result;
   result.reserve(static_cast<size_t>(num_edges_));
-  for (EdgeId e = 0; e < EdgeCapacity(); ++e) {
-    if (!IsEdgeAlive(e)) continue;
-    auto [u, v] = Endpoints(e);
-    if (u > v) std::swap(u, v);
-    result.emplace_back(u, v);
+  for (VertexId v = 0; v < VertexCapacity(); ++v) {
+    if (vertices_[v].len == 0) continue;
+    const Entry* entries = Entries(v);
+    for (int32_t i = 0; i < vertices_[v].len; ++i) {
+      if (entries[i].nbr > v) result.emplace_back(v, entries[i].nbr);
+    }
   }
   return result;
+}
+
+void DynamicGraph::CheckConsistency() const {
+  int alive = 0;
+  int64_t degree_sum = 0;
+  for (VertexId v = 0; v < VertexCapacity(); ++v) {
+    const VertexRec& a = vertices_[v];
+    if (a.degree < 0) {
+      DYNMIS_CHECK_EQ(a.degree, -1);
+      DYNMIS_CHECK(a.cls == kNoBlock && a.len == 0);
+      continue;
+    }
+    ++alive;
+    degree_sum += a.degree;
+    if (a.cls == kNoBlock) {
+      DYNMIS_CHECK(a.degree == 0 && a.len == 0);
+      continue;
+    }
+    DYNMIS_CHECK_LE(static_cast<int32_t>(a.len), ClassCap(a.cls));
+    const Entry* entries = Entries(v);
+    if (a.len == 0) {
+      DYNMIS_CHECK_EQ(a.degree, 0);
+      DYNMIS_CHECK(entries[0].nbr == kOwnerMark && entries[0].mirror == v);
+      continue;
+    }
+    DYNMIS_CHECK_NE(entries[a.len - 1].nbr, kInvalidVertex);
+    int32_t live = 0;
+    for (int32_t i = 0; i < a.len; ++i) {
+      const Entry entry = entries[i];
+      if (entry.nbr == kInvalidVertex) continue;
+      ++live;
+      DYNMIS_CHECK(IsVertexAlive(entry.nbr));
+      const auto nbr_len = static_cast<int32_t>(vertices_[entry.nbr].len);
+      DYNMIS_CHECK(entry.mirror >= 0 && entry.mirror < nbr_len);
+      const Entry mirror = Entries(entry.nbr)[entry.mirror];
+      DYNMIS_CHECK(mirror.nbr == v && mirror.mirror == i);
+    }
+    DYNMIS_CHECK_EQ(live, a.degree);
+  }
+  DYNMIS_CHECK_EQ(alive, num_vertices_);
+  DYNMIS_CHECK_EQ(degree_sum, 2 * num_edges_);
+  DYNMIS_CHECK_EQ(static_cast<size_t>(VertexCapacity() - alive),
+                  free_vertices_.size());
 }
 
 size_t DynamicGraph::MemoryUsageBytes() const {
   return VectorBytes(vertices_) +
          NestedVectorBytes(pages_) + VectorBytes(page_info_) +
          VectorBytes(free_pages_) + VectorBytes(evac_queue_) +
-         NestedVectorBytes(edge_pages_) +
          VectorBytes(free_vertices_);
 }
 
@@ -623,49 +622,42 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
     rec.cls = static_cast<uint32_t>(cls);
     Entry* entries = loaded.Entries(v);
     for (int32_t i = 0; i < degrees[v]; ++i) {
-      entries[i] = Entry{neighbours[at++], kInvalidEdge};
+      entries[i] = Entry{neighbours[at++], 0};
     }
   }
   std::vector<int32_t>().swap(neighbours);  // The arrays hold them now.
 
-  // --- Number the edges, checking symmetry. ---------------------------------
-  // An edge gets its id at its lower endpoint, vertices ascending, each in
-  // incidence order, and waits in a slot of its higher endpoint w, which
-  // has one per lower neighbour it lists. At w, below[u] holds the edge
-  // from u, and each lower neighbour w lists must take one, so no list
-  // names a neighbour that does not list it back. Symmetry is checked here
-  // rather than before the arrays are sized, which would take another pass;
-  // a failure discards the half-built graph.
+  // --- Link the mirrors, checking symmetry. ---------------------------------
+  // Vertices ascending, each in incidence order: an entry to a higher
+  // neighbour w waits in a slot of w, which has one per lower neighbour it
+  // lists. At w, below[u] holds the position of w in u's array, and each
+  // lower neighbour w lists must take one, so no list names a neighbour
+  // that does not list it back. Symmetry is checked here rather than before
+  // the arrays are sized, which would take another pass; a failure
+  // discards the half-built graph.
   for (int32_t v = 0; v < vcap; ++v) slots[v + 1] += slots[v];
   std::vector<int64_t> filled(slots.begin(), slots.end() - 1);
-  std::vector<EdgeId> waiting(static_cast<size_t>(slots[vcap]));
-  std::vector<EdgeId> below(static_cast<size_t>(vcap), kInvalidEdge);
-  loaded.edge_capacity_ = static_cast<int>(ne);
-  loaded.edge_pages_.resize(
-      (static_cast<size_t>(ne) + kEdgePageRecords - 1) >> kEdgePageShift,
-      std::vector<EdgeRec>(kEdgePageRecords));
-  EdgeId next_id = 0;
+  std::vector<std::pair<VertexId, int32_t>> waiting(
+      static_cast<size_t>(slots[vcap]));
+  std::vector<int32_t> below(static_cast<size_t>(vcap), -1);
   for (int32_t v = 0; v < vcap; ++v) {
     if (degrees[v] <= 0) continue;
     for (int64_t s = slots[v]; s < filled[v]; ++s) {
-      below[loaded.Rec(waiting[s]).u] = waiting[s];
+      below[waiting[s].first] = waiting[s].second;
     }
     Entry* entries = loaded.Entries(v);
     for (int32_t i = 0; i < degrees[v]; ++i) {
       const VertexId w = entries[i].nbr;
-      EdgeId e;
       if (w < v) {
-        e = below[w];
-        if (e == kInvalidEdge) return fail("asymmetric adjacency");
-        below[w] = kInvalidEdge;
-        loaded.Rec(e).pos[1] = i;
+        const int32_t pos = below[w];
+        if (pos < 0) return fail("asymmetric adjacency");
+        below[w] = -1;
+        entries[i].mirror = pos;
+        loaded.Entries(w)[pos].mirror = i;
       } else {
         if (filled[w] == slots[w + 1]) return fail("asymmetric adjacency");
-        e = next_id++;
-        loaded.Rec(e) = EdgeRec{v, {i, 0}};
-        waiting[filled[w]++] = e;
+        waiting[filled[w]++] = {v, i};
       }
-      entries[i].edge = e;
     }
   }
   loaded.free_vertices_ = std::move(free_v);

@@ -5,37 +5,38 @@
 // This is the substrate every dynamic algorithm in the library runs on.
 // Three properties matter to the algorithm layers:
 //
-//  * Vertex ids and edge ids are *stable*: an id never moves while the
-//    vertex/edge is alive, so algorithm layers can keep their per-vertex and
-//    per-edge state in flat arrays indexed by id (no hashing on hot paths).
-//    Ids of deleted elements are recycled last-freed-first. Snapshots keep
-//    vertex ids but not edge ids: a loaded graph numbers its edges densely
-//    afresh and has no free edge ids (see LoadFrom).
+//  * Vertex ids are *stable*: an id never moves while the vertex is alive,
+//    so algorithm layers can keep their per-vertex state in flat arrays
+//    indexed by id (no hashing on hot paths). Ids of deleted vertices are
+//    recycled last-freed-first, and snapshots keep them (see LoadFrom).
+//    Edges have no ids: an edge is its two entries, one in each endpoint's
+//    array.
 //  * Incidence order is most recent first, and a delete removes in place.
 //    The maintainers' tie-breaks follow this order, so it is part of the
 //    behaviour contract that tests/determinism_test.cc pins.
 //  * Adjacency is contiguous. Each vertex owns an array of 8-byte
-//    (neighbour, edge id) entries, appended in insertion order and read
-//    back to front, so FindEdge and every neighbourhood scan read memory in
+//    (neighbour, mirror) entries, appended in insertion order and read back
+//    to front, so a lookup and every neighbourhood scan read memory in
 //    sequence. The paper keeps I(v) as a doubly-linked list with a pointer
-//    stored in each edge, for O(1) deletion; here each edge record holds
-//    its entry's position in both endpoints' arrays instead. A delete
-//    leaves a tombstone (one at the end is simply dropped). An
-//    order-preserving compaction drops the tombstones and patches the
-//    positions of the entries it moved: in a short array once half of it
-//    is dead, or when an append finds it full with dead entries; in a long
-//    one once a quarter is dead. A compaction keeps the array's block while
-//    the array stays over half full, so under sliding-window churn (each
-//    delete hits an array's oldest entry) an array keeps reusing its block.
+//    stored in each edge, for O(1) deletion; here each entry holds the
+//    position of its mirror, the same edge's entry in the neighbour's
+//    array, instead. A delete scans the shorter array, follows the mirror
+//    and leaves a tombstone on both sides (one at the end is simply
+//    dropped). An order-preserving compaction drops the tombstones and
+//    patches the mirrors of the entries it moved: in a short array once
+//    half of it is dead, or when an append finds it full with dead
+//    entries; in a long one once a quarter is dead. A compaction keeps the
+//    array's block while the array stays over half full, so under
+//    sliding-window churn (each delete hits an array's oldest entry) an
+//    array keeps reusing its block.
 //
 // Memory comes in fixed-size pieces, so no insert ever reallocates an
 // edge-indexed array. Adjacency arrays live in size-class blocks. Short
 // ones (capacities ~1/8 apart, up to 64 entries) share 4 KB slab pages,
 // and a page that loses 1/8 of its contents is evacuated and reused, so
 // fragmentation stays bounded; a longer array has a chunk of its own (a
-// power of two), recycled through a free list per class. Edge records live
-// in 3 KB pages, and the free edge ids form a stack threaded through the
-// dead records. Bulk loaders size each array once (ReserveDegree).
+// power of two), recycled through a free list per class. Bulk loaders size
+// each array once (ReserveDegree).
 //
 // The graph is not thread-safe; a single maintainer mutates it.
 
@@ -45,6 +46,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,6 +56,8 @@
 namespace dynmis {
 
 using VertexId = int32_t;
+// Edge ids belong to the stream samplers' own table (EdgeIdTable in
+// src/graph/update_stream.h); the graph keeps none.
 using EdgeId = int32_t;
 
 inline constexpr VertexId kInvalidVertex = -1;
@@ -109,9 +113,9 @@ class DynamicGraph {
   // records (a dead record's degree is -1).
   int MaxDegree() const;
 
-  // Pre-sizes the per-vertex arrays for `n` vertices and allocates the
-  // edge-record pages for ids below `m` and shared adjacency pages for 2m
-  // entries, as headroom for churn. Purely an optimization; never shrinks.
+  // Pre-sizes the per-vertex arrays for `n` vertices and allocates shared
+  // adjacency pages for 2m entries (m edges), as headroom for churn.
+  // Purely an optimization; never shrinks.
   void Reserve(int n, int64_t m);
 
   // Sizes alive vertex `v`'s adjacency array once, so that it can reach
@@ -128,57 +132,28 @@ class DynamicGraph {
 
   // --- Edges ----------------------------------------------------------------
 
-  // Inserts undirected edge {u, v} and returns its id. Requirements: u != v,
-  // both alive, and the edge must not already exist (checked in debug builds;
-  // use HasEdge() first when the input may contain duplicates). A vertex's
-  // adjacency array holds at most 2^26 - 1 entries (checked).
-  EdgeId AddEdge(VertexId u, VertexId v);
-
-  // Removes the edge with id `e`. `e` must be alive.
-  void RemoveEdge(EdgeId e);
+  // Inserts undirected edge {u, v}. Requirements: u != v, both alive, and
+  // the edge must not already exist (checked in debug builds; use HasEdge()
+  // first when the input may contain duplicates). A vertex's adjacency
+  // array holds at most 2^26 - 1 entries (checked).
+  void AddEdge(VertexId u, VertexId v);
 
   // Removes the edge between u and v if present. Returns true if removed.
+  // O(min(deg(u), deg(v))).
   bool RemoveEdgeBetween(VertexId u, VertexId v);
 
-  // Returns the id of edge {u, v}, or kInvalidEdge. O(min(deg(u), deg(v))).
-  EdgeId FindEdge(VertexId u, VertexId v) const;
-
-  bool HasEdge(VertexId u, VertexId v) const {
-    return FindEdge(u, v) != kInvalidEdge;
-  }
-
-  bool IsEdgeAlive(EdgeId e) const {
-    return e >= 0 && e < edge_capacity_ && Rec(e).u != kInvalidVertex;
-  }
+  // O(min(deg(u), deg(v))); false for ids that are out of range or dead.
+  bool HasEdge(VertexId u, VertexId v) const;
 
   int64_t NumEdges() const { return num_edges_; }
 
-  // One past the largest edge id ever allocated.
-  int EdgeCapacity() const { return edge_capacity_; }
-
-  // Endpoints of alive edge `e`, in the order AddEdge received them.
-  std::pair<VertexId, VertexId> Endpoints(EdgeId e) const {
-    DYNMIS_DCHECK(IsEdgeAlive(e));
-    const EdgeRec& rec = Rec(e);
-    return {rec.u, Entries(rec.u)[rec.pos[0]].nbr};
-  }
-
-  // The endpoint of `e` opposite to `v`.
-  VertexId Other(EdgeId e, VertexId v) const {
-    DYNMIS_DCHECK(IsEdgeAlive(e));
-    const EdgeRec& rec = Rec(e);
-    if (rec.u != v) {
-      DYNMIS_DCHECK(Entries(rec.u)[rec.pos[0]].nbr == v);
-      return rec.u;
-    }
-    return Entries(v)[rec.pos[0]].nbr;
-  }
-
   // --- Incidence iteration ---------------------------------------------------
 
-  // Calls pred(neighbor, edge_id) for the edges incident to `v`, most
-  // recently inserted first, until it returns true; returns whether it did.
-  // The predicate must not mutate the graph.
+  // Calls pred(neighbor) for the edges incident to `v`, most recently
+  // inserted first, until it returns true; returns whether it did. The
+  // predicate must not mutate the graph. A predicate that takes a second
+  // argument gets kInvalidEdge there: perfbench's answer check still passes
+  // a (VertexId, EdgeId) callback.
   template <typename Pred>
   bool AnyIncident(VertexId v, Pred&& pred) const {
     DYNMIS_DCHECK(IsVertexAlive(v));
@@ -186,20 +161,20 @@ class DynamicGraph {
     if (len == 0) return false;
     const Entry* entries = Entries(v);
     for (int32_t i = len - 1; i >= 0; --i) {
-      if (entries[i].nbr != kInvalidVertex &&
-          pred(entries[i].nbr, entries[i].edge)) {
+      if (entries[i].nbr != kInvalidVertex && Visit(pred, entries[i].nbr)) {
         return true;
       }
     }
     return false;
   }
 
-  // Calls fn(neighbor, edge_id) for every edge incident to `v`, most
-  // recently inserted first. The callback must not mutate the graph.
+  // Calls fn(neighbor) for every edge incident to `v`, most recently
+  // inserted first. The callback must not mutate the graph. A callback that
+  // takes a second argument gets kInvalidEdge there, as in AnyIncident.
   template <typename Fn>
   void ForEachIncident(VertexId v, Fn&& fn) const {
-    AnyIncident(v, [&](VertexId u, EdgeId e) {
-      fn(u, e);
+    AnyIncident(v, [&](VertexId u) {
+      Visit(fn, u);
       return false;
     });
   }
@@ -210,9 +185,10 @@ class DynamicGraph {
   // Returns the ids of all alive vertices in increasing order.
   std::vector<VertexId> AliveVertices() const;
 
-  // Returns all alive edges as endpoint pairs (u < v), in edge-id order.
-  // Right after LoadFrom that is ascending u, and each u's edges to higher
-  // neighbours in incidence order, oldest first.
+  // Returns all alive edges as endpoint pairs (u < v): lower endpoints
+  // ascending, each with its higher neighbours in incidence order, oldest
+  // first. A graph built from a sorted list, or loaded from a snapshot,
+  // lists its edges in the order it was built.
   std::vector<std::pair<VertexId, VertexId>> EdgeList() const;
 
   // Bytes held by the graph's internal arrays (capacity-based accounting).
@@ -222,14 +198,19 @@ class DynamicGraph {
   // another block (growth, evacuation) and every compaction.
   int64_t Relocations() const { return relocations_; }
 
+  // Test hook: aborts unless every live entry's mirror points back to it,
+  // each degree equals its array's live entries, each array's last entry
+  // is live, an empty array carries its owner mark, and the counts add up.
+  void CheckConsistency() const;
+
   // --- Snapshots -------------------------------------------------------------
 
   // Writes the snapshot section "graph": the vertex and edge counts, every
   // vertex's degree (-1 = dead), each live vertex's neighbour ids in
   // incidence order (oldest first, one flat array), and the free-vertex
-  // list. Edge ids are not written. Vertex ids, incidence order and the
-  // vertex recycling order restore exactly, so algorithm layers can persist
-  // their vertex-indexed side arrays alongside.
+  // list. Vertex ids, incidence order and the vertex recycling order
+  // restore exactly, so algorithm layers can persist their vertex-indexed
+  // side arrays alongside.
   void SaveTo(SnapshotWriter* w) const;
 
   // Replaces this graph with the section "graph" of `r`. Validates the
@@ -237,37 +218,36 @@ class DynamicGraph {
   // neighbour ids in range and alive, no self loop, no parallel edge,
   // symmetric lists, and a free list of exactly the dead ids. A corrupted
   // or crafted payload yields a structured reader error, never
-  // out-of-bounds access, and leaves this graph untouched. Edge ids are
-  // renumbered 0..m-1: an edge gets its id at its lower endpoint, vertices
-  // ascending, each in incidence order, and Endpoints(e) returns (lower,
-  // higher). The free-edge stack starts empty. Returns false (with the
+  // out-of-bounds access, and leaves this graph untouched. The mirrors are
+  // rebuilt in the pass that checks symmetry. Returns false (with the
   // reader failed) on any violation.
   bool LoadFrom(SnapshotReader* r);
 
  private:
-  // One side of an edge in an adjacency array. A tombstone (deleted edge)
-  // has nbr == kInvalidVertex. An array with no entries yet keeps its owner
-  // in slot 0 as {kOwnerMark, owner}, so a page can always name the owner
-  // of each array it holds. A free shared block starts with
-  // {kFreeMark, next + 1} and {prev + 1, class}, linking its class's free
-  // list both ways (every class holds at least two entries).
+  // One side of an edge in an adjacency array: the neighbour, and the
+  // position of the mirror entry (the same edge's) in the neighbour's
+  // array. A tombstone (deleted edge) has nbr == kInvalidVertex. An array
+  // with no entries yet keeps its owner in slot 0 as {kOwnerMark, owner},
+  // so a page can always name the owner of each array it holds. A free
+  // shared block starts with {kFreeMark, next + 1} and {prev + 1, class},
+  // linking its class's free list both ways (every class holds at least
+  // two entries); a free chunk starts with {kInvalidVertex, next + 1}.
   struct Entry {
     VertexId nbr;
-    EdgeId edge;
+    int32_t mirror;
   };
   static constexpr VertexId kOwnerMark = -2;
   static constexpr VertexId kFreeMark = -3;
   static constexpr uint32_t kNoBlock = 63;  // The class of "no array".
 
-  // 12 bytes: the first endpoint as AddEdge received it, and the edge's
-  // entry position in each endpoint's array (pos[0] in u's, pos[1] in the
-  // other's). The second endpoint is read from u's entry; the delete path
-  // gets it from its caller instead (see Detach). A dead record has u ==
-  // kInvalidVertex, and its pos[0] links the free-id stack.
-  struct EdgeRec {
-    VertexId u = kInvalidVertex;
-    int32_t pos[2] = {0, 0};
-  };
+  template <typename Fn>
+  static decltype(auto) Visit(Fn& fn, VertexId u) {
+    if constexpr (std::is_invocable_v<Fn&, VertexId>) {
+      return fn(u);
+    } else {
+      return fn(u, kInvalidEdge);
+    }
+  }
 
   // 12 bytes per vertex, so that an update touches one line per endpoint:
   // the degree (negative = dead), where its array lives (`block`, a slab
@@ -288,8 +268,6 @@ class DynamicGraph {
   // of its own, recycled through a free list per class.
   static constexpr int32_t kMaxSharedCap = kPageEntries / 8;
   static constexpr int kNumClasses = 53;
-  static constexpr int kEdgePageShift = 8;  // 256 records = 3 KB.
-  static constexpr int32_t kEdgePageRecords = 1 << kEdgePageShift;
 
   // Per shared page: entries bumped into it while it was the bump page, the
   // entries of its blocks in use, whether the page waits in evac_queue_,
@@ -313,19 +291,13 @@ class DynamicGraph {
   }
   Entry* Entries(VertexId v) { return EntryAt(vertices_[v].block); }
 
-  const EdgeRec& Rec(EdgeId e) const {
-    return edge_pages_[e >> kEdgePageShift][e & (kEdgePageRecords - 1)];
-  }
-  EdgeRec& Rec(EdgeId e) {
-    return edge_pages_[e >> kEdgePageShift][e & (kEdgePageRecords - 1)];
-  }
-
-  // Removes alive edge e, whose endpoints are {a, b} in either order.
-  void Detach(EdgeId e, VertexId a, VertexId b);
-  // Appends (nbr, e) to x's array, first compacting a full short array
-  // that holds tombstones, else moving a full array to the next class, and
-  // returns the entry's position.
-  int32_t Append(VertexId x, VertexId nbr, EdgeId e);
+  // Orders {*u, *v} so that *u has the shorter array and returns the
+  // position of *v's entry in it, or -1 if there is no such edge.
+  int32_t Locate(VertexId* u, VertexId* v) const;
+  // Appends nbr to x's array, first compacting a full short array that
+  // holds tombstones, else moving a full array to the next class, and
+  // returns the entry's position. The caller sets its mirror.
+  int32_t Append(VertexId x, VertexId nbr);
   // Leaves a tombstone at x's entry `pos`, dropping trailing tombstones and
   // compacting the array once enough of its entries are dead.
   void DropEntry(VertexId x, int32_t pos);
@@ -335,7 +307,7 @@ class DynamicGraph {
   // Drops x's tombstones, keeping the order, into a block of the smallest
   // class that holds its degree (in place if that is x's class, or if x
   // still fills its block over half; no block at degree 0), and patches
-  // the positions of the entries that moved.
+  // the mirrors of the entries that moved.
   void Compact(VertexId x);
 
   // Slab allocation. A shared block comes from its class's free list, else
@@ -351,10 +323,9 @@ class DynamicGraph {
   void NextBumpPage();
   void MaybeQueue(uint32_t page);
   void Evacuate();
-  // The vertex whose array starts at live block `offset`.
+  // The vertex whose array starts at live block `offset`: its owner mark,
+  // or the neighbour named by a live entry's mirror.
   VertexId OwnerOf(uint32_t offset) const;
-
-  void PushFreeEdge(EdgeId e);
 
   std::vector<VertexRec> vertices_;
   // Slab pages: shared pages of kPageEntries entries, and chunks holding
@@ -369,9 +340,6 @@ class DynamicGraph {
   std::vector<uint32_t> free_pages_;
   std::vector<uint32_t> evac_queue_;
   std::array<uint32_t, kNumClasses> free_{};
-  std::vector<std::vector<EdgeRec>> edge_pages_;
-  int edge_capacity_ = 0;
-  EdgeId free_edge_ = kInvalidEdge;  // Top of the free-id stack.
   std::vector<VertexId> free_vertices_;
   // The id queued by QueueVertexId for the next AddVertex, or
   // kInvalidVertex. Transient: unset at every quiescent point, never

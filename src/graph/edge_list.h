@@ -27,9 +27,9 @@ struct EdgeListGraph {
     return n == 0 ? 0.0 : 2.0 * static_cast<double>(edges.size()) / n;
   }
 
-  // Materializes a DynamicGraph with vertices 0..n-1 and edge i as edge id
-  // i. Degrees are counted first, so every adjacency array is sized once
-  // and the bulk insertion never relocates one.
+  // Materializes a DynamicGraph with vertices 0..n-1, inserting the edges
+  // in list order. Degrees are counted first, so every adjacency array is
+  // sized once and the bulk insertion never relocates one.
   DynamicGraph ToDynamic() const {
     std::vector<int32_t> degree(static_cast<size_t>(n), 0);
     for (const auto& [u, v] : edges) {

@@ -1,6 +1,8 @@
 #include "src/graph/update_stream.h"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/util/check.h"
@@ -26,20 +28,93 @@ std::string GraphUpdate::DebugString() const {
   return buf;
 }
 
+EdgeIdTable::EdgeIdTable(std::vector<std::pair<VertexId, VertexId>> edges)
+    : ends_(std::move(edges)), num_edges_(static_cast<int64_t>(ends_.size())) {
+  DYNMIS_CHECK_LE(ends_.size(),
+                  static_cast<size_t>(std::numeric_limits<EdgeId>::max()));
+}
+
+uint64_t EdgeIdTable::Key(VertexId u, VertexId v) {
+  if (u > v) std::swap(u, v);
+  return static_cast<uint64_t>(u) << 32 | static_cast<uint32_t>(v);
+}
+
+void EdgeIdTable::Add(VertexId u, VertexId v) {
+  EdgeId e;
+  if (!free_.empty()) {
+    e = free_.back();
+    free_.pop_back();
+    ends_[e] = {u, v};
+  } else {
+    DYNMIS_CHECK_LT(ends_.size(),
+                    static_cast<size_t>(std::numeric_limits<EdgeId>::max()));
+    e = static_cast<EdgeId>(ends_.size());
+    ends_.emplace_back(u, v);
+  }
+  ++num_edges_;
+  if (indexed_) index_.emplace(Key(u, v), e);
+}
+
+void EdgeIdTable::Remove(EdgeId e) {
+  DYNMIS_CHECK(IsAlive(e));
+  if (indexed_) index_.erase(Key(ends_[e].first, ends_[e].second));
+  ends_[e].first = kInvalidVertex;
+  free_.push_back(e);
+  --num_edges_;
+}
+
+EdgeId EdgeIdTable::Find(VertexId u, VertexId v) {
+  if (!indexed_) {
+    index_.reserve(static_cast<size_t>(num_edges_));
+    for (EdgeId e = 0; e < Capacity(); ++e) {
+      if (IsAlive(e)) index_.emplace(Key(ends_[e].first, ends_[e].second), e);
+    }
+    indexed_ = true;
+  }
+  const auto it = index_.find(Key(u, v));
+  DYNMIS_CHECK(it != index_.end());
+  return it->second;
+}
+
+void EdgeIdTable::Apply(const DynamicGraph& g, const GraphUpdate& update) {
+  switch (update.kind) {
+    case UpdateKind::kInsertEdge:
+      Add(update.u, update.v);
+      return;
+    case UpdateKind::kDeleteEdge:
+      Remove(Find(update.u, update.v));
+      return;
+    case UpdateKind::kInsertVertex: {
+      const std::vector<VertexId>& free_ids = g.FreeVertexIds();
+      const VertexId v =
+          free_ids.empty() ? g.VertexCapacity() : free_ids.back();
+      for (VertexId u : update.neighbors) Add(u, v);
+      return;
+    }
+    case UpdateKind::kDeleteVertex:
+      g.ForEachIncident(update.u,
+                        [&](VertexId w) { Remove(Find(update.u, w)); });
+      return;
+  }
+}
+
 UpdateStreamGenerator::UpdateStreamGenerator(UpdateStreamOptions options)
     : options_(options), rng_(SplitMix64(options.seed)) {}
 
+UpdateStreamGenerator::UpdateStreamGenerator(UpdateStreamOptions options,
+                                             const EdgeListGraph& base)
+    : options_(options),
+      rng_(SplitMix64(options.seed)),
+      ids_(base.edges),
+      numbered_(true) {}
+
 namespace {
 
-bool RandomAliveEdge(const DynamicGraph& g, Rng* rng, VertexId* u,
-                     VertexId* v) {
-  if (g.NumEdges() == 0) return false;
+// A uniformly random alive id of `ids`; requires ids.NumEdges() > 0.
+EdgeId RandomAliveEdge(const EdgeIdTable& ids, Rng* rng) {
   while (true) {
-    const auto e = static_cast<EdgeId>(rng->NextBounded(g.EdgeCapacity()));
-    if (g.IsEdgeAlive(e)) {
-      std::tie(*u, *v) = g.Endpoints(e);
-      return true;
-    }
+    const auto e = static_cast<EdgeId>(rng->NextBounded(ids.Capacity()));
+    if (ids.IsAlive(e)) return e;
   }
 }
 
@@ -53,27 +128,22 @@ VertexId RandomAliveVertex(const DynamicGraph& g, Rng* rng) {
   }
 }
 
-VertexId RandomBiasedVertex(const DynamicGraph& g, EndpointBias bias,
-                            Rng* rng) {
-  if (bias == EndpointBias::kDegreeProportional && g.NumEdges() > 0) {
+VertexId RandomBiasedVertex(const DynamicGraph& g, const EdgeIdTable& ids,
+                            EndpointBias bias, Rng* rng) {
+  if (bias == EndpointBias::kDegreeProportional && ids.NumEdges() > 0) {
     // A uniform edge endpoint is a degree-proportional vertex.
-    while (true) {
-      const auto e = static_cast<EdgeId>(rng->NextBounded(g.EdgeCapacity()));
-      if (g.IsEdgeAlive(e)) {
-        const auto [a, b] = g.Endpoints(e);
-        return rng->NextBool(0.5) ? a : b;
-      }
-    }
+    const auto [a, b] = ids.Endpoints(RandomAliveEdge(ids, rng));
+    return rng->NextBool(0.5) ? a : b;
   }
   return RandomAliveVertex(g, rng);
 }
 
-bool RandomNonEdge(const DynamicGraph& g, EndpointBias bias, Rng* rng,
-                   VertexId* u, VertexId* v) {
+bool RandomNonEdge(const DynamicGraph& g, const EdgeIdTable& ids,
+                   EndpointBias bias, Rng* rng, VertexId* u, VertexId* v) {
   if (g.NumVertices() < 2) return false;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    const VertexId a = RandomBiasedVertex(g, bias, rng);
-    const VertexId b = RandomBiasedVertex(g, bias, rng);
+    const VertexId a = RandomBiasedVertex(g, ids, bias, rng);
+    const VertexId b = RandomBiasedVertex(g, ids, bias, rng);
     if (a == b || g.HasEdge(a, b)) continue;
     *u = a;
     *v = b;
@@ -83,23 +153,31 @@ bool RandomNonEdge(const DynamicGraph& g, EndpointBias bias, Rng* rng,
 }
 
 GraphUpdate UpdateStreamGenerator::Next(const DynamicGraph& g) {
+  if (!numbered_) {
+    ids_ = EdgeIdTable(g.EdgeList());
+    numbered_ = true;
+  }
+  // The caller applies every update before drawing the next one.
+  DYNMIS_CHECK_EQ(ids_.NumEdges(), g.NumEdges());
   GraphUpdate update;
   const bool edge_op = rng_.NextBool(options_.edge_op_fraction);
   const bool insert = rng_.NextBool(options_.insert_fraction);
   if (edge_op && insert) {
-    if (RandomNonEdge(g, options_.bias, &rng_, &update.u, &update.v)) {
+    if (RandomNonEdge(g, ids_, options_.bias, &rng_, &update.u, &update.v)) {
       update.kind = UpdateKind::kInsertEdge;
+      ids_.Apply(g, update);
       return update;
     }
     // Dense graph: fall through to edge deletion.
   }
-  if (edge_op) {
-    if (RandomAliveEdge(g, &rng_, &update.u, &update.v)) {
-      update.kind = UpdateKind::kDeleteEdge;
-      return update;
-    }
-    // No edges: fall through to vertex insertion.
+  if (edge_op && ids_.NumEdges() > 0) {
+    const EdgeId e = RandomAliveEdge(ids_, &rng_);
+    std::tie(update.u, update.v) = ids_.Endpoints(e);
+    update.kind = UpdateKind::kDeleteEdge;
+    ids_.Remove(e);
+    return update;
   }
+  // No edges: fall through to vertex insertion.
   if (insert || g.NumVertices() == 0) {
     update.kind = UpdateKind::kInsertVertex;
     int degree = options_.new_vertex_degree;
@@ -111,14 +189,16 @@ GraphUpdate UpdateStreamGenerator::Next(const DynamicGraph& g) {
     degree = std::min<int>(degree, g.NumVertices());
     std::unordered_set<VertexId> chosen;
     while (static_cast<int>(chosen.size()) < degree) {
-      chosen.insert(RandomBiasedVertex(g, options_.bias, &rng_));
+      chosen.insert(RandomBiasedVertex(g, ids_, options_.bias, &rng_));
     }
     update.neighbors.assign(chosen.begin(), chosen.end());
     std::sort(update.neighbors.begin(), update.neighbors.end());
+    ids_.Apply(g, update);
     return update;
   }
   update.kind = UpdateKind::kDeleteVertex;
   update.u = RandomAliveVertex(g, &rng_);
+  ids_.Apply(g, update);
   return update;
 }
 
@@ -145,10 +225,10 @@ VertexId ApplyUpdate(DynamicGraph* g, const GraphUpdate& update) {
   return kInvalidVertex;
 }
 
-std::vector<GraphUpdate> MakeUpdateSequence(
-    const DynamicGraph& g, int count, const UpdateStreamOptions& options) {
-  DynamicGraph scratch = g;
-  UpdateStreamGenerator gen(options);
+namespace {
+
+std::vector<GraphUpdate> DrawSequence(DynamicGraph scratch,
+                                      UpdateStreamGenerator gen, int count) {
   std::vector<GraphUpdate> sequence;
   sequence.reserve(count);
   for (int i = 0; i < count; ++i) {
@@ -156,6 +236,19 @@ std::vector<GraphUpdate> MakeUpdateSequence(
     ApplyUpdate(&scratch, sequence.back());
   }
   return sequence;
+}
+
+}  // namespace
+
+std::vector<GraphUpdate> MakeUpdateSequence(
+    const DynamicGraph& g, int count, const UpdateStreamOptions& options) {
+  return DrawSequence(g, UpdateStreamGenerator(options), count);
+}
+
+std::vector<GraphUpdate> MakeUpdateSequence(
+    const EdgeListGraph& base, int count, const UpdateStreamOptions& options) {
+  return DrawSequence(base.ToDynamic(), UpdateStreamGenerator(options, base),
+                      count);
 }
 
 }  // namespace dynmis

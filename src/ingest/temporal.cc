@@ -30,10 +30,15 @@ void TimingWheel::Advance(std::vector<std::pair<VertexId, VertexId>>* out) {
   slot.clear();  // Capacity retained: no allocation next time around.
 }
 
-std::vector<GraphUpdate> MakeTemporalSequence(
-    const DynamicGraph& base, int count, const TemporalStreamOptions& options,
-    TemporalStats* stats) {
-  DynamicGraph scratch = base;
+namespace {
+
+// Draws against `scratch`. Only a degree-biased draw reads edge ids, so
+// `ids` is kept in step only then.
+std::vector<GraphUpdate> DrawTemporal(DynamicGraph scratch, EdgeIdTable ids,
+                                      int count,
+                                      const TemporalStreamOptions& options,
+                                      TemporalStats* stats) {
+  const bool by_id = options.bias == EndpointBias::kDegreeProportional;
   TimingWheel wheel(options.ttl_ticks);
   Rng rng(SplitMix64(options.seed));
   TemporalStats local;
@@ -64,6 +69,7 @@ std::vector<GraphUpdate> MakeTemporalSequence(
       update.kind = UpdateKind::kDeleteEdge;
       update.u = u;
       update.v = v;
+      if (by_id) ids.Apply(scratch, update);
       ApplyUpdate(&scratch, update);
       sequence.push_back(std::move(update));
       ++st.expiries;
@@ -79,9 +85,11 @@ std::vector<GraphUpdate> MakeTemporalSequence(
       if (static_cast<int>(sequence.size()) >= count) break;
       GraphUpdate update;
       update.kind = UpdateKind::kInsertEdge;
-      if (!RandomNonEdge(scratch, options.bias, &rng, &update.u, &update.v)) {
+      if (!RandomNonEdge(scratch, ids, options.bias, &rng, &update.u,
+                         &update.v)) {
         break;
       }
+      if (by_id) ids.Apply(scratch, update);
       ApplyUpdate(&scratch, update);
       wheel.Schedule(update.u, update.v);
       sequence.push_back(std::move(update));
@@ -99,6 +107,28 @@ std::vector<GraphUpdate> MakeTemporalSequence(
           : static_cast<double>(st.expiries) /
                 static_cast<double>(sequence.size());
   return sequence;
+}
+
+}  // namespace
+
+std::vector<GraphUpdate> MakeTemporalSequence(
+    const DynamicGraph& base, int count, const TemporalStreamOptions& options,
+    TemporalStats* stats) {
+  EdgeIdTable ids;
+  if (options.bias == EndpointBias::kDegreeProportional) {
+    ids = EdgeIdTable(base.EdgeList());
+  }
+  return DrawTemporal(base, std::move(ids), count, options, stats);
+}
+
+std::vector<GraphUpdate> MakeTemporalSequence(
+    const EdgeListGraph& base, int count, const TemporalStreamOptions& options,
+    TemporalStats* stats) {
+  EdgeIdTable ids;
+  if (options.bias == EndpointBias::kDegreeProportional) {
+    ids = EdgeIdTable(base.edges);
+  }
+  return DrawTemporal(base.ToDynamic(), std::move(ids), count, options, stats);
 }
 
 }  // namespace ingest

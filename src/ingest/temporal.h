@@ -90,8 +90,13 @@ struct TemporalStats {
 // first emits the deletions the wheel expires, then draws the tick's
 // inserts. Deterministic given the options; replaying against any graph
 // identical to `base` is valid by construction. Stats out-param optional.
+// A degree-biased draw numbers the edges as MakeUpdateSequence does: in
+// base.EdgeList() order here, in list order in the overload below.
 std::vector<GraphUpdate> MakeTemporalSequence(
     const DynamicGraph& base, int count, const TemporalStreamOptions& options,
+    TemporalStats* stats);
+std::vector<GraphUpdate> MakeTemporalSequence(
+    const EdgeListGraph& base, int count, const TemporalStreamOptions& options,
     TemporalStats* stats);
 
 }  // namespace ingest

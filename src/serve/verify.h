@@ -42,7 +42,7 @@ inline bool CheckSolution(const DynamicGraph& g,
     for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
       if (!g.IsVertexAlive(v) || member[v]) continue;
       bool covered = false;
-      g.ForEachIncident(v, [&](VertexId u, EdgeId) {
+      g.ForEachIncident(v, [&](VertexId u) {
         if (member[u]) covered = true;
       });
       if (!covered) {

@@ -188,7 +188,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   for (const VertexId v : evicted_) {
     consider(v);
     shards[plan.ShardOf(v)].graph.ForEachIncident(
-        v, [&](VertexId u, EdgeId) { consider(u); });
+        v, [&](VertexId u) { consider(u); });
     for (const Half& h : adjacency_[v]) consider(h.to);
   }
 
@@ -200,7 +200,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
     if (in_sol_[c]) continue;
     bool free = true;
     shards[plan.ShardOf(c)].graph.ForEachIncident(
-        c, [&](VertexId u, EdgeId) { free = free && !in_sol_[u]; });
+        c, [&](VertexId u) { free = free && !in_sol_[u]; });
     if (free) {
       for (const Half& h : adjacency_[c]) free = free && !in_sol_[h.to];
     }
@@ -251,7 +251,7 @@ int64_t CutEdgeResolver::Polish(const PartitionPlan& plan,
   const int capacity = VertexCapacity();
   auto for_each_neighbor = [&](VertexId v, auto&& fn) {
     shards[plan.ShardOf(v)].graph.ForEachIncident(
-        v, [&](VertexId u, EdgeId) { fn(u); });
+        v, [&](VertexId u) { fn(u); });
     for (const Half& h : adjacency_[v]) fn(h.to);
   };
   auto adjacent = [&](VertexId a, VertexId b) {

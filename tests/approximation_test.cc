@@ -48,7 +48,7 @@ TEST(ApproximationTest, Theorem6BoundHoldsUnderUpdates) {
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 2024;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 120; ++step) {
     algo.Apply(gen.Next(g));
     if (g.NumVertices() == 0) continue;
@@ -105,11 +105,11 @@ TEST(ApproximationTest, Lemma1CliqueProperty) {
   algo.InitializeEmpty();
   std::vector<int> count(g.VertexCapacity(), 0);
   for (VertexId v : algo.Solution()) {
-    g.ForEachIncident(v, [&](VertexId u, EdgeId) { ++count[u]; });
+    g.ForEachIncident(v, [&](VertexId u) { ++count[u]; });
   }
   for (VertexId v : algo.Solution()) {
     std::vector<VertexId> bar1;
-    g.ForEachIncident(v, [&](VertexId u, EdgeId) {
+    g.ForEachIncident(v, [&](VertexId u) {
       if (count[u] == 1) bar1.push_back(u);
     });
     for (size_t i = 0; i < bar1.size(); ++i) {

@@ -51,7 +51,7 @@ TEST_P(DyArwPropertyTest, OneMaximalAfterEveryUpdate) {
   UpdateStreamOptions stream;
   stream.seed = param.seed * 41 + 11;
   stream.edge_op_fraction = param.edge_op_fraction;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 180; ++step) {
     const GraphUpdate update = gen.Next(g);
     algo.Apply(update);
@@ -86,7 +86,7 @@ TEST(DyArwTest, SizeTracksDyOneSwap) {
     UpdateStreamOptions stream;
     stream.seed = seed;
     for (const GraphUpdate& update :
-         MakeUpdateSequence(base.ToDynamic(), 150, stream)) {
+         MakeUpdateSequence(base, 150, stream)) {
       arw.Apply(update);
       one.Apply(update);
     }
@@ -113,7 +113,7 @@ TEST_P(DgDisPropertyTest, MaximalAfterEveryUpdate) {
     UpdateStreamOptions stream;
     stream.seed = param.seed * 7 + level;
     stream.edge_op_fraction = param.edge_op_fraction;
-    UpdateStreamGenerator gen(stream);
+    UpdateStreamGenerator gen(stream, base);
     for (int step = 0; step < 200; ++step) {
       const GraphUpdate update = gen.Next(g);
       algo.Apply(update);
@@ -140,7 +140,7 @@ TEST(RecomputeTest, AlwaysMaximal) {
   algo.Initialize({});
   UpdateStreamOptions stream;
   stream.seed = 777;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 100; ++step) {
     algo.Apply(gen.Next(g));
     ASSERT_TRUE(IsMaximalIndependentSet(g, algo.Solution())) << step;

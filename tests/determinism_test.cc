@@ -51,7 +51,7 @@ TEST(DeterminismTest, EveryRegisteredMaintainerReplaysIdentically) {
   stream.seed = 21;
   stream.edge_op_fraction = 0.8;
   const std::vector<GraphUpdate> trace =
-      MakeUpdateSequence(base.ToDynamic(), 300, stream);
+      MakeUpdateSequence(base, 300, stream);
 
   DynamicGraph replica = base.ToDynamic();
   for (const GraphUpdate& update : trace) ApplyUpdate(&replica, update);
@@ -142,7 +142,7 @@ std::vector<PinnedInput> PinnedInputs() {
     biased.seed = seed++;
     for (const UpdateStreamOptions& options : {uniform, biased}) {
       inputs.push_back(
-          {base, MakeUpdateSequence(base.ToDynamic(), 1000, options)});
+          {base, MakeUpdateSequence(base, 1000, options)});
     }
   }
   return inputs;
@@ -213,7 +213,7 @@ TEST(DeterminismTest, PinnedShardedSolutions) {
   temporal.ttl_ticks = 150;
   temporal.seed = 47;
   const std::vector<GraphUpdate> stream =
-      ingest::MakeTemporalSequence(base.ToDynamic(), 2000, temporal, nullptr);
+      ingest::MakeTemporalSequence(base, 2000, temporal, nullptr);
   ShardedEngineOptions options;
   options.num_shards = 2;
   auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
@@ -242,7 +242,7 @@ TEST(DeterminismTest, PinnedStreamGenerators) {
   temporal.bias = EndpointBias::kDegreeProportional;
   temporal.seed = 59;
   const std::vector<GraphUpdate> windowed =
-      ingest::MakeTemporalSequence(base.ToDynamic(), 1500, temporal, nullptr);
+      ingest::MakeTemporalSequence(base, 1500, temporal, nullptr);
   const uint64_t t = FoldStream(kFnvOffset, windowed);
   EXPECT_EQ(t, 0x168129ada80e047bULL) << "temporal stream: 0x" << std::hex << t;
 

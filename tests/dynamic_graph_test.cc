@@ -1,8 +1,8 @@
 // Unit tests for the DynamicGraph substrate: id stability, adjacency
-// integrity across insert/delete cascades, recycling behaviour, and the
-// observable order contract (incidence order, edge-id reuse, snapshot
-// encoding) that the maintainers' tie-breaks and the stream samplers rely
-// on.
+// integrity across insert/delete cascades (CheckConsistency follows every
+// mirror), recycling behaviour, and the observable order contract
+// (incidence order, vertex-id reuse, EdgeList order, snapshot encoding)
+// that the maintainers' tie-breaks and the stream samplers rely on.
 
 #include "src/graph/dynamic_graph.h"
 
@@ -41,23 +41,24 @@ TEST(DynamicGraphTest, ConstructorCreatesIsolatedVertices) {
 
 TEST(DynamicGraphTest, AddEdgeUpdatesDegreesAndAdjacency) {
   DynamicGraph g(4);
-  const EdgeId e = g.AddEdge(0, 1);
-  EXPECT_TRUE(g.IsEdgeAlive(e));
+  g.AddEdge(0, 1);
   EXPECT_EQ(g.NumEdges(), 1);
   EXPECT_EQ(g.Degree(0), 1);
   EXPECT_EQ(g.Degree(1), 1);
   EXPECT_TRUE(g.HasEdge(0, 1));
   EXPECT_TRUE(g.HasEdge(1, 0));
   EXPECT_FALSE(g.HasEdge(0, 2));
-  EXPECT_EQ(g.Other(e, 0), 1);
-  EXPECT_EQ(g.Other(e, 1), 0);
+  EXPECT_EQ(g.Neighbors(0), std::vector<VertexId>{1});
+  EXPECT_EQ(g.Neighbors(1), std::vector<VertexId>{0});
+  g.CheckConsistency();
 }
 
 TEST(DynamicGraphTest, RemoveEdgeRestoresState) {
   DynamicGraph g(3);
   g.AddEdge(0, 1);
-  const EdgeId e = g.AddEdge(1, 2);
-  g.RemoveEdge(e);
+  g.AddEdge(1, 2);
+  EXPECT_TRUE(g.RemoveEdgeBetween(2, 1));
+  g.CheckConsistency();
   EXPECT_FALSE(g.HasEdge(1, 2));
   EXPECT_TRUE(g.HasEdge(0, 1));
   EXPECT_EQ(g.NumEdges(), 1);
@@ -119,18 +120,9 @@ TEST(DynamicGraphTest, QueuedVertexIdsForceAllocation) {
   // list, which still holds exactly the gap ids.
   const VertexId recycled = g.AddVertex();
   EXPECT_TRUE(recycled == 2 || recycled == 3 || recycled == 4);
-  EXPECT_EQ(g.AddEdge(5, 1) >= 0, true);
+  g.AddEdge(5, 1);
   EXPECT_TRUE(g.HasEdge(5, 1));
-}
-
-TEST(DynamicGraphTest, EdgeIdsAreRecycled) {
-  DynamicGraph g(4);
-  const EdgeId e0 = g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.RemoveEdge(e0);
-  const EdgeId e2 = g.AddEdge(2, 3);
-  EXPECT_EQ(e2, e0);
-  EXPECT_EQ(g.EdgeCapacity(), 2);
+  g.CheckConsistency();
 }
 
 TEST(DynamicGraphTest, NeighborsAndIncidenceIteration) {
@@ -141,12 +133,17 @@ TEST(DynamicGraphTest, NeighborsAndIncidenceIteration) {
   std::vector<VertexId> nbrs = g.Neighbors(2);
   std::sort(nbrs.begin(), nbrs.end());
   EXPECT_EQ(nbrs, (std::vector<VertexId>{0, 1, 4}));
+  std::vector<VertexId> newest_first;
+  g.ForEachIncident(2, [&](VertexId u) { newest_first.push_back(u); });
+  EXPECT_EQ(newest_first, (std::vector<VertexId>{4, 1, 0}));
+  // A two-argument callback still compiles and gets no edge id.
   int visited = 0;
-  g.ForEachIncident(2, [&](VertexId u, EdgeId e) {
-    EXPECT_EQ(g.Other(e, 2), u);
+  g.ForEachIncident(2, [&](VertexId, EdgeId e) {
+    EXPECT_EQ(e, kInvalidEdge);
     ++visited;
   });
   EXPECT_EQ(visited, 3);
+  EXPECT_TRUE(g.AnyIncident(2, [](VertexId u, EdgeId) { return u == 1; }));
 }
 
 TEST(DynamicGraphTest, MaxDegreeTracksChanges) {
@@ -205,14 +202,14 @@ TEST(DynamicGraphTest, ReservePreventsReallocationAndPreservesState) {
   EXPECT_EQ(g.MaxDegree(), 1);
 }
 
-TEST(DynamicGraphTest, EdgeListIsSortedPairsOfAliveEdges) {
+TEST(DynamicGraphTest, EdgeListOrdersByLowerEndpointThenIncidence) {
   DynamicGraph g(4);
   g.AddEdge(3, 1);
   g.AddEdge(0, 2);
-  auto edges = g.EdgeList();
-  std::sort(edges.begin(), edges.end());
-  EXPECT_EQ(edges,
-            (std::vector<std::pair<VertexId, VertexId>>{{0, 2}, {1, 3}}));
+  g.AddEdge(1, 2);
+  g.AddEdge(0, 1);
+  EXPECT_EQ(g.EdgeList(), (std::vector<std::pair<VertexId, VertexId>>{
+                              {0, 2}, {0, 1}, {1, 3}, {1, 2}}));
 }
 
 TEST(DynamicGraphTest, CopyIsIndependent) {
@@ -272,6 +269,7 @@ TEST(DynamicGraphTest, RandomizedMatchesReferenceModel) {
     }
     ASSERT_EQ(g.NumEdges(), static_cast<int64_t>(reference.size()));
     ASSERT_EQ(g.NumVertices(), static_cast<int>(alive.size()));
+    g.CheckConsistency();
   }
   // Final deep comparison.
   auto edges = g.EdgeList();
@@ -288,17 +286,18 @@ TEST(DynamicGraphTest, RandomizedMatchesReferenceModel) {
   }
 }
 
-using Incidence = std::vector<std::pair<VertexId, EdgeId>>;
+// Neighbours, most recent first.
+using Incidence = std::vector<VertexId>;
 
 Incidence IncidenceOf(const DynamicGraph& g, VertexId v) {
   Incidence out;
-  g.ForEachIncident(v, [&](VertexId u, EdgeId e) { out.emplace_back(u, e); });
+  g.ForEachIncident(v, [&](VertexId u) { out.push_back(u); });
   return out;
 }
 
 // Reference model of the graph's observable order contract: incidence lists
-// most recent first, a delete removing in place, edge and vertex ids
-// recycled LIFO, and RemoveVertex freeing its edges most recent first.
+// most recent first, a delete removing in place, and vertex ids recycled
+// LIFO.
 class OrderedModel {
  public:
   explicit OrderedModel(int n) : adj_(n), alive_(n, 1) {}
@@ -308,41 +307,22 @@ class OrderedModel {
   }
   const Incidence& Adj(VertexId v) const { return adj_[v]; }
   int Capacity() const { return static_cast<int>(alive_.size()); }
-  const std::vector<EdgeId>& FreeEdges() const { return free_edges_; }
   const std::vector<VertexId>& FreeVertices() const { return free_vertices_; }
 
   bool HasEdge(VertexId u, VertexId v) const {
-    for (const auto& [w, e] : adj_[u]) {
-      if (w == v) return true;
-    }
-    return false;
-  }
-  EdgeId NextEdgeId() const {
-    return free_edges_.empty() ? edge_capacity_ : free_edges_.back();
+    return std::find(adj_[u].begin(), adj_[u].end(), v) != adj_[u].end();
   }
   VertexId NextVertexId() const {
     return free_vertices_.empty() ? Capacity() : free_vertices_.back();
   }
 
   void AddEdge(VertexId u, VertexId v) {
-    const EdgeId e = NextEdgeId();
-    if (free_edges_.empty()) {
-      ++edge_capacity_;
-    } else {
-      free_edges_.pop_back();
-    }
-    adj_[u].insert(adj_[u].begin(), {v, e});
-    adj_[v].insert(adj_[v].begin(), {u, e});
+    adj_[u].insert(adj_[u].begin(), v);
+    adj_[v].insert(adj_[v].begin(), u);
   }
   void RemoveEdge(VertexId u, VertexId v) {
-    for (const auto& [w, e] : adj_[u]) {
-      if (w != v) continue;
-      const EdgeId dead = e;
-      Erase(u, dead);
-      Erase(v, dead);
-      free_edges_.push_back(dead);
-      return;
-    }
+    Erase(u, v);
+    Erase(v, u);
   }
   void AddVertex() {
     const VertexId v = NextVertexId();
@@ -355,30 +335,20 @@ class OrderedModel {
     }
   }
   void RemoveVertex(VertexId v) {
-    for (const auto& [w, e] : adj_[v]) {
-      Erase(w, e);
-      free_edges_.push_back(e);
-    }
+    for (const VertexId w : adj_[v]) Erase(w, v);
     adj_[v].clear();
     alive_[v] = 0;
     free_vertices_.push_back(v);
   }
 
  private:
-  void Erase(VertexId v, EdgeId e) {
-    for (auto it = adj_[v].begin(); it != adj_[v].end(); ++it) {
-      if (it->second == e) {
-        adj_[v].erase(it);
-        return;
-      }
-    }
+  void Erase(VertexId v, VertexId w) {
+    adj_[v].erase(std::find(adj_[v].begin(), adj_[v].end(), w));
   }
 
   std::vector<Incidence> adj_;
   std::vector<uint8_t> alive_;
-  std::vector<EdgeId> free_edges_;
   std::vector<VertexId> free_vertices_;
-  EdgeId edge_capacity_ = 0;
 };
 
 // The decoded "graph" snapshot section (see DynamicGraph::SaveTo).
@@ -415,11 +385,10 @@ GraphSection DecodeGraph(const std::string& blob) {
 
 // Random churn with vertex ops, in phases that first densify the graph
 // (degrees in the tens, so long arrays see many deletes between
-// compactions) and then thin it out. After every step the returned ids and
-// every touched vertex's incidence order must match the model. At the end
-// the snapshot's free-vertex list must equal the model's, and AddEdge must
-// pop the model's free edge ids in order, which pins the order in which
-// RemoveVertex freed its edges.
+// compactions) and then thin it out. After every step the returned vertex
+// ids and every touched vertex's incidence order must match the model, and
+// every mirror must point back to its entry. At the end the snapshot's
+// free-vertex list must equal the model's.
 TEST(DynamicGraphTest, ChurnMatchesOrderedReferenceModel) {
   Rng rng(2024);
   const int n = 48;
@@ -449,75 +418,47 @@ TEST(DynamicGraphTest, ChurnMatchesOrderedReferenceModel) {
       const Incidence before = model.Adj(v);
       g.RemoveVertex(v);
       model.RemoveVertex(v);
-      for (const auto& [w, e] : before) check_vertex(w);
+      for (const VertexId w : before) check_vertex(w);
     } else if (roll < (densify ? 70 : 30)) {
       const VertexId u = pick_alive();
       const VertexId v = pick_alive();
       if (u == v || model.HasEdge(u, v)) continue;
-      const EdgeId expected = model.NextEdgeId();
-      ASSERT_EQ(g.AddEdge(u, v), expected) << "step " << step;
+      ASSERT_FALSE(g.HasEdge(v, u)) << "step " << step;
+      g.AddEdge(u, v);
       model.AddEdge(u, v);
-      ASSERT_EQ(g.Endpoints(expected), std::make_pair(u, v));
       check_vertex(u);
       check_vertex(v);
     } else {
       const VertexId u = pick_alive();
       if (model.Adj(u).empty()) continue;
-      const auto [v, e] =
-          model.Adj(u)[rng.NextBounded(model.Adj(u).size())];
-      ASSERT_EQ(g.FindEdge(u, v), e);
+      const VertexId v = model.Adj(u)[rng.NextBounded(model.Adj(u).size())];
+      ASSERT_TRUE(g.HasEdge(u, v));
       ASSERT_TRUE(g.RemoveEdgeBetween(v, u));
       model.RemoveEdge(u, v);
-      ASSERT_FALSE(g.IsEdgeAlive(e));
+      ASSERT_FALSE(g.HasEdge(u, v));
       check_vertex(u);
       check_vertex(v);
     }
+    g.CheckConsistency();
   }
   for (VertexId v = 0; v < model.Capacity(); ++v) {
     ASSERT_EQ(g.IsVertexAlive(v), model.Alive(v));
     if (model.Alive(v)) check_vertex(v);
   }
   EXPECT_EQ(DecodeGraph(SaveGraph(g)).free_v, model.FreeVertices());
-  const std::vector<EdgeId> free_edges = model.FreeEdges();
-  ASSERT_FALSE(free_edges.empty());
-  VertexId u = 0;
-  VertexId v = 0;
-  for (auto it = free_edges.rbegin(); it != free_edges.rend(); ++it) {
-    do {  // The next non-adjacent pair of alive vertices.
-      if (++v >= model.Capacity()) {
-        ++u;
-        v = u + 1;
-      }
-      ASSERT_LT(v, model.Capacity());
-    } while (!model.Alive(u) || !model.Alive(v) || model.HasEdge(u, v));
-    ASSERT_EQ(g.AddEdge(u, v), *it);
-  }
 }
 
-// Every incidence of `g` names a live edge whose endpoints are the vertex
-// and the neighbour, and the degrees add up to twice the edge count.
+// Every mirror of `g` points back to its entry and the counts add up (see
+// CheckConsistency), and EdgeList lists each edge once.
 void ExpectConsistent(const DynamicGraph& g) {
-  int64_t degree_sum = 0;
-  for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
-    if (!g.IsVertexAlive(v)) continue;
-    int incidences = 0;
-    g.ForEachIncident(v, [&](VertexId u, EdgeId e) {
-      ASSERT_TRUE(g.IsEdgeAlive(e)) << v << " " << u;
-      const auto [a, b] = g.Endpoints(e);
-      EXPECT_TRUE((a == v && b == u) || (a == u && b == v)) << v << " " << u;
-      ++incidences;
-    });
-    EXPECT_EQ(incidences, g.Degree(v));
-    degree_sum += g.Degree(v);
-  }
-  EXPECT_EQ(degree_sum, 2 * g.NumEdges());
+  g.CheckConsistency();
   EXPECT_EQ(static_cast<int64_t>(g.EdgeList().size()), g.NumEdges());
 }
 
 // A churned graph survives a snapshot round trip with its incidence order
 // and vertex id recycling intact: both copies then answer an identical op
-// sequence with identical vertex ids and neighbour orders. Edge ids are
-// renumbered by the load, so they are not compared.
+// sequence with identical vertex ids and neighbour orders, and every mirror
+// of both stays consistent.
 TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
   Rng rng(77);
   Rng build_rng(5);
@@ -541,6 +482,7 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
     }
   };
   churn(&g, nullptr, 20000);
+  ExpectConsistent(g);
   DynamicGraph loaded;
   {
     SnapshotReader r;
@@ -561,8 +503,8 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
   expect_same(g, loaded);
   ExpectConsistent(loaded);
   EXPECT_EQ(SaveGraph(g), SaveGraph(loaded));
-  // The load numbers the edges at their lower endpoints, vertices
-  // ascending, each in incidence order (oldest first), with no free ids.
+  // EdgeList lists lower endpoints ascending, each with its higher
+  // neighbours in incidence order (oldest first), on both copies.
   std::vector<std::pair<VertexId, VertexId>> numbered;
   for (VertexId v = 0; v < loaded.VertexCapacity(); ++v) {
     if (!loaded.IsVertexAlive(v)) continue;
@@ -572,13 +514,12 @@ TEST(DynamicGraphTest, ChurnedSnapshotRoundTripKeepsOrderAndIds) {
     }
   }
   ASSERT_EQ(loaded.EdgeList(), numbered);
-  ASSERT_EQ(loaded.EdgeCapacity(), loaded.NumEdges());
-  for (EdgeId e = 0; e < loaded.EdgeCapacity(); ++e) {
-    ASSERT_EQ(loaded.Endpoints(e), numbered[e]);
-  }
+  ASSERT_EQ(g.EdgeList(), numbered);
   churn(&g, &loaded, 20000);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(g.AddVertex(), loaded.AddVertex());
   expect_same(g, loaded);
+  ExpectConsistent(g);
+  ExpectConsistent(loaded);
 }
 
 // The payload of `section` as int32 words, and a container holding a
@@ -714,12 +655,14 @@ TEST(DynamicGraphTest, SlidingWindowChurnRarelyRelocatesArrays) {
     }
   };
   run_windows(1);
+  g.CheckConsistency();
   const int64_t warm_ops = ops;
   const int64_t warm_relocations = g.Relocations();
   run_windows(3);
   const size_t settled_bytes = g.MemoryUsageBytes();
   for (int i = 0; i < 17; ++i) {
     run_windows(1);
+    g.CheckConsistency();
     EXPECT_LE(static_cast<double>(g.MemoryUsageBytes()),
               1.05 * static_cast<double>(settled_bytes))
         << "window " << i;

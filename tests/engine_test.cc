@@ -39,7 +39,7 @@ TEST(EngineTest, ReplayTraceAndCrossCheckStats) {
   stream.seed = 13;
   stream.edge_op_fraction = 0.7;  // Plenty of vertex churn.
   const std::vector<GraphUpdate> trace =
-      MakeUpdateSequence(base.ToDynamic(), 400, stream);
+      MakeUpdateSequence(base, 400, stream);
 
   // Replica graph maintained outside the engine (same deterministic ids).
   DynamicGraph replica = base.ToDynamic();
@@ -147,7 +147,7 @@ TEST(EngineTest, ObserverSeesOpsAndBatches) {
   UpdateStreamOptions stream;
   stream.seed = 5;
   const std::vector<GraphUpdate> trace =
-      MakeUpdateSequence(base.ToDynamic(), 50, stream);
+      MakeUpdateSequence(base, 50, stream);
 
   // A batch goes through the maintainer's deferred-settle path even with an
   // observer installed; the observer fires once with batch semantics.

@@ -1,6 +1,9 @@
 // StaticGraph, degree statistics, update streams, datasets and utility
 // formatting.
 
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/graph/datasets.h"
 #include "src/graph/degree_stats.h"
@@ -77,7 +80,7 @@ TEST(UpdateStreamTest, SequencesAreReplayable) {
   UpdateStreamOptions options;
   options.seed = 17;
   const std::vector<GraphUpdate> updates =
-      MakeUpdateSequence(base.ToDynamic(), 300, options);
+      MakeUpdateSequence(base, 300, options);
   EXPECT_EQ(updates.size(), 300u);
   // Replaying on two fresh copies yields identical final graphs.
   DynamicGraph a = base.ToDynamic();
@@ -116,6 +119,45 @@ TEST(UpdateStreamTest, HandlesEmptyGraph) {
   EXPECT_EQ(update.kind, UpdateKind::kInsertVertex);
   ApplyUpdate(&g, update);
   EXPECT_EQ(g.NumVertices(), 1);
+}
+
+// The samplers' numbering: list order, last-freed-first reuse, an inserted
+// vertex's edges ending at the id AddVertex returns, and a deleted vertex
+// freeing its edges most recent first.
+TEST(UpdateStreamTest, EdgeIdTableNumbersEdgesInStep) {
+  EdgeListGraph base;
+  base.n = 4;
+  base.edges = {{0, 1}, {2, 1}, {0, 3}};
+  DynamicGraph g = base.ToDynamic();
+  EdgeIdTable ids(base.edges);
+  auto apply = [&](UpdateKind kind, VertexId u, VertexId v,
+                   std::vector<VertexId> neighbors = {}) {
+    GraphUpdate update;
+    update.kind = kind;
+    update.u = u;
+    update.v = v;
+    update.neighbors = std::move(neighbors);
+    ids.Apply(g, update);
+    const VertexId added = ApplyUpdate(&g, update);
+    EXPECT_EQ(ids.NumEdges(), g.NumEdges());
+    return added;
+  };
+  using Ends = std::pair<VertexId, VertexId>;
+  EXPECT_EQ(ids.Endpoints(1), (Ends{2, 1}));
+  apply(UpdateKind::kDeleteEdge, 1, 0);
+  EXPECT_FALSE(ids.IsAlive(0));
+  apply(UpdateKind::kInsertEdge, 3, 2);
+  EXPECT_EQ(ids.Endpoints(0), (Ends{3, 2}));
+  // Vertex 2's edges, newest first: {3, 2} (id 0), then {2, 1} (id 1).
+  apply(UpdateKind::kDeleteVertex, 2, kInvalidVertex);
+  EXPECT_FALSE(ids.IsAlive(0));
+  EXPECT_FALSE(ids.IsAlive(1));
+  EXPECT_EQ(apply(UpdateKind::kInsertVertex, kInvalidVertex, kInvalidVertex,
+                  {0, 1}),
+            2);
+  EXPECT_EQ(ids.Endpoints(1), (Ends{0, 2}));
+  EXPECT_EQ(ids.Endpoints(0), (Ends{1, 2}));
+  EXPECT_EQ(ids.Capacity(), 3);
 }
 
 TEST(DatasetsTest, RegistryIsComplete) {

@@ -298,7 +298,6 @@ bool SameUpdate(const GraphUpdate& a, const GraphUpdate& b) {
 
 TEST(TemporalSequenceTest, DeterministicForFixedOptions) {
   const EdgeListGraph base = SmallBase();
-  const DynamicGraph scratch = base.ToDynamic();
   ingest::TemporalStreamOptions options;
   options.ttl_ticks = 64;
   options.inserts_per_tick = 2;
@@ -307,9 +306,9 @@ TEST(TemporalSequenceTest, DeterministicForFixedOptions) {
   ingest::TemporalStats stats_a;
   ingest::TemporalStats stats_b;
   const std::vector<GraphUpdate> a =
-      ingest::MakeTemporalSequence(scratch, 2000, options, &stats_a);
+      ingest::MakeTemporalSequence(base, 2000, options, &stats_a);
   const std::vector<GraphUpdate> b =
-      ingest::MakeTemporalSequence(scratch, 2000, options, &stats_b);
+      ingest::MakeTemporalSequence(base, 2000, options, &stats_b);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_TRUE(SameUpdate(a[i], b[i])) << "diverged at update " << i;
@@ -321,7 +320,7 @@ TEST(TemporalSequenceTest, DeterministicForFixedOptions) {
   // A different seed draws a different stream.
   options.seed = 18;
   const std::vector<GraphUpdate> c =
-      ingest::MakeTemporalSequence(scratch, 2000, options, nullptr);
+      ingest::MakeTemporalSequence(base, 2000, options, nullptr);
   bool any_diff = false;
   for (size_t i = 0; i < std::min(a.size(), c.size()); ++i) {
     if (!SameUpdate(a[i], c[i])) any_diff = true;
@@ -331,7 +330,6 @@ TEST(TemporalSequenceTest, DeterministicForFixedOptions) {
 
 TEST(TemporalSequenceTest, ReplaysCleanlyAndDeletesOnlyExpiredInserts) {
   const EdgeListGraph base = SmallBase();
-  const DynamicGraph scratch = base.ToDynamic();
   ingest::TemporalStreamOptions options;
   options.ttl_ticks = 32;
   options.inserts_per_tick = 1;
@@ -339,7 +337,7 @@ TEST(TemporalSequenceTest, ReplaysCleanlyAndDeletesOnlyExpiredInserts) {
 
   ingest::TemporalStats stats;
   const std::vector<GraphUpdate> updates =
-      ingest::MakeTemporalSequence(scratch, 3000, options, &stats);
+      ingest::MakeTemporalSequence(base, 3000, options, &stats);
   EXPECT_EQ(stats.ttl_ticks, 32u);
   EXPECT_EQ(stats.inserts + stats.expiries,
             static_cast<int64_t>(updates.size()));
@@ -381,7 +379,6 @@ TEST(TemporalSequenceTest, ReplaysCleanlyAndDeletesOnlyExpiredInserts) {
 
 TEST(TemporalSequenceTest, StormExpiresWholeBurstsAtOnce) {
   const EdgeListGraph base = SmallBase();
-  const DynamicGraph scratch = base.ToDynamic();
   ingest::TemporalStreamOptions options;
   options.storm = true;
   options.ttl_ticks = 64;
@@ -391,7 +388,7 @@ TEST(TemporalSequenceTest, StormExpiresWholeBurstsAtOnce) {
 
   ingest::TemporalStats stats;
   const std::vector<GraphUpdate> updates =
-      ingest::MakeTemporalSequence(scratch, 1500, options, &stats);
+      ingest::MakeTemporalSequence(base, 1500, options, &stats);
   EXPECT_GT(stats.expiries, 0);
   // The adversarial point of the mode: a whole insert burst lands on one
   // expiry tick, so the peak single-tick deletion batch is the burst size.

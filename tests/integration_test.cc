@@ -43,7 +43,7 @@ TEST(IntegrationTest, LockStepStreamOnPowerLawGraph) {
   UpdateStreamOptions stream;
   stream.seed = 77;
   stream.bias = EndpointBias::kDegreeProportional;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 1; step <= 600; ++step) {
     const GraphUpdate update = gen.Next(graphs[0]);
     for (auto& algo : algos) algo->Apply(update);
@@ -114,7 +114,7 @@ TEST(IntegrationTest, DatasetPipelineSmoke) {
       stream.seed = spec.seed;
       stream.bias = EndpointBias::kDegreeProportional;
       const std::vector<GraphUpdate> updates =
-          MakeUpdateSequence(base.ToDynamic(), 300, stream);
+          MakeUpdateSequence(base, 300, stream);
       // Greedy needs no ARW rounds or exact budget.
       const std::vector<VertexId> initial = ComputeInitialSolution(
           base, InitialSolution::kGreedy, 0, 0, 0);
@@ -144,7 +144,7 @@ TEST(IntegrationTest, DegreeBiasedChurnPreservesHeavyTail) {
   UpdateStreamOptions stream;
   stream.seed = 11;
   stream.bias = EndpointBias::kDegreeProportional;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   const auto updates = static_cast<int>(base.NumEdges() / 2);
   for (int i = 0; i < updates; ++i) ApplyUpdate(&g, gen.Next(g));
   // Heavy churn must not flatten the hub structure: ER-ization would pull

@@ -66,7 +66,7 @@ TEST_P(KSwapPropertyTest, KMaximalAfterEveryUpdate) {
 
   UpdateStreamOptions stream;
   stream.seed = param.seed * 17 + 3;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   const int steps = param.k >= 3 ? 80 : 140;
   for (int step = 0; step < steps; ++step) {
     const GraphUpdate update = gen.Next(g);
@@ -95,7 +95,7 @@ TEST(KSwapTest, KFourKeepsBasicInvariants) {
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 909;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 80; ++step) {
     algo.Apply(gen.Next(g));
     algo.CheckConsistency();
@@ -112,7 +112,7 @@ TEST(KSwapTest, QualityImprovesWithK) {
     UpdateStreamOptions stream;
     stream.seed = seed;
     const std::vector<GraphUpdate> updates =
-        MakeUpdateSequence(base.ToDynamic(), 100, stream);
+        MakeUpdateSequence(base, 100, stream);
     for (int k = 1; k <= 4; ++k) {
       DynamicGraph g = base.ToDynamic();
       KSwapMaintainer algo(&g, k);
@@ -135,7 +135,7 @@ TEST(KSwapTest, AgreesWithSpecializedImplementations) {
   UpdateStreamOptions stream;
   stream.seed = 5555;
   const std::vector<GraphUpdate> updates =
-      MakeUpdateSequence(base.ToDynamic(), 120, stream);
+      MakeUpdateSequence(base, 120, stream);
 
   DynamicGraph ga = base.ToDynamic();
   DynamicGraph gb = base.ToDynamic();

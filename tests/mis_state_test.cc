@@ -93,13 +93,13 @@ TEST(MisStateTest, EdgeHooksMaintainCounts) {
   g.AddEdge(0, 2);
   state.OnEdgeAdded(0, 2);
   EXPECT_EQ(state.Count(2), 1);
-  EdgeId e2 = g.AddEdge(1, 2);
+  g.AddEdge(1, 2);
   state.OnEdgeAdded(1, 2);
   EXPECT_EQ(state.Count(2), 2);
   state.CheckConsistency(false);
   // Remove one: back to 1-tight, relinked into bar1.
   state.OnEdgeRemoving(1, 2);
-  g.RemoveEdge(e2);
+  g.RemoveEdgeBetween(1, 2);
   EXPECT_EQ(state.Count(2), 1);
   EXPECT_EQ(state.OwnerOf(2), 0);
   state.CheckConsistency(false);
@@ -150,7 +150,7 @@ TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
     for (VertexId v = 0; v < n; ++v) {
       if (state.InSolution(v)) continue;
       std::vector<VertexId> scanned;
-      g.ForEachIncident(v, [&](VertexId w, EdgeId) {
+      g.ForEachIncident(v, [&](VertexId w) {
         if (state.InSolution(w)) scanned.push_back(w);
       });
       std::sort(scanned.begin(), scanned.end());
@@ -190,10 +190,9 @@ TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
         if (both_in) state.MoveOut(u);
       }
     } else {
-      const EdgeId e = g.FindEdge(u, v);
-      if (e != kInvalidEdge) {
+      if (g.HasEdge(u, v)) {
         state.OnEdgeRemoving(u, v);
-        g.RemoveEdge(e);
+        g.RemoveEdgeBetween(u, v);
       }
     }
     state.DiscardTransitions();
@@ -203,7 +202,7 @@ TEST(MisStateTest, OwnerSumsMatchNeighbourhoodScansUnderChurn) {
   EXPECT_GT(high_id_owners, 0);
 }
 
-TEST(MisStateTest, MemoryIsFlatWhenEdgeCapacityDoubles) {
+TEST(MisStateTest, MemoryIsFlatWhenEdgeCountDoubles) {
   // The state is per-vertex only: doubling the graph's edge storage must
   // not grow it (the former per-edge link arrays doubled with it).
   Rng rng(4);
@@ -215,8 +214,8 @@ TEST(MisStateTest, MemoryIsFlatWhenEdgeCapacityDoubles) {
   }
   state.DiscardTransitions();
   const size_t before = state.MemoryUsageBytes();
-  const int edge_capacity = g.EdgeCapacity();
-  while (g.EdgeCapacity() < 2 * edge_capacity) {
+  const int64_t edges = g.NumEdges();
+  while (g.NumEdges() < 2 * edges) {
     const VertexId u = static_cast<VertexId>(rng.NextInRange(0, n - 1));
     const VertexId v = static_cast<VertexId>(rng.NextInRange(0, n - 1));
     if (u == v || g.HasEdge(u, v)) continue;

@@ -155,7 +155,7 @@ TEST_P(DyOneSwapPropertyTest, InvariantsHoldAfterEveryUpdate) {
   UpdateStreamOptions stream;
   stream.seed = param.seed * 31 + 7;
   stream.edge_op_fraction = param.edge_op_fraction;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 220; ++step) {
     const GraphUpdate update = gen.Next(g);
     algo.Apply(update);
@@ -188,7 +188,7 @@ TEST(DyOneSwapTest, PerturbationKeepsInvariants) {
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 1234;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 200; ++step) {
     algo.Apply(gen.Next(g));
     algo.CheckConsistency();

@@ -436,7 +436,7 @@ TEST(BootstrapTest, BaseSnapshotPlusTailReplaysToProducerState) {
   DynamicGraph mirror = base.ToDynamic();
   UpdateStreamOptions stream;
   stream.seed = 99;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, base);
   for (int64_t seq = 0; seq < 40; ++seq) {
     LogBatch batch;
     batch.seq = seq;
@@ -496,7 +496,7 @@ TEST(BootstrapTest, VersionOneBaseMovedAsideReplaysTheWholeLog) {
     DynamicGraph mirror = base.ToDynamic();
     UpdateStreamOptions stream;
     stream.seed = 23;
-    UpdateStreamGenerator generator(stream);
+    UpdateStreamGenerator generator(stream, base);
     for (int64_t seq = 0; seq < 30; ++seq) {
       LogBatch batch;
       batch.seq = seq;

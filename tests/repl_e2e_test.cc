@@ -142,7 +142,7 @@ void Churn(int port, uint64_t seed, int count) {
   DynamicGraph mirror = TestGraph().ToDynamic();
   UpdateStreamOptions stream;
   stream.seed = seed;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, TestGraph());
   for (int i = 0; i < count; ++i) {
     const GraphUpdate update = generator.Next(mirror);
     ApplyUpdate(&mirror, update);

@@ -153,7 +153,7 @@ struct UpdateSource {
   explicit UpdateSource(uint64_t seed) : mirror(TestGraph().ToDynamic()) {
     UpdateStreamOptions stream;
     stream.seed = seed;
-    generator = std::make_unique<UpdateStreamGenerator>(stream);
+    generator = std::make_unique<UpdateStreamGenerator>(stream, TestGraph());
   }
 
   std::string AskNext(TestClient* client) {

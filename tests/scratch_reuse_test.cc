@@ -89,11 +89,12 @@ TEST(ScratchReuseTest, ChurnWithIdRecyclingKeepsEveryMaintainerConsistent) {
   ASSERT_FALSE(names.empty());
   for (const std::string& name : names) {
     Rng rng(2024);
-    DynamicGraph g = ErdosRenyiGnm(60, 150, &rng).ToDynamic();
+    const EdgeListGraph base = ErdosRenyiGnm(60, 150, &rng);
+    DynamicGraph g = base.ToDynamic();
     auto algo = MaintainerRegistry::Global().Create(name, &g);
     ASSERT_NE(algo, nullptr) << name;
     algo->Initialize({});
-    UpdateStreamGenerator gen(RecyclingChurnOptions(/*seed=*/7));
+    UpdateStreamGenerator gen(RecyclingChurnOptions(/*seed=*/7), base);
     for (int batch = 0; batch < 25; ++batch) {
       for (int i = 0; i < 40; ++i) {
         algo->Apply(gen.Next(g));
@@ -111,7 +112,7 @@ TEST(ScratchReuseTest, ChurnWithIdRecyclingPassesCheckConsistency) {
   const EdgeListGraph base = ErdosRenyiGnm(80, 220, &rng);
   auto run = [&](auto& algo, DynamicGraph& g, uint64_t seed) {
     algo.Initialize({});
-    UpdateStreamGenerator gen(RecyclingChurnOptions(seed));
+    UpdateStreamGenerator gen(RecyclingChurnOptions(seed), base);
     for (int batch = 0; batch < 20; ++batch) {
       for (int i = 0; i < 30; ++i) {
         algo.Apply(gen.Next(g));
@@ -135,11 +136,12 @@ TEST(ScratchReuseTest, ChurnWithIdRecyclingPassesCheckConsistency) {
 TEST(ScratchReuseTest, CollectSolutionMatchesSolution) {
   for (const std::string& name : MaintainerRegistry::Global().ListNames()) {
     Rng rng(5);
-    DynamicGraph g = ErdosRenyiGnm(50, 120, &rng).ToDynamic();
+    const EdgeListGraph base = ErdosRenyiGnm(50, 120, &rng);
+    DynamicGraph g = base.ToDynamic();
     auto algo = MaintainerRegistry::Global().Create(name, &g);
     ASSERT_NE(algo, nullptr) << name;
     algo->Initialize({});
-    UpdateStreamGenerator gen(RecyclingChurnOptions(/*seed=*/11));
+    UpdateStreamGenerator gen(RecyclingChurnOptions(/*seed=*/11), base);
     for (int i = 0; i < 200; ++i) algo->Apply(gen.Next(g));
     std::vector<VertexId> collected = {kInvalidVertex};  // Not cleared.
     algo->CollectSolution(&collected);
@@ -174,7 +176,7 @@ struct SteadyStateRig {
     options.edge_op_fraction = 1.0;   // Fixed vertex set: pure edge churn.
     options.insert_fraction = 0.49;   // Slight delete bias (see above).
     options.seed = 97;
-    updates = MakeUpdateSequence(graph, total_updates, options);
+    updates = MakeUpdateSequence(base, total_updates, options);
   }
 
   // A fresh copy with growth headroom pre-reserved (copying a graph copies

@@ -166,7 +166,7 @@ void Churn(int port, uint64_t seed, int count) {
   DynamicGraph mirror = TestGraph().ToDynamic();
   UpdateStreamOptions stream;
   stream.seed = seed;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, TestGraph());
   for (int i = 0; i < count; ++i) {
     const GraphUpdate update = generator.Next(mirror);
     ApplyUpdate(&mirror, update);
@@ -684,7 +684,7 @@ TEST(ServeBinaryTest, ConcurrentBinaryChurnStaysVerified) {
     DynamicGraph mirror = TestGraph().ToDynamic();
     UpdateStreamOptions stream;
     stream.seed = seed;
-    UpdateStreamGenerator generator(stream);
+    UpdateStreamGenerator generator(stream, TestGraph());
     std::string wire;
     for (int i = 0; i < 300; ++i) {
       const GraphUpdate update = generator.Next(mirror);

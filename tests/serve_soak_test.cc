@@ -97,7 +97,7 @@ TEST(ServeSoakTest, SteadyStateServingIsAllocationFree) {
   stream.edge_op_fraction = 1.0;
   stream.insert_fraction = 0.5;
   stream.seed = 404;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, SoakGraph());
 
   // Pre-encode everything: chunks of 64 update frames (one admission batch)
   // with a query frame folded in, and the expected response count per

@@ -44,7 +44,7 @@ std::vector<GraphUpdate> ChurnTrace(const EdgeListGraph& base, int count,
   UpdateStreamOptions stream;
   stream.seed = seed;
   stream.edge_op_fraction = 0.7;  // Plenty of vertex churn.
-  return MakeUpdateSequence(base.ToDynamic(), count, stream);
+  return MakeUpdateSequence(base, count, stream);
 }
 
 ShardedEngineOptions Opts(int shards, PartitionStrategy strategy =
@@ -651,7 +651,7 @@ TEST(ShardedEngineTest, WindowStreamBarrierSolutionsArePinned) {
   ingest::TemporalStreamOptions window = serve::ServeWorkloadWindow("temporal");
   window.ttl_ticks = 512;
   const std::vector<GraphUpdate> stream =
-      ingest::MakeTemporalSequence(base.ToDynamic(), 40000, window, nullptr);
+      ingest::MakeTemporalSequence(base, 40000, window, nullptr);
   constexpr size_t kBarrier = 512;
   struct Pin {
     int shards;

@@ -43,7 +43,7 @@ std::unique_ptr<MisEngine> MakeChurnedEngine(const std::string& name,
   auto engine = MisEngine::Create(base, name);
   if (engine == nullptr) return nullptr;
   engine->Initialize();
-  UpdateStreamGenerator gen(ChurnOptions(seed));
+  UpdateStreamGenerator gen(ChurnOptions(seed), base);
   for (int i = 0; i < updates; ++i) {
     engine->Apply(gen.Next(engine->graph()));
   }

@@ -25,7 +25,7 @@ TEST(UpdateTraceIoTest, FormatAndParseRoundTrip) {
   stream.seed = 11;
   stream.edge_op_fraction = 0.7;
   const std::vector<GraphUpdate> updates =
-      MakeUpdateSequence(base.ToDynamic(), 200, stream);
+      MakeUpdateSequence(base, 200, stream);
 
   std::string text = "# round trip\n";
   for (const GraphUpdate& u : updates) text += FormatUpdate(u) + "\n";
@@ -81,7 +81,7 @@ TEST(BatchModeTest, BatchEndsKMaximal) {
     UpdateStreamOptions stream;
     stream.seed = 99;
     const std::vector<GraphUpdate> updates =
-        MakeUpdateSequence(base.ToDynamic(), 400, stream);
+        MakeUpdateSequence(base, 400, stream);
 
     DynamicGraph g = base.ToDynamic();
     std::unique_ptr<DynamicMisMaintainer> algo;
@@ -110,7 +110,7 @@ TEST(BatchModeTest, BatchMatchesPerUpdateQualityClosely) {
   UpdateStreamOptions stream;
   stream.seed = 5;
   const std::vector<GraphUpdate> updates =
-      MakeUpdateSequence(base.ToDynamic(), 500, stream);
+      MakeUpdateSequence(base, 500, stream);
 
   DynamicGraph g1 = base.ToDynamic();
   DynamicGraph g2 = base.ToDynamic();

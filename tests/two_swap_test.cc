@@ -113,7 +113,7 @@ TEST_P(DyTwoSwapPropertyTest, TwoMaximalAfterEveryUpdate) {
   UpdateStreamOptions stream;
   stream.seed = param.seed * 131 + 13;
   stream.edge_op_fraction = param.edge_op_fraction;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 160; ++step) {
     const GraphUpdate update = gen.Next(g);
     algo.Apply(update);
@@ -145,7 +145,7 @@ TEST(DyTwoSwapTest, PerturbationKeepsInvariants) {
   algo.InitializeEmpty();
   UpdateStreamOptions stream;
   stream.seed = 4321;
-  UpdateStreamGenerator gen(stream);
+  UpdateStreamGenerator gen(stream, base);
   for (int step = 0; step < 150; ++step) {
     algo.Apply(gen.Next(g));
     algo.CheckConsistency();
@@ -172,7 +172,7 @@ TEST(DyTwoSwapTest, TracksOrBeatsOneSwapOnAverage) {
     UpdateStreamOptions stream;
     stream.seed = seed;
     const std::vector<GraphUpdate> updates =
-        MakeUpdateSequence(base.ToDynamic(), 120, stream);
+        MakeUpdateSequence(base, 120, stream);
     for (const GraphUpdate& update : updates) {
       one.Apply(update);
       two.Apply(update);

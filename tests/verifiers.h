@@ -33,7 +33,7 @@ inline bool IsMaximalIndependentSet(const DynamicGraph& g,
   for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
     if (!g.IsVertexAlive(v) || in_solution[v]) continue;
     bool covered = false;
-    g.ForEachIncident(v, [&](VertexId u, EdgeId) {
+    g.ForEachIncident(v, [&](VertexId u) {
       if (in_solution[u]) covered = true;
     });
     if (!covered) return false;
@@ -78,7 +78,7 @@ inline bool HasSwapUpTo(const DynamicGraph& g,
   std::vector<uint8_t> in_solution(g.VertexCapacity(), 0);
   for (VertexId v : solution) in_solution[v] = 1;
   for (VertexId v : solution) {
-    g.ForEachIncident(v, [&](VertexId u, EdgeId) { ++count[u]; });
+    g.ForEachIncident(v, [&](VertexId u) { ++count[u]; });
   }
   // Enumerate subsets S of the solution of size j = 1..k.
   std::vector<VertexId> sol = solution;
@@ -87,13 +87,13 @@ inline bool HasSwapUpTo(const DynamicGraph& g,
   auto region_has_swap = [&]() {
     std::vector<VertexId> region;
     for (VertexId s : subset) {
-      g.ForEachIncident(s, [&](VertexId u, EdgeId) {
+      g.ForEachIncident(s, [&](VertexId u) {
         if (in_solution[u]) return;
         if (std::find(region.begin(), region.end(), u) != region.end()) return;
         if (count[u] > static_cast<int>(subset.size())) return;
         // All solution neighbours of u must lie in S.
         bool inside = true;
-        g.ForEachIncident(u, [&](VertexId w, EdgeId) {
+        g.ForEachIncident(u, [&](VertexId w) {
           if (in_solution[w] &&
               std::find(subset.begin(), subset.end(), w) == subset.end()) {
             inside = false;

@@ -344,7 +344,7 @@ int Run(const CliOptions& options) {
     stream.bias = options.degree_bias ? EndpointBias::kDegreeProportional
                                       : EndpointBias::kUniform;
     updates =
-        MakeUpdateSequence(graph.ToDynamic(), options.random_updates, stream);
+        MakeUpdateSequence(graph, options.random_updates, stream);
   }
   if (!options.save_trace_path.empty() &&
       !SaveUpdateTrace(updates, options.save_trace_path)) {

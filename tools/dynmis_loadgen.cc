@@ -325,7 +325,7 @@ void RunWorker(const LoadgenOptions& options,
   stream.seed = stream.seed + options.seed * 131 + seed_salt +
                 static_cast<uint64_t>(index + 1) * 7919;
   const std::vector<GraphUpdate> updates =
-      MakeUpdateSequence(workload.base.ToDynamic(), count, stream);
+      MakeUpdateSequence(workload.base, count, stream);
 
   std::deque<double> in_flight;
   Timer clock;

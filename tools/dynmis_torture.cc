@@ -311,7 +311,7 @@ bool RunCycles(const TortureOptions& opts) {
   DynamicGraph mirror = BaseGraph().ToDynamic();
   UpdateStreamOptions stream;
   stream.seed = opts.seed ^ 0x5bd1e995;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, BaseGraph());
   std::vector<SentOp> sent;
 
   for (int cycle = 0; cycle < opts.cycles; ++cycle) {
@@ -414,7 +414,7 @@ bool RunSplitBrain(const TortureOptions& opts) {
   DynamicGraph mirror = BaseGraph().ToDynamic();
   UpdateStreamOptions stream;
   stream.seed = opts.seed ^ 0x9e3779b9;
-  UpdateStreamGenerator generator(stream);
+  UpdateStreamGenerator generator(stream, BaseGraph());
   std::vector<SentOp> sent;
   Churn(&ac, &generator, &mirror, 40, &sent);
   std::string head;
