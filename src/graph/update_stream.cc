@@ -1,6 +1,7 @@
 #include "src/graph/update_stream.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <tuple>
 #include <unordered_set>
@@ -34,9 +35,48 @@ EdgeIdTable::EdgeIdTable(std::vector<std::pair<VertexId, VertexId>> edges)
                   static_cast<size_t>(std::numeric_limits<EdgeId>::max()));
 }
 
-uint64_t EdgeIdTable::Key(VertexId u, VertexId v) {
+namespace {
+
+// The index hash of edge {u, v}, in either order.
+size_t PairHash(VertexId u, VertexId v) {
   if (u > v) std::swap(u, v);
-  return static_cast<uint64_t>(u) << 32 | static_cast<uint32_t>(v);
+  return static_cast<size_t>(SplitMix64(static_cast<uint64_t>(u) << 32 |
+                                        static_cast<uint32_t>(v)));
+}
+
+}  // namespace
+
+size_t EdgeIdTable::Home(EdgeId e) const {
+  return PairHash(ends_[e].first, ends_[e].second) & (slots_.size() - 1);
+}
+
+void EdgeIdTable::Reindex(size_t slots) {
+  slots_.assign(slots, 0);
+  for (EdgeId e = 0; e < Capacity(); ++e) {
+    if (IsAlive(e)) Place(e);
+  }
+}
+
+void EdgeIdTable::Place(EdgeId e) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(e);
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = e + 1;
+}
+
+void EdgeIdTable::Unplace(EdgeId e) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Home(e);
+  while (slots_[hole] != e + 1) hole = (hole + 1) & mask;
+  // Backward-shift deletion: an entry later in the probe run moves into
+  // the hole unless its home lies after the hole.
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    if (((j - Home(slots_[j] - 1)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
 }
 
 void EdgeIdTable::Add(VertexId u, VertexId v) {
@@ -52,28 +92,33 @@ void EdgeIdTable::Add(VertexId u, VertexId v) {
     ends_.emplace_back(u, v);
   }
   ++num_edges_;
-  if (indexed_) index_.emplace(Key(u, v), e);
+  if (slots_.empty()) return;
+  if (2 * static_cast<size_t>(num_edges_) > slots_.size()) {
+    Reindex(2 * slots_.size());
+  } else {
+    Place(e);
+  }
 }
 
 void EdgeIdTable::Remove(EdgeId e) {
   DYNMIS_CHECK(IsAlive(e));
-  if (indexed_) index_.erase(Key(ends_[e].first, ends_[e].second));
+  if (!slots_.empty()) Unplace(e);
   ends_[e].first = kInvalidVertex;
   free_.push_back(e);
   --num_edges_;
 }
 
 EdgeId EdgeIdTable::Find(VertexId u, VertexId v) {
-  if (!indexed_) {
-    index_.reserve(static_cast<size_t>(num_edges_));
-    for (EdgeId e = 0; e < Capacity(); ++e) {
-      if (IsAlive(e)) index_.emplace(Key(ends_[e].first, ends_[e].second), e);
-    }
-    indexed_ = true;
+  if (slots_.empty()) {
+    Reindex(std::bit_ceil(2 * static_cast<size_t>(num_edges_) + 16));
   }
-  const auto it = index_.find(Key(u, v));
-  DYNMIS_CHECK(it != index_.end());
-  return it->second;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = PairHash(u, v) & mask;; i = (i + 1) & mask) {
+    DYNMIS_CHECK_NE(slots_[i], 0);  // {u, v} is alive.
+    const EdgeId e = slots_[i] - 1;
+    const auto [a, b] = ends_[e];
+    if ((a == u && b == v) || (a == v && b == u)) return e;
+  }
 }
 
 void EdgeIdTable::Apply(const DynamicGraph& g, const GraphUpdate& update) {

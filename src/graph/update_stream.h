@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -102,15 +101,20 @@ class EdgeIdTable {
   void Add(VertexId u, VertexId v);
   // The id of edge {u, v}, which must be alive.
   EdgeId Find(VertexId u, VertexId v);
-  static uint64_t Key(VertexId u, VertexId v);
+  // The index slot where the probe for alive id `e` starts.
+  size_t Home(EdgeId e) const;
+  void Reindex(size_t slots);
+  void Place(EdgeId e);
+  void Unplace(EdgeId e);
 
   // Endpoints per id; a free id has first == kInvalidVertex.
   std::vector<std::pair<VertexId, VertexId>> ends_;
   std::vector<EdgeId> free_;
-  // {u, v} -> id, built on the first Find: only vertex deletes and
-  // endpoint-named deletes look an edge up.
-  std::unordered_map<uint64_t, EdgeId> index_;
-  bool indexed_ = false;
+  // The ids of the alive edges, open-addressed by their endpoints: a slot
+  // holds id + 1 (0 = empty), probed linearly and kept at most half full.
+  // Built on the first Find, since only vertex deletes and deletes named
+  // by endpoints look an edge up.
+  std::vector<EdgeId> slots_;
   int64_t num_edges_ = 0;
 };
 
