@@ -41,22 +41,38 @@ bool ReadExact(std::istream& in, char* data, size_t size) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero bytes, so
+  // eight lookups fold eight input bytes into the CRC at once.
+  static const auto* t = [] {
+    static uint32_t tables[8][256];
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t c = tables[k - 1][i];
+        tables[k][i] = tables[0][c & 0xff] ^ (c >> 8);
+      }
+    }
+    return tables;
   }();
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xff] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const auto lo = static_cast<uint32_t>(DecodeLe(
+                        reinterpret_cast<const char*>(bytes), 4)) ^
+                    crc;
+    const auto hi = static_cast<uint32_t>(
+        DecodeLe(reinterpret_cast<const char*>(bytes + 4), 4));
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; size > 0; --size) crc = t[0][(crc ^ *bytes++) & 0xff] ^ (crc >> 8);
   return ~crc;
 }
 

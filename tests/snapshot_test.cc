@@ -365,6 +365,53 @@ TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
   EXPECT_EQ(status.message, "snapshot: mis: solution is not maximal");
 }
 
+TEST(SnapshotTest, RejectsDeadVertexMarkedInSolution) {
+  // 0 - 1 with vertex 2 dead: a "mis" section that marks vertex 2 must be
+  // rejected by its status scan, with a size that matches the marks.
+  const GraphFields graph = {2, 1, {1, 1, -1}, {1, 0}, {2}};
+  SnapshotStatus status;
+  ASSERT_NE(LoadFromString(HandBuiltSnapshot(graph, {1, 0, 0}), &status),
+            nullptr)
+      << status.message;
+  EXPECT_EQ(LoadFromString(HandBuiltSnapshot(graph, {1, 0, 1}), &status),
+            nullptr);
+  EXPECT_EQ(status.message, "snapshot: mis: dead vertex marked in solution");
+}
+
+// The bytewise CRC-32 that Crc32's eight-byte steps must reproduce.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t size,
+                       uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(SnapshotTest, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);  // The standard check.
+  Rng rng(4321);
+  std::vector<unsigned char> buffer(1024 + 8);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 1024; ++size) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t expected = BytewiseCrc32(data, size, 0);
+      ASSERT_EQ(Crc32(data, size), expected) << offset << " " << size;
+      // Chained through `seed` from any split point.
+      const size_t split = rng.NextBounded(size + 1);
+      ASSERT_EQ(Crc32(data + split, size - split, Crc32(data, split)),
+                expected)
+          << offset << " " << size << " " << split;
+    }
+  }
+}
+
 TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
   // One CRC-valid graph section per validation rule, each a small edit of
   // the path 0 - 1 - 2 with dead vertices 3 and 4, must fail with that
