@@ -395,11 +395,12 @@ int Run(const CliOptions& options) {
   const EngineStats stats = engine->Stats();
   std::fprintf(stderr,
                "%s: %lld updates in %.3fs (%.2f us/update), final |I|=%lld, "
-               "memory=%s\n",
+               "graph=%lluB structure=%lluB\n",
                stats.algorithm.c_str(), static_cast<long long>(applied),
                seconds, applied > 0 ? seconds / applied * 1e6 : 0.0,
                static_cast<long long>(stats.solution_size),
-               FormatBytes(stats.structure_memory_bytes).c_str());
+               static_cast<unsigned long long>(stats.graph_memory_bytes),
+               static_cast<unsigned long long>(stats.structure_memory_bytes));
   if (!options.snapshot_out.empty()) {
     return WriteSnapshotFile(*engine, options.snapshot_out);
   }
@@ -442,12 +443,14 @@ int RunSnapshotLoad(const CliOptions& options, bool resume_updates) {
   const EngineStats stats = engine->Stats();
   std::fprintf(stderr,
                "restored %s from %s in %.3fs: n=%lld m=%lld |I|=%lld "
-               "(%lld lifetime updates)\n",
+               "graph=%lluB structure=%lluB (%lld lifetime updates)\n",
                stats.algorithm.c_str(), options.snapshot_in.c_str(),
                load_timer.ElapsedSeconds(),
                static_cast<long long>(stats.num_vertices),
                static_cast<long long>(stats.num_edges),
                static_cast<long long>(stats.solution_size),
+               static_cast<unsigned long long>(stats.graph_memory_bytes),
+               static_cast<unsigned long long>(stats.structure_memory_bytes),
                static_cast<long long>(stats.updates_applied));
 
   if (resume_updates && options.random_updates > 0) {
