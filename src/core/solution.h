@@ -122,13 +122,10 @@ class MisState {
 
   // Call immediately after g->AddEdge(u, v). Handles the at-most-one-
   // endpoint-in-I cases; with both endpoints in I it is a no-op (the caller
-  // must MoveOut one endpoint right after). Takes the endpoints, like
-  // OnEdgeRemoving, so an insert never reloads the new edge's record.
+  // must MoveOut one endpoint right after).
   void OnEdgeAdded(VertexId u, VertexId v);
 
-  // Call immediately *before* the edge {u, v} leaves the graph. Takes the
-  // endpoints rather than the edge id, so the delete path never has to
-  // load the edge record just to name them.
+  // Call immediately *before* the edge {u, v} leaves the graph.
   void OnEdgeRemoving(VertexId u, VertexId v);
 
   // Call immediately before g->RemoveVertex(v) *after* the caller has moved

@@ -263,7 +263,8 @@ TEST(DeterminismTest, PinnedStreamGenerators) {
   churn.seed = 67;
   const uint64_t s = FoldStream(
       kFnvOffset, MakeUpdateSequence(sorted.ToDynamic(), 4000, churn));
-  EXPECT_EQ(s, 0xe2a76f9754aaa145ULL) << "sorted-list stream: 0x" << std::hex << s;
+  EXPECT_EQ(s, 0xe2a76f9754aaa145ULL)
+      << "sorted-list stream: 0x" << std::hex << s;
 
   // `dynmis_cli snapshot load --random`'s path: a churned graph's
   // snapshot-loaded copy, drawn op by op through Next.
@@ -303,7 +304,8 @@ TEST(DeterminismTest, PinnedStreamGenerators) {
     ApplyUpdate(&loaded, resumed.back());
   }
   const uint64_t l = FoldStream(kFnvOffset, resumed);
-  EXPECT_EQ(l, 0x0500313f8d7a6ad1ULL) << "snapshot-loaded stream: 0x" << std::hex << l;
+  EXPECT_EQ(l, 0x0500313f8d7a6ad1ULL)
+      << "snapshot-loaded stream: 0x" << std::hex << l;
 }
 
 }  // namespace
