@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -605,6 +606,142 @@ TEST_F(IngestFileTest, DecodesGzipTransparently) {
   EXPECT_TRUE(report_gz.gzip);
   EXPECT_EQ(from_plain.n, from_gz.n);
   EXPECT_EQ(from_plain.edges, from_gz.edges);
+}
+
+// --- Ingester against a reference -------------------------------------------
+
+// How a random edge file draws its raw ids.
+enum class IdSpace {
+  kDense,          // 0..n-1 in random order.
+  kDenseHubFirst,  // 0..n-1, with a hub's high neighbours on the first lines.
+  kSparse,         // Far apart, above 2^40.
+};
+
+// The ingester's contract computed the plain way: ids compacted in
+// first-seen order, self-loops dropped, each edge as (lower, higher), then
+// std::sort + std::unique.
+struct ReferenceIngest {
+  EdgeListGraph graph;
+  int64_t lines = 0;
+  int64_t self_loops = 0;
+  int64_t duplicates = 0;
+};
+
+ReferenceIngest Reference(const std::vector<std::pair<int64_t, int64_t>>& raw) {
+  ReferenceIngest ref;
+  std::unordered_map<int64_t, VertexId> ids;
+  auto intern = [&](int64_t id) {
+    return ids.try_emplace(id, static_cast<VertexId>(ids.size())).first->second;
+  };
+  for (const auto& [a, b] : raw) {
+    ++ref.lines;
+    if (a == b) {
+      ++ref.self_loops;
+      continue;
+    }
+    const VertexId u = intern(a);
+    const VertexId v = intern(b);
+    ref.graph.edges.emplace_back(std::min(u, v), std::max(u, v));
+  }
+  std::vector<std::pair<VertexId, VertexId>>& edges = ref.graph.edges;
+  std::sort(edges.begin(), edges.end());
+  const auto last = std::unique(edges.begin(), edges.end());
+  ref.duplicates = std::distance(last, edges.end());
+  edges.erase(last, edges.end());
+  ref.graph.n = static_cast<int>(ids.size());
+  return ref;
+}
+
+// Draws `lines` raw edge lines over an id space of about `n` vertices, with
+// duplicates in both orientations and self-loops, and renders them as a
+// file with comments, blank lines, mixed separators, `\r\n` endings, an
+// optional size header and sometimes no final newline.
+std::string RandomEdgeFile(Rng* rng, IdSpace space, int n, int lines,
+                           bool header,
+                           std::vector<std::pair<int64_t, int64_t>>* raw) {
+  auto id = [&](int64_t slot) -> int64_t {
+    return space == IdSpace::kSparse ? (int64_t{1} << 40) + slot * 1000003
+                                     : slot;
+  };
+  raw->clear();
+  while (static_cast<int>(raw->size()) < lines) {
+    const uint64_t roll = rng->NextBounded(100);
+    int64_t a = id(static_cast<int64_t>(rng->NextBounded(n)));
+    int64_t b = id(static_cast<int64_t>(rng->NextBounded(n)));
+    if (space == IdSpace::kDenseHubFirst &&
+        raw->size() < static_cast<size_t>(std::min(64, n / 2))) {
+      // A hub with a small id lists its neighbours first, highest first.
+      a = 0;
+      b = n - 1 - static_cast<int64_t>(raw->size());
+    } else if (roll < 10 && !raw->empty()) {
+      const auto& [x, y] = (*raw)[rng->NextBounded(raw->size())];
+      a = rng->NextBounded(2) != 0 ? x : y;
+      b = a == x ? y : x;
+    } else if (roll < 13) {
+      b = a;
+    }
+    raw->emplace_back(a, b);
+  }
+  std::string text;
+  if (header) {
+    text += rng->NextBounded(2) != 0 ? "# nodes: " : "# Nodes: ";
+    text += std::to_string(n);
+    text += rng->NextBounded(2) != 0 ? " edges: " : " Edges: ";
+    text += std::to_string(lines) + "\n";
+  }
+  static const char* const kSeparators[] = {" ", "\t", "  ", " \t "};
+  for (const auto& [a, b] : *raw) {
+    const uint64_t roll = rng->NextBounded(100);
+    if (roll < 3) text += "# a comment line\n";
+    if (roll >= 3 && roll < 5) text += "\n";
+    if (roll >= 5 && roll < 6) text += " \t\r\n";
+    if (roll >= 6 && roll < 8) text += " ";
+    text += std::to_string(a);
+    text += kSeparators[rng->NextBounded(4)];
+    text += std::to_string(b);
+    if (roll >= 8 && roll < 11) text += " # trailing comment";
+    text += roll >= 11 && roll < 21 ? "\r\n" : "\n";
+  }
+  if (rng->NextBounded(2) != 0) text.pop_back();
+  return text;
+}
+
+// Seeded random files, each ingested and compared edge for edge and count
+// for count against the reference: dense, hub-first and sparse (> 2^40) id
+// spaces, with and without a size header, one file past the reader's 1 MiB
+// chunk.
+TEST_F(IngestFileTest, MatchesReferenceOnRandomFiles) {
+  const std::string path = TempPath("random.txt");
+  cleanup_.push_back(path);
+  Rng rng(2611);
+  std::vector<std::pair<int64_t, int64_t>> raw;
+  int files = 0;
+  for (const IdSpace space :
+       {IdSpace::kDense, IdSpace::kDenseHubFirst, IdSpace::kSparse}) {
+    for (const bool header : {false, true}) {
+      for (const auto& [n, lines] :
+           {std::pair{40, 300}, std::pair{3000, 4000}, std::pair{20000, 90000}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "file " << files++ << ": space "
+                     << static_cast<int>(space) << ", header " << header
+                     << ", n " << n << ", lines " << lines);
+        WriteFile(path, RandomEdgeFile(&rng, space, n, lines, header, &raw));
+        const ReferenceIngest ref = Reference(raw);
+        EdgeListGraph graph;
+        ingest::IngestReport report;
+        std::string error;
+        ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error))
+            << error;
+        EXPECT_EQ(graph.n, ref.graph.n);
+        ASSERT_EQ(graph.edges, ref.graph.edges);
+        EXPECT_EQ(report.vertices, ref.graph.n);
+        EXPECT_EQ(report.edges, ref.graph.NumEdges());
+        EXPECT_EQ(report.lines, ref.lines);
+        EXPECT_EQ(report.dropped_self_loops, ref.self_loops);
+        EXPECT_EQ(report.dropped_duplicates, ref.duplicates);
+      }
+    }
+  }
 }
 
 }  // namespace
