@@ -722,5 +722,79 @@ TEST(DynamicGraphTest, FirstInsertsAfterLoadDoNotGrowMemory) {
             1.05 * static_cast<double>(loaded));
 }
 
+// The graph an edge list builds one edge at a time: every array sized to
+// its degree first, in vertex order, then one AddEdge per edge in list
+// order.
+DynamicGraph BuildByAddEdge(const EdgeListGraph& base) {
+  std::vector<int> degree(static_cast<size_t>(base.n), 0);
+  for (const auto& [u, v] : base.edges) {
+    ++degree[u];
+    ++degree[v];
+  }
+  DynamicGraph g(base.n);
+  for (VertexId v = 0; v < base.n; ++v) g.ReserveDegree(v, degree[v]);
+  for (const auto& [u, v] : base.edges) g.AddEdge(u, v);
+  return g;
+}
+
+// Two graphs are the same graph in every observable byte: the snapshot
+// section, the memory accounting and the edge list, each also consistent.
+void ExpectSameGraph(const DynamicGraph& a, const DynamicGraph& b) {
+  a.CheckConsistency();
+  b.CheckConsistency();
+  EXPECT_EQ(SaveGraph(a), SaveGraph(b));
+  EXPECT_EQ(a.MemoryUsageBytes(), b.MemoryUsageBytes());
+  EXPECT_EQ(a.EdgeList(), b.EdgeList());
+}
+
+// ToDynamic builds, from sorted and unsorted lists, exactly the graph the
+// AddEdge loop builds, and the two stay identical under the same random
+// inserts and deletes (so every slab, free list and bump pointer matches).
+TEST(DynamicGraphTest, ToDynamicMatchesAddEdgeLoop) {
+  Rng rng(2026);
+  std::vector<std::pair<std::string, EdgeListGraph>> lists;
+  lists.emplace_back("erdos-renyi", ErdosRenyiGnm(600, 2400, &rng));
+  lists.emplace_back("chung-lu", ChungLuPowerLaw(2000, 2.2, 9.0, &rng));
+  lists.emplace_back("star", StarGraph(300));  // The hub needs a chunk.
+  EdgeListGraph isolated = ErdosRenyiGnm(50, 60, &rng);
+  isolated.n = 80;  // Ids 50..79 have no edge.
+  lists.emplace_back("isolated", isolated);
+  lists.emplace_back("empty", EdgeListGraph{});
+  lists.emplace_back("no-edges", EdgeListGraph{7, {}});
+  for (size_t i = 0, count = lists.size(); i < count; ++i) {
+    EdgeListGraph sorted = lists[i].second;
+    std::sort(sorted.edges.begin(), sorted.edges.end());
+    EdgeListGraph shuffled = lists[i].second;
+    for (size_t j = shuffled.edges.size(); j > 1; --j) {
+      std::swap(shuffled.edges[j - 1], shuffled.edges[rng.NextBounded(j)]);
+      if (rng.NextBounded(2) != 0) {
+        std::swap(shuffled.edges[j - 1].first, shuffled.edges[j - 1].second);
+      }
+    }
+    lists.emplace_back(lists[i].first + " sorted", std::move(sorted));
+    lists.emplace_back(lists[i].first + " shuffled", std::move(shuffled));
+  }
+  for (const auto& [name, base] : lists) {
+    SCOPED_TRACE(name);
+    DynamicGraph bulk = base.ToDynamic();
+    DynamicGraph loop = BuildByAddEdge(base);
+    ExpectSameGraph(bulk, loop);
+    if (base.n < 2) continue;
+    for (int op = 0; op < 20000; ++op) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(base.n));
+      const auto v = static_cast<VertexId>(rng.NextBounded(base.n));
+      if (u == v) continue;
+      if (loop.HasEdge(u, v)) {
+        ASSERT_TRUE(bulk.RemoveEdgeBetween(u, v));
+        loop.RemoveEdgeBetween(u, v);
+      } else {
+        bulk.AddEdge(u, v);
+        loop.AddEdge(u, v);
+      }
+    }
+    ExpectSameGraph(bulk, loop);
+  }
+}
+
 }  // namespace
 }  // namespace dynmis
