@@ -685,11 +685,13 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
   w.EndObject();
   if (scenario.ingested) {
     std::printf(
-        "  ingest: %lld edges in %.2fs, %.1f bytes/edge, peak RSS %zu MB%s\n",
+        "  ingest: %lld edges in %.2fs, %.1f bytes/edge, peak RSS %zu "
+        "MB%s%s\n",
         static_cast<long long>(ingest_report.edges),
         ingest_report.load_seconds, ingest_report.bytes_per_edge,
         ingest_report.peak_rss_bytes >> 20,
-        ingest_report.header_reserved ? " (header reserved)" : "");
+        ingest_report.header_reserved ? " (header reserved)" : "",
+        ingest_report.hashed_ids ? " (hashed ids)" : "");
   }
   const int num_updates = c.updates(base.NumEdges());
   record.updates = num_updates;
@@ -828,6 +830,7 @@ CaseRecord RunCase(const Scenario& scenario, const Case& c,
     w.Int("dropped_self_loops", ingest_report.dropped_self_loops);
     w.Int("dropped_duplicates", ingest_report.dropped_duplicates);
     w.Bool("header_reserved", ingest_report.header_reserved);
+    w.Bool("hashed_ids", ingest_report.hashed_ids);
     w.Bool("gzip", ingest_report.gzip);
     w.Double("load_seconds", ingest_report.load_seconds);
     w.Uint("graph_bytes", ingest_report.graph_bytes);

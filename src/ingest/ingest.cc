@@ -1,12 +1,14 @@
 #include "src/ingest/ingest.h"
 
 #include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,10 +20,15 @@ namespace dynmis {
 namespace ingest {
 namespace {
 
-// Raw ids at most this multiple of the seen-vertex count use the flat
+// Raw ids below this multiple of the vertex count (the distinct ids seen
+// so far, or a trusted size header's, whichever is larger) use the flat
 // compaction table; anything sparser falls back to the hash map.
 constexpr int64_t kDenseIdSlack = 8;
 constexpr size_t kReadChunk = 1 << 20;
+// The fewest bytes an edge line ("1 2\n") and a distinct id ("1 ") take,
+// so that a size header claiming more than the file can hold is ignored.
+constexpr int64_t kMinEdgeLineBytes = 4;
+constexpr int64_t kMinIdBytes = 2;
 
 bool EndsWith(const std::string& s, const char* suffix) {
   const size_t n = std::strlen(suffix);
@@ -29,15 +36,17 @@ bool EndsWith(const std::string& s, const char* suffix) {
 }
 
 // Compacts raw (possibly sparse, possibly huge) vertex ids to 0..n-1 in
-// first-seen order. Dense id spaces — every generated file and most SNAP
-// dumps — use a flat vector; the hash map only engages when raw ids run
-// far past the number of distinct vertices.
+// first-seen order. Dense id spaces use a flat vector; the hash map only
+// engages when a raw id runs far past the vertex count. A trusted size
+// header gives that count up front, so a dense file whose first lines name
+// high ids (a generated file's hub lists its neighbours first) stays flat.
 class IdCompactor {
  public:
   VertexId Intern(int64_t raw) {
     if (dense_) {
       if (raw >= static_cast<int64_t>(flat_.size())) {
-        if (raw >= kDenseIdSlack * (next_ + 1) + 1024) {
+        if (raw >= kDenseIdSlack * std::max<int64_t>(next_ + 1, expected_) +
+                       1024) {
           SwitchToSparse();
           return InternSparse(raw);
         }
@@ -51,9 +60,13 @@ class IdCompactor {
   }
 
   int Count() const { return next_; }
+  bool Hashed() const { return !dense_; }
 
-  void Reserve(size_t n) {
-    if (dense_) flat_.reserve(n + n / 8);
+  // A trusted header's vertex count: pre-sizes the flat table and widens
+  // its density bound.
+  void Expect(int64_t n) {
+    expected_ = n;
+    flat_.reserve(static_cast<size_t>(n + n / 8));
   }
 
  private:
@@ -76,15 +89,40 @@ class IdCompactor {
   }
 
   bool dense_ = true;
+  int64_t expected_ = 0;
   std::vector<VertexId> flat_;
   std::unordered_map<int64_t, VertexId> sparse_;
   VertexId next_ = 0;
 };
 
-uint64_t EdgeKey(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-         static_cast<uint32_t>(v);
+// Sorts `edges` (each one (lower, higher), ids below n) and drops repeats,
+// returning how many. It buckets the edges by lower endpoint (a counting
+// pass, then a scatter of the higher endpoints), sorts and deduplicates
+// each bucket, and writes the survivors back in place: 4 B per edge plus
+// 8 B per vertex of scratch, and cache-sized sorts instead of one over
+// every pair.
+int64_t SortAndDedup(int n, std::vector<std::pair<VertexId, VertexId>>* edges) {
+  // end[u] first counts u's bucket, then is its start, and after the
+  // scatter its end.
+  std::vector<int64_t> end(static_cast<size_t>(n) + 1, 0);
+  for (const auto& edge : *edges) ++end[edge.first + 1];
+  for (int u = 0; u < n; ++u) end[u + 1] += end[u];
+  std::vector<VertexId> higher(edges->size());
+  for (const auto& [u, v] : *edges) higher[end[u]++] = v;
+  size_t kept = 0;
+  int64_t begin = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    std::sort(higher.begin() + begin, higher.begin() + end[u]);
+    for (int64_t i = begin; i < end[u]; ++i) {
+      if (i == begin || higher[i] != higher[i - 1]) {
+        (*edges)[kept++] = {u, higher[i]};
+      }
+    }
+    begin = end[u];
+  }
+  const auto dropped = static_cast<int64_t>(edges->size() - kept);
+  edges->resize(kept);
+  return dropped;
 }
 
 // One line of input: either a comment/blank (handled by the caller) or
@@ -100,8 +138,11 @@ bool ParseEdgeLine(const char* p, const char* end, int64_t* a, int64_t* b,
     if (p >= end || *p < '0' || *p > '9') return false;
     int64_t value = 0;
     while (p < end && *p >= '0' && *p <= '9') {
-      value = value * 10 + (*p++ - '0');
-      if (value < 0) return false;  // Overflow.
+      const int digit = *p++ - '0';
+      if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) {
+        return false;  // Beyond int64.
+      }
+      value = value * 10 + digit;
     }
     *out = neg ? -value : value;
     return true;
@@ -122,6 +163,7 @@ bool ParseEdgeLine(const char* p, const char* end, int64_t* a, int64_t* b,
 struct LineSource {
   FILE* file = nullptr;
   bool piped = false;
+  int64_t bytes = -1;  // A plain file's size; unknown through the pipe.
 
   ~LineSource() {
     if (file == nullptr) return;
@@ -161,6 +203,8 @@ bool OpenSource(const std::string& path, LineSource* src, bool* gzip,
     *error = "cannot open " + path;
     return false;
   }
+  struct stat st;
+  if (fstat(fileno(src->file), &st) == 0) src->bytes = st.st_size;
   return true;
 }
 
@@ -193,11 +237,13 @@ bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
     ++lineno;
     // Strip comments from '#', and honor a size header ("# nodes: N edges:
     // M", or SNAP's capitalized variant) before any edge line so the
-    // containers pre-size once.
+    // containers pre-size once. A header is trusted only as far as the
+    // file could hold it, so a plain file's size bounds what it can make
+    // us allocate; a piped file's size is unknown, so its header is not.
     const char* hash =
         static_cast<const char*>(memchr(begin, '#', end - begin));
     if (hash != nullptr) {
-      if (!rep.header_reserved && rep.lines == 0) {
+      if (!rep.header_reserved && rep.lines == 0 && src.bytes >= 0) {
         long long n = 0;
         long long m = 0;
         std::string head(hash, end);
@@ -205,10 +251,11 @@ bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
                  2 ||
              std::sscanf(head.c_str(), "# Nodes: %lld Edges: %lld", &n, &m) ==
                  2) &&
-            n >= 0 && m >= 0) {
+            n >= 0 && m >= 0 && n <= src.bytes / kMinIdBytes &&
+            m <= src.bytes / kMinEdgeLineBytes) {
           rep.header_reserved = true;
-          ids.Reserve(static_cast<size_t>(n));
-          edges.reserve(static_cast<size_t>(m) + static_cast<size_t>(m) / 16);
+          ids.Expect(n);
+          edges.reserve(static_cast<size_t>(m + m / 16));
         }
       }
       end = hash;
@@ -269,13 +316,8 @@ bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
     return false;
   }
 
-  // Deduplicate without a hash set: sort + unique over the packed keys is
-  // the whole transient cost beyond the edge vector itself.
-  std::sort(edges.begin(), edges.end());
-  const auto last = std::unique(edges.begin(), edges.end());
-  rep.dropped_duplicates = std::distance(last, edges.end());
-  edges.erase(last, edges.end());
-
+  rep.dropped_duplicates = SortAndDedup(ids.Count(), &edges);
+  rep.hashed_ids = ids.Hashed();
   out->n = ids.Count();
   out->edges = std::move(edges);
   rep.vertices = out->n;

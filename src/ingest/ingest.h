@@ -5,10 +5,16 @@
 // it too). Keeping an id hash map plus a seen-edge hash set alive through
 // the parse would cost several times the graph itself at multi-million-edge
 // scale, so the ingester streams: a chunked reader with a hand-rolled
-// integer scanner, a flat id-compaction table for dense id spaces (hash
-// fallback for sparse ones), sort+unique deduplication (16 B/edge transient
-// instead of ~40 B/edge of hash set), `.gz` transparently via a `gzip -dc`
-// pipe, and size headers honored so `Reserve(n, m)` pre-sizes everything.
+// integer scanner; a flat id-compaction table while the raw ids stay below
+// 8x the vertex count (the ids seen so far, or a trusted size header's
+// count), with a hash-map fallback past that (IngestReport::hashed_ids says
+// which ran); and deduplication that buckets the edges by lower endpoint
+// and sorts each bucket (4 B/edge plus 8 B/vertex transient, instead of
+// ~40 B/edge of hash set). `.gz` files are read through a `gzip -dc` pipe.
+// A size header pre-sizes the edge vector and the id table, but only a
+// plain file's, and only if the file is large enough to hold that many
+// edge lines and ids, so a header cannot make the ingester allocate more
+// than the file's size warrants.
 //
 // Every ingest produces an IngestReport with the memory-budget numbers the
 // bench matrix and the CI gate consume: wall-clock load time, bytes/edge of
@@ -39,6 +45,7 @@ struct IngestReport {
   int64_t dropped_self_loops = 0;
   int64_t dropped_duplicates = 0;
   bool header_reserved = false;    // A "# nodes/edges" header pre-sized us.
+  bool hashed_ids = false;         // Ids went through the hash map.
   bool gzip = false;               // Decoded through the gzip pipe.
   double load_seconds = 0.0;       // Parse + dedup + compaction.
   size_t graph_bytes = 0;          // EdgeListGraph payload bytes.
@@ -51,8 +58,8 @@ struct IngestReport {
 // dropped and duplicate edges (either orientation) kept once; the edges come
 // out sorted. Each non-comment line holds exactly two non-negative ids.
 // Returns false with *error set on unreadable files or malformed lines (a
-// lone endpoint, a third token, a non-numeric or negative id). `report` is
-// optional.
+// lone endpoint, a third token, a non-numeric or negative id, an id past
+// int64). `report` is optional.
 bool IngestEdgeList(const std::string& path, EdgeListGraph* out,
                     IngestReport* report, std::string* error);
 

@@ -490,10 +490,106 @@ TEST_F(IngestFileTest, RejectsMalformedTokensAndMissingFiles) {
   EXPECT_FALSE(ingest::IngestEdgeList(path, &graph, nullptr, &error));
   EXPECT_FALSE(error.empty());
 
+  // An id past int64 is malformed, whether it would wrap negative or wrap
+  // around to a positive id (here 1, which would make a self-loop).
+  for (const char* bad : {"1 18446744073709551617", "1 99999999999999999999",
+                          "1 9223372036854775808"}) {
+    WriteFile(path, std::string("0 1\n") + bad + "\n");
+    error.clear();
+    EXPECT_FALSE(ingest::IngestEdgeList(path, &graph, nullptr, &error)) << bad;
+    EXPECT_EQ(error, path + ":2: malformed edge line") << bad;
+  }
+  WriteFile(path, "1 9223372036854775807\n");
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, nullptr, &error)) << error;
+  EXPECT_EQ(graph.n, 2);
+  EXPECT_EQ(graph.NumEdges(), 1);
+
   error.clear();
   EXPECT_FALSE(ingest::IngestEdgeList(TempPath("does_not_exist.txt"), &graph,
                                       nullptr, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// A size header is trusted only as far as the file could hold it (an edge
+// line takes at least 4 bytes, an id at least 2), and a `.gz` file's not at
+// all, so a lying header cannot make the ingester allocate for it.
+TEST_F(IngestFileTest, IgnoresAHeaderTheFileCannotHold) {
+  const std::string path = TempPath("hostile.txt");
+  cleanup_.push_back(path);
+  EdgeListGraph graph;
+  ingest::IngestReport report;
+  std::string error;
+  for (const char* header : {"# nodes: 1000000000000 edges: 1000000000000\n",
+                             "# nodes: 3 edges: 1000000000000\n",
+                             "# Nodes: 1000000000000 Edges: 1\n"}) {
+    WriteFile(path, std::string(header) + "1 2\n");
+    ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error))
+        << header << error;
+    EXPECT_FALSE(report.header_reserved) << header;
+    EXPECT_EQ(graph.n, 2);
+    EXPECT_EQ(graph.NumEdges(), 1);
+  }
+  // These 33-byte files could hold 16 ids and 8 edge lines: a header at
+  // that limit counts, one past it does not.
+  for (const auto& [header, trusted] :
+       {std::pair{"# nodes: 16 edges: 8\n", true},
+        std::pair{"# nodes: 17 edges: 8\n", false},
+        std::pair{"# nodes: 16 edges: 9\n", false}}) {
+    WriteFile(path, std::string(header) + "1 2\n3 4\n5 6\n");
+    ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error))
+        << header << error;
+    EXPECT_EQ(report.header_reserved, trusted) << header;
+    EXPECT_EQ(graph.NumEdges(), 3);
+  }
+
+  if (std::system("command -v gzip >/dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "gzip not available";
+  }
+  const std::string gz = path + ".gz";
+  cleanup_.push_back(gz);
+  for (const char* header : {"# nodes: 1000000000000 edges: 1000000000000\n",
+                             "# nodes: 2 edges: 1\n"}) {
+    WriteFile(path, std::string(header) + "1 2\n");
+    ASSERT_EQ(std::system(("gzip -kf " + path).c_str()), 0);
+    ASSERT_TRUE(ingest::IngestEdgeList(gz, &graph, &report, &error))
+        << header << error;
+    EXPECT_TRUE(report.gzip);
+    EXPECT_FALSE(report.header_reserved) << header;
+    EXPECT_EQ(graph.NumEdges(), 1);
+  }
+}
+
+// The report says whether ids went through the hash map: not for a dense
+// file whose trusted header gives its vertex count, even when its first
+// line names its highest id, and not without a header while ids stay
+// dense; yes for ids far apart.
+TEST_F(IngestFileTest, ReportsWhetherIdsWereHashed) {
+  const std::string path = TempPath("id_table.txt");
+  cleanup_.push_back(path);
+  std::string dense;
+  for (int i = 1; i < 20000; ++i) {
+    dense += "0 " + std::to_string(20000 - i) + "\n";
+  }
+  EdgeListGraph graph;
+  ingest::IngestReport report;
+  std::string error;
+  WriteFile(path, "# nodes: 20000 edges: 19999\n" + dense);
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
+  EXPECT_TRUE(report.header_reserved);
+  EXPECT_FALSE(report.hashed_ids);
+  EXPECT_EQ(graph.n, 20000);
+
+  WriteFile(path, "0 1\n1 2\n2 0\n");
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
+  EXPECT_FALSE(report.hashed_ids);
+
+  std::string sparse = "# nodes: 3 edges: 2\n";
+  sparse += "1099511627776 1099511727776\n1099511727776 1099511827776\n";
+  WriteFile(path, sparse);
+  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
+  EXPECT_TRUE(report.hashed_ids);
+  EXPECT_EQ(graph.n, 3);
+  EXPECT_EQ(graph.NumEdges(), 2);
 }
 
 TEST_F(IngestFileTest, ParsesSnapFormat) {

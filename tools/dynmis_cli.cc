@@ -666,6 +666,7 @@ int RunIngestCommand(int argc, char** argv) {
     w.Int("dropped_self_loops", report.dropped_self_loops);
     w.Int("dropped_duplicates", report.dropped_duplicates);
     w.Bool("header_reserved", report.header_reserved);
+    w.Bool("hashed_ids", report.hashed_ids);
     w.Bool("gzip", report.gzip);
     w.Double("load_seconds", report.load_seconds);
     w.Uint("graph_bytes", report.graph_bytes);
@@ -676,7 +677,7 @@ int RunIngestCommand(int argc, char** argv) {
   } else {
     std::fprintf(stderr,
                  "ingest: n=%lld m=%lld (%lld lines, %lld self-loops, %lld "
-                 "duplicates dropped)%s%s\n"
+                 "duplicates dropped)%s%s%s\n"
                  "        %.2fs, %.1f bytes/edge, graph %s, peak RSS %s\n",
                  static_cast<long long>(report.vertices),
                  static_cast<long long>(report.edges),
@@ -684,6 +685,7 @@ int RunIngestCommand(int argc, char** argv) {
                  static_cast<long long>(report.dropped_self_loops),
                  static_cast<long long>(report.dropped_duplicates),
                  report.header_reserved ? ", header reserved" : "",
+                 report.hashed_ids ? ", hashed ids" : "",
                  report.gzip ? ", gzip" : "", report.load_seconds,
                  report.bytes_per_edge,
                  FormatBytes(report.graph_bytes).c_str(),
