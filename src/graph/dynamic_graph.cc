@@ -51,6 +51,43 @@ DynamicGraph::DynamicGraph(int n) {
   num_vertices_ = n;
 }
 
+DynamicGraph DynamicGraph::FromEdges(
+    int n, const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  DYNMIS_CHECK_GE(n, 0);
+  std::vector<int32_t> degrees(static_cast<size_t>(n), 0);
+  for (const auto& [u, v] : edges) {
+    DYNMIS_CHECK(u >= 0 && u < n && v >= 0 && v < n);
+    DYNMIS_CHECK_NE(u, v);
+    ++degrees[u];
+    ++degrees[v];
+  }
+  for (const int32_t degree : degrees) DYNMIS_CHECK_LE(degree, kMaxLen);
+  DynamicGraph g;
+  g.SizeArrays(degrees);
+  for (const auto& [u, v] : edges) {
+    DYNMIS_DCHECK(!g.HasEdge(u, v));
+    const auto pos_u = static_cast<int32_t>(g.vertices_[u].len++);
+    const auto pos_v = static_cast<int32_t>(g.vertices_[v].len++);
+    g.Entries(u)[pos_u] = Entry{v, pos_v};
+    g.Entries(v)[pos_v] = Entry{u, pos_u};
+  }
+  g.num_vertices_ = n;
+  g.num_edges_ = static_cast<int64_t>(edges.size());
+  return g;
+}
+
+void DynamicGraph::SizeArrays(const std::vector<int32_t>& degrees) {
+  vertices_.resize(degrees.size());
+  for (size_t v = 0; v < degrees.size(); ++v) {
+    VertexRec& rec = vertices_[v];
+    rec.degree = degrees[v];
+    if (degrees[v] <= 0) continue;
+    const int cls = ClassFor(degrees[v]);
+    rec.block = AllocBlock(cls);
+    rec.cls = static_cast<uint32_t>(cls);
+  }
+}
+
 void DynamicGraph::Reserve(int n, int64_t m) {
   if (n > 0) {
     vertices_.reserve(static_cast<size_t>(n));
@@ -608,18 +645,13 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
     }
   }
 
-  // --- Size every array once, in vertex order. ------------------------------
+  // --- Size every array once, in vertex order, and fill it. ----------------
   DynamicGraph loaded;
-  loaded.vertices_.resize(static_cast<size_t>(vcap));
+  loaded.SizeArrays(degrees);
   size_t at = 0;
   for (int32_t v = 0; v < vcap; ++v) {
-    VertexRec& rec = loaded.vertices_[v];
-    rec.degree = degrees[v];
     if (degrees[v] <= 0) continue;
-    const int cls = ClassFor(degrees[v]);
-    rec.block = loaded.AllocBlock(cls);
-    rec.len = static_cast<uint32_t>(degrees[v]);
-    rec.cls = static_cast<uint32_t>(cls);
+    loaded.vertices_[v].len = static_cast<uint32_t>(degrees[v]);
     Entry* entries = loaded.Entries(v);
     for (int32_t i = 0; i < degrees[v]; ++i) {
       entries[i] = Entry{neighbours[at++], 0};

@@ -35,8 +35,8 @@
 // ones (capacities ~1/8 apart, up to 64 entries) share 4 KB slab pages,
 // and a page that loses 1/8 of its contents is evacuated and reused, so
 // fragmentation stays bounded; a longer array has a chunk of its own (a
-// power of two), recycled through a free list per class. Bulk loaders size
-// each array once (ReserveDegree).
+// power of two), recycled through a free list per class. The bulk builds
+// (FromEdges, LoadFrom) size each array once, in vertex order.
 //
 // The graph is not thread-safe; a single maintainer mutates it.
 
@@ -69,6 +69,17 @@ class DynamicGraph {
 
   // Convenience constructor: `n` vertices (ids 0..n-1), no edges.
   explicit DynamicGraph(int n);
+
+  // The graph on vertices 0..n-1 that inserting `edges` one AddEdge at a
+  // time, in list order, builds after a ReserveDegree of every vertex to
+  // its final degree: the same slab offsets, incidence order and bytes.
+  // Built in one pass: degrees are counted, each array is allocated once
+  // in vertex order, and each edge's two entries are written together with
+  // their mirrors. AddEdge's requirements hold for every edge: ids in
+  // range and no self loop (checked), no parallel edge (checked in debug
+  // builds).
+  static DynamicGraph FromEdges(
+      int n, const std::vector<std::pair<VertexId, VertexId>>& edges);
 
   DynamicGraph(const DynamicGraph&) = default;
   DynamicGraph& operator=(const DynamicGraph&) = default;
@@ -119,9 +130,9 @@ class DynamicGraph {
   void Reserve(int n, int64_t m);
 
   // Sizes alive vertex `v`'s adjacency array once, so that it can reach
-  // `degree` without relocating. Bulk loaders call it for every vertex
-  // before inserting (see EdgeListGraph::ToDynamic): growing an array edge
-  // by edge leaves a trail of outgrown blocks in the slabs.
+  // `degree` without relocating. The sharded engine's build calls it for
+  // every vertex before inserting (see ShardedMisEngine::Build): growing an
+  // array edge by edge leaves a trail of outgrown blocks in the slabs.
   void ReserveDegree(VertexId v, int degree);
 
   // Dead vertex ids in recycling order (AddVertex pops from the back).
@@ -301,6 +312,12 @@ class DynamicGraph {
   // Leaves a tombstone at x's entry `pos`, dropping trailing tombstones and
   // compacting the array once enough of its entries are dead.
   void DropEntry(VertexId x, int32_t pos);
+  // On an empty graph, gives each vertex v < degrees.size() its record:
+  // dead at degree -1, else alive with that degree and an empty array (len
+  // 0, no owner mark) in a block of the smallest class holding it, none at
+  // degree 0. Blocks are allocated in vertex order. The bulk builds then
+  // fill every array to its degree.
+  void SizeArrays(const std::vector<int32_t>& degrees);
   // Moves x's array verbatim (tombstones too, so no position changes) into
   // a new block of class `cls`.
   void Move(VertexId x, int cls);

@@ -27,20 +27,12 @@ struct EdgeListGraph {
     return n == 0 ? 0.0 : 2.0 * static_cast<double>(edges.size()) / n;
   }
 
-  // Materializes a DynamicGraph with vertices 0..n-1, inserting the edges
-  // in list order. Degrees are counted first, so every adjacency array is
-  // sized once and the bulk insertion never relocates one.
-  DynamicGraph ToDynamic() const {
-    std::vector<int32_t> degree(static_cast<size_t>(n), 0);
-    for (const auto& [u, v] : edges) {
-      ++degree[u];
-      ++degree[v];
-    }
-    DynamicGraph g(n);
-    for (VertexId v = 0; v < n; ++v) g.ReserveDegree(v, degree[v]);
-    for (const auto& [u, v] : edges) g.AddEdge(u, v);
-    return g;
-  }
+  // Materializes a DynamicGraph with vertices 0..n-1 and the edges in list
+  // order, in one pass (DynamicGraph::FromEdges): every adjacency array is
+  // allocated once, in vertex order, at its final degree, and each edge's
+  // two entries are written with their mirrors. The result is the graph an
+  // AddEdge per edge would build into arrays sized that way, byte for byte.
+  DynamicGraph ToDynamic() const { return DynamicGraph::FromEdges(n, edges); }
 
   // Materializes a CSR snapshot.
   StaticGraph ToStatic() const { return StaticGraph(n, edges); }

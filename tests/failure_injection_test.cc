@@ -38,6 +38,16 @@ TEST(FailureInjectionTest, EdgeToDeadVertexAborts) {
   EXPECT_DEATH(g.AddEdge(0, 2), "DYNMIS_CHECK");
 }
 
+// The one-pass bulk build keeps AddEdge's preconditions.
+TEST(FailureInjectionTest, BulkBuildChecksEveryEdge) {
+  EXPECT_DEATH(DynamicGraph::FromEdges(3, {{0, 3}}), "DYNMIS_CHECK");
+  EXPECT_DEATH(DynamicGraph::FromEdges(3, {{-1, 2}}), "DYNMIS_CHECK");
+  EXPECT_DEATH(DynamicGraph::FromEdges(3, {{0, 1}, {2, 2}}), "DYNMIS_CHECK");
+#ifndef NDEBUG
+  EXPECT_DEATH(DynamicGraph::FromEdges(3, {{0, 1}, {1, 0}}), "DYNMIS_CHECK");
+#endif
+}
+
 TEST(FailureInjectionTest, NonIndependentInitialSolutionAborts) {
   DynamicGraph g(2);
   g.AddEdge(0, 1);
