@@ -70,14 +70,12 @@ class DynamicGraph {
   // Convenience constructor: `n` vertices (ids 0..n-1), no edges.
   explicit DynamicGraph(int n);
 
-  // The graph on vertices 0..n-1 that inserting `edges` one AddEdge at a
-  // time, in list order, builds after a ReserveDegree of every vertex to
-  // its final degree: the same slab offsets, incidence order and bytes.
-  // Built in one pass: degrees are counted, each array is allocated once
-  // in vertex order, and each edge's two entries are written together with
-  // their mirrors. AddEdge's requirements hold for every edge: ids in
-  // range and no self loop (checked), no parallel edge (checked in debug
-  // builds).
+  // The graph on vertices 0..n-1 that a ReserveDegree of every vertex to
+  // its final degree, then one AddEdge per edge in list order, would build,
+  // byte for byte, built in one pass: each array is allocated once in
+  // vertex order and each edge's two entries are written with their
+  // mirrors. As AddEdge does, checks ids in range and no self loop, and no
+  // parallel edge in debug builds.
   static DynamicGraph FromEdges(
       int n, const std::vector<std::pair<VertexId, VertexId>>& edges);
 

@@ -28,10 +28,8 @@ struct EdgeListGraph {
   }
 
   // Materializes a DynamicGraph with vertices 0..n-1 and the edges in list
-  // order, in one pass (DynamicGraph::FromEdges): every adjacency array is
-  // allocated once, in vertex order, at its final degree, and each edge's
-  // two entries are written with their mirrors. The result is the graph an
-  // AddEdge per edge would build into arrays sized that way, byte for byte.
+  // order, built in one pass with every adjacency array allocated once at
+  // its final degree (see DynamicGraph::FromEdges).
   DynamicGraph ToDynamic() const { return DynamicGraph::FromEdges(n, edges); }
 
   // Materializes a CSR snapshot.

@@ -519,20 +519,13 @@ TEST_F(IngestFileTest, IgnoresAHeaderTheFileCannotHold) {
   EdgeListGraph graph;
   ingest::IngestReport report;
   std::string error;
-  for (const char* header : {"# nodes: 1000000000000 edges: 1000000000000\n",
-                             "# nodes: 3 edges: 1000000000000\n",
-                             "# Nodes: 1000000000000 Edges: 1\n"}) {
-    WriteFile(path, std::string(header) + "1 2\n");
-    ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error))
-        << header << error;
-    EXPECT_FALSE(report.header_reserved) << header;
-    EXPECT_EQ(graph.n, 2);
-    EXPECT_EQ(graph.NumEdges(), 1);
-  }
-  // These 33-byte files could hold 16 ids and 8 edge lines: a header at
-  // that limit counts, one past it does not.
+  // With the short headers these files take 33 bytes, room for 16 ids and
+  // 8 edge lines: a header at that limit counts, one past it does not.
   for (const auto& [header, trusted] :
-       {std::pair{"# nodes: 16 edges: 8\n", true},
+       {std::pair{"# nodes: 1000000000000 edges: 1000000000000\n", false},
+        std::pair{"# Nodes: 1000000000000 Edges: 1\n", false},
+        std::pair{"# nodes: 3 edges: 1000000000000\n", false},
+        std::pair{"# nodes: 16 edges: 8\n", true},
         std::pair{"# nodes: 17 edges: 8\n", false},
         std::pair{"# nodes: 16 edges: 9\n", false}}) {
     WriteFile(path, std::string(header) + "1 2\n3 4\n5 6\n");
@@ -557,39 +550,6 @@ TEST_F(IngestFileTest, IgnoresAHeaderTheFileCannotHold) {
     EXPECT_FALSE(report.header_reserved) << header;
     EXPECT_EQ(graph.NumEdges(), 1);
   }
-}
-
-// The report says whether ids went through the hash map: not for a dense
-// file whose trusted header gives its vertex count, even when its first
-// line names its highest id, and not without a header while ids stay
-// dense; yes for ids far apart.
-TEST_F(IngestFileTest, ReportsWhetherIdsWereHashed) {
-  const std::string path = TempPath("id_table.txt");
-  cleanup_.push_back(path);
-  std::string dense;
-  for (int i = 1; i < 20000; ++i) {
-    dense += "0 " + std::to_string(20000 - i) + "\n";
-  }
-  EdgeListGraph graph;
-  ingest::IngestReport report;
-  std::string error;
-  WriteFile(path, "# nodes: 20000 edges: 19999\n" + dense);
-  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
-  EXPECT_TRUE(report.header_reserved);
-  EXPECT_FALSE(report.hashed_ids);
-  EXPECT_EQ(graph.n, 20000);
-
-  WriteFile(path, "0 1\n1 2\n2 0\n");
-  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
-  EXPECT_FALSE(report.hashed_ids);
-
-  std::string sparse = "# nodes: 3 edges: 2\n";
-  sparse += "1099511627776 1099511727776\n1099511727776 1099511827776\n";
-  WriteFile(path, sparse);
-  ASSERT_TRUE(ingest::IngestEdgeList(path, &graph, &report, &error)) << error;
-  EXPECT_TRUE(report.hashed_ids);
-  EXPECT_EQ(graph.n, 3);
-  EXPECT_EQ(graph.NumEdges(), 2);
 }
 
 TEST_F(IngestFileTest, ParsesSnapFormat) {
@@ -780,10 +740,9 @@ std::string RandomEdgeFile(Rng* rng, IdSpace space, int n, int lines,
   }
   std::string text;
   if (header) {
-    text += rng->NextBounded(2) != 0 ? "# nodes: " : "# Nodes: ";
-    text += std::to_string(n);
-    text += rng->NextBounded(2) != 0 ? " edges: " : " Edges: ";
-    text += std::to_string(lines) + "\n";
+    const bool snap = rng->NextBounded(2) != 0;  // SNAP capitalizes.
+    text += (snap ? "# Nodes: " : "# nodes: ") + std::to_string(n);
+    text += (snap ? " Edges: " : " edges: ") + std::to_string(lines) + "\n";
   }
   static const char* const kSeparators[] = {" ", "\t", "  ", " \t "};
   for (const auto& [a, b] : *raw) {
@@ -805,7 +764,7 @@ std::string RandomEdgeFile(Rng* rng, IdSpace space, int n, int lines,
 // Seeded random files, each ingested and compared edge for edge and count
 // for count against the reference: dense, hub-first and sparse (> 2^40) id
 // spaces, with and without a size header, one file past the reader's 1 MiB
-// chunk.
+// chunk. The report also says whether ids went through the hash map.
 TEST_F(IngestFileTest, MatchesReferenceOnRandomFiles) {
   const std::string path = TempPath("random.txt");
   cleanup_.push_back(path);
@@ -835,6 +794,12 @@ TEST_F(IngestFileTest, MatchesReferenceOnRandomFiles) {
         EXPECT_EQ(report.lines, ref.lines);
         EXPECT_EQ(report.dropped_self_loops, ref.self_loops);
         EXPECT_EQ(report.dropped_duplicates, ref.duplicates);
+        if (header) {
+          // Under a trusted header dense ids stay on the flat table, even
+          // a hub's high ones on the first lines; sparse ids are hashed.
+          EXPECT_TRUE(report.header_reserved);
+          EXPECT_EQ(report.hashed_ids, space == IdSpace::kSparse);
+        }
       }
     }
   }
