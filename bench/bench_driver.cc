@@ -7,8 +7,8 @@
 //
 // Per (algorithm, batch regime) the driver reports:
 //   * ops/sec over the whole update sequence,
-//   * p50/p99 per-op latency (single-op regime, via MisEngine's per-update
-//     observer hook) or per-batch latency (batch regime),
+//   * p50/p99 per-op latency (single-op regime, a Timer around each Apply)
+//     or per-batch latency (batch regime, a Timer around each ApplyBatch),
 //   * peak memory (maintainer structures + graph, sampled periodically),
 //   * solution quality (final size, and relative to a min-degree greedy
 //     reference on the final graph).
@@ -541,12 +541,6 @@ RunResult RunOne(const EdgeListGraph& base,
 
   std::vector<double> latencies;
   latencies.reserve(updates.size() / std::max(batch_size, 1) + 1);
-  if (batch_size == 1) {
-    engine->SetUpdateObserver(
-        [&](const GraphUpdate&, int64_t, double seconds) {
-          latencies.push_back(seconds);
-        });
-  }
 
   size_t peak_memory = 0;
   auto sample_memory = [&] {
@@ -558,8 +552,8 @@ RunResult RunOne(const EdgeListGraph& base,
 
   // Periodic serialization inside the timed loop (single-op regime only).
   // The durability cost lands in total_seconds / ops_per_sec; the per-op
-  // latency percentiles exclude it (the observer times only the Apply
-  // calls), so compare ops_per_sec against a plain run to size the tax.
+  // latency percentiles exclude it (only the Apply calls are timed), so
+  // compare ops_per_sec against a plain run to size the tax.
   const bool snapshotting = snapshot_every > 0 && batch_size == 1;
   std::string last_snapshot;
   size_t last_snapshot_index = 0;
@@ -573,7 +567,9 @@ RunResult RunOne(const EdgeListGraph& base,
     size_t since_snapshot = 0;
     size_t applied = 0;
     for (const GraphUpdate& update : updates) {
+      Timer op_timer;
       engine->Apply(update);
+      latencies.push_back(op_timer.ElapsedSeconds());
       ++applied;
       if (++since_sample >= kMemorySampleEvery) {
         since_sample = 0;

@@ -7,16 +7,15 @@
 // are written against it.
 //
 // Every mutation returns a structured UpdateResult carrying the applied-op
-// count, the vertex ids assigned to kInsertVertex ops (which the old
-// ApplyBatch path silently dropped), and the wall time spent — and an
-// optional per-op observer hook exposes individual update latencies for
-// serving-style telemetry.
+// count and the vertex ids assigned to kInsertVertex ops (which the old
+// ApplyBatch path silently dropped). The engine reads no clock on the
+// update path: a caller that wants latencies times its own calls, as the
+// bench driver does per op and the server does per batch.
 
 #ifndef DYNMIS_INCLUDE_DYNMIS_ENGINE_H_
 #define DYNMIS_INCLUDE_DYNMIS_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -36,21 +35,19 @@ struct UpdateResult {
   int64_t applied = 0;
   // Ids assigned to the call's kInsertVertex ops, in op order.
   std::vector<VertexId> new_vertices;
-  // Wall time spent inside the maintainer for this call.
-  double seconds = 0;
 };
 
 // Decoded "engine" section of a snapshot: the algorithm key and knobs the
-// engine was saved with, plus its lifetime counters. One decoder
+// engine was saved with, plus its lifetime update count. One decoder
 // (MisEngine::ReadEngineMeta) serves both LoadSnapshot and the CLI's
 // `snapshot info`, so the field order lives in exactly two places —
-// SaveSnapshot and ReadEngineMeta.
+// SaveSnapshot and ReadEngineMeta. The section ends in a retired 8-byte
+// slot (update seconds in earlier builds), written as 0.0 and ignored.
 struct SnapshotEngineMeta {
   MaintainerConfig config;
   // Maintainer display name (DynamicMisMaintainer::Name) at save time.
   std::string display_name;
   int64_t updates_applied = 0;
-  double update_seconds = 0;
 };
 
 // Point-in-time snapshot of the engine (see MisEngine::Stats).
@@ -64,9 +61,8 @@ struct EngineStats {
   size_t structure_memory_bytes = 0;
   // Bytes held by the owned graph.
   size_t graph_memory_bytes = 0;
-  // Totals across all Apply/ApplyBatch/typed-op calls so far.
+  // Ops applied by all Apply/ApplyBatch/typed-op calls so far.
   int64_t updates_applied = 0;
-  double update_seconds = 0;
 };
 
 class MisEngine {
@@ -91,11 +87,7 @@ class MisEngine {
   UpdateResult Apply(const GraphUpdate& update);
 
   // Applies the block as one transaction through the maintainer's batch
-  // path (deferred swap restoration where supported) — observer or not.
-  // An installed observer is invoked once for the whole block with
-  // batch-latency semantics; callers that want per-op latencies apply ops
-  // individually (the old behaviour silently downgraded every observed
-  // batch to the per-op path, losing the deferred-settle optimization).
+  // path (deferred swap restoration where supported).
   UpdateResult ApplyBatch(const std::vector<GraphUpdate>& updates);
 
   // Typed conveniences over Apply().
@@ -161,15 +153,6 @@ class MisEngine {
   // before alias resolution). This is the key SaveSnapshot persists.
   const MaintainerConfig& config() const { return config_; }
 
-  // Called once per Apply (applied = 1, update = the op) and once per
-  // non-empty ApplyBatch (applied = block size, update = the block's first
-  // op), with the wall time of the whole call.
-  using UpdateObserver = std::function<void(
-      const GraphUpdate& update, int64_t applied, double seconds)>;
-  void SetUpdateObserver(UpdateObserver observer) {
-    observer_ = std::move(observer);
-  }
-
   // The owned graph / maintainer, for read-mostly interop (snapshots,
   // verification). Mutating the graph directly desynchronizes the solution;
   // route updates through the engine.
@@ -189,9 +172,7 @@ class MisEngine {
   std::unique_ptr<DynamicGraph> graph_;
   std::unique_ptr<DynamicMisMaintainer> maintainer_;
   MaintainerConfig config_;
-  UpdateObserver observer_;
   int64_t updates_applied_ = 0;
-  double update_seconds_ = 0;
 };
 
 }  // namespace dynmis

@@ -35,8 +35,9 @@
 // The server runs over either backend behind the ServingBackend adapter: a
 // single MisEngine, or a ShardedMisEngine with N shards. STATS
 // reports the same EngineStats fields for both (plus a per-shard breakdown
-// for the sharded backend), wired from the same counters the bench driver's
-// observer hook uses. SNAPSHOT writes the PR-3 container online;
+// for the sharded backend). The engines read no clock on apply: STATS
+// `engine.update_seconds` is the server's own sum over its backend batches,
+// one clock pair per batch. SNAPSHOT writes the snapshot container online;
 // RestoreServingBackend plus Server::AdoptKeyMap warm-start a fresh server
 // from one (warm failover: checkpoint on the old process, --restore on the
 // new).

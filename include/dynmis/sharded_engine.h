@@ -33,7 +33,6 @@
 #define DYNMIS_INCLUDE_DYNMIS_SHARDED_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -104,9 +103,8 @@ class ShardedMisEngine {
 
   // --- Updates (edge ops logged until the next barrier) ---------------------
 
-  // `seconds` in the returned UpdateResult measures the call: routing, plus
-  // the log's application when a vertex op or a full log triggers it, plus
-  // any vertex op itself.
+  // Like MisEngine's, these read no clock: a caller that wants latencies
+  // times its own calls.
   UpdateResult Apply(const GraphUpdate& update);
   UpdateResult ApplyBatch(const std::vector<GraphUpdate>& updates);
 
@@ -134,30 +132,25 @@ class ShardedMisEngine {
 
   // Per-shard EngineStats breakdown (one entry per shard, local view: the
   // shard's intra-shard graph, its maintainer's pre-resolution solution and
-  // memory). Lifetime counters (updates_applied / update_seconds) are
-  // engine-global and reported by Stats() only, so they stay zero here.
-  // Serving-layer parity: STATS reports the same fields for the sharded
-  // backend as for a single engine, plus this breakdown.
+  // memory). The lifetime updates_applied is engine-global and reported by
+  // Stats() only, so it stays zero here. Serving-layer parity: STATS
+  // reports the same fields for the sharded backend as for a single
+  // engine, plus this breakdown.
   std::vector<EngineStats> PerShardStats();
-
-  // Called once per Apply/ApplyBatch with the op count and the call's wall
-  // time (batch-latency semantics: logged edge ops are not timed per op,
-  // since they apply later).
-  using UpdateObserver = std::function<void(int64_t applied, double seconds)>;
-  void SetUpdateObserver(UpdateObserver observer) {
-    observer_ = std::move(observer);
-  }
 
   // --- Snapshots ------------------------------------------------------------
 
   // Barrier, then writes one versioned container. Its "sharded" section
   // holds the algorithm key and display name, k, perturb, recompute_every,
   // the shard count, partition strategy and block size, the lifetime
-  // counters (updates, update and resolve seconds, barriers, conflicts,
-  // evictions, re-adds, swaps) and the locality owner table (empty for
-  // hash and range). Then come "cut/state" (the cut edges and the global
-  // id space) and, per shard, "shard<i>/graph" and the maintainer's state
-  // under the same prefix. Restoring is O(state) per shard.
+  // counters (updates, a retired 8-byte slot, resolve seconds, barriers,
+  // conflicts, evictions, re-adds, swaps) and the locality owner table
+  // (empty for hash and range). The retired slot held update seconds in
+  // earlier builds; it is written as 0.0 and ignored on load, so files
+  // load across builds without a format bump. Then come "cut/state" (the
+  // cut edges and the global id space) and, per shard, "shard<i>/graph"
+  // and the maintainer's state under the same prefix. Restoring is
+  // O(state) per shard.
   SnapshotStatus SaveSnapshot(std::ostream& out);
 
   // Appends the engine's sections to an open writer (barrier included);
@@ -245,9 +238,7 @@ class ShardedMisEngine {
   bool resolved_ = false;
   CutEdgeResolver::Resolution resolution_;
 
-  UpdateObserver observer_;
   int64_t updates_applied_ = 0;
-  double update_seconds_ = 0;
   double resolve_seconds_ = 0;
   int64_t barriers_ = 0;
   int64_t total_conflicts_ = 0;

@@ -4,8 +4,6 @@
 #include <ostream>
 #include <utility>
 
-#include "src/util/timer.h"
-
 namespace dynmis {
 
 std::unique_ptr<MisEngine> MisEngine::Create(const EdgeListGraph& base,
@@ -29,30 +27,20 @@ void MisEngine::Initialize(const std::vector<VertexId>& initial) {
 
 UpdateResult MisEngine::Apply(const GraphUpdate& update) {
   UpdateResult result;
-  Timer timer;
   const VertexId v = maintainer_->Apply(update);
-  result.seconds = timer.ElapsedSeconds();
   result.applied = 1;
   if (update.kind == UpdateKind::kInsertVertex) {
     result.new_vertices.push_back(v);
   }
   updates_applied_ += 1;
-  update_seconds_ += result.seconds;
-  if (observer_) observer_(update, 1, result.seconds);
   return result;
 }
 
 UpdateResult MisEngine::ApplyBatch(const std::vector<GraphUpdate>& updates) {
   UpdateResult result;
-  Timer timer;
   result.new_vertices = maintainer_->ApplyBatch(updates);
-  result.seconds = timer.ElapsedSeconds();
   result.applied = static_cast<int64_t>(updates.size());
   updates_applied_ += result.applied;
-  update_seconds_ += result.seconds;
-  if (observer_ && !updates.empty()) {
-    observer_(updates.front(), result.applied, result.seconds);
-  }
   return result;
 }
 
@@ -102,7 +90,9 @@ void MisEngine::SaveTo(SnapshotWriter* writer) const {
   writer->PutU8(config_.perturb ? 1 : 0);
   writer->PutI32(config_.recompute_every);
   writer->PutI64(updates_applied_);
-  writer->PutDouble(update_seconds_);
+  // A retired slot (the lifetime update seconds of earlier builds), kept
+  // so files load across builds without a format bump.
+  writer->PutDouble(0.0);
   writer->EndSection();
   graph_->SaveTo(writer);
   maintainer_->SaveState(writer);
@@ -116,7 +106,7 @@ bool MisEngine::ReadEngineMeta(SnapshotReader* r, SnapshotEngineMeta* meta) {
   meta->config.perturb = r->GetU8() != 0;
   meta->config.recompute_every = r->GetI32();
   meta->updates_applied = r->GetI64();
-  meta->update_seconds = r->GetDouble();
+  r->GetDouble();  // The retired slot: read and discarded.
   if (r->ok() && !r->AtSectionEnd()) {
     r->Fail("snapshot: engine: trailing bytes after the last field");
   }
@@ -175,7 +165,6 @@ std::unique_ptr<MisEngine> MisEngine::LoadFrom(SnapshotReader* reader,
     return nullptr;
   }
   engine->updates_applied_ = meta.updates_applied;
-  engine->update_seconds_ = meta.update_seconds;
   return engine;
 }
 
@@ -188,7 +177,6 @@ EngineStats MisEngine::Stats() const {
   stats.structure_memory_bytes = maintainer_->MemoryUsageBytes();
   stats.graph_memory_bytes = graph_->MemoryUsageBytes();
   stats.updates_applied = updates_applied_;
-  stats.update_seconds = update_seconds_;
   return stats;
 }
 

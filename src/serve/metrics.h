@@ -76,6 +76,10 @@ struct ServeMetrics {
   int64_t repl_resharded = 0;
   int64_t repl_reconnects = 0;  // Successful upstream re-establishments.
 
+  // Wall time inside the engine thread's backend ApplyBatch calls (client
+  // flushes and replicated batches): STATS `engine.update_seconds`.
+  double update_seconds = 0;
+
   // Enqueue -> batch-applied time per update op; whole-command time for
   // queries (QUERY/SOLUTION/STATS/VERIFY).
   LatencyRecorder update_latency;

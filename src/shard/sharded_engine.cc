@@ -203,24 +203,19 @@ void ShardedMisEngine::Flush() {
 
 UpdateResult ShardedMisEngine::Apply(const GraphUpdate& update) {
   UpdateResult result;
-  Timer timer;
   const VertexId v = Route(update);
   resolved_ = false;
-  result.seconds = timer.ElapsedSeconds();
   result.applied = 1;
   if (update.kind == UpdateKind::kInsertVertex) {
     result.new_vertices.push_back(v);
   }
   updates_applied_ += 1;
-  update_seconds_ += result.seconds;
-  if (observer_) observer_(1, result.seconds);
   return result;
 }
 
 UpdateResult ShardedMisEngine::ApplyBatch(
     const std::vector<GraphUpdate>& updates) {
   UpdateResult result;
-  Timer timer;
   for (const GraphUpdate& update : updates) {
     const VertexId v = Route(update);
     if (update.kind == UpdateKind::kInsertVertex) {
@@ -228,13 +223,8 @@ UpdateResult ShardedMisEngine::ApplyBatch(
     }
   }
   resolved_ = false;
-  result.seconds = timer.ElapsedSeconds();
   result.applied = static_cast<int64_t>(updates.size());
   updates_applied_ += result.applied;
-  update_seconds_ += result.seconds;
-  if (observer_ && result.applied > 0) {
-    observer_(result.applied, result.seconds);
-  }
   return result;
 }
 
@@ -321,7 +311,6 @@ EngineStats ShardedMisEngine::Stats() {
   }
   stats.graph_memory_bytes += resolver_.MemoryUsageBytes();
   stats.updates_applied = updates_applied_;
-  stats.update_seconds = update_seconds_;
   return stats;
 }
 
@@ -403,7 +392,7 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   writer->PutU8(static_cast<uint8_t>(plan_.strategy()));
   writer->PutI32(plan_.block_size());
   writer->PutI64(updates_applied_);
-  writer->PutDouble(update_seconds_);
+  writer->PutDouble(0.0);  // Retired slot (see the header).
   writer->PutDouble(resolve_seconds_);
   writer->PutI64(barriers_);
   writer->PutI64(total_conflicts_);
@@ -532,7 +521,7 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   const int64_t updates_applied = reader->GetI64();
-  const double update_seconds = reader->GetDouble();
+  reader->GetDouble();  // The retired slot: read and discarded.
   const double resolve_seconds = reader->GetDouble();
   const int64_t barriers = reader->GetI64();
   const int64_t conflicts = reader->GetI64();
@@ -603,7 +592,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadFrom(
   // first query runs no pass that the saved engine would not have run.
   engine->EnsureResolved();
   engine->updates_applied_ = updates_applied;
-  engine->update_seconds_ = update_seconds;
   engine->resolve_seconds_ = resolve_seconds;
   engine->barriers_ = barriers;
   engine->total_conflicts_ = conflicts;

@@ -1,7 +1,11 @@
-// Server soak with a literal zero-heap-allocation check: after warm-up, a
-// steady stream of binary edge updates and queries through a live Server —
-// I/O threads, mailboxes, admission batching, response encoding, and the
-// client's own read path — must not allocate. This extends the counting
+// Server soak with a literal zero-heap-allocation check: once warm-up has
+// grown the reused scratch vectors to their high-water marks, a steady
+// stream of binary edge updates and queries through a live Server — I/O
+// threads, mailboxes, admission batching, response encoding, and the
+// client's own read path — must not allocate. A stream that reaches a
+// larger neighbourhood than warm-up did allocates once as a vector grows:
+// with this test's generator built without its base list, that was 32 B
+// in MisState::CollectBar1And2's outputs. This extends the counting
 // global-operator-new technique of tests/scratch_reuse_test.cc from the
 // maintainer update loops to the whole serving stack. Everything the client
 // sends during the measured window is pre-encoded before counting starts,

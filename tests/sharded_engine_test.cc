@@ -3,8 +3,9 @@
 // across runs and across batch/barrier boundaries), S=1 degeneration to the
 // single engine (also with ops still in the edge-op log), the log's cap,
 // the cut store giving back slack, vertex inserts landing in the plan's
-// shard, snapshot round-trips including empty shards and the resolution
-// counters, and an engine that starts no thread.
+// shard, snapshot round-trips including empty shards, the resolution
+// counters and the retired update-seconds slot, and an engine that starts
+// no thread.
 
 #include "dynmis/sharded_engine.h"
 
@@ -26,6 +27,7 @@
 #include "src/ingest/temporal.h"
 #include "src/serve/workload.h"
 #include "src/util/random.h"
+#include "tests/snapshot_sections.h"
 #include "tests/verifiers.h"
 
 namespace dynmis {
@@ -468,6 +470,55 @@ TEST(ShardedEngineTest, SnapshotRoundTripAndDeterministicContinuation) {
   std::istringstream truncated(bytes.substr(0, bytes.size() / 3));
   EXPECT_EQ(ShardedMisEngine::LoadSnapshot(truncated, &status), nullptr);
   EXPECT_FALSE(status.ok);
+}
+
+TEST(ShardedEngineTest, RetiredSnapshotSlotIsWrittenAsZeroAndIgnoredOnLoad) {
+  const EdgeListGraph base = SmallGraph(41);
+  const std::vector<GraphUpdate> trace = ChurnTrace(base, 300, 43);
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(3));
+  ASSERT_NE(engine, nullptr);
+  engine->Initialize();
+  for (const GraphUpdate& update : trace) engine->Apply(update);
+  std::ostringstream sink;
+  ASSERT_TRUE(engine->SaveSnapshot(sink).ok);
+  const std::string blob = sink.str();
+
+  // The "sharded" section's slot after updates_applied held the update
+  // seconds in earlier builds. It follows the algorithm key and display
+  // name (u64 length + bytes each), k, perturb, recompute_every, the shard
+  // count, the strategy, the block size and updates_applied.
+  const size_t slot = 8 + engine->config().algorithm.size() + 8 +
+                      engine->Stats().algorithm.size() + 4 + 1 + 4 + 4 + 1 +
+                      4 + 8;
+  const std::string section = testing_util::SectionPayload(blob, "sharded");
+  ASSERT_GE(section.size(), slot + 8);
+  EXPECT_EQ(section.substr(slot, 8), std::string(8, '\0'));
+
+  // A nonzero slot, as an earlier build writes it, loads the same engine;
+  // saved again, it is the original file byte for byte, shard graphs
+  // included.
+  std::string timed = section;
+  testing_util::SetDoubleAt(&timed, slot, 3.5);
+  std::istringstream source(
+      testing_util::WithSectionPayload(blob, "sharded", timed));
+  SnapshotStatus status;
+  auto restored = ShardedMisEngine::LoadSnapshot(source, &status);
+  ASSERT_NE(restored, nullptr) << status.message;
+  EXPECT_EQ(restored->Solution(), engine->Solution());
+  EXPECT_EQ(restored->Stats().updates_applied,
+            engine->Stats().updates_applied);
+  EXPECT_EQ(ResolutionCounters(restored.get()),
+            ResolutionCounters(engine.get()));
+  std::ostringstream resaved;
+  ASSERT_TRUE(restored->SaveSnapshot(resaved).ok);
+  EXPECT_EQ(resaved.str(), blob);
+
+  // One byte past the section's last field is still rejected.
+  std::istringstream extended(
+      testing_util::WithSectionPayload(blob, "sharded", section + '\0'));
+  EXPECT_EQ(ShardedMisEngine::LoadSnapshot(extended, &status), nullptr);
+  EXPECT_NE(status.message.find("sharded: trailing bytes"), std::string::npos)
+      << status.message;
 }
 
 // Regression: the polish pass bounds its quadratic pair search to a small

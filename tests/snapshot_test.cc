@@ -21,6 +21,7 @@
 #include "src/core/swap_maintainer.h"
 #include "src/io/atomic_file.h"
 #include "src/util/faultfs.h"
+#include "tests/snapshot_sections.h"
 #include "tests/verifiers.h"
 
 namespace dynmis {
@@ -231,7 +232,7 @@ void PutEngineSection(SnapshotWriter* w) {
   w->PutU8(0);      // perturb
   w->PutI32(1);     // recompute_every
   w->PutI64(0);     // updates applied
-  w->PutDouble(0);  // update seconds
+  w->PutDouble(0);  // retired slot
   w->EndSection();
 }
 
@@ -265,6 +266,38 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
     EXPECT_NE(status.message.find("missing section"), std::string::npos)
         << status.message;
   }
+}
+
+TEST(SnapshotTest, RetiredEngineSlotIsWrittenAsZeroAndIgnoredOnLoad) {
+  // The engine section's last 8 bytes held the lifetime update seconds in
+  // earlier builds. A save writes 0.0 there and a load discards the value,
+  // so files load across builds without a format bump.
+  auto engine = MakeChurnedEngine("DyTwoSwap", /*seed=*/11, /*updates=*/300);
+  ASSERT_NE(engine, nullptr);
+  const std::string blob = SaveToString(*engine);
+  const std::string section = testing_util::SectionPayload(blob, "engine");
+  ASSERT_GE(section.size(), 8u);
+  const size_t slot = section.size() - 8;
+  EXPECT_EQ(section.substr(slot), std::string(8, '\0'));
+
+  // A nonzero slot, as an earlier build writes it, loads the same engine;
+  // saved again, it is the original file byte for byte, graph included.
+  std::string timed = section;
+  testing_util::SetDoubleAt(&timed, slot, 12.75);
+  SnapshotStatus status;
+  auto loaded = LoadFromString(
+      testing_util::WithSectionPayload(blob, "engine", timed), &status);
+  ASSERT_NE(loaded, nullptr) << status.message;
+  EXPECT_EQ(SortedSolution(*loaded), SortedSolution(*engine));
+  EXPECT_EQ(loaded->Stats().updates_applied, engine->Stats().updates_applied);
+  EXPECT_EQ(SaveToString(*loaded), blob);
+
+  // One byte past the slot is still rejected.
+  const std::string extended =
+      testing_util::WithSectionPayload(blob, "engine", section + '\0');
+  EXPECT_EQ(LoadFromString(extended, &status), nullptr);
+  EXPECT_NE(status.message.find("engine: trailing bytes"), std::string::npos)
+      << status.message;
 }
 
 TEST(SnapshotTest, VersionOneFilesAreRejectedByEveryLoader) {

@@ -33,7 +33,9 @@
 //       restore the engine, optionally resume with more updates, and
 //       optionally write a fresh snapshot of the resumed state.
 //   dynmis_cli snapshot info --in SNAP
-//       print the header, section table and engine metadata.
+//       print the header, the section table and the container's kind:
+//       an engine with its metadata, or a sharded engine with its shard
+//       count (`load` restores only the former; `serve --restore` both).
 //
 // Serve subcommand (TCP update/query server; see README "Serving"):
 //
@@ -433,8 +435,15 @@ int RunSnapshotLoad(const CliOptions& options, bool resume_updates) {
     return 1;
   }
   Timer load_timer;
-  SnapshotStatus status;
-  std::unique_ptr<MisEngine> engine = MisEngine::LoadSnapshot(in, &status);
+  SnapshotReader reader;
+  SnapshotStatus status = reader.ReadFrom(in);
+  if (status && reader.HasSection("sharded")) {
+    status = SnapshotStatus::Error(
+        "a sharded engine's snapshot; restore it with `dynmis_cli serve "
+        "--restore`");
+  }
+  std::unique_ptr<MisEngine> engine;
+  if (status) engine = MisEngine::LoadFrom(&reader, &status);
   if (engine == nullptr) {
     std::fprintf(stderr, "snapshot load failed: %s\n",
                  status.message.c_str());
@@ -500,20 +509,30 @@ int RunSnapshotInfo(const CliOptions& options) {
     std::printf("  %-24s %10zu bytes\n", name.c_str(),
                 reader.SectionSize(name));
   }
+  // The kind comes from the section table: a sharded engine writes a
+  // "sharded" section and one "shard<i>/graph" per shard.
+  if (reader.HasSection("sharded")) {
+    int shards = 0;
+    while (reader.HasSection("shard" + std::to_string(shards) + "/graph")) {
+      ++shards;
+    }
+    std::printf("kind: sharded (%d shards)\n", shards);
+    return 0;
+  }
   SnapshotEngineMeta meta;
   if (!MisEngine::ReadEngineMeta(&reader, &meta)) {
     std::fprintf(stderr, "invalid snapshot: %s\n",
                  reader.error().c_str());
     return 1;
   }
+  std::printf("kind: engine\n");
   std::printf(
       "engine: algorithm=%s (%s) k=%d perturb=%d recompute_every=%d\n",
       meta.config.algorithm.c_str(), meta.display_name.c_str(),
       meta.config.k, meta.config.perturb ? 1 : 0,
       meta.config.recompute_every);
-  std::printf("history: %lld updates, %.3fs inside the maintainer\n",
-              static_cast<long long>(meta.updates_applied),
-              meta.update_seconds);
+  std::printf("history: %lld updates\n",
+              static_cast<long long>(meta.updates_applied));
   return 0;
 }
 
