@@ -2,6 +2,7 @@
 // mode of DyOneSwap/DyTwoSwap (same invariants at batch end, same-or-better
 // throughput path).
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -74,32 +75,87 @@ TEST(UpdateTraceIoTest, RejectsMalformed) {
   EXPECT_TRUE(ParseUpdateTrace("+v\n").has_value());  // Isolated vertex OK.
 }
 
+// Applies `updates` to a fresh DySwap(k) over `base` in blocks of `block`
+// ops and checks, after every batch, the maintainer's invariants,
+// maximality and that no j-swap (j <= k) exists.
+void ExpectBatchesEndKMaximal(const EdgeListGraph& base,
+                              const std::vector<GraphUpdate>& updates, int k,
+                              size_t block) {
+  DynamicGraph g = base.ToDynamic();
+  DySwap algo(&g, k);
+  algo.InitializeEmpty();
+  for (size_t start = 0; start < updates.size(); start += block) {
+    const size_t end = std::min(start + block, updates.size());
+    algo.ApplyBatch({updates.begin() + static_cast<long>(start),
+                     updates.begin() + static_cast<long>(end)});
+    algo.CheckConsistency();
+    const std::vector<VertexId> solution = algo.Solution();
+    ASSERT_TRUE(IsMaximalIndependentSet(g, solution))
+        << "after batch ending at " << end;
+    ASSERT_FALSE(HasSwapUpTo(g, solution, k))
+        << "after batch ending at " << end;
+  }
+}
+
+// Both stream numberings (base's list, and base.ToDynamic().EdgeList()), in
+// blocks of 8 and 50.
+void ExpectBatchesEndKMaximal(const EdgeListGraph& base,
+                              const UpdateStreamOptions& stream, int k) {
+  for (const bool list_numbered : {true, false}) {
+    const std::vector<GraphUpdate> updates =
+        list_numbered ? MakeUpdateSequence(base, 400, stream)
+                      : MakeUpdateSequence(base.ToDynamic(), 400, stream);
+    for (const size_t block : {size_t{8}, size_t{50}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k=" << k << " list_numbered=" << list_numbered
+                   << " block=" << block);
+      ExpectBatchesEndKMaximal(base, updates, k, block);
+    }
+  }
+}
+
+// The SweepParam cases of one_swap_test (k = 1) and two_swap_test (k = 2),
+// on the same graphs.
+struct BatchSweepCase {
+  int k;
+  int n;
+  double density;  // Edges as a multiple of n.
+  double edge_op_fraction;
+  uint64_t seed;
+};
+
+constexpr BatchSweepCase kBatchSweep[] = {
+    {1, 12, 1.0, 0.9, 1},  {1, 20, 1.5, 0.9, 2},  {1, 20, 0.5, 0.5, 3},
+    {1, 30, 2.0, 0.8, 4},  {1, 30, 3.0, 0.95, 5}, {1, 8, 2.0, 0.7, 6},
+    {1, 40, 1.2, 0.6, 7},  {1, 25, 2.5, 1.0, 8},  {2, 10, 1.0, 0.9, 1},
+    {2, 16, 1.5, 0.9, 2},  {2, 16, 0.6, 0.5, 3},  {2, 22, 2.0, 0.8, 4},
+    {2, 22, 2.8, 0.95, 5}, {2, 8, 1.5, 0.7, 6},   {2, 26, 1.2, 0.6, 7},
+    {2, 18, 2.2, 1.0, 8},
+};
+
+// Deferred restoration ends every batch k-maximal. Each sweep case runs its
+// own edge-op fraction and a vertex-op-heavy 0.4, so vertex deletes reset
+// queued C1 owners and C2 bucket members inside a batch.
 TEST(BatchModeTest, BatchEndsKMaximal) {
-  for (const bool two_swap : {false, true}) {
+  for (const int k : {1, 2}) {
     Rng rng(21);
     const EdgeListGraph base = ErdosRenyiGnm(40, 90, &rng);
     UpdateStreamOptions stream;
     stream.seed = 99;
-    const std::vector<GraphUpdate> updates =
-        MakeUpdateSequence(base, 400, stream);
-
-    DynamicGraph g = base.ToDynamic();
-    std::unique_ptr<DynamicMisMaintainer> algo;
-    if (two_swap) {
-      algo = std::make_unique<DySwap>(&g, 2);
-    } else {
-      algo = std::make_unique<DySwap>(&g, 1);
-    }
-    algo->Initialize({});
-    // Apply in blocks of 50.
-    for (size_t start = 0; start < updates.size(); start += 50) {
-      const auto end = std::min(start + 50, updates.size());
-      algo->ApplyBatch(
-          {updates.begin() + static_cast<long>(start),
-           updates.begin() + static_cast<long>(end)});
-      ASSERT_TRUE(IsMaximalIndependentSet(g, algo->Solution()));
-      ASSERT_FALSE(HasSwapUpTo(g, algo->Solution(), two_swap ? 2 : 1))
-          << "after batch ending at " << end;
+    ExpectBatchesEndKMaximal(base, stream, k);
+  }
+  for (const BatchSweepCase& param : kBatchSweep) {
+    Rng rng(SplitMix64(param.k == 1 ? param.seed : param.seed ^ 0xabcdef));
+    const EdgeListGraph base = ErdosRenyiGnm(
+        param.n, static_cast<int64_t>(param.n * param.density), &rng);
+    for (const double edge_op_fraction : {param.edge_op_fraction, 0.4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << param.n << " seed=" << param.seed
+                   << " edge_op_fraction=" << edge_op_fraction);
+      UpdateStreamOptions stream;
+      stream.seed = param.seed * 17 + 3;
+      stream.edge_op_fraction = edge_op_fraction;
+      ExpectBatchesEndKMaximal(base, stream, param.k);
     }
   }
 }
