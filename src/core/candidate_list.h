@@ -1,15 +1,20 @@
-// CandidateList: per-owner candidate lists, intrusive doubly-linked through
-// flat per-vertex link slots. A vertex is a candidate under at most one
-// owner at a time, so enqueueing is an O(1) relink with no heap traffic —
-// this is DySwap's C1 queue (its per-pair C2 buckets stay separate because
-// their membership is keyed by pair, not by a single owner).
+// CandidateList: per-owner candidate lists plus a LIFO queue of owners with
+// pending candidates. Members are vertices; owners are any dense index - a
+// solution vertex for DySwap's C1 layer, a pair-bucket pool index for its
+// C2 layer - so member and owner slots are sized separately. A member sits
+// under at most one owner at a time, and the lists are intrusive
+// (doubly-linked through flat per-member slots), so enqueueing is an O(1)
+// relink with no heap traffic once the slots are sized.
 //
-// Entries are not unlinked when they go stale; consumers re-validate on
-// Consume(), mirroring the transition-log contract.
+// An owner enters the queue when its first member arrives and carries a
+// queued mark until PopOwner takes it, so it is queued once however many
+// members arrive. Entries are not unlinked when they go stale; consumers
+// re-validate on Consume(), mirroring the transition-log contract.
 
 #ifndef DYNMIS_SRC_CORE_CANDIDATE_LIST_H_
 #define DYNMIS_SRC_CORE_CANDIDATE_LIST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/graph/dynamic_graph.h"
@@ -20,36 +25,74 @@ namespace dynmis {
 
 class CandidateList {
  public:
-  // Grows the per-vertex slots to `vcap`; never shrinks.
-  void EnsureCapacity(size_t vcap) {
-    if (owner_.size() < vcap) {
-      owner_.resize(vcap, kInvalidVertex);
-      head_.resize(vcap, kInvalidVertex);
-      next_.resize(vcap, kInvalidVertex);
-      prev_.resize(vcap, kInvalidVertex);
+  static constexpr int32_t kNoOwner = -1;
+
+  // Grow the member / owner slots to `n`; never shrink.
+  void GrowMembers(size_t n) {
+    if (owner_.size() < n) {
+      owner_.resize(n, kNoOwner);
+      next_.resize(n, kInvalidVertex);
+      prev_.resize(n, kInvalidVertex);
+    }
+  }
+  void GrowOwners(size_t n) {
+    if (head_.size() < n) {
+      head_.resize(n, kInvalidVertex);
+      queued_.resize(n, 0);
     }
   }
 
-  // The owner `u` is currently enqueued under, or kInvalidVertex.
-  VertexId OwnerOf(VertexId u) const { return owner_[u]; }
+  // The owner `u` is currently enqueued under, or kNoOwner.
+  int32_t OwnerOf(VertexId u) const { return owner_[u]; }
+  // Whether no owner waits in the queue (stale entries included).
+  bool Empty() const { return queue_.empty(); }
 
-  // Links `u` under `owner`, relinking from any previous owner. Returns
-  // false when `u` was already enqueued under `owner` (no-op).
-  bool Enqueue(VertexId owner, VertexId u) {
+  // Links `u` under `owner`, relinking from any previous owner, and queues
+  // `owner` unless it is already queued. Returns false when `u` was already
+  // enqueued under `owner` (no-op).
+  bool Enqueue(int32_t owner, VertexId u) {
     if (owner_[u] == owner) return false;
-    if (owner_[u] != kInvalidVertex) Unlink(u);
+    DropMember(u);
     owner_[u] = owner;
     next_[u] = head_[owner];
     prev_[u] = kInvalidVertex;
     if (head_[owner] != kInvalidVertex) prev_[head_[owner]] = u;
     head_[owner] = u;
+    if (!queued_[owner]) {
+      queued_[owner] = 1;
+      queue_.push_back(owner);
+    }
     return true;
   }
 
-  // Removes `u` from its current owner's list (requires one).
-  void Unlink(VertexId u) {
-    const VertexId owner = owner_[u];
-    DYNMIS_DCHECK(owner != kInvalidVertex);
+  // Pops the most recently queued owner and clears its mark (requires
+  // !Empty()). Its list is left for Consume.
+  int32_t PopOwner() {
+    DYNMIS_DCHECK(!queue_.empty());
+    const int32_t owner = queue_.back();
+    queue_.pop_back();
+    queued_[owner] = 0;
+    return owner;
+  }
+
+  // Consumes `owner`'s list: calls fn(u) for every member, most recent
+  // first (members may be stale - the callback must re-validate), and
+  // leaves the list empty.
+  template <typename Fn>
+  void Consume(int32_t owner, Fn&& fn) {
+    for (VertexId u = head_[owner]; u != kInvalidVertex;) {
+      const VertexId next = next_[u];
+      owner_[u] = kNoOwner;
+      fn(u);
+      u = next;
+    }
+    head_[owner] = kInvalidVertex;
+  }
+
+  // Removes `u` from its owner's list, if it has one.
+  void DropMember(VertexId u) {
+    const int32_t owner = owner_[u];
+    if (owner == kNoOwner) return;
     const VertexId prev = prev_[u];
     const VertexId next = next_[u];
     if (prev != kInvalidVertex) {
@@ -58,40 +101,31 @@ class CandidateList {
       head_[owner] = next;
     }
     if (next != kInvalidVertex) prev_[next] = prev;
-    owner_[u] = kInvalidVertex;
+    owner_[u] = kNoOwner;
   }
 
-  // Consumes v's list: calls fn(u) for every member (which may be stale —
-  // the callback must re-validate) and leaves the list empty.
-  template <typename Fn>
-  void Consume(VertexId v, Fn&& fn) {
-    for (VertexId u = head_[v]; u != kInvalidVertex;) {
-      const VertexId next = next_[u];
-      owner_[u] = kInvalidVertex;
-      fn(u);
-      u = next;
-    }
-    head_[v] = kInvalidVertex;
-  }
-
-  // Clears every candidate slot of a deleted (possibly recycled) vertex id:
-  // drops v's own list and removes v from any owner's list.
-  void OnVertexReset(VertexId v) {
-    Consume(v, [](VertexId) {});
-    if (owner_[v] != kInvalidVertex) Unlink(v);
+  // Empties `owner`'s list and clears its queued mark (a deleted, possibly
+  // recycled owner id). A queue entry stays behind and pops later with an
+  // empty list.
+  void DropOwner(int32_t owner) {
+    Consume(owner, [](VertexId) {});
+    queued_[owner] = 0;
   }
 
   size_t MemoryUsageBytes() const {
-    return VectorBytes(owner_) + VectorBytes(head_) + VectorBytes(next_) +
-           VectorBytes(prev_);
+    return VectorBytes(owner_) + VectorBytes(next_) + VectorBytes(prev_) +
+           VectorBytes(head_) + VectorBytes(queued_) + VectorBytes(queue_);
   }
 
  private:
-  // owner_[u]: owner u is enqueued under. head_[v]: first member of v's
-  // list. next_/prev_: the intrusive links, indexed by candidate vertex.
-  std::vector<VertexId> owner_;
-  std::vector<VertexId> head_;
+  // Per member: owner_[u], the owner u is enqueued under; next_/prev_, the
+  // intrusive links. Per owner: head_, the first member of its list;
+  // queued_, its queue mark.
+  std::vector<int32_t> owner_;
   std::vector<VertexId> next_, prev_;
+  std::vector<VertexId> head_;
+  std::vector<uint8_t> queued_;
+  std::vector<int32_t> queue_;  // Owners with pending members (LIFO).
 };
 
 }  // namespace dynmis

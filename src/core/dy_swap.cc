@@ -12,27 +12,18 @@ DySwap::DySwap(DynamicGraph* g, int k, MaintainerConfig options)
   EnsureCapacity();
 }
 
-uint64_t DySwap::PairKey(VertexId x, VertexId y) {
-  if (x > y) std::swap(x, y);
-  // +1 keeps 0 free as the "not enqueued" sentinel.
-  return (static_cast<uint64_t>(static_cast<uint32_t>(x + 1)) << 32) |
-         static_cast<uint32_t>(y + 1);
-}
-
 void DySwap::GrowSlots(size_t vcap) {
-  in_c1_.resize(vcap, 0);
-  cands_.EnsureCapacity(vcap);
+  c1_.GrowMembers(vcap);
+  c1_.GrowOwners(vcap);
   if (k_ == 1) return;
-  cand2_key_.resize(vcap, 0);
-  cand2_next_.resize(vcap, kInvalidVertex);
-  cand2_prev_.resize(vcap, kInvalidVertex);
+  c2_.GrowMembers(vcap);
   c2_head_.resize(vcap, -1);
 }
 
 void DySwap::ResetSlots(VertexId v) {
-  in_c1_[v] = 0;
-  cands_.OnVertexReset(v);
-  if (k_ == 2 && cand2_key_[v] != 0) UnlinkC2(v);
+  c1_.DropOwner(v);
+  c1_.DropMember(v);
+  if (k_ == 2) c2_.DropMember(v);
 }
 
 int32_t* DySwap::FindBucketLink(VertexId a, VertexId b) {
@@ -43,30 +34,9 @@ int32_t* DySwap::FindBucketLink(VertexId a, VertexId b) {
   return link;
 }
 
-void DySwap::UnlinkC2(VertexId x) {
-  const uint64_t key = cand2_key_[x];
-  DYNMIS_DCHECK(key != 0);
-  const VertexId prev = cand2_prev_[x];
-  const VertexId next = cand2_next_[x];
-  if (prev != kInvalidVertex) {
-    cand2_next_[prev] = next;
-  } else {
-    // x heads its bucket: find the bucket via the smaller endpoint's chain
-    // (membership implies an active, chained bucket).
-    const VertexId a = static_cast<VertexId>(key >> 32) - 1;
-    const VertexId b = static_cast<VertexId>(key & 0xffffffffu) - 1;
-    const int32_t bucket = *FindBucketLink(a, b);
-    DYNMIS_CHECK(bucket != -1);
-    DYNMIS_DCHECK(c2_pool_[bucket].head == x);
-    c2_pool_[bucket].head = next;
-  }
-  if (next != kInvalidVertex) cand2_prev_[next] = prev;
-  cand2_key_[x] = 0;
-}
-
 void DySwap::OnTight(VertexId u) {
   if (state_.Count(u) == 1) {
-    EnqueueC1(state_.OwnerOf(u), u);
+    c1_.Enqueue(state_.OwnerOf(u), u);
   } else {
     VertexId a, b;
     state_.OwnersOf2(u, &a, &b);
@@ -74,19 +44,13 @@ void DySwap::OnTight(VertexId u) {
   }
 }
 
-void DySwap::EnqueueC1(VertexId owner, VertexId u) {
-  if (!cands_.Enqueue(owner, u)) return;
-  if (!in_c1_[owner]) {
-    in_c1_[owner] = 1;
-    c1_queue_.push_back(owner);
-  }
-}
-
 void DySwap::EnqueueC2(VertexId a, VertexId b, VertexId x) {
   if (a > b) std::swap(a, b);
-  const uint64_t pair_key = PairKey(a, b);
-  if (cand2_key_[x] == pair_key) return;
-  if (cand2_key_[x] != 0) UnlinkC2(x);
+  const int32_t current = c2_.OwnerOf(x);
+  if (current != CandidateList::kNoOwner && c2_pool_[current].x == a &&
+      c2_pool_[current].y == b) {
+    return;
+  }
   // Find the pair's active bucket among those sharing the smaller endpoint.
   int32_t bucket = *FindBucketLink(a, b);
   if (bucket == -1) {
@@ -96,21 +60,12 @@ void DySwap::EnqueueC2(VertexId a, VertexId b, VertexId x) {
     } else {
       bucket = static_cast<int32_t>(c2_pool_.size());
       c2_pool_.emplace_back();
+      c2_.GrowOwners(c2_pool_.size());
     }
-    PairBucket& rec = c2_pool_[bucket];
-    rec.x = a;
-    rec.y = b;
-    rec.head = kInvalidVertex;
-    rec.next = c2_head_[a];
+    c2_pool_[bucket] = {a, b, c2_head_[a]};
     c2_head_[a] = bucket;
-    c2_queue_.push_back(bucket);
   }
-  PairBucket& rec = c2_pool_[bucket];
-  cand2_key_[x] = pair_key;
-  cand2_next_[x] = rec.head;
-  cand2_prev_[x] = kInvalidVertex;
-  if (rec.head != kInvalidVertex) cand2_prev_[rec.head] = x;
-  rec.head = x;
+  c2_.Enqueue(bucket, x);
 }
 
 void DySwap::DrainTransitions() {
@@ -135,8 +90,8 @@ std::vector<VertexId> DySwap::ApplyBatch(
 }
 
 void DySwap::ProcessQueues() {
-  while (!c1_queue_.empty() || !c2_queue_.empty()) {
-    if (!c1_queue_.empty()) {
+  while (!c1_.Empty() || !c2_.Empty()) {
+    if (!c1_.Empty()) {
       FindOneSwapStep();
     } else {
       FindTwoSwapStep();
@@ -145,15 +100,13 @@ void DySwap::ProcessQueues() {
 }
 
 void DySwap::FindOneSwapStep() {
-  const VertexId v = c1_queue_.back();
-  c1_queue_.pop_back();
-  in_c1_[v] = 0;
+  const VertexId v = c1_.PopOwner();
   const bool v_valid = g_->IsVertexAlive(v) && state_.InSolution(v);
   // Consume v's candidate list; entries may be stale (candidates are
   // re-validated, not unlinked, when their tightness changes).
   std::vector<VertexId>& kept = kept_;
   kept.clear();
-  cands_.Consume(v, [&](VertexId u) {
+  c1_.Consume(v, [&](VertexId u) {
     if (v_valid && g_->IsVertexAlive(u) && !state_.InSolution(u) &&
         state_.Count(u) == 1 && state_.OwnerOf(u) == v) {
       kept.push_back(u);
@@ -237,40 +190,30 @@ void DySwap::FindOneSwapStep() {
 }
 
 void DySwap::FindTwoSwapStep() {
-  const int32_t bucket = c2_queue_.back();
-  c2_queue_.pop_back();
-  PairBucket& rec = c2_pool_[bucket];
-  const VertexId x = rec.x;
-  const VertexId y = rec.y;
-  const uint64_t key = PairKey(x, y);
+  const int32_t bucket = c2_.PopOwner();
+  const VertexId x = c2_pool_[bucket].x;
+  const VertexId y = c2_pool_[bucket].y;
   // Unlink from the smaller endpoint's chain and return the bucket to the
-  // pool, consuming its member list (queued buckets are always chained, and
-  // a pair has at most one active bucket).
+  // pool (queued buckets are always chained, and a pair has at most one
+  // active bucket), then consume its member list.
   int32_t* link = FindBucketLink(x, y);
   DYNMIS_DCHECK(*link == bucket);
-  *link = rec.next;
-  const VertexId members = rec.head;
-  rec.next = -1;
-  rec.x = kInvalidVertex;
-  rec.y = kInvalidVertex;
-  rec.head = kInvalidVertex;
+  *link = c2_pool_[bucket].next;
+  c2_pool_[bucket] = PairBucket{};
   c2_free_.push_back(bucket);
 
   const bool pair_valid = g_->IsVertexAlive(x) && g_->IsVertexAlive(y) &&
                           state_.InSolution(x) && state_.InSolution(y);
   std::vector<VertexId>& kept = kept_;
   kept.clear();
-  for (VertexId w = members; w != kInvalidVertex;) {
-    const VertexId next = cand2_next_[w];
-    cand2_key_[w] = 0;  // Consume.
+  c2_.Consume(bucket, [&](VertexId w) {
     if (pair_valid && g_->IsVertexAlive(w) && !state_.InSolution(w) &&
         state_.Count(w) == 2) {
       VertexId a, b;
       state_.OwnersOf2(w, &a, &b);
-      if (PairKey(a, b) == key) kept.push_back(w);
+      if (std::min(a, b) == x && std::max(a, b) == y) kept.push_back(w);
     }
-    w = next;
-  }
+  });
   if (kept.empty()) return;
   stats_.pair_candidates_processed += static_cast<int64_t>(kept.size());
 
@@ -432,12 +375,9 @@ void DySwap::OnFreedEdge(VertexId u, VertexId v) {
 }
 
 size_t DySwap::MemoryUsageBytes() const {
-  return SwapMaintainer::MemoryUsageBytes() + VectorBytes(c1_queue_) +
-         VectorBytes(in_c1_) + cands_.MemoryUsageBytes() +
+  return SwapMaintainer::MemoryUsageBytes() + c1_.MemoryUsageBytes() +
          VectorBytes(c2_pool_) + VectorBytes(c2_free_) +
-         VectorBytes(c2_queue_) + VectorBytes(c2_head_) +
-         VectorBytes(cand2_key_) + VectorBytes(cand2_next_) +
-         VectorBytes(cand2_prev_) + VectorBytes(kept_) +
+         VectorBytes(c2_head_) + c2_.MemoryUsageBytes() + VectorBytes(kept_) +
          VectorBytes(bar1_scratch_) + VectorBytes(bar2_scratch_) +
          VectorBytes(bar1x_) + VectorBytes(bar1y_) + VectorBytes(bar2s_) +
          VectorBytes(cy_) + VectorBytes(cz_) + VectorBytes(region_);

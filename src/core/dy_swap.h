@@ -24,9 +24,10 @@
 // {x, y, z} with x in bar_I2(S), y in bar_I1(u) u bar_I2(S) \ N[x] and
 // z in bar_I1(v) u bar_I2(S) \ N[x].
 //
-// At k = 1 nothing of the C2 layer runs: no C2 enqueue, no bar2 fallback
-// after a failed 1-swap, deletion case ii.a only, and the C2 arrays stay
-// unsized.
+// Both layers are CandidateLists (candidate_list.h): C1's owners are
+// solution vertices, C2's are indices into a pool of pair buckets. At k = 1
+// nothing of the C2 layer runs: no C2 enqueue, no bar2 fallback after a
+// failed 1-swap, deletion case ii.a only, and the C2 arrays stay unsized.
 
 #ifndef DYNMIS_SRC_CORE_DY_SWAP_H_
 #define DYNMIS_SRC_CORE_DY_SWAP_H_
@@ -63,20 +64,13 @@ class DySwap final : public SwapMaintainer {
   const Stats& stats() const { return stats_; }
 
  private:
-  // Pair key for C2: packs the ordered solution pair {x < y}. Used only for
-  // the per-candidate dedup stamp (cand2_key_); bucket lookup is chain-based.
-  static uint64_t PairKey(VertexId x, VertexId y);
-
   void OnTight(VertexId u) override;
   void OnFreedEdge(VertexId u, VertexId v) override;
   void Restore() override;
   void GrowSlots(size_t vcap) override;
   void ResetSlots(VertexId v) override;
-  bool QueuesEmpty() const override {
-    return c1_queue_.empty() && c2_queue_.empty();
-  }
+  bool QueuesEmpty() const override { return c1_.Empty() && c2_.Empty(); }
 
-  void EnqueueC1(VertexId owner, VertexId u);
   void EnqueueC2(VertexId a, VertexId b, VertexId x);
   void DrainTransitions();
   void ProcessQueues();
@@ -87,8 +81,6 @@ class DySwap final : public SwapMaintainer {
                       std::vector<VertexId>* bar1_snapshot);
   void PerformTwoSwap(VertexId x, VertexId y, VertexId in_a, VertexId in_b,
                       VertexId in_c, std::vector<VertexId>* region_snapshot);
-  // Removes `x` from its current C2 bucket (requires cand2_key_[x] != 0).
-  void UnlinkC2(VertexId x);
   // Returns the chain link slot (&c2_head_[a] or an active bucket's `next`
   // field) whose target is the bucket for pair {a < b}; the terminating
   // slot (*slot == -1) when the pair has no active bucket. The returned
@@ -98,34 +90,25 @@ class DySwap final : public SwapMaintainer {
   // True while inside ApplyBatch: Restore defers ProcessQueues to batch end.
   bool deferred_ = false;
 
-  // C1: per-solution-vertex candidate lists, intrusive and allocation-free
-  // (see CandidateList).
-  std::vector<VertexId> c1_queue_;
-  std::vector<uint8_t> in_c1_;
-  CandidateList cands_;
+  // C1: candidate lists owned by solution vertices.
+  CandidateList c1_;
 
-  // C2 (k = 2 only): per-solution-pair candidate buckets drawn from a
-  // reusable pool, so a count-2 transition costs no hash probe and no
-  // allocation. A bucket lives from its first candidate until
+  // C2 (k = 2 only): candidate lists owned by per-solution-pair buckets
+  // drawn from a reusable pool, so a count-2 transition costs no hash probe
+  // and no allocation. A bucket lives from its first candidate until
   // FindTwoSwapStep pops it; lookup is a walk of the (nearly always
   // single-entry) chain of active buckets sharing the pair's smaller
-  // endpoint. Bucket membership is again an intrusive list through flat
-  // per-vertex slots (a vertex sits in at most one bucket, per cand2_key_),
-  // so the pool records are plain 16-byte structs.
+  // endpoint.
   struct PairBucket {
-    VertexId x = kInvalidVertex;     // Smaller endpoint of the pair.
-    VertexId y = kInvalidVertex;     // Larger endpoint.
-    VertexId head = kInvalidVertex;  // First member candidate.
+    VertexId x = kInvalidVertex;  // Smaller endpoint of the pair.
+    VertexId y = kInvalidVertex;  // Larger endpoint.
     int32_t next = -1;  // Next active bucket with the same x, -1 at end.
   };
   std::vector<PairBucket> c2_pool_;
-  std::vector<int32_t> c2_free_;   // Pool indices available for reuse.
-  std::vector<int32_t> c2_queue_;  // Active bucket indices (LIFO).
+  std::vector<int32_t> c2_free_;  // Pool indices available for reuse.
   // c2_head_[v]: first active bucket whose smaller endpoint is v, -1 none.
   std::vector<int32_t> c2_head_;
-  // cand2_key_[x]: packed pair key under which x is enqueued, 0 when none.
-  std::vector<uint64_t> cand2_key_;
-  std::vector<VertexId> cand2_next_, cand2_prev_;  // Per member vertex.
+  CandidateList c2_;  // Owners are c2_pool_ indices.
 
   // Reusable scratch buffers (grow to the workload's high-water mark, then
   // stay put).
