@@ -76,6 +76,7 @@
 #include "dynmis/dynmis.h"
 #include "dynmis/workload.h"
 #include "src/graph/degree_stats.h"
+#include "src/serve/verify.h"
 #include "src/serve/workload.h"
 #include "src/util/json_writer.h"
 #include "src/util/timer.h"
@@ -450,22 +451,6 @@ struct ShardedRunResult {
   bool verified_independent = false;
 };
 
-// True when `solution` is an independent set of `g` with every member
-// alive (bitmap + one edge scan; the brute-force test verifiers are too
-// slow at bench scale).
-bool VerifyIndependent(const DynamicGraph& g,
-                       const std::vector<VertexId>& solution) {
-  std::vector<uint8_t> member(g.VertexCapacity(), 0);
-  for (const VertexId v : solution) {
-    if (!g.IsVertexAlive(v) || member[v]) return false;
-    member[v] = 1;
-  }
-  for (const auto& [u, v] : g.EdgeList()) {
-    if (member[u] && member[v]) return false;
-  }
-  return true;
-}
-
 ShardedRunResult RunSharded(const EdgeListGraph& base,
                             const std::vector<GraphUpdate>& updates,
                             const DynamicGraph& final_graph, int shards,
@@ -521,7 +506,9 @@ ShardedRunResult RunSharded(const EdgeListGraph& base,
   result.conflicts = stats.conflicts;
   result.evictions = stats.evictions;
   result.readded = stats.readded;
-  result.verified_independent = VerifyIndependent(final_graph, solution);
+  bool maximal = false;
+  serve::CheckSolution(final_graph, solution, &result.verified_independent,
+                       &maximal);
   return result;
 }
 

@@ -1,10 +1,10 @@
-// Shared solution verification for the serving path: one O(n + m)
-// independence + maximality check over a DynamicGraph, used by the
-// server's VERIFY command and by dynmis_loadgen's client-side re-check —
-// both sides of the socket must be verifying the same property with the
-// same code. (tests/verifiers.h keeps its deliberately naive O(k^2)
-// brute-force variants: the test oracle should not share code with the
-// thing it checks.)
+// Shared solution verification: one O(n + m) independence + maximality
+// check over a DynamicGraph, used by the server's VERIFY command, by
+// dynmis_loadgen's client-side re-check and by bench_driver's sharded run,
+// so every side verifies the same property with the same code.
+// (tests/verifiers.h keeps its deliberately naive O(k^2) brute-force
+// variants: the test oracle should not share code with the thing it
+// checks.)
 
 #ifndef DYNMIS_SRC_SERVE_VERIFY_H_
 #define DYNMIS_SRC_SERVE_VERIFY_H_
@@ -19,7 +19,9 @@ namespace serve {
 
 // Sets *independent (every member alive and distinct, no edge inside the
 // set) and *maximal (additionally, every alive non-member has a member
-// neighbor; only meaningful when independent). Returns both.
+// neighbor; only meaningful when independent). Returns both. Scans the
+// members' and then the non-members' neighbours, so beside the graph it
+// holds one byte per vertex id.
 inline bool CheckSolution(const DynamicGraph& g,
                           const std::vector<VertexId>& solution,
                           bool* independent, bool* maximal) {
@@ -29,9 +31,10 @@ inline bool CheckSolution(const DynamicGraph& g,
     if (!g.IsVertexAlive(v) || member[v]) *independent = false;
     if (v >= 0 && v < g.VertexCapacity()) member[v] = 1;
   }
+  const auto is_member = [&](VertexId u) { return member[u] != 0; };
   if (*independent) {
-    for (const auto& [u, v] : g.EdgeList()) {
-      if (member[u] && member[v]) {
+    for (const VertexId v : solution) {
+      if (g.AnyIncident(v, is_member)) {
         *independent = false;
         break;
       }
@@ -41,11 +44,7 @@ inline bool CheckSolution(const DynamicGraph& g,
   if (*maximal) {
     for (VertexId v = 0; v < g.VertexCapacity(); ++v) {
       if (!g.IsVertexAlive(v) || member[v]) continue;
-      bool covered = false;
-      g.ForEachIncident(v, [&](VertexId u) {
-        if (member[u]) covered = true;
-      });
-      if (!covered) {
+      if (!g.AnyIncident(v, is_member)) {
         *maximal = false;
         break;
       }
