@@ -949,6 +949,9 @@ int RunServeCommand(int argc, char** argv) {
     std::fprintf(stderr, "serve: %s\n", error.c_str());
     return 1;
   }
+  // The backend holds its own graph: free the edge list (8 B per edge)
+  // rather than keep it for the server's lifetime.
+  base = EdgeListGraph();
   const EngineStats stats = backend->Stats();
   serve::Server server(std::move(backend), options);
   // The restored key bindings (snapshot "keymap" section, plus keyed tail
