@@ -5,11 +5,15 @@ Compares a freshly produced BENCH_<scenario>.json against the committed
 baseline and fails when any (algorithm, batch_size) run
   * drops its ops_per_sec below --min-ratio of the baseline (default 0.75,
     i.e. a >25% regression, shape-normalized as described below);
-  * grows its peak_memory_bytes above 1.25x the baseline's; or
-  * drops its quality_vs_greedy below the baseline's minus 0.01.
-Memory and quality are machine-independent (byte counts of the library's
-own structures, and a solution-size ratio on a seeded workload), so those
-two gates compare raw per-run values with no normalization.
+  * grows its peak_memory_bytes above 1.25x the baseline's;
+  * drops its quality_vs_greedy below the baseline's minus 0.01; or
+  * ends, in any repeat, with a final_solution_size other than the
+    baseline's. Every scenario is seeded, so the solution is a pure
+    function of the code: a changed size is a behaviour change, however
+    small, and a PR that means it regenerates the baseline.
+Memory, quality and size are machine-independent (byte counts of the
+library's own structures, and solution sizes on a seeded workload), so
+those gates compare raw per-run values with no normalization.
 
 Throughput ratios are hardware-sensitive; the committed baselines were
 measured on a developer machine while CI runs on shared runners, so the
@@ -39,7 +43,8 @@ as do the "ingest" and "temporal" blocks the workload scenarios emit
 Pass --candidate several times to gate on the best of N repeated runs
 (per (algorithm, batch_size) the maximum ops_per_sec is used), which keeps
 short reduced-scale CI runs from tripping the gate on scheduler noise. The
-memory and quality gates take the worst value any repeat reports.
+memory and quality gates take the worst value any repeat reports, and the
+size gate checks every repeat.
 
 Usage:
   check_bench_regression.py --baseline BENCH_hard.json \
@@ -125,11 +130,13 @@ def main():
             sys.exit(
                 f"scenario mismatch: baseline={baseline.get('scenario')} "
                 f"{path}={doc.get('scenario')}")
-    # Merge repeated runs: per key, keep the fastest throughput and the
-    # worst memory and quality any repeat observed.
+    # Merge repeated runs: per key, keep the fastest throughput, the worst
+    # memory and quality any repeat observed, and every final size.
     cand_runs = {}
+    cand_sizes = {}
     for doc in candidates:
         for key, run in keyed(doc).items():
+            cand_sizes.setdefault(key, set()).add(run["final_solution_size"])
             merged = cand_runs.setdefault(key, dict(run))
             merged["ops_per_sec"] = max(merged["ops_per_sec"],
                                         run["ops_per_sec"])
@@ -150,7 +157,7 @@ def main():
 
     failures = []
     print(f"{'algorithm':<16} {'batch':>6} {'baseline':>12} {'candidate':>12} "
-          f"{'ratio':>7} {'memory':>7} {'quality':>8}")
+          f"{'ratio':>7} {'memory':>7} {'quality':>8} {'size':>5}")
     for key, cand in sorted(cand_runs.items()):
         base = base_runs.get(key)
         if base is None:
@@ -167,10 +174,15 @@ def main():
             problems.append(f"peak memory at {memory:.2f}x")
         if quality < -QUALITY_SLACK:
             problems.append(f"quality_vs_greedy {quality:+.4f}")
+        same_size = cand_sizes[key] == {base["final_solution_size"]}
+        if not same_size:
+            problems.append(
+                f"final_solution_size {sorted(cand_sizes[key])} != "
+                f"{base['final_solution_size']}")
         flag = "  << REGRESSION" if problems else ""
         print(f"{key[0]:<16} {key[1]:>6} {base['ops_per_sec']:>12.0f} "
               f"{cand['ops_per_sec']:>12.0f} {ratio:>7.2f} {memory:>7.2f} "
-              f"{quality:>+8.4f}{flag}")
+              f"{quality:>+8.4f} {'same' if same_size else 'DIFF':>5}{flag}")
         failures += [f"{key[0]} batch={key[1]}: {p}" for p in problems]
 
     missing = sorted(set(base_runs) - set(cand_runs))
@@ -181,11 +193,12 @@ def main():
     if failures:
         sys.exit(f"FAIL: {len(failures)} regression(s) against the baseline "
                  f"(ops/s floor {args.min_ratio:.2f}x, memory ceiling "
-                 f"{MAX_MEMORY_RATIO:.2f}x, quality slack {QUALITY_SLACK}):"
+                 f"{MAX_MEMORY_RATIO:.2f}x, quality slack {QUALITY_SLACK}, "
+                 "identical final sizes):"
                  "\n  " + "\n  ".join(failures))
     print(f"OK: all {len(cand_runs)} runs within {args.min_ratio:.2f}x "
           f"ops/s, {MAX_MEMORY_RATIO:.2f}x memory and -{QUALITY_SLACK} "
-          f"quality of baseline")
+          f"quality of baseline, with its final sizes")
 
 
 if __name__ == "__main__":
